@@ -3,7 +3,6 @@ package analysis
 import (
 	"impact/internal/cache"
 	"impact/internal/ir"
-	"impact/internal/profile"
 )
 
 // The abstract cache domain (after Ferdinand & Wilhelm's must/may
@@ -29,7 +28,10 @@ import (
 //     with may-age >= m would be unsound: on a path where x is older
 //     than its bound, those lines need not age.
 //
-// Ages are stored one byte per line; 0xFF means absent. For
+// Ages are stored one byte per line; 0xFF means absent. Accesses only
+// ever read and age the lines of one set, so the transfer functions
+// work on a set's packed column (see colLen) and the fixpoint is solved
+// one set at a time (incremental.go). For
 // associativities beyond 254 (large fully associative caches) the
 // must analysis evicts early at age 254 (shrinking the guaranteed
 // cache — sound) and the may analysis stops ageing at 254 and never
@@ -62,12 +64,12 @@ func newGeom(cfg cache.Config, totalBytes uint32) geom {
 	if assoc == 0 {
 		assoc = blocks
 	}
-	g := geom{
-		blockBytes: bb,
-		numSets:    blocks / assoc,
-		assoc:      assoc,
-		numLines:   (totalBytes + bb - 1) / bb,
-	}
+	return makeGeom(bb, blocks/assoc, assoc, (totalBytes+bb-1)/bb)
+}
+
+// makeGeom assembles a geometry and derives its eviction ages.
+func makeGeom(blockBytes, numSets, assoc, numLines uint32) geom {
+	g := geom{blockBytes: blockBytes, numSets: numSets, assoc: assoc, numLines: numLines}
 	if assoc <= maxAge {
 		g.mustEvict = uint8(assoc)
 		g.mayEvict = uint8(assoc)
@@ -83,9 +85,39 @@ func newGeom(cfg cache.Config, totalBytes uint32) geom {
 // simulator's mapping.
 func (g geom) set(l uint32) uint32 { return l % g.numSets }
 
-// mustAccess applies the must-domain update for one access to line x.
-func (g geom) mustAccess(st []uint8, x uint32) {
-	h := st[x]
+// colLen returns how many lines map to set s: the length of s's packed
+// column, where byte u holds line s + u*numSets.
+func (g geom) colLen(s uint32) int {
+	if s >= g.numLines {
+		return 0
+	}
+	return int((g.numLines-s-1)/g.numSets + 1)
+}
+
+// colRange returns the slots [u0, u1) that span sp's lines occupy in
+// set s's packed column. A span's lines in one set are consecutive
+// there, in the ascending order the span fetches them, and accesses to
+// other sets neither read nor write the column — so replaying the slots
+// in order is the span's whole effect on the set.
+func (g geom) colRange(sp lineSpan, s uint32) (u0, u1 int) {
+	if !sp.ok {
+		return 0, 0
+	}
+	S := g.numSets
+	first := sp.l0 + (s+S-sp.l0%S)%S // the span's first line in set s
+	if first > sp.l1 {
+		return 0, 0
+	}
+	return int((first - s) / S), int((sp.l1-s)/S) + 1
+}
+
+// mustAccess applies the must-domain update for one access to the line
+// at index x of a packed set column. The column holds only lines of the
+// accessed line's set, so the ageing loop runs over the whole slice.
+// Each line's new age depends on its own age and x's alone, so the
+// update is exact on any part of a column that contains x.
+func (g geom) mustAccess(col []uint8, x int) {
+	h := col[x]
 	if h == 0 {
 		return
 	}
@@ -93,22 +125,22 @@ func (g geom) mustAccess(st []uint8, x uint32) {
 	if h == absentAge {
 		limit = g.mustEvict
 	}
-	for y := g.set(x); y < g.numLines; y += g.numSets {
-		a := st[y]
+	for y, a := range col {
 		if a != absentAge && a < limit {
 			a++
 			if a >= g.mustEvict {
 				a = absentAge
 			}
-			st[y] = a
+			col[y] = a
 		}
 	}
-	st[x] = 0
+	col[x] = 0
 }
 
-// mayAccess applies the may-domain update for one access to line x.
-func (g geom) mayAccess(st []uint8, x uint32) {
-	m := st[x]
+// mayAccess applies the may-domain update for one access to the line at
+// index x of a packed set column (or part of one, as for mustAccess).
+func (g geom) mayAccess(col []uint8, x int) {
+	m := col[x]
 	if m == 0 {
 		return
 	}
@@ -120,8 +152,7 @@ func (g geom) mayAccess(st []uint8, x uint32) {
 			limit = absentAge // every present line ages (saturating)
 		}
 	}
-	for y := g.set(x); y < g.numLines; y += g.numSets {
-		a := st[y]
+	for y, a := range col {
 		if a != absentAge && a < limit {
 			if g.mayEvicts {
 				a++
@@ -131,126 +162,10 @@ func (g geom) mayAccess(st []uint8, x uint32) {
 			} else if a < maxAge {
 				a++
 			}
-			st[y] = a
+			col[y] = a
 		}
 	}
-	st[x] = 0
-}
-
-// walk replays the region's line accesses (ascending, one per line) on
-// the must and may states in place. visit, when non-nil, observes each
-// access before it is applied.
-func (g geom) walk(r *region, must, may []uint8, visit func(line uint32, mustHit, mayMiss bool)) {
-	l0, l1, ok := r.lineRange(g.blockBytes)
-	if !ok {
-		return
-	}
-	for l := l0; l <= l1; l++ {
-		if visit != nil {
-			visit(l, must[l] != absentAge, may[l] == absentAge)
-		}
-		g.mustAccess(must, l)
-		g.mayAccess(may, l)
-	}
-}
-
-// joinMust folds src into *dst elementwise-max (nil *dst copies src)
-// and reports whether *dst changed.
-func joinMust(dst *[]uint8, src []uint8) bool {
-	if *dst == nil {
-		*dst = append([]uint8(nil), src...)
-		return true
-	}
-	d := *dst
-	changed := false
-	for i, v := range src {
-		if v > d[i] {
-			d[i] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-// joinMay folds src into *dst elementwise-min (nil *dst copies src)
-// and reports whether *dst changed.
-func joinMay(dst *[]uint8, src []uint8) bool {
-	if *dst == nil {
-		*dst = append([]uint8(nil), src...)
-		return true
-	}
-	d := *dst
-	changed := false
-	for i, v := range src {
-		if v < d[i] {
-			d[i] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-// absResult holds the fixpoint in-states per region; nil states mark
-// regions unreachable from the entry.
-type absResult struct {
-	mustIn     [][]uint8
-	mayIn      [][]uint8
-	iterations int
-}
-
-// fixpoint runs the must/may worklist to a fixpoint over sg. The entry
-// starts from the cold cache (everything absent — exact for both
-// domains); unreached regions stay bottom (nil). Both domains are
-// finite and the transfer/join functions monotone (must ages only
-// grow, may ages only shrink), so termination is guaranteed.
-func (g geom) fixpoint(sg *supergraph) *absResult {
-	n := len(sg.regions)
-	fx := &absResult{mustIn: make([][]uint8, n), mayIn: make([][]uint8, n)}
-	cold := make([]uint8, g.numLines)
-	for i := range cold {
-		cold[i] = absentAge
-	}
-	fx.mustIn[sg.entry] = append([]uint8(nil), cold...)
-	fx.mayIn[sg.entry] = append([]uint8(nil), cold...)
-
-	dirty := make([]bool, n)
-	dirty[sg.entry] = true
-	outM := make([]uint8, g.numLines)
-	outY := make([]uint8, g.numLines)
-	fx.iterations = g.converge(sg, fx, dirty, outM, outY)
-	return fx
-}
-
-// converge drains the dirty worklist in RPO sweeps until no in-state
-// changes, returning the number of region transfer evaluations. The
-// full analysis starts with only the entry dirty; the incremental
-// analyzer seeds dirty with the regions whose inputs changed. Joins
-// only ever propagate along successor edges, so regions that never
-// become dirty keep their states untouched.
-func (g geom) converge(sg *supergraph, fx *absResult, dirty []bool, outM, outY []uint8) int {
-	iterations := 0
-	for changed := true; changed; {
-		changed = false
-		for _, ri := range sg.rpo {
-			if !dirty[ri] {
-				continue
-			}
-			dirty[ri] = false
-			iterations++
-			copy(outM, fx.mustIn[ri])
-			copy(outY, fx.mayIn[ri])
-			g.walk(&sg.regions[ri], outM, outY, nil)
-			for _, s := range sg.regions[ri].succs {
-				mch := joinMust(&fx.mustIn[s], outM)
-				ych := joinMay(&fx.mayIn[s], outY)
-				if mch || ych {
-					dirty[s] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return iterations
+	col[x] = 0
 }
 
 // Class is the static classification of one line reference.
@@ -346,173 +261,4 @@ type FuncBounds struct {
 	Name         string
 	Lower, Upper uint64
 	Accesses     uint64
-}
-
-// classify walks every region once more with the fixpoint in-states,
-// classifies each line reference, and accumulates the miss bounds.
-//
-// Lower: every always-miss reference misses on each of its weighted
-// executions. Upper: every non-always-hit reference may miss each
-// time, except references to persistent lines, whose misses are
-// bounded by how often their persistence scope is entered rather than
-// by the reference weights. Globally persistent lines (their set's
-// accessed footprint fits its ways) pool all their non-always-hit
-// weight capped at the run count; lines persistent only within their
-// reference's loop scope (persist.go) pool per (line, scope) capped at
-// the scope's entry bound. Both caps only ever replace a weight sum
-// with a min against it, so scope persistence tightens the upper bound
-// monotonically.
-func classify(sg *supergraph, g geom, fx *absResult, sc *sccInfo, fits [][]bool, p *ir.Program, w *profile.Weights) (Bounds, []FuncBounds) {
-	var b Bounds
-	b.Runs = w.Runs
-	b.Exact = w.Capped == 0 && w.Runs == 1
-	b.Scopes = len(sc.members)
-	runs := uint64(w.Runs)
-	if runs == 0 {
-		runs = 1
-	}
-
-	// Persistence: a line is persistent when the distinct lines with
-	// executed fetches mapping to its set fit the ways — the simulator
-	// prefers invalid ways, so such a set never evicts.
-	accessed := make([]bool, g.numLines)
-	for ri := range sg.regions {
-		r := &sg.regions[ri]
-		if r.weight == 0 {
-			continue
-		}
-		if l0, l1, ok := r.lineRange(g.blockBytes); ok {
-			for l := l0; l <= l1; l++ {
-				accessed[l] = true
-			}
-		}
-	}
-	setLines := make([]uint32, g.numSets)
-	for l := uint32(0); l < g.numLines; l++ {
-		if accessed[l] {
-			setLines[g.set(l)]++
-		}
-	}
-	persistent := func(l uint32) bool { return setLines[g.set(l)] <= g.assoc }
-	for l := uint32(0); l < g.numLines; l++ {
-		if accessed[l] && persistent(l) {
-			b.PersistentLines++
-		}
-	}
-
-	nFuncs := len(p.Funcs)
-	fLower := make([]uint64, nFuncs)
-	fUpper := make([]uint64, nFuncs)
-	fAccesses := make([]uint64, nFuncs)
-	nonAH := make([]uint64, g.numLines) // non-always-hit weight on persistent lines
-	scopePool := map[uint64]uint64{}    // scope<<32|line -> pooled non-AH weight
-
-	scM := make([]uint8, g.numLines)
-	scY := make([]uint8, g.numLines)
-	for ri := range sg.regions {
-		r := &sg.regions[ri]
-		fetches := r.weight * uint64(r.words)
-		b.Accesses += fetches
-		fAccesses[r.f] += fetches
-
-		scope := sc.scope[ri]
-		var scopeFits []bool
-		if scope >= 0 {
-			scopeFits = fits[scope]
-		}
-		ref := func(l uint32, mustHit, mayMiss bool) {
-			b.LineRefs++
-			b.WeightedLineRefs += r.weight
-			inScope := scopeFits != nil && scopeFits[g.set(l)]
-			var cl Class
-			switch {
-			case mustHit:
-				cl = ClassAlwaysHit
-			case mayMiss:
-				cl = ClassAlwaysMiss
-			case persistent(l) || inScope:
-				cl = ClassFirstMiss
-			default:
-				cl = ClassUnclassified
-			}
-			b.Refs[cl]++
-			b.RefWeight[cl] += r.weight
-			if cl == ClassAlwaysMiss {
-				b.Lower += r.weight
-				fLower[r.f] += r.weight
-			}
-			if cl != ClassAlwaysHit {
-				fUpper[r.f] += r.weight
-				switch {
-				case persistent(l):
-					nonAH[l] += r.weight
-				case inScope:
-					scopePool[uint64(scope)<<32|uint64(l)] += r.weight
-				default:
-					b.Upper += r.weight
-				}
-			}
-		}
-		l0, l1, ok := r.lineRange(g.blockBytes)
-		if fx.mustIn[ri] == nil {
-			// Unreachable in the supergraph (weight 0 when the weights
-			// are exact): count the static refs as unclassified.
-			if ok {
-				for l := l0; l <= l1; l++ {
-					ref(l, false, false)
-				}
-			}
-			continue
-		}
-		if !ok {
-			continue
-		}
-		// The walk reads and ages only the cache-set columns of the
-		// region's span lines, so only those columns need copying into
-		// the scratch states; stale values elsewhere are never read.
-		// Span lines map to distinct sets while the span fits numSets.
-		in, inY := fx.mustIn[ri], fx.mayIn[ri]
-		if l1-l0+1 <= g.numSets {
-			for l := l0; l <= l1; l++ {
-				for y := g.set(l); y < g.numLines; y += g.numSets {
-					scM[y] = in[y]
-					scY[y] = inY[y]
-				}
-			}
-		} else {
-			copy(scM, in)
-			copy(scY, inY)
-		}
-		g.walk(r, scM, scY, ref)
-	}
-	for l := uint32(0); l < g.numLines; l++ {
-		if nonAH[l] == 0 {
-			continue
-		}
-		if nonAH[l] < runs {
-			b.Upper += nonAH[l]
-		} else {
-			b.Upper += runs
-		}
-	}
-	b.ScopePools = len(scopePool)
-	//lint:maprange uint64 additions commute; the sum is order-independent
-	for k, wgt := range scopePool {
-		if e := sc.entries[k>>32]; wgt > e {
-			wgt = e
-		}
-		b.Upper += wgt
-	}
-
-	var perFunc []FuncBounds
-	for fi := 0; fi < nFuncs; fi++ {
-		if fAccesses[fi] == 0 && fUpper[fi] == 0 {
-			continue
-		}
-		perFunc = append(perFunc, FuncBounds{
-			Func: ir.FuncID(fi), Name: p.Funcs[fi].Name,
-			Lower: fLower[fi], Upper: fUpper[fi], Accesses: fAccesses[fi],
-		})
-	}
-	return b, perFunc
 }

@@ -16,9 +16,17 @@
 //     static predictor of conflict misses.
 //  3. Must/may abstract interpretation (absint.go): per-reference
 //     always-hit / always-miss / first-miss / unclassified
-//     classification via abstract cache states (Ferdinand & Wilhelm
+//     classification via abstract cache states (Ferdinand/Wilhelm
 //     style ageing caches) joined over a region supergraph
 //     (regions.go), yielding static miss-count lower/upper bounds.
+//
+// One engine computes all three: Incremental (incremental.go,
+// inclinear.go) solves the fixpoint one cache set at a time and keeps
+// every pass as cached per-unit contributions. Analyze is a fresh
+// engine's first result, and the page-level analysis (pages.go) is the
+// same engine over a page-frame geometry, so the cache bounds, the
+// page bounds, and the layout search's candidate scores all come from
+// one solver and one classifier.
 //
 // The bounds are the load-bearing artifact: for a single complete
 // execution matching the weights (Bounds.Exact), the simulator's
@@ -72,7 +80,10 @@ type Result struct {
 	PerFunc []FuncBounds
 	// Regions is the size of the region supergraph.
 	Regions int
-	// Iterations counts region transfer evaluations until fixpoint.
+	// Iterations counts the solver's work: column evaluations of the
+	// condensed per-set systems until fixpoint, summed over the sets
+	// solved (every set for a fresh analysis, the dirty ones for an
+	// update).
 	Iterations int
 }
 
@@ -86,34 +97,18 @@ type Result struct {
 // abstract single-execution model of the aggregated weights and are
 // estimates, not guarantees (see docs/ANALYSIS.md).
 func Analyze(lay *layout.Layout, w *profile.Weights, cfg Config) (*Result, error) {
-	if err := validate(lay, w, &cfg); err != nil {
+	inc, err := NewIncremental(lay, w, cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	reg := cfg.Obs
-	root := reg.SpanOn(cfg.Lane, "analysis")
-	defer root.End()
-
-	sp := root.Span("supergraph")
-	sg := buildSupergraph(lay, w)
-	g := newGeom(cfg.Cache, lay.Total)
-	sp.End()
-	sp = root.Span("fixpoint")
-	fx := g.fixpoint(sg)
-	sp.End()
-	sp = root.Span("persist")
-	sc := buildScopes(sg, effectiveRuns(w))
-	fits := sc.computeFits(sg, g, nil)
-	sp.End()
-
-	return buildResult(sg, g, fx, sc, fits, lay, w, cfg, root), nil
+	return inc.Result(), nil
 }
 
 // validate rejects inputs outside the abstract cache model and fills
 // in cfg's report-size defaults.
 func validate(lay *layout.Layout, w *profile.Weights, cfg *Config) error {
-	if err := w.Check(lay.Program()); err != nil {
-		return fmt.Errorf("analysis: %w", err)
+	if err := validateInput(lay, w); err != nil {
+		return err
 	}
 	if err := cfg.Cache.Validate(); err != nil {
 		return fmt.Errorf("analysis: %w", err)
@@ -128,9 +123,6 @@ func validate(lay *layout.Layout, w *profile.Weights, cfg *Config) error {
 	case cfg.Cache.PrefetchNext:
 		return fmt.Errorf("analysis: prefetching is outside the abstract cache model")
 	}
-	if lay.Total == 0 {
-		return fmt.Errorf("analysis: layout places no code")
-	}
 	if cfg.TopSets == 0 {
 		cfg.TopSets = 8
 	}
@@ -143,50 +135,21 @@ func validate(lay *layout.Layout, w *profile.Weights, cfg *Config) error {
 	return nil
 }
 
+// validateInput rejects weights that do not fit lay's program and a
+// layout with no code — what every geometry needs.
+func validateInput(lay *layout.Layout, w *profile.Weights) error {
+	if err := w.Check(lay.Program()); err != nil {
+		return fmt.Errorf("analysis: %w", err)
+	}
+	if lay.Total == 0 {
+		return fmt.Errorf("analysis: layout places no code")
+	}
+	return nil
+}
+
 func effectiveRuns(w *profile.Weights) uint64 {
 	if w.Runs <= 0 {
 		return 1
 	}
 	return uint64(w.Runs)
-}
-
-// buildResult runs the linear passes (classify, score, conflict) over
-// a converged fixpoint and assembles the Result — shared by the full
-// analysis and each incremental update.
-func buildResult(sg *supergraph, g geom, fx *absResult, sc *sccInfo, fits [][]bool, lay *layout.Layout, w *profile.Weights, cfg Config, root *obs.Span) *Result {
-	reg := cfg.Obs
-	sp := root.Span("classify")
-	bounds, perFunc := classify(sg, g, fx, sc, fits, lay.Program(), w)
-	sp.End()
-	sp = root.Span("score")
-	score := scoreLayout(lay, w)
-	sp.End()
-	sp = root.Span("conflict")
-	conflicts := conflictReport(sg, g, lay.Program(), cfg.TopSets, cfg.TopLines, cfg.TopPairs)
-	sp.End()
-
-	res := &Result{
-		Cache:      cfg.Cache,
-		Score:      score,
-		Conflicts:  conflicts,
-		Bounds:     bounds,
-		PerFunc:    perFunc,
-		Regions:    len(sg.regions),
-		Iterations: fx.iterations,
-	}
-
-	root.SetAttr("cache", cfg.Cache.String())
-	root.SetAttrInt("regions", int64(res.Regions))
-	root.SetAttrInt("iterations", int64(res.Iterations))
-	reg.Counter("analysis.runs").Inc()
-	reg.Counter("analysis.regions").Add(uint64(res.Regions))
-	reg.Counter("analysis.iterations").Add(uint64(res.Iterations))
-	reg.Counter("analysis.refs").Add(uint64(res.Bounds.LineRefs))
-	reg.Counter("analysis.always_hit").Add(res.Bounds.Refs[ClassAlwaysHit])
-	reg.Counter("analysis.first_miss").Add(res.Bounds.Refs[ClassFirstMiss])
-	reg.Counter("analysis.always_miss").Add(res.Bounds.Refs[ClassAlwaysMiss])
-	reg.Counter("analysis.unclassified").Add(res.Bounds.Refs[ClassUnclassified])
-	reg.Counter("analysis.scopes").Add(uint64(res.Bounds.Scopes))
-	reg.Counter("analysis.scope_pools").Add(uint64(res.Bounds.ScopePools))
-	return res
 }

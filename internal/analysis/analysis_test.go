@@ -105,7 +105,7 @@ func TestScoreHandComputed(t *testing.T) {
 	wBA := w.ArcWeight(f.ID(), b, 0) // B -> A: backward jump, end of B is 12, dst 0
 	wBC := w.ArcWeight(f.ID(), b, 1) // B -> C: fall-through
 
-	s := scoreLayout(lay, w)
+	s := ScoreLayout(lay, w)
 	if got, want := s.TotalWeight, wAB+wBA+wBC; got != want {
 		t.Fatalf("TotalWeight = %d, want %d", got, want)
 	}

@@ -17,11 +17,12 @@ import (
 //     mutated in place): the program/weights, the current layout and
 //     Result (assemble builds fresh values each update), region
 //     successor lists and the RPO, the persistence scopes (sccInfo),
-//     the score edge list and its per-function index, and every
-//     regionContrib/confSet payload slice (both documented "treated
-//     as immutable once built" — updates replace entries by value).
+//     the state-slice offsets, the score edge list and its
+//     per-function index, and every regionContrib/confSet payload
+//     slice (both documented "treated as immutable once built" —
+//     updates replace entries by value).
 //   - Copied (mutated in place across updates): region addresses, the
-//     per-region must/may state vectors, the cached line spans, and
+//     per-region must/may states, the cached line spans, and
 //     the linear caches' aggregate arrays, maps, persistence
 //     footprints/fits, and per-edge score terms.
 //   - Fresh (scratch): worklist flags, condensation buffers, undo
@@ -42,42 +43,35 @@ func (inc *Incremental) Clone() *Incremental {
 	sg := inc.sg
 	n := len(sg.regions)
 	cl := &Incremental{
-		cfg: inc.cfg,
-		w:   inc.w,
-		lay: inc.lay,
-		g:   inc.g,
+		cfg:        inc.cfg,
+		boundsOnly: inc.boundsOnly,
+		w:          inc.w,
+		lay:        inc.lay,
+		g:          inc.g,
 		sg: &supergraph{
 			regions: append([]region(nil), sg.regions...),
 			entry:   sg.entry,
 			rpo:     sg.rpo,
 		},
-		sc: inc.sc,
-		fx: &absResult{
-			mustIn:     make([][]uint8, n),
-			mayIn:      make([][]uint8, n),
-			iterations: inc.fx.iterations,
-		},
+		sc:          inc.sc,
 		res:         inc.res,
 		lin:         inc.lin.clone(),
 		ranges:      append([]lineSpan(nil), inc.ranges...),
-		dirty:       make([]bool, n),
-		uFlag:       make([]bool, n),
+		must:        append([]uint8(nil), inc.must...),
+		may:         append([]uint8(nil), inc.may...),
+		stOff:       inc.stOff,
+		iterations:  inc.iterations,
+		cOf:         make([]int32, n),
 		uOf:         make([]int32, n),
 		dirtySet:    make([]bool, inc.g.numSets),
 		confDirty:   make([]bool, inc.g.numSets),
-		confRegs:    make([][]int32, inc.g.numSets),
 		funcChanged: make([]bool, len(inc.funcChanged)),
 	}
 	for i := range cl.uOf {
 		cl.uOf[i] = -1
 	}
-	for ri := range sg.regions {
-		if st := inc.fx.mustIn[ri]; st != nil {
-			cl.fx.mustIn[ri] = append([]uint8(nil), st...)
-			cl.fx.mayIn[ri] = append([]uint8(nil), inc.fx.mayIn[ri]...)
-		}
-	}
-	cl.sizeScratch()
+	cl.outM = make([]uint8, len(inc.outM))
+	cl.outY = make([]uint8, len(inc.outY))
 	return cl
 }
 
@@ -93,11 +87,8 @@ func (lin *linearState) clone() *linearState {
 		accesses:  lin.accesses,
 		fAccesses: append([]uint64(nil), lin.fAccesses...),
 		contrib:   append([]regionContrib(nil), lin.contrib...),
-		lineRefs:  lin.lineRefs,
-		wRefs:     lin.wRefs,
 		refs:      lin.refs,
 		refW:      lin.refW,
-		lower:     lin.lower,
 		upper:     lin.upper,
 		fLower:    append([]uint64(nil), lin.fLower...),
 		fUpper:    append([]uint64(nil), lin.fUpper...),

@@ -15,10 +15,10 @@ import (
 // candidates the paper's placement passes are supposed to separate.
 //
 // The pass is organised per cache set (conflictSet): one set's summary
-// depends only on the regions whose spans touch that set, so the
-// incremental analyzer recomputes just the sets where code moved and
-// keeps every other cached summary (see inclinear.go). The full report
-// is assembled from the per-set summaries either way.
+// depends only on the regions whose spans touch that set, so a fresh
+// engine summarises every set and an update recomputes just the sets
+// where code moved, keeping every other cached summary (see
+// inclinear.go). The report is assembled from the per-set summaries.
 
 // LineShare is one cache line's contribution to a pressured set.
 type LineShare struct {
@@ -125,11 +125,11 @@ func (cs *confScratch) size(colLen int) {
 // function by function). Each line is attributed to the function
 // covering most of its bytes; ties keep the smaller FuncID.
 func conflictSet(sg *supergraph, g geom, p *ir.Program, s uint32, regs []int32, cs *confScratch) confSet {
-	S, L := g.numSets, g.numLines
-	if s >= L {
+	S := g.numSets
+	colLen := g.colLen(s)
+	if colLen == 0 {
 		return confSet{}
 	}
-	colLen := int((L-s-1)/S + 1)
 	cs.size(colLen)
 
 	cur := ir.NoFunc
@@ -297,56 +297,4 @@ func assembleConflict(sets []confSet, pairW map[[2]ir.FuncID]uint64, p *ir.Progr
 	}
 	rep.Pairs = pairs
 	return rep
-}
-
-// perSetRegions lists, for every cache set, the weighted regions whose
-// span touches it, ascending by region index — flattened as one buffer
-// with per-set offsets (set s owns buf[off[s]:off[s+1]]).
-func perSetRegions(sg *supergraph, g geom) (off []int32, buf []int32) {
-	off = make([]int32, g.numSets+1)
-	visit := func(f func(s uint32, ri int32)) {
-		for ri := range sg.regions {
-			r := &sg.regions[ri]
-			if r.weight == 0 {
-				continue
-			}
-			l0, l1, ok := r.lineRange(g.blockBytes)
-			if !ok {
-				continue
-			}
-			if l1-l0+1 >= g.numSets {
-				for s := uint32(0); s < g.numSets; s++ {
-					f(s, int32(ri))
-				}
-				continue
-			}
-			for l := l0; l <= l1; l++ {
-				f(g.set(l), int32(ri))
-			}
-		}
-	}
-	visit(func(s uint32, ri int32) { off[s+1]++ })
-	for s := uint32(0); s < g.numSets; s++ {
-		off[s+1] += off[s]
-	}
-	buf = make([]int32, off[g.numSets])
-	cur := make([]int32, g.numSets)
-	copy(cur, off[:g.numSets])
-	visit(func(s uint32, ri int32) {
-		buf[cur[s]] = ri
-		cur[s]++
-	})
-	return off, buf
-}
-
-func conflictReport(sg *supergraph, g geom, p *ir.Program, topSets, topLines, topPairs int) ConflictReport {
-	off, buf := perSetRegions(sg, g)
-	sets := make([]confSet, g.numSets)
-	var cs confScratch
-	pairW := make(map[[2]ir.FuncID]uint64)
-	for s := range sets {
-		sets[s] = conflictSet(sg, g, p, uint32(s), buf[off[s]:off[s+1]], &cs)
-		applyPairs(pairW, sets[s].funcs, true)
-	}
-	return assembleConflict(sets, pairW, p, topSets, topLines, topPairs)
 }

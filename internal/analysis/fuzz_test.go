@@ -15,6 +15,11 @@ import (
 // static must/may bounds must bracket the simulator's measured misses
 // whenever the weights describe the simulated run exactly.
 //
+// Each case also moves an engine built on the other layout (natural or
+// shuffled) to the analysed one: the incremental update must reproduce
+// the fresh analysis bit for bit, so the fuzzer drives the dirty-set
+// re-solve as hard as the from-scratch one.
+//
 // The trips byte scales the workload's loop trip counts: hot loops
 // over code that does not fit the cache are exactly the shape whose
 // upper bound the scope-persistence pass (persist.go) caps at the
@@ -62,14 +67,23 @@ func FuzzBounds(f *testing.F) {
 			t.Fatalf("profile: %v", err)
 		}
 
-		lay := layout.Natural(b.Prog)
+		lay, other := layout.Natural(b.Prog), layout.Random(b.Prog, progSeed)
 		if random {
-			lay = layout.Random(b.Prog, progSeed)
+			lay, other = other, lay
 		}
 		res, err := Analyze(lay, w, Config{Cache: cfg})
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}
+		inc, err := NewIncremental(other, w, Config{Cache: cfg})
+		if err != nil {
+			t.Fatalf("NewIncremental: %v", err)
+		}
+		moved, err := inc.Update(lay)
+		if err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		sameResult(t, "update", moved, res)
 		if res.Bounds.Lower > res.Bounds.Upper {
 			t.Fatalf("Lower %d > Upper %d", res.Bounds.Lower, res.Bounds.Upper)
 		}

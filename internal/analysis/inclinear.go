@@ -6,7 +6,7 @@ import (
 	"impact/internal/obs"
 )
 
-// Incremental linear passes.
+// The engine's linear passes.
 //
 // After the fixpoint is confined to the dirty cache sets
 // (incremental.go), the linear passes — classification, conflict
@@ -15,14 +15,15 @@ import (
 // so a linearState caches the contributions and re-derives only the
 // units a move invalidates:
 //
-//   - classify: each region contributes counts and weights folded by
-//     uint64 addition into the program aggregates, plus pooled weights
-//     on persistent lines (nonAH) and persistence scopes (scopePool).
-//     A region's contribution depends on its own span, the must/may
-//     states on its span's sets, and the persistence of those sets —
-//     all invariant unless one of its span's sets is dirty, the same
-//     criterion the fixpoint uses. The whole-program min-capping of the
-//     pooled weights stays a cheap final pass in assemble.
+//   - classification: each region contributes counts and weights
+//     folded by uint64 addition into the program aggregates, plus
+//     pooled weights on persistent lines (nonAH) and persistence
+//     scopes (pool). A region's contribution depends on its own span,
+//     the must/may states on its span's sets, and the persistence of
+//     those sets — all invariant unless one of its span's sets is
+//     dirty, the same criterion the fixpoint uses. The whole-program
+//     min-capping of the pooled weights stays a cheap final pass in
+//     assemble.
 //   - conflict: one confSet per cache set (conflict.go), recomputed
 //     for the sets where any weighted region's bytes moved, with the
 //     function-pair accumulator maintained by exact uint64 deltas.
@@ -30,13 +31,15 @@ import (
 //     fall-through flag and ext-TSP term change only when its source
 //     or target function's addresses changed. Cached terms are
 //     re-summed in full edge order each update, so the floating-point
-//     additions replay scoreLayout's sequence exactly — deltas would
+//     additions replay ScoreLayout's sequence exactly — deltas would
 //     be cheaper but not bit-identical.
 //
-// Every mutation is recorded in the update's undoState, so Revert
-// restores the caches to the previous layout byte for byte. The
-// assembled Result is bit-identical to buildResult's; the differential
-// tests hold both paths together.
+// A bounds-only engine (the page-frame analysis) keeps the
+// classification only. Every mutation is recorded in the update's
+// undoState, so Revert restores the caches to the previous layout byte
+// for byte, and every fold is exact, so an updated cache equals one
+// built from scratch for the same layout; the differential tests hold
+// the two together.
 
 // lineWeight is one pooled per-line weight of a region's contribution.
 type lineWeight struct {
@@ -51,10 +54,10 @@ type poolWeight struct {
 }
 
 // poolCnt is one pooled (scope,line) aggregate: the weight sum and the
-// count of contributing references. The count keys existence: classify
-// creates a pool entry even for weight-0 references (and ScopePools
-// counts it), so a key lives while any reference touches it, not while
-// its weight is nonzero.
+// count of contributing references. The count keys existence: the
+// classifier creates a pool entry even for weight-0 references (and
+// ScopePools counts it), so a key lives while any reference touches
+// it, not while its weight is nonzero.
 type poolCnt struct {
 	n int32
 	w uint64
@@ -63,16 +66,14 @@ type poolCnt struct {
 // regionContrib is one region's complete contribution to the bounds.
 // Treated as immutable once built.
 type regionContrib struct {
-	lineRefs uint64
-	wRefs    uint64
-	refs     [NumClasses]uint64
-	refW     [NumClasses]uint64
-	// lower is the always-miss weight (b.Lower and fLower).
-	lower uint64
+	// refs / refW count the region's line references and their weights
+	// per class; the reference totals, the lower bound (the always-miss
+	// weight), and the per-function upper bound (nonHit) derive from
+	// them.
+	refs [NumClasses]uint64
+	refW [NumClasses]uint64
 	// upper is the directly-counted (unpooled) upper-bound weight.
 	upper uint64
-	// fUpper is the whole non-always-hit weight (per-function upper).
-	fUpper uint64
 	// nonAH holds the non-AH weights pooled per persistent line;
 	// pool the ones pooled per persistence scope. At most one entry
 	// per line each (the walk visits each span line once).
@@ -80,31 +81,21 @@ type regionContrib struct {
 	pool  []poolWeight
 }
 
-// scoreEdge is one profiled control transfer; addresses are looked up
-// at evaluation time, everything else is layout-independent.
-type scoreEdge struct {
-	f ir.FuncID
-	b ir.BlockID
-	// c is the call instruction index, or -1 for an intra-function arc.
-	c int32
-	// tf/to name the target block (the callee's entry for calls).
-	tf ir.FuncID
-	to ir.BlockID
-	w  uint64
+// nonHit is the weight of the references that can miss: the region's
+// share of its function's upper bound, which skips persistence pooling.
+func (c *regionContrib) nonHit() uint64 {
+	return c.refW[ClassFirstMiss] + c.refW[ClassAlwaysMiss] + c.refW[ClassUnclassified]
 }
 
 // linearState caches the linear passes' per-unit contributions and
 // their folded aggregates for the engine's current layout.
 type linearState struct {
-	// classify: per-region contributions and their commutative folds.
+	// Classification: per-region contributions and their commutative folds.
 	accesses  uint64 // layout-independent: sum of weight*words
 	fAccesses []uint64
 	contrib   []regionContrib
-	lineRefs  uint64
-	wRefs     uint64
 	refs      [NumClasses]uint64
 	refW      [NumClasses]uint64
-	lower     uint64
 	upper     uint64
 	fLower    []uint64
 	fUpper    []uint64
@@ -114,9 +105,9 @@ type linearState struct {
 	// lines per set with cnt > 0 — the persistence footprint.
 	cnt      []int32
 	setLines []uint32
-	// Per-scope persistence fits (computeFits, maintained as deltas):
-	// foot refcounts each scope's distinct executed lines, footSet
-	// folds them per cache set, and fits[s][set] = footSet <= ways.
+	// Per-scope persistence fits, maintained as deltas: foot
+	// refcounts each scope's distinct executed lines, footSet folds
+	// them per cache set, and fits[s][set] = footSet <= ways.
 	foot    []int32 // len(scopes) * numLines
 	footSet []int32 // len(scopes) * numSets
 	fits    [][]bool
@@ -216,67 +207,62 @@ func (inc *Incremental) buildLinear(lay *layout.Layout) *linearState {
 	}
 
 	for ri := range sg.regions {
-		c := inc.classifyRegion(lin, ri)
-		lin.contrib[ri] = c
-		inc.applyContrib(lin, ri, &c, true)
+		inc.classifyRegion(lin, ri, &lin.contrib[ri])
+		inc.applyContrib(lin, ri, &lin.contrib[ri], true)
+	}
+
+	if inc.boundsOnly {
+		return lin
 	}
 
 	lin.confSets = make([]confSet, g.numSets)
-	off, buf := perSetRegions(sg, g)
-	for s := range lin.confSets {
-		lin.confSets[s] = conflictSet(sg, g, p, uint32(s), buf[off[s]:off[s+1]], &lin.cs)
-		applyPairs(lin.pairW, lin.confSets[s].funcs, true)
+	inc.confDirtySets = inc.confDirtySets[:0]
+	for s := uint32(0); s < g.numSets; s++ {
+		inc.confDirtySets = append(inc.confDirtySets, s)
 	}
+	inc.refreshConflicts(lin, lay, nil)
 
+	lin.edges = scoreEdges(p, inc.w)
 	lin.byFunc = make([][]int32, nFuncs)
-	addEdge := func(e scoreEdge) {
-		idx := int32(len(lin.edges))
-		lin.edges = append(lin.edges, e)
-		lin.byFunc[e.f] = append(lin.byFunc[e.f], idx)
+	for i, e := range lin.edges {
+		lin.byFunc[e.f] = append(lin.byFunc[e.f], int32(i))
 		if e.tf != e.f {
-			lin.byFunc[e.tf] = append(lin.byFunc[e.tf], idx)
-		}
-	}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for k, a := range b.Out {
-				if wgt := inc.w.ArcWeight(f.ID, b.ID, k); wgt > 0 {
-					addEdge(scoreEdge{f: f.ID, b: b.ID, c: -1, tf: f.ID, to: a.To, w: wgt})
-				}
-			}
-			for _, c := range b.CallSites() {
-				site := ir.CallSite{Func: f.ID, Block: b.ID, Instr: int32(c)}
-				if wgt := inc.w.SiteWeight(site); wgt > 0 {
-					callee := b.Instrs[c].Callee
-					addEdge(scoreEdge{f: f.ID, b: b.ID, c: int32(c), tf: callee, to: p.Funcs[callee].Entry, w: wgt})
-				}
-			}
+			lin.byFunc[e.tf] = append(lin.byFunc[e.tf], int32(i))
 		}
 	}
 	lin.edgeFT = make([]bool, len(lin.edges))
 	lin.edgeAcc = make([]float64, len(lin.edges))
 	lin.emark = make([]uint32, len(lin.edges))
 	for i := range lin.edges {
-		lin.evalEdge(lay, i)
+		lin.edgeFT[i], lin.edgeAcc[i] = lin.edges[i].term(lay)
 	}
 	return lin
 }
 
-// classifyRegion computes one region's contribution, mirroring
-// classify's per-region pass exactly (expressions and all — the
-// differential tests compare the assembled results bit for bit).
-func (inc *Incremental) classifyRegion(lin *linearState, ri int) regionContrib {
-	sg, g, fx := inc.sg, inc.g, inc.fx
+// classifyRegion classifies every line reference of one region against
+// the fixpoint in-state and stores the region's contribution to the
+// bounds in the zero-valued *c.
+//
+// Lower: every always-miss reference misses on each of its weighted
+// executions. Upper: every non-always-hit reference may miss each
+// time, except references to persistent lines, whose misses are
+// bounded by how often their persistence scope is entered rather than
+// by the reference weights. Globally persistent lines (their set's
+// accessed footprint fits its ways) pool all their non-always-hit
+// weight, capped at the run count in assemble; lines persistent only
+// within their reference's loop scope (persist.go) pool per (line,
+// scope), capped at the scope's entry bound. Both caps only ever
+// replace a weight sum with a min against it, so scope persistence
+// tightens the upper bound monotonically.
+func (inc *Incremental) classifyRegion(lin *linearState, ri int, c *regionContrib) {
+	sg, g := inc.sg, inc.g
 	r := &sg.regions[ri]
-	var c regionContrib
 	scope := inc.sc.scope[ri]
 	var scopeFits []bool
 	if scope >= 0 {
 		scopeFits = lin.fits[scope]
 	}
 	ref := func(l uint32, mustHit, mayMiss bool) {
-		c.lineRefs++
-		c.wRefs += r.weight
 		inScope := scopeFits != nil && scopeFits[g.set(l)]
 		persistent := lin.setLines[g.set(l)] <= g.assoc
 		var cl Class
@@ -292,11 +278,7 @@ func (inc *Incremental) classifyRegion(lin *linearState, ri int) regionContrib {
 		}
 		c.refs[cl]++
 		c.refW[cl] += r.weight
-		if cl == ClassAlwaysMiss {
-			c.lower += r.weight
-		}
 		if cl != ClassAlwaysHit {
-			c.fUpper += r.weight
 			switch {
 			case persistent:
 				c.nonAH = append(c.nonAH, lineWeight{l: l, w: r.weight})
@@ -308,35 +290,49 @@ func (inc *Incremental) classifyRegion(lin *linearState, ri int) regionContrib {
 		}
 	}
 	sp := inc.ranges[ri]
-	if fx.mustIn[ri] == nil {
-		// Unreachable in the supergraph: static refs are unclassified.
-		if sp.ok {
-			for l := sp.l0; l <= sp.l1; l++ {
-				ref(l, false, false)
-			}
-		}
-		return c
-	}
 	if !sp.ok {
-		return c
+		return
 	}
-	// Copy only the span's cache-set columns into the walk scratch —
-	// the walk never reads the other columns (see classify).
-	in, inY := fx.mustIn[ri], fx.mayIn[ri]
-	scM, scY := inc.outM, inc.outY
-	if sp.l1-sp.l0+1 <= g.numSets {
+	in, inY := inc.state(int32(ri))
+	if len(in) == 0 {
+		// Every reachable region that fetches owns a state, so this one
+		// is unreachable in the supergraph (weight 0 when the weights
+		// are exact): count the static refs as unclassified.
 		for l := sp.l0; l <= sp.l1; l++ {
-			for y := g.set(l); y < g.numLines; y += g.numSets {
-				scM[y] = in[y]
-				scY[y] = inY[y]
-			}
+			ref(l, false, false)
 		}
-	} else {
-		copy(scM, in)
-		copy(scY, inY)
+		return
 	}
-	g.walk(r, scM, scY, ref)
-	return c
+	S := g.numSets
+	if sp.l1-sp.l0 < S {
+		// Every span line lies in a set of its own, so each access sees
+		// the region's in-state: no transfer needs replaying.
+		for l := sp.l0; l <= sp.l1; l++ {
+			ref(l, in[l-sp.l0] != absentAge, inY[l-sp.l0] == absentAge)
+		}
+		return
+	}
+	// The span wraps around the sets: replay each set's accesses, in
+	// ascending line order, on a copy of the span's lines in that set.
+	// An access re-ages each line from its own age and the accessed
+	// line's alone, so the rest of the set's column cannot change what
+	// the replay sees. Sets are visited one after another rather than
+	// interleaved, which only reorders the commutative folds of the
+	// contribution.
+	for s := uint32(0); s < S; s++ {
+		u0, u1 := g.colRange(sp, s)
+		colM, colY := inc.outM[:u1-u0], inc.outY[:u1-u0]
+		k := s + uint32(u0)*S - sp.l0
+		for j := range colM {
+			colM[j], colY[j] = in[k], inY[k]
+			k += S
+		}
+		for j := range colM {
+			ref(s+uint32(u0+j)*S, colM[j] != absentAge, colY[j] == absentAge)
+			g.mustAccess(colM, j)
+			g.mayAccess(colY, j)
+		}
+	}
 }
 
 // applyContrib folds one region's contribution into (or out of) the
@@ -346,16 +342,13 @@ func (inc *Incremental) classifyRegion(lin *linearState, ri int) regionContrib {
 func (inc *Incremental) applyContrib(lin *linearState, ri int, c *regionContrib, add bool) {
 	f := inc.sg.regions[ri].f
 	if add {
-		lin.lineRefs += c.lineRefs
-		lin.wRefs += c.wRefs
 		for i := range c.refs {
 			lin.refs[i] += c.refs[i]
 			lin.refW[i] += c.refW[i]
 		}
-		lin.lower += c.lower
 		lin.upper += c.upper
-		lin.fLower[f] += c.lower
-		lin.fUpper[f] += c.fUpper
+		lin.fLower[f] += c.refW[ClassAlwaysMiss]
+		lin.fUpper[f] += c.nonHit()
 		for _, e := range c.nonAH {
 			lin.nonAH[e.l] += e.w
 		}
@@ -367,16 +360,13 @@ func (inc *Incremental) applyContrib(lin *linearState, ri int, c *regionContrib,
 		}
 		return
 	}
-	lin.lineRefs -= c.lineRefs
-	lin.wRefs -= c.wRefs
 	for i := range c.refs {
 		lin.refs[i] -= c.refs[i]
 		lin.refW[i] -= c.refW[i]
 	}
-	lin.lower -= c.lower
 	lin.upper -= c.upper
-	lin.fLower[f] -= c.lower
-	lin.fUpper[f] -= c.fUpper
+	lin.fLower[f] -= c.refW[ClassAlwaysMiss]
+	lin.fUpper[f] -= c.nonHit()
 	for _, e := range c.nonAH {
 		lin.nonAH[e.l] -= e.w
 	}
@@ -430,39 +420,6 @@ func (lin *linearState) adjustFoot(g geom, scope int32, sp lineSpan, delta int32
 	}
 }
 
-// evalEdge recomputes one edge's cached fall-through flag and ext-TSP
-// term under lay, with scoreLayout's exact expressions.
-func (lin *linearState) evalEdge(lay *layout.Layout, i int) {
-	e := &lin.edges[i]
-	var srcEnd uint32
-	if e.c < 0 {
-		srcEnd = lay.BlockEnd(e.f, e.b)
-	} else {
-		srcEnd = lay.InstrAddr(e.f, e.b, e.c) + ir.InstrBytes
-	}
-	dst := lay.BlockAddr(e.tf, e.to)
-	lin.edgeFT[i] = dst == srcEnd
-	lin.edgeAcc[i] = float64(e.w) * extTSPFactor(srcEnd, dst)
-}
-
-// sumScore folds the cached per-edge terms in edge order — the same
-// float addition sequence scoreLayout performs.
-func (lin *linearState) sumScore() Score {
-	var s Score
-	var acc float64
-	for i := range lin.edges {
-		s.TotalWeight += lin.edges[i].w
-		if lin.edgeFT[i] {
-			s.FallThrough += lin.edges[i].w
-		}
-		acc += lin.edgeAcc[i]
-	}
-	if s.TotalWeight > 0 {
-		s.ExtTSP = acc / float64(s.TotalWeight)
-	}
-	return s
-}
-
 // applyLinearDeltas re-derives the invalidated cache entries for one
 // update: the persistence footprint and region contributions on the
 // dirty cache sets, the conflict summaries of the sets where bytes
@@ -472,7 +429,6 @@ func (lin *linearState) sumScore() Score {
 func (inc *Incremental) applyLinearDeltas(lay *layout.Layout, undo *undoState) {
 	lin := inc.lin
 	sg, g := inc.sg, inc.g
-	p := lay.Program()
 
 	for _, mv := range undo.moved {
 		lin.adjustSpan(g, mv.prev, -1)
@@ -490,49 +446,18 @@ func (inc *Incremental) applyLinearDeltas(lay *layout.Layout, undo *undoState) {
 			}
 			old := lin.contrib[ri]
 			inc.applyContrib(lin, ri, &old, false)
-			nc := inc.classifyRegion(lin, ri)
-			lin.contrib[ri] = nc
-			inc.applyContrib(lin, ri, &nc, true)
+			lin.contrib[ri] = regionContrib{}
+			inc.classifyRegion(lin, ri, &lin.contrib[ri])
+			inc.applyContrib(lin, ri, &lin.contrib[ri], true)
 			undo.contribs = append(undo.contribs, contribUndo{ri: int32(ri), old: old})
 		}
 	}
 
-	if len(inc.confDirtySets) > 0 {
-		for _, s := range inc.confDirtySets {
-			if inc.confRegs[s] != nil {
-				inc.confRegs[s] = inc.confRegs[s][:0]
-			}
-		}
-		for ri := range sg.regions {
-			r := &sg.regions[ri]
-			if r.weight == 0 {
-				continue
-			}
-			sp := inc.ranges[ri]
-			if !sp.ok {
-				continue
-			}
-			if sp.l1-sp.l0+1 >= g.numSets {
-				for _, s := range inc.confDirtySets {
-					inc.confRegs[s] = append(inc.confRegs[s], int32(ri))
-				}
-				continue
-			}
-			for l := sp.l0; l <= sp.l1; l++ {
-				if s := g.set(l); inc.confDirty[s] {
-					inc.confRegs[s] = append(inc.confRegs[s], int32(ri))
-				}
-			}
-		}
-		for _, s := range inc.confDirtySets {
-			old := lin.confSets[s]
-			nw := conflictSet(sg, g, p, s, inc.confRegs[s], &lin.cs)
-			applyPairs(lin.pairW, old.funcs, false)
-			applyPairs(lin.pairW, nw.funcs, true)
-			lin.confSets[s] = nw
-			undo.confs = append(undo.confs, confUndo{s: s, old: old})
-		}
+	if inc.boundsOnly {
+		return
 	}
+
+	inc.refreshConflicts(lin, lay, undo)
 
 	if inc.anyAddr {
 		lin.epoch++
@@ -546,18 +471,39 @@ func (inc *Incremental) applyLinearDeltas(lay *layout.Layout, undo *undoState) {
 				}
 				lin.emark[idx] = lin.epoch
 				undo.scores = append(undo.scores, scoreUndo{idx: idx, ft: lin.edgeFT[idx], acc: lin.edgeAcc[idx]})
-				lin.evalEdge(lay, int(idx))
+				lin.edgeFT[idx], lin.edgeAcc[idx] = lin.edges[idx].term(lay)
 			}
+		}
+	}
+}
+
+// refreshConflicts recomputes the conflict summaries of the sets in
+// inc.confDirtySets from the weighted regions touching them, folding
+// the change into the pair accumulator; with a non-nil undo it records
+// the summaries it replaces.
+func (inc *Incremental) refreshConflicts(lin *linearState, lay *layout.Layout, undo *undoState) {
+	sg := inc.sg
+	sets := inc.confDirtySets
+	off, buf := inc.bucketBySet(len(sg.regions), func(ri int) lineSpan {
+		if sg.regions[ri].weight == 0 {
+			return lineSpan{}
+		}
+		return inc.ranges[ri]
+	}, inc.numberSets(sets), len(sets))
+	for k, s := range sets {
+		old := lin.confSets[s]
+		nw := conflictSet(sg, inc.g, lay.Program(), s, buf[off[k]:off[k+1]], &lin.cs)
+		applyPairs(lin.pairW, old.funcs, false)
+		applyPairs(lin.pairW, nw.funcs, true)
+		lin.confSets[s] = nw
+		if undo != nil {
+			undo.confs = append(undo.confs, confUndo{s: s, old: old})
 		}
 	}
 }
 
 // revertLinear undoes one update's cache mutations in reverse order.
 func (inc *Incremental) revertLinear(undo *undoState) {
-	if undo.lin != nil {
-		inc.lin = undo.lin
-		return
-	}
 	lin := inc.lin
 	for _, su := range undo.scores {
 		lin.edgeFT[su.idx] = su.ft
@@ -586,8 +532,9 @@ func (inc *Incremental) revertLinear(undo *undoState) {
 	}
 }
 
-// assemble builds the Result from the linear caches — the cached-path
-// equivalent of buildResult, with identical arithmetic.
+// assemble builds the Result from the linear caches and reports it to
+// the engine's registry. A bounds-only engine's Result carries the
+// bounds, the per-function rows, and the solver counts only.
 func (inc *Incremental) assemble(lay *layout.Layout, root *obs.Span) *Result {
 	lin := inc.lin
 	g, w, cfg := inc.g, inc.w, inc.cfg
@@ -600,11 +547,13 @@ func (inc *Incremental) assemble(lay *layout.Layout, root *obs.Span) *Result {
 	b.Scopes = len(inc.sc.members)
 	runs := effectiveRuns(w)
 	b.Accesses = lin.accesses
-	b.LineRefs = int(lin.lineRefs)
-	b.WeightedLineRefs = lin.wRefs
 	b.Refs = lin.refs
 	b.RefWeight = lin.refW
-	b.Lower = lin.lower
+	for cl := range lin.refs {
+		b.LineRefs += int(lin.refs[cl])
+		b.WeightedLineRefs += lin.refW[cl]
+	}
+	b.Lower = lin.refW[ClassAlwaysMiss]
 	for l := uint32(0); l < g.numLines; l++ {
 		if lin.cnt[l] > 0 && lin.setLines[g.set(l)] <= g.assoc {
 			b.PersistentLines++
@@ -643,14 +592,17 @@ func (inc *Incremental) assemble(lay *layout.Layout, root *obs.Span) *Result {
 	}
 
 	res := &Result{
-		Cache:      cfg.Cache,
-		Score:      lin.sumScore(),
-		Conflicts:  assembleConflict(lin.confSets, lin.pairW, p, cfg.TopSets, cfg.TopLines, cfg.TopPairs),
 		Bounds:     b,
 		PerFunc:    perFunc,
 		Regions:    len(inc.sg.regions),
-		Iterations: inc.fx.iterations,
+		Iterations: inc.iterations,
 	}
+	if inc.boundsOnly {
+		return res
+	}
+	res.Cache = cfg.Cache
+	res.Score = sumScore(lin.edges, lin.edgeFT, lin.edgeAcc)
+	res.Conflicts = assembleConflict(lin.confSets, lin.pairW, p, cfg.TopSets, cfg.TopLines, cfg.TopPairs)
 
 	root.SetAttr("cache", cfg.Cache.String())
 	root.SetAttrInt("regions", int64(res.Regions))

@@ -5,11 +5,18 @@ import (
 	"fmt"
 	"math/bits"
 
+	"impact/internal/ir"
 	"impact/internal/layout"
+	"impact/internal/obs"
 	"impact/internal/profile"
 )
 
-// Incremental re-analysis.
+// The analysis engine.
+//
+// One engine computes every static result in this package: Analyze is
+// a fresh engine's first result, the page-level analysis (pages.go) is
+// the same engine over a page-frame geometry, and the layout search
+// re-scores candidate layouts through Update/Revert.
 //
 // The region supergraph's structure — regions, successor edges, RPO,
 // persistence scopes, entry bounds — depends only on the program and
@@ -27,9 +34,11 @@ import (
 // and fetch now; call the cache sets of those lines *dirty*. Every
 // equation over a clean set's lines is identical under the old and
 // new layout — same accesses, same joins — so those values are
-// already final, and only the dirty sets' lines need re-solving.
+// already final, and only the dirty sets' lines need re-solving. A
+// fresh engine simply marks every set dirty: the per-set solve is the
+// only fixpoint solver.
 //
-// Each dirty set re-solves as a *condensed* system (solveDirtySets).
+// Each dirty set re-solves as a *condensed* system (solveSets).
 // Within one set's subsystem, only the regions whose span contains
 // one of the set's lines actually transform the state; every other
 // region is an identity conduit, forwarding its in-state to its
@@ -62,18 +71,20 @@ import (
 // full column from a predecessor node (or keeps the cold seed), each
 // contribution washes the neutral element out of the join, and by
 // monotonicity the iteration converges to exactly the least (must) /
-// greatest (may) solution a from-scratch fixpoint reaches. Conduit
-// regions keep stale values on the set's lines, but nothing reads
-// them: the linear passes (classify) read only the cache-set columns
-// of each region's own span — and a region whose span touches a
-// dirty set is by definition a writer, hence re-solved. The result
-// is therefore bit-identical to Analyze of the candidate layout —
-// held by the differential tests in incremental_test.go and the
-// suite-wide test in internal/experiments — modulo the Iterations
-// counter, which reports only the work this update performed.
+// greatest (may) solution of the set's subsystem, whatever the
+// columns held before. The solve therefore never reads a stored
+// state, and a region stores its in-state only on the lines its own
+// span fetches: that is all the classifier (inclinear.go) reads, and a
+// region whose span touches a dirty set is by definition one of that
+// set's nodes, hence re-solved and re-stored there. An update's
+// result is therefore bit-identical to a fresh engine on the
+// candidate layout — held by the differential tests in
+// incremental_test.go and the suite-wide golden test in
+// internal/experiments — modulo the Iterations counter, which reports
+// only the node evaluations this update performed.
 //
-// The linear passes (classify, score, conflict) are cached the same
-// way: per-region, per-set, and per-edge contributions folded by
+// The linear passes (classification, score, conflict) are cached the
+// same way: per-region, per-set, and per-edge contributions folded by
 // commutative operators, re-derived only where the move invalidated
 // them (see inclinear.go). Together — no supergraph rebuild, a few
 // condensed per-set fixpoints, and delta-maintained linear passes —
@@ -86,60 +97,76 @@ import (
 // states between layouts. Not safe for concurrent use.
 type Incremental struct {
 	cfg Config
-	w   *profile.Weights
-	lay *layout.Layout
-	g   geom
-	sg  *supergraph
-	sc  *sccInfo
-	fx  *absResult
-	res *Result
+	// boundsOnly drops the conflict report, the layout score, and the
+	// analysis.* counters — what a page-frame engine (pages.go) has no
+	// use for.
+	boundsOnly bool
+	w          *profile.Weights
+	lay        *layout.Layout
+	g          geom
+	sg         *supergraph
+	sc         *sccInfo
+	res        *Result
 	// lin caches the linear passes' contributions (inclinear.go).
 	lin *linearState
 
 	ranges []lineSpan // cached line range per region under lay
 
-	dirty    []bool // scratch: per-region worklist flags (full re-solve)
+	// must/may hold the fixpoint in-states, one age byte per line but
+	// only on the lines of the region's own span: byte k of a region's
+	// slice (see state) is line ranges[ri].l0+k. Each slice has room for
+	// the most lines the region's bytes can span, so moves never
+	// reallocate; regions that fetch nothing or are unreachable from the
+	// entry own none.
+	must, may []uint8
+	stOff     []int32 // region ri owns must/may[stOff[ri]:stOff[ri+1]]
+	// iterations is the solver work behind the current Result.
+	iterations int
+
 	dirtySet []bool // scratch: cache sets touched by moved code
-	outM     []uint8
-	outY     []uint8
-	cold     []uint8
+	// outM/outY are one set column long: the solver's transfer scratch
+	// and the classifier's replay columns.
+	outM []uint8
+	outY []uint8
 
 	// Linear-pass invalidation scratch: sets where a weighted region's
 	// bytes moved (a superset of dirtySet's cause — sub-line moves
-	// change byte ownership without moving lines), the functions whose
-	// addresses changed, and per-set region lists for the conflict
-	// recompute.
+	// change byte ownership without moving lines) and the functions
+	// whose addresses changed.
 	confDirty     []bool
 	confDirtySets []uint32
-	confRegs      [][]int32
 	funcChanged   []bool
 	anyAddr       bool
 
-	// Condensed system scratch (solveDirtySets).
+	// Condensed system scratch (solveSets).
 	dirtySets []uint32 // the dirty sets, ascending
-	uFlag     []bool   // scratch: region touches a dirty set
 	uOf       []int32  // region -> union-node index, -1 outside
+	cOf       []int32  // region -> pure-conduit row (valid for conduits only)
 	uNodes    []int32  // union nodes (dirty-set writers + entry), RPO order
+	conduits  []int32  // pure conduits (reachable non-union regions), RPO order
 	sOf       []int32  // union node -> per-set node index, -1 outside
-	uCyc      []bool   // union node sits in a cyclic SCC
 	nodes     []int32  // per-set nodes as union-node indices, RPO order
-	wbuf      []uint64 // pure-conduit reachability, region-indexed
-	wbGen     []uint64 // wbuf row generations (lazy per-update init)
-	wbEpoch   uint64
-	tbuf      []uint64 // per-union-node direct target bitsets
-	uSuccOff  []int32  // tbuf flattened to successor lists
+	slots     []int32  // per-set: each node's column slots, [u0, u1) pairs
+	wbuf      []uint64 // pure-conduit reachability, one row per conduit
+	uMark     []int32  // dedup stamps while listing successors
+	uSuccOff  []int32  // union-graph successor lists
 	uSuccBuf  []int32
+	uPredOff  []int32 // union-graph predecessor lists
+	uPredBuf  []int32
+	uBack     []int32  // union-graph back edges, (from, to) pairs
 	rbuf      []uint64 // per-set: union-conduit reachability
-	rbGen     []uint64 // rbuf row generations (lazy per-set init)
-	rbEpoch   uint64
-	stbuf     []uint64 // per-set: per-node target bitsets
-	colM      []uint8  // packed node in-columns, must
-	colY      []uint8  // packed node in-columns, may
-	yFill     []uint8  // absentAge-filled template for column init
+	rRow      []int32  // per-set: union conduit -> rbuf row
+	queue     []int32  // per-set: closure worklist
+	inQ       []bool
+	acc       []uint64
+	nSuccOff  []int32 // per-set: node successor lists
+	nSuccBuf  []int32
+	colM      []uint8 // packed node in-columns, must
+	colY      []uint8 // packed node in-columns, may
+	yFill     []uint8 // absentAge-filled template for column init
 	nodeDirty []bool
-	ubufPool  [][]uint8 // recycled undo-column buffers, one per dirty set
-	setOrd    []int32   // set -> index in dirtySets, -1 when clean
-	bOff      []int32   // union nodes bucketed by written dirty set
+	setOrd    []int32 // set -> bucket index, -1 outside (numberSets)
+	bOff      []int32 // items bucketed by set (bucketBySet)
 	bBuf      []int32
 	bCur      []int32
 
@@ -160,35 +187,17 @@ type lineSpan struct {
 type undoState struct {
 	lay   *layout.Layout
 	res   *Result
-	g     geom
 	addrs []uint32
-	// full holds whole state vectors to reinstall after a full
-	// re-solve (layout size changed, or most sets dirty); cols holds
-	// the previous values of the node columns each condensed per-set
-	// solve overwrote.
-	full []undoRegion
-	cols []undoCol
-	// Linear-cache undo: lin is the whole previous cache when the
-	// update rebuilt it (layout resize); otherwise the delta records
-	// revertLinear replays in reverse.
-	lin      *linearState
+	// states lists the regions whose state slices the solve rewrote;
+	// must/may hold their previous contents back to back, in that order.
+	states    []int32
+	must, may []uint8
+	// Linear-cache undo: the delta records revertLinear replays in
+	// reverse.
 	moved    []movedSpan
 	contribs []contribUndo
 	confs    []confUndo
 	scores   []scoreUndo
-}
-
-type undoRegion struct {
-	r         int32
-	must, may []uint8
-}
-
-// undoCol is one region's previous abstract values on one cache set's
-// lines; must[u] and may[u] belong to line set + u*numSets.
-type undoCol struct {
-	r         int32
-	set       uint32
-	must, may []uint8
 }
 
 // NewIncremental runs a full analysis of lay and returns an engine
@@ -198,16 +207,19 @@ func NewIncremental(lay *layout.Layout, w *profile.Weights, cfg Config) (*Increm
 	if err := validate(lay, w, &cfg); err != nil {
 		return nil, err
 	}
-	reg := cfg.Obs
-	root := reg.SpanOn(cfg.Lane, "analysis")
+	root := cfg.Obs.SpanOn(cfg.Lane, "analysis")
 	defer root.End()
+	return newEngine(lay, w, cfg, newGeom(cfg.Cache, lay.Total), false, root), nil
+}
 
+// newEngine builds the supergraph and persistence scopes of lay's
+// program, solves every set of geometry g from scratch, and builds the
+// linear caches — the one construction path behind Analyze,
+// NewIncremental, AnalyzePages, and NewPageEngine. Its spans nest
+// under root.
+func newEngine(lay *layout.Layout, w *profile.Weights, cfg Config, g geom, boundsOnly bool, root *obs.Span) *Incremental {
 	sp := root.Span("supergraph")
 	sg := buildSupergraph(lay, w)
-	g := newGeom(cfg.Cache, lay.Total)
-	sp.End()
-	sp = root.Span("fixpoint")
-	fx := g.fixpoint(sg)
 	sp.End()
 	sp = root.Span("persist")
 	sc := buildScopes(sg, effectiveRuns(w))
@@ -215,26 +227,63 @@ func NewIncremental(lay *layout.Layout, w *profile.Weights, cfg Config) (*Increm
 
 	n := len(sg.regions)
 	inc := &Incremental{
-		cfg: cfg, w: w, lay: lay, g: g, sg: sg, sc: sc, fx: fx,
+		cfg: cfg, boundsOnly: boundsOnly,
+		w: w, lay: lay, g: g, sg: sg, sc: sc,
+		stOff:       stateOffsets(sg, g),
 		ranges:      make([]lineSpan, n),
-		dirty:       make([]bool, n),
-		uFlag:       make([]bool, n),
 		uOf:         make([]int32, n),
+		cOf:         make([]int32, n),
 		dirtySet:    make([]bool, g.numSets), // numSets is layout-independent
 		confDirty:   make([]bool, g.numSets),
-		confRegs:    make([][]int32, g.numSets),
 		funcChanged: make([]bool, len(lay.Program().Funcs)),
 	}
 	for i := range inc.uOf {
 		inc.uOf[i] = -1
 	}
-	inc.sizeScratch()
+	inc.must = make([]uint8, inc.stOff[n])
+	inc.may = make([]uint8, inc.stOff[n])
+	inc.outM = make([]uint8, g.colLen(0))
+	inc.outY = make([]uint8, g.colLen(0))
 	inc.cacheRanges()
+
+	// Solving every set from scratch writes every region's whole state.
+	sp = root.Span("fixpoint")
+	for s := range inc.dirtySet {
+		inc.dirtySet[s] = true
+		inc.dirtySets = append(inc.dirtySets, uint32(s))
+	}
+	inc.iterations, _, _ = inc.solveSets(nil)
+	sp.End()
 	sp = root.Span("linear")
 	inc.lin = inc.buildLinear(lay)
 	inc.res = inc.assemble(lay, root)
 	sp.End()
-	return inc, nil
+	return inc
+}
+
+// stateOffsets lays out the regions' state slices back to back: each
+// region reachable from the entry gets room for the most lines its
+// bytes can span under g — one more than its size in whole lines, and
+// never more than the program has. The capacities depend on region
+// sizes only, so one layout serves every candidate layout.
+func stateOffsets(sg *supergraph, g geom) []int32 {
+	off := make([]int32, len(sg.regions)+1)
+	for _, ri := range sg.rpo {
+		if bytes := uint32(sg.regions[ri].words) * ir.InstrBytes; bytes > 0 {
+			off[ri+1] = int32(min((bytes+g.blockBytes-1)/g.blockBytes+1, g.numLines))
+		}
+	}
+	for ri := range sg.regions {
+		off[ri+1] += off[ri]
+	}
+	return off
+}
+
+// state returns region ri's must and may in-state slices; both are
+// empty for a region that fetches nothing or is unreachable.
+func (inc *Incremental) state(ri int32) (must, may []uint8) {
+	lo, hi := inc.stOff[ri], inc.stOff[ri+1]
+	return inc.must[lo:hi], inc.may[lo:hi]
 }
 
 // Result returns the analysis of the engine's current layout (the
@@ -244,18 +293,6 @@ func (inc *Incremental) Result() *Result { return inc.res }
 // Layout returns the engine's current layout.
 func (inc *Incremental) Layout() *layout.Layout { return inc.lay }
 
-func (inc *Incremental) sizeScratch() {
-	n := int(inc.g.numLines)
-	if len(inc.outM) != n {
-		inc.outM = make([]uint8, n)
-		inc.outY = make([]uint8, n)
-		inc.cold = make([]uint8, n)
-		for i := range inc.cold {
-			inc.cold[i] = absentAge
-		}
-	}
-}
-
 func (inc *Incremental) cacheRanges() {
 	for ri := range inc.sg.regions {
 		l0, l1, ok := inc.sg.regions[ri].lineRange(inc.g.blockBytes)
@@ -263,48 +300,21 @@ func (inc *Incremental) cacheRanges() {
 	}
 }
 
-// markSpan flags the cache sets a line span maps to as dirty.
-func (inc *Incremental) markSpan(sp lineSpan) {
+// markSets flags in sets (one flag per cache set) the sets a line span
+// maps to.
+func (g geom) markSets(sets []bool, sp lineSpan) {
 	if !sp.ok {
 		return
 	}
-	g := inc.g
 	if sp.l1-sp.l0+1 >= g.numSets {
-		for s := range inc.dirtySet {
-			inc.dirtySet[s] = true
+		for s := range sets {
+			sets[s] = true
 		}
 		return
 	}
 	for l := sp.l0; l <= sp.l1; l++ {
-		inc.dirtySet[g.set(l)] = true
+		sets[g.set(l)] = true
 	}
-}
-
-// markConf flags the cache sets of a line span as needing a conflict
-// recompute (byte-level ownership may have changed).
-func (inc *Incremental) markConf(sp lineSpan) {
-	if !sp.ok {
-		return
-	}
-	g := inc.g
-	if sp.l1-sp.l0+1 >= g.numSets {
-		for s := range inc.confDirty {
-			inc.confDirty[s] = true
-		}
-		return
-	}
-	for l := sp.l0; l <= sp.l1; l++ {
-		inc.confDirty[g.set(l)] = true
-	}
-}
-
-// spanTouches reports whether a line span contains a line of set s.
-func (g geom) spanTouches(sp lineSpan, s uint32) bool {
-	if !sp.ok {
-		return false
-	}
-	n := sp.l1 - sp.l0 + 1
-	return n >= g.numSets || (s+g.numSets-sp.l0%g.numSets)%g.numSets < n
 }
 
 // spanTouchesDirty reports whether a span contains a dirty set's line.
@@ -334,8 +344,9 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	if lay.Program() != inc.lay.Program() {
 		return nil, fmt.Errorf("analysis: incremental update with a different program")
 	}
-	if lay.Total == 0 {
-		return nil, fmt.Errorf("analysis: layout places no code")
+	if lay.Total != inc.lay.Total {
+		// Every layout of one program places the same bytes.
+		return nil, fmt.Errorf("analysis: incremental update with a layout of %d bytes, engine holds %d", lay.Total, inc.lay.Total)
 	}
 	reg := inc.cfg.Obs
 	root := reg.SpanOn(inc.cfg.Lane, "analysis")
@@ -343,7 +354,7 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	sp := root.Span("incremental")
 
 	sg := inc.sg
-	undo := &undoState{lay: inc.lay, res: inc.res, g: inc.g}
+	undo := &undoState{lay: inc.lay, res: inc.res}
 	// Recycle the previous undo's record storage: its contents are dead
 	// the moment a new update begins (Revert only undoes the last one).
 	if prev := inc.undo; prev != nil {
@@ -352,8 +363,8 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	if prev := inc.spare; prev != nil {
 		inc.spare = nil
 		undo.addrs = prev.addrs
-		undo.full = prev.full[:0]
-		undo.cols = prev.cols[:0]
+		undo.states = prev.states[:0]
+		undo.must, undo.may = prev.must[:0], prev.may[:0]
 		undo.moved = prev.moved[:0]
 		undo.contribs = prev.contribs[:0]
 		undo.confs = prev.confs[:0]
@@ -364,14 +375,6 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	}
 	undo.addrs = undo.addrs[:len(sg.regions)]
 
-	// A code-size change resizes the line universe: every abstract
-	// state changes shape, so everything reconverges (still without
-	// rebuilding the supergraph).
-	resizeAll := lay.Total != inc.lay.Total
-	if resizeAll {
-		inc.g = newGeom(inc.cfg.Cache, lay.Total)
-		inc.sizeScratch()
-	}
 	g := inc.g
 
 	// Refresh addresses; find the regions whose fetched lines moved and
@@ -401,54 +404,41 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 		ns := lineSpan{l0: l0, l1: l1, ok: ok}
 		old := inc.ranges[ri]
 		if ns != old {
-			if !resizeAll {
-				inc.markSpan(old)
-				inc.markSpan(ns)
-				if r.weight > 0 {
-					undo.moved = append(undo.moved, movedSpan{ri: int32(ri), prev: old, next: ns})
-				}
+			g.markSets(inc.dirtySet, old)
+			g.markSets(inc.dirtySet, ns)
+			if r.weight > 0 {
+				undo.moved = append(undo.moved, movedSpan{ri: int32(ri), prev: old, next: ns})
 			}
 			inc.ranges[ri] = ns
 			anyChanged = true
 		}
-		if addrChanged && !resizeAll && r.weight > 0 {
-			inc.markConf(old)
-			inc.markConf(ns)
+		if addrChanged && r.weight > 0 {
+			// Byte-level conflict ownership may have changed.
+			g.markSets(inc.confDirty, old)
+			g.markSets(inc.confDirty, ns)
 		}
 	}
 	inc.dirtySets = inc.dirtySets[:0]
 	inc.confDirtySets = inc.confDirtySets[:0]
-	if !resizeAll {
-		for s, d := range inc.dirtySet {
-			if d {
-				inc.dirtySets = append(inc.dirtySets, uint32(s))
-			}
+	for s, d := range inc.dirtySet {
+		if d {
+			inc.dirtySets = append(inc.dirtySets, uint32(s))
 		}
-		for s, d := range inc.confDirty {
-			if d {
-				inc.confDirtySets = append(inc.confDirtySets, uint32(s))
-			}
+	}
+	for s, d := range inc.confDirty {
+		if d {
+			inc.confDirtySets = append(inc.confDirtySets, uint32(s))
 		}
 	}
 
+	// Moves below line granularity leave every region fetching the same
+	// lines: the fixpoint and the persistence fits are untouched, and
+	// only the address-dependent linear passes rerun.
 	iterations, evaluated, dirtyCount := 0, 0, 0
-	switch {
-	case !anyChanged && !resizeAll:
-		// Every region still fetches the same lines (moves below line
-		// granularity): the fixpoint and the persistence fits are
-		// untouched, only the address-dependent linear passes rerun.
-
-	case resizeAll || 2*len(inc.dirtySets) > int(g.numSets):
-		// Full re-solve: when the line universe resized or the move
-		// perturbed most sets, the condensed systems cover (nearly) the
-		// whole fixpoint and a plain reconvergence is cheaper.
-		iterations, evaluated = inc.fullResolve(undo)
-		dirtyCount = int(g.numLines)
-
-	default:
-		iterations, evaluated, dirtyCount = inc.solveDirtySets(undo)
+	if anyChanged {
+		iterations, evaluated, dirtyCount = inc.solveSets(undo)
 	}
-	inc.fx.iterations = iterations
+	inc.iterations = iterations
 	sp.End()
 
 	reg.Counter("analysis.incremental_updates").Inc()
@@ -457,14 +447,7 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	reg.Counter("analysis.incremental_total_lines").Add(uint64(g.numLines))
 
 	sp = root.Span("linear")
-	if resizeAll {
-		// The line universe resized: every cache array has the wrong
-		// shape. Swap the whole state out for the undo and rebuild.
-		undo.lin = inc.lin
-		inc.lin = inc.buildLinear(lay)
-	} else {
-		inc.applyLinearDeltas(lay, undo)
-	}
+	inc.applyLinearDeltas(lay, undo)
 	inc.lay = lay
 	inc.res = inc.assemble(lay, root)
 	sp.End()
@@ -472,88 +455,54 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	return inc.res, nil
 }
 
-// fullResolve reconverges every reachable region from scratch, stealing
-// the previous state vectors into the undo. Used when the layout's size
-// changed (the vectors have the wrong length) and when a move dirtied
-// most cache sets.
-func (inc *Incremental) fullResolve(undo *undoState) (iterations, evaluated int) {
-	sg := inc.sg
-	for ri := range sg.regions {
-		if st := inc.fx.mustIn[ri]; st != nil {
-			undo.full = append(undo.full, undoRegion{
-				r: int32(ri), must: st, may: inc.fx.mayIn[ri],
-			})
-			inc.fx.mustIn[ri] = nil
-			inc.fx.mayIn[ri] = nil
-			evaluated++
-		}
-	}
-	inc.fx.mustIn[sg.entry] = append([]uint8(nil), inc.cold...)
-	inc.fx.mayIn[sg.entry] = append([]uint8(nil), inc.cold...)
-	inc.dirty[sg.entry] = true
-	iterations = inc.g.converge(sg, inc.fx, inc.dirty, inc.outM, inc.outY)
-	return iterations, evaluated
-}
-
-// solveDirtySets re-converges every dirty cache set through the
-// two-stage condensation (see the package comment): one pure-conduit
-// closure over the whole supergraph onto the union nodes, then one
-// tiny closure and converged column system per dirty set.
-func (inc *Incremental) solveDirtySets(undo *undoState) (iterations, evaluated, dirtyCount int) {
-	g, sg, fx := inc.g, inc.sg, inc.fx
-	S, L := g.numSets, g.numLines
+// solveSets re-converges every dirty cache set through the two-stage
+// condensation (see the package comment): one pure-conduit closure over
+// the whole supergraph onto the union nodes, then one tiny closure and
+// converged column system per dirty set. With a non-nil undo it records
+// the states it overwrites, for Revert.
+func (inc *Incremental) solveSets(undo *undoState) (iterations, evaluated, dirtyCount int) {
+	g, sg := inc.g, inc.sg
+	S := g.numSets
 
 	// Union nodes: reachable regions whose span touches any dirty set,
-	// plus the entry, in RPO order.
-	for ri := range sg.regions {
-		if fx.mustIn[ri] != nil && inc.spanTouchesDirty(inc.ranges[ri]) {
-			inc.uFlag[ri] = true
-		}
-	}
-	uNodes := inc.uNodes[:0]
+	// plus the entry. Every other reachable region is a pure conduit.
+	// Both lists come out in RPO order. Only union nodes' states are
+	// rewritten, so they are the whole undo footprint.
+	uNodes, conduits := inc.uNodes[:0], inc.conduits[:0]
 	for _, ri := range sg.rpo {
-		if inc.uFlag[ri] || ri == sg.entry {
-			inc.uFlag[ri] = false
+		if ri == sg.entry || inc.spanTouchesDirty(inc.ranges[ri]) {
 			inc.uOf[ri] = int32(len(uNodes))
 			uNodes = append(uNodes, ri)
+			if undo != nil {
+				m, y := inc.state(ri)
+				undo.states = append(undo.states, ri)
+				undo.must = append(undo.must, m...)
+				undo.may = append(undo.may, y...)
+			}
+		} else {
+			inc.cOf[ri] = int32(len(conduits))
+			conduits = append(conduits, ri)
 		}
 	}
-	inc.uNodes = uNodes
-	nu := len(uNodes)
+	inc.uNodes, inc.conduits = uNodes, conduits
+	nu, nc := len(uNodes), len(conduits)
 	wordsU := (nu + 63) / 64
 
-	// Pure-conduit closure: wbuf rows hold, for each reachable region
-	// that is not a union node, the union nodes its outgoing paths
-	// reach through such conduits only. Reverse RPO (successors first)
-	// makes one sweep final for the acyclic part — a changed row only
-	// needs re-sweeping when it can feed a back edge, i.e. when the
-	// region sits in a cyclic SCC — so only such changes re-sweep.
-	nr := len(sg.regions)
-	if cap(inc.wbuf) < nr*wordsU {
-		inc.wbuf = make([]uint64, nr*wordsU)
-	}
-	wb := inc.wbuf[:nr*wordsU]
-	if len(inc.wbGen) < nr {
-		inc.wbGen = make([]uint64, nr)
-	}
-	inc.wbEpoch++
-	wgen := inc.wbGen
-	epoch := inc.wbEpoch
+	// Pure-conduit closure: conduit k's row holds the union nodes its
+	// outgoing paths reach through conduits only. Reverse RPO
+	// (successors first) makes one sweep final for the acyclic part — a
+	// changed row only needs re-sweeping when it can feed a back edge,
+	// i.e. when the region sits in a cyclic SCC — so only such changes
+	// re-sweep. A row read over a back edge before its first visit is
+	// still all-zero, which the sweep that follows corrects.
+	wb := grow(&inc.wbuf, nc*wordsU)
+	clear(wb)
 	for changed := true; changed; {
 		changed = false
-		for i := len(sg.rpo) - 1; i >= 0; i-- {
-			ri := sg.rpo[i]
-			if inc.uOf[ri] >= 0 {
-				continue
-			}
+		for k := nc - 1; k >= 0; k-- {
+			ri := conduits[k]
 			cyc := inc.sc.scope[ri] >= 0
-			row := wb[int(ri)*wordsU : (int(ri)+1)*wordsU]
-			// The first visit doubles as init; a row read before its
-			// first visit (back edge) is logically still all-zero.
-			if wgen[ri] != epoch {
-				wgen[ri] = epoch
-				clear(row)
-			}
+			row := wb[k*wordsU : (k+1)*wordsU]
 			for _, q := range sg.regions[ri].succs {
 				if j := inc.uOf[q]; j >= 0 {
 					w, bit := int(j)/64, uint64(1)<<(uint(j)%64)
@@ -563,13 +512,10 @@ func (inc *Incremental) solveDirtySets(undo *undoState) (iterations, evaluated, 
 					}
 					continue
 				}
-				if wgen[q] != epoch {
-					continue
-				}
-				qrow := wb[int(q)*wordsU : (int(q)+1)*wordsU]
-				for k, v := range qrow {
-					if nv := row[k] | v; nv != row[k] {
-						row[k] = nv
+				c := int(inc.cOf[q])
+				for w, v := range wb[c*wordsU : (c+1)*wordsU] {
+					if nv := row[w] | v; nv != row[w] {
+						row[w] = nv
 						changed = changed || cyc
 					}
 				}
@@ -577,126 +523,89 @@ func (inc *Incremental) solveDirtySets(undo *undoState) (iterations, evaluated, 
 		}
 	}
 
-	// Direct union-node targets: the union nodes each union node's
-	// out-state joins into through pure conduits.
-	if cap(inc.tbuf) < nu*wordsU {
-		inc.tbuf = make([]uint64, nu*wordsU)
-	}
-	tb := inc.tbuf[:nu*wordsU]
-	for i := range tb {
-		tb[i] = 0
-	}
+	// The union graph as successor lists: the union nodes each union
+	// node's out-state joins into through pure conduits.
+	uOff := grow(&inc.uSuccOff, nu+1)
+	uSucc := inc.uSuccBuf[:0]
+	mark := grow(&inc.uMark, nu)
+	clear(mark)
+	uOff[0] = 0
 	for i, ri := range uNodes {
-		row := tb[i*wordsU : (i+1)*wordsU]
+		stamp := int32(i + 1)
 		for _, q := range sg.regions[ri].succs {
 			if j := inc.uOf[q]; j >= 0 {
-				row[int(j)/64] |= uint64(1) << (uint(j) % 64)
+				if mark[j] != stamp {
+					mark[j] = stamp
+					uSucc = append(uSucc, j)
+				}
 				continue
 			}
-			qrow := wb[int(q)*wordsU : (int(q)+1)*wordsU]
-			for k, v := range qrow {
-				row[k] |= v
-			}
-		}
-	}
-
-	// Flatten the union graph into successor lists: the per-set
-	// closures iterate each node's few edges instead of scanning its
-	// whole target bitset row.
-	if cap(inc.uSuccOff) < nu+1 {
-		inc.uSuccOff = make([]int32, nu+1)
-	}
-	uOff := inc.uSuccOff[:nu+1]
-	uSucc := inc.uSuccBuf[:0]
-	uOff[0] = 0
-	for i := 0; i < nu; i++ {
-		row := tb[i*wordsU : (i+1)*wordsU]
-		for w, bitsW := range row {
-			for bitsW != 0 {
-				t := w*64 + bits.TrailingZeros64(bitsW)
-				bitsW &= bitsW - 1
-				uSucc = append(uSucc, int32(t))
+			c := int(inc.cOf[q])
+			for w, bitsW := range wb[c*wordsU : (c+1)*wordsU] {
+				for bitsW != 0 {
+					j := int32(w*64 + bits.TrailingZeros64(bitsW))
+					bitsW &= bitsW - 1
+					if mark[j] != stamp {
+						mark[j] = stamp
+						uSucc = append(uSucc, j)
+					}
+				}
 			}
 		}
 		uOff[i+1] = int32(len(uSucc))
 	}
 	inc.uSuccBuf = uSucc
 
-	if cap(inc.sOf) < nu {
-		inc.sOf = make([]int32, nu)
-		inc.uCyc = make([]bool, nu)
+	// Its predecessor lists and back edges (to a union node earlier in
+	// RPO order), for setClosure's worklist. Counting sort by target,
+	// with mark (free again) as the fill cursors.
+	uPOff := grow(&inc.uPredOff, nu+1)
+	clear(uPOff)
+	back := inc.uBack[:0]
+	for u := 0; u < nu; u++ {
+		for _, t := range uSucc[uOff[u]:uOff[u+1]] {
+			uPOff[t+1]++
+			if int(t) < u {
+				back = append(back, int32(u), t)
+			}
+		}
 	}
-	sOf := inc.sOf[:nu]
-	uCyc := inc.uCyc[:nu]
+	inc.uBack = back
+	for u := 0; u < nu; u++ {
+		uPOff[u+1] += uPOff[u]
+	}
+	uPred := grow(&inc.uPredBuf, int(uPOff[nu]))
+	copy(mark, uPOff[:nu])
+	for u := 0; u < nu; u++ {
+		for _, t := range uSucc[uOff[u]:uOff[u+1]] {
+			uPred[mark[t]] = int32(u)
+			mark[t]++
+		}
+	}
+
+	sOf := grow(&inc.sOf, nu)
 	for i := range sOf {
 		sOf[i] = -1
-		uCyc[i] = inc.sc.scope[uNodes[i]] >= 0
 	}
 
 	// Bucket the union nodes by the dirty sets their spans write, so
 	// each set's node collection walks exactly its writers instead of
 	// probing every union node. The entry (never bucketed) is merged
 	// into every set's node list at its RPO position.
-	nd := len(inc.dirtySets)
-	if cap(inc.setOrd) < int(S) {
-		inc.setOrd = make([]int32, S)
-	}
-	setOrd := inc.setOrd[:S]
-	for i := range setOrd {
-		setOrd[i] = -1
-	}
-	for k, s := range inc.dirtySets {
-		setOrd[s] = int32(k)
-	}
+	setOrd := inc.numberSets(inc.dirtySets)
 	e0 := inc.uOf[sg.entry]
-	if cap(inc.bOff) < nd+1 {
-		inc.bOff = make([]int32, nd+1)
-		inc.bCur = make([]int32, nd)
-	}
-	bOff := inc.bOff[:nd+1]
-	for i := range bOff {
-		bOff[i] = 0
-	}
-	bucketVisit := func(f func(k int32, ui int32)) {
-		for ui, ri := range uNodes {
-			if int32(ui) == e0 {
-				continue
-			}
-			sp := inc.ranges[ri]
-			if !sp.ok {
-				continue
-			}
-			if sp.l1-sp.l0+1 >= S {
-				for k := 0; k < nd; k++ {
-					f(int32(k), int32(ui))
-				}
-				continue
-			}
-			for l := sp.l0; l <= sp.l1; l++ {
-				if k := setOrd[g.set(l)]; k >= 0 {
-					f(k, int32(ui))
-				}
-			}
+	bOff, bBuf := inc.bucketBySet(nu, func(k int) lineSpan {
+		if int32(k) == e0 {
+			return lineSpan{}
 		}
-	}
-	bucketVisit(func(k, ui int32) { bOff[k+1]++ })
-	for k := 0; k < nd; k++ {
-		bOff[k+1] += bOff[k]
-	}
-	if cap(inc.bBuf) < int(bOff[nd]) {
-		inc.bBuf = make([]int32, bOff[nd])
-	}
-	bBuf := inc.bBuf[:bOff[nd]]
-	bCur := inc.bCur[:nd]
-	copy(bCur, bOff[:nd])
-	bucketVisit(func(k, ui int32) { bBuf[bCur[k]] = ui; bCur[k]++ })
+		return inc.ranges[uNodes[k]]
+	}, setOrd, len(inc.dirtySets))
 
-	pooled := 0
 	for _, s := range inc.dirtySets {
-		if s >= L {
+		colLen := g.colLen(s)
+		if colLen == 0 {
 			continue // the set has no lines under this layout
 		}
-		colLen := int((L-s-1)/S + 1)
 		dirtyCount += colLen
 
 		// The set's nodes: its bucketed writers plus the entry, in RPO
@@ -722,131 +631,20 @@ func (inc *Incremental) solveDirtySets(undo *undoState) (iterations, evaluated, 
 		inc.nodes = nodes
 		n := len(nodes)
 		evaluated += n
-		wordsS := (n + 63) / 64
+		// Each node's accesses to the set, as column slots [u0, u1).
+		slots := grow(&inc.slots, 2*n)
+		for i, ui := range nodes {
+			u0, u1 := g.colRange(inc.ranges[uNodes[ui]], s)
+			slots[2*i], slots[2*i+1] = int32(u0), int32(u1)
+		}
 
-		// Second-stage closure: union nodes not writing this set are
-		// conduits for it; rbuf rows hold the set nodes they reach
-		// through such conduits (whose hops are the pure-conduit paths
-		// tb already collapsed).
-		if cap(inc.rbuf) < nu*wordsS {
-			inc.rbuf = make([]uint64, nu*wordsS)
-		}
-		rb := inc.rbuf[:nu*wordsS]
-		if len(inc.rbGen) < nu {
-			inc.rbGen = make([]uint64, nu)
-		}
-		inc.rbEpoch++
-		rgen := inc.rbGen
-		repoch := inc.rbEpoch
-		if cap(inc.stbuf) < n*wordsS {
-			inc.stbuf = make([]uint64, n*wordsS)
-		}
-		st := inc.stbuf[:n*wordsS]
-		// As in the first stage, the first visit doubles as init (a row
-		// read over a back edge before its first visit is still zero)
-		// and only changes to rows in cyclic SCCs re-sweep. Nearly every
-		// set has at most 64 nodes: specialize that case to scalar rows
-		// recomputed into a register — no bounds checks, no row memory
-		// traffic per edge.
-		if wordsS == 1 {
-			// One word per row: cheaper to memclr the whole row array
-			// than to carry generation stamps through the edge loop.
-			clear(rb)
-			for changed := true; changed; {
-				changed = false
-				for ui := nu - 1; ui >= 0; ui-- {
-					if sOf[ui] >= 0 {
-						continue
-					}
-					var acc uint64
-					for _, t := range uSucc[uOff[ui]:uOff[ui+1]] {
-						if j := sOf[t]; j >= 0 {
-							acc |= uint64(1) << uint(j)
-						} else {
-							acc |= rb[t]
-						}
-					}
-					if acc != rb[ui] {
-						rb[ui] = acc
-						changed = changed || uCyc[ui]
-					}
-				}
-			}
-			for i, ui := range nodes {
-				var acc uint64
-				for _, t := range uSucc[uOff[int(ui)]:uOff[int(ui)+1]] {
-					if j := sOf[t]; j >= 0 {
-						acc |= uint64(1) << uint(j)
-					} else {
-						acc |= rb[t]
-					}
-				}
-				st[i] = acc
-			}
-		} else {
-			for changed := true; changed; {
-				changed = false
-				for ui := nu - 1; ui >= 0; ui-- {
-					if sOf[ui] >= 0 {
-						continue
-					}
-					cyc := uCyc[ui]
-					row := rb[ui*wordsS : (ui+1)*wordsS]
-					if rgen[ui] != repoch {
-						rgen[ui] = repoch
-						clear(row)
-					}
-					for _, t := range uSucc[uOff[ui]:uOff[ui+1]] {
-						if j := sOf[t]; j >= 0 {
-							tw, bit := int(j)/64, uint64(1)<<(uint(j)%64)
-							if row[tw]&bit == 0 {
-								row[tw] |= bit
-								changed = changed || cyc
-							}
-							continue
-						}
-						if rgen[t] != repoch {
-							continue
-						}
-						qrow := rb[int(t)*wordsS : (int(t)+1)*wordsS]
-						for k, v := range qrow {
-							if nv := row[k] | v; nv != row[k] {
-								row[k] = nv
-								changed = changed || cyc
-							}
-						}
-					}
-				}
-			}
-
-			// Per-set-node targets.
-			for i := range st {
-				st[i] = 0
-			}
-			for i, ui := range nodes {
-				row := st[i*wordsS : (i+1)*wordsS]
-				for _, t := range uSucc[uOff[int(ui)]:uOff[int(ui)+1]] {
-					if j := sOf[t]; j >= 0 {
-						row[int(j)/64] |= uint64(1) << (uint(j) % 64)
-						continue
-					}
-					qrow := rb[int(t)*wordsS : (int(t)+1)*wordsS]
-					for k, v := range qrow {
-						row[k] |= v
-					}
-				}
-			}
-		}
+		nOff, nSucc := inc.setClosure(nodes)
 
 		// Columns start at the neutral element — must 0 (washed out by
 		// the max-join), may absent (washed by the min-join) — and the
 		// entry at the cold cache (all absent in both domains).
-		if cap(inc.colM) < n*colLen {
-			inc.colM = make([]uint8, n*colLen)
-			inc.colY = make([]uint8, n*colLen)
-		}
-		colM := inc.colM[:n*colLen]
-		colY := inc.colY[:n*colLen]
+		colM := grow(&inc.colM, n*colLen)
+		colY := grow(&inc.colY, n*colLen)
 		if len(inc.yFill) < n*colLen {
 			inc.yFill = make([]uint8, n*colLen)
 			for i := range inc.yFill {
@@ -855,124 +653,58 @@ func (inc *Incremental) solveDirtySets(undo *undoState) (iterations, evaluated, 
 		}
 		clear(colM)
 		copy(colY, inc.yFill)
-		e := int(sOf[inc.uOf[sg.entry]])
+		e := int(sOf[e0])
 		copy(colM[e*colLen:(e+1)*colLen], inc.yFill)
 
-		// Record the previous column values for Revert. Conduits are
-		// never modified (and never read) on this set, so the nodes'
-		// columns are the whole footprint of the solve. The buffers come
-		// from a per-set pool (one chunk per dirty set, never grown in
-		// place, so the undo slices cut from a chunk stay valid); pooled
-		// chunks are only overwritten by the next update, after the undo
-		// that references them is dead.
-		size := 2 * n * colLen
-		var ubuf []uint8
-		switch {
-		case pooled < len(inc.ubufPool) && cap(inc.ubufPool[pooled]) >= size:
-			ubuf = inc.ubufPool[pooled][:size]
-		case pooled < len(inc.ubufPool):
-			ubuf = make([]uint8, size)
-			inc.ubufPool[pooled] = ubuf
-		default:
-			ubuf = make([]uint8, size)
-			inc.ubufPool = append(inc.ubufPool, ubuf)
-		}
-		pooled++
-		for _, ui := range nodes {
-			ri := uNodes[ui]
-			m, y := fx.mustIn[ri], fx.mayIn[ri]
-			um := ubuf[:colLen:colLen]
-			uy := ubuf[colLen : 2*colLen : 2*colLen]
-			ubuf = ubuf[2*colLen:]
-			for u := 0; u < colLen; u++ {
-				l := s + uint32(u)*S
-				um[u] = m[l]
-				uy[u] = y[l]
-			}
-			undo.cols = append(undo.cols, undoCol{r: ri, set: s, must: um, may: uy})
-		}
-
 		// Converge: nodes are in RPO order, so sweeping the worklist in
-		// index order mirrors geom.converge.
-		if cap(inc.nodeDirty) < n {
-			inc.nodeDirty = make([]bool, n)
-		}
-		nd := inc.nodeDirty[:n]
-		for i := range nd {
-			nd[i] = true
+		// index order lets most columns settle in one sweep.
+		dirty := grow(&inc.nodeDirty, n)
+		for i := range dirty {
+			dirty[i] = true
 		}
 		outM := inc.outM[:colLen]
 		outY := inc.outY[:colLen]
 		for changed := true; changed; {
 			changed = false
 			for i := 0; i < n; i++ {
-				if !nd[i] {
+				if !dirty[i] {
 					continue
 				}
-				nd[i] = false
+				dirty[i] = false
 				iterations++
 				copy(outM, colM[i*colLen:(i+1)*colLen])
 				copy(outY, colY[i*colLen:(i+1)*colLen])
-				inc.walkCol(uNodes[nodes[i]], s, outM, outY)
-				trow := st[i*wordsS : (i+1)*wordsS]
-				for w, bitsW := range trow {
-					for bitsW != 0 {
-						j := w*64 + bits.TrailingZeros64(bitsW)
-						bitsW &= bitsW - 1
-						jm := colM[j*colLen : (j+1)*colLen]
-						jy := colY[j*colLen : (j+1)*colLen]
-						ch := false
-						// Equal 8-byte words join to themselves (max and
-						// min alike): skip them wholesale — near a
-						// fixpoint most of the column is already equal.
-						u := 0
-						for ; u+8 <= colLen; u += 8 {
-							if binary.LittleEndian.Uint64(outM[u:]) == binary.LittleEndian.Uint64(jm[u:]) &&
-								binary.LittleEndian.Uint64(outY[u:]) == binary.LittleEndian.Uint64(jy[u:]) {
-								continue
-							}
-							for v := u; v < u+8; v++ {
-								if w := outM[v]; w > jm[v] {
-									jm[v] = w
-									ch = true
-								}
-								if w := outY[v]; w < jy[v] {
-									jy[v] = w
-									ch = true
-								}
-							}
-						}
-						for ; u < colLen; u++ {
-							if v := outM[u]; v > jm[u] {
-								jm[u] = v
-								ch = true
-							}
-							if v := outY[u]; v < jy[u] {
-								jy[u] = v
-								ch = true
-							}
-						}
-						if ch {
-							nd[j] = true
-							changed = true
-						}
+				for u := int(slots[2*i]); u < int(slots[2*i+1]); u++ {
+					g.mustAccess(outM, u)
+					g.mayAccess(outY, u)
+				}
+				for _, j := range nSucc[nOff[i]:nOff[i+1]] {
+					jm := colM[int(j)*colLen : int(j+1)*colLen]
+					jy := colY[int(j)*colLen : int(j+1)*colLen]
+					if joinCols(outM, outY, jm, jy) {
+						dirty[j] = true
+						changed = true
 					}
 				}
 			}
 		}
 
-		// Scatter the converged columns back into the full states.
+		// Store each node's converged in-ages on its own lines of the set:
+		// slot u is line s+u*S, which sits S bytes after slot u-1 in the
+		// region's span-relative state.
 		for i, ui := range nodes {
-			ri := uNodes[ui]
-			m, y := fx.mustIn[ri], fx.mayIn[ri]
-			cm2 := colM[i*colLen : (i+1)*colLen]
-			cy := colY[i*colLen : (i+1)*colLen]
-			for u := 0; u < colLen; u++ {
-				l := s + uint32(u)*S
-				m[l] = cm2[u]
-				y[l] = cy[u]
-			}
 			sOf[ui] = -1
+			ri := uNodes[ui]
+			u0, u1 := int(slots[2*i]), int(slots[2*i+1])
+			if u0 == u1 {
+				continue // the entry, when its span misses the set
+			}
+			m, y := inc.state(ri)
+			k := s + uint32(u0)*S - inc.ranges[ri].l0
+			for u := u0; u < u1; u++ {
+				m[k], y[k] = colM[i*colLen+u], colY[i*colLen+u]
+				k += S
+			}
 		}
 	}
 
@@ -982,76 +714,215 @@ func (inc *Incremental) solveDirtySets(undo *undoState) (iterations, evaluated, 
 	return iterations, evaluated, dirtyCount
 }
 
-// walkCol replays a region's accesses to set s's lines on a packed
-// set column (byte u holds line s + u*numSets). Projecting the walk's
-// ascending line sequence onto one set keeps the set's accesses in
-// order, and accesses to other sets neither read nor write this
-// column.
-func (inc *Incremental) walkCol(ri int32, s uint32, colM, colY []uint8) {
-	g, sp := inc.g, inc.ranges[ri]
-	if !sp.ok {
-		return
+// numberSets maps each listed set to its position in sets and every
+// other set to -1.
+func (inc *Incremental) numberSets(sets []uint32) []int32 {
+	ord := grow(&inc.setOrd, int(inc.g.numSets))
+	for i := range ord {
+		ord[i] = -1
 	}
-	S := g.numSets
-	for l := sp.l0 + (s+S-sp.l0%S)%S; l <= sp.l1; l += S {
-		u := int((l - s) / S)
-		g.mustAccessCol(colM, u)
-		g.mayAccessCol(colY, u)
+	for k, s := range sets {
+		ord[s] = int32(k)
 	}
+	return ord
 }
 
-// mustAccessCol is mustAccess on one set's packed column: the column
-// holds exactly the accessed line's set, so the ageing loop runs over
-// the whole slice.
-func (g geom) mustAccessCol(st []uint8, x int) {
-	h := st[x]
-	if h == 0 {
-		return
-	}
-	limit := h
-	if h == absentAge {
-		limit = g.mustEvict
-	}
-	for y, a := range st {
-		if a != absentAge && a < limit {
-			a++
-			if a >= g.mustEvict {
-				a = absentAge
+// bucketBySet groups n items by the cache sets their line spans touch.
+// ord numbers the sets of interest (the bucket of set s is ord[s], -1
+// for the rest); item k, whose span is span(k), joins the bucket of
+// every such set its span touches — every bucket when the span covers
+// all sets. Each bucket lists its items in ascending k, as CSR offsets
+// into one buffer; a span shorter than the set count touches each set
+// at most once, so buckets hold no duplicates.
+func (inc *Incremental) bucketBySet(n int, span func(k int) lineSpan, ord []int32, buckets int) (off, buf []int32) {
+	g := inc.g
+	visit := func(f func(b int32, k int)) {
+		for k := 0; k < n; k++ {
+			sp := span(k)
+			if !sp.ok {
+				continue
 			}
-			st[y] = a
-		}
-	}
-	st[x] = 0
-}
-
-// mayAccessCol is mayAccess on one set's packed column.
-func (g geom) mayAccessCol(st []uint8, x int) {
-	m := st[x]
-	if m == 0 {
-		return
-	}
-	limit := m
-	if m == absentAge {
-		if g.mayEvicts {
-			limit = g.mayEvict
-		} else {
-			limit = absentAge // every present line ages (saturating)
-		}
-	}
-	for y, a := range st {
-		if a != absentAge && a < limit {
-			if g.mayEvicts {
-				a++
-				if a >= g.mayEvict {
-					a = absentAge
+			if sp.l1-sp.l0+1 >= g.numSets {
+				for b := 0; b < buckets; b++ {
+					f(int32(b), k)
 				}
-			} else if a < maxAge {
-				a++
+				continue
 			}
-			st[y] = a
+			for l := sp.l0; l <= sp.l1; l++ {
+				if b := ord[g.set(l)]; b >= 0 {
+					f(b, k)
+				}
+			}
 		}
 	}
-	st[x] = 0
+	off = grow(&inc.bOff, buckets+1)
+	clear(off)
+	visit(func(b int32, k int) { off[b+1]++ })
+	for b := 0; b < buckets; b++ {
+		off[b+1] += off[b]
+	}
+	buf = grow(&inc.bBuf, int(off[buckets]))
+	cur := grow(&inc.bCur, buckets)
+	copy(cur, off[:buckets])
+	visit(func(b int32, k int) { buf[cur[b]] = int32(k); cur[b]++ })
+	return off, buf
+}
+
+// setClosure is the second condensation stage for one dirty set, whose
+// nodes sOf numbers: union nodes that do not write the set are conduits
+// for it, and collapsing them leaves each node with the list of nodes
+// its out-column joins into, returned as offsets into a flat successor
+// buffer.
+//
+// Each of the set's conduits gets a row of node bits, the least
+// solution of: a conduit's row is the union, over its successors, of a
+// node's own bit and a conduit's row. One sweep in reverse RPO order
+// settles every row whose successors all come later in that order. A
+// conduit that read a row over a back edge, before that row's own
+// evaluation, is queued if the row turned out non-empty, and a
+// worklist re-derives queued rows, queueing a row's readers whenever
+// it grows. Rows only ever grow, from empty, so the worklist ends at
+// the least solution.
+func (inc *Incremental) setClosure(nodes []int32) (nOff, nSucc []int32) {
+	sOf := inc.sOf
+	uOff, uSucc := inc.uSuccOff, inc.uSuccBuf
+	nu, n := len(sOf), len(nodes)
+	words := (n + 63) / 64
+
+	// Only conduits get a row: in wide sets (page frames, fully
+	// associative caches) nearly every union node writes the set.
+	rRow := grow(&inc.rRow, nu)
+	rows := 0
+	for u := range rRow {
+		if sOf[u] < 0 {
+			rRow[u] = int32(rows)
+			rows++
+		}
+	}
+	rb := grow(&inc.rbuf, rows*words)
+	clear(rb)
+	row := func(u int32) []uint64 {
+		r := int(rRow[u]) * words
+		return rb[r : r+words]
+	}
+	// reach ORs into dst what union node u's successors reach and
+	// reports whether dst grew.
+	reach := func(dst []uint64, u int32) bool {
+		grew := false
+		for _, t := range uSucc[uOff[u]:uOff[u+1]] {
+			if j := sOf[t]; j >= 0 {
+				w, bit := j/64, uint64(1)<<(uint(j)%64)
+				grew = grew || dst[w]&bit == 0
+				dst[w] |= bit
+				continue
+			}
+			for k, v := range row(t) {
+				if nv := dst[k] | v; nv != dst[k] {
+					dst[k] = nv
+					grew = true
+				}
+			}
+		}
+		return grew
+	}
+
+	for u := int32(nu - 1); u >= 0; u-- {
+		if sOf[u] < 0 {
+			reach(row(u), u)
+		}
+	}
+	queue, inQ := inc.queue[:0], grow(&inc.inQ, nu) // inQ is all false between calls
+	for i := 0; i < len(inc.uBack); i += 2 {
+		u, t := inc.uBack[i], inc.uBack[i+1]
+		if sOf[u] >= 0 || sOf[t] >= 0 || inQ[u] {
+			continue
+		}
+		for _, v := range row(t) {
+			if v != 0 {
+				inQ[u] = true
+				queue = append(queue, u)
+				break
+			}
+		}
+	}
+	for len(queue) > 0 {
+		u := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		inQ[u] = false
+		if !reach(row(u), u) {
+			continue
+		}
+		for _, p := range inc.uPredBuf[inc.uPredOff[u]:inc.uPredOff[u+1]] {
+			if sOf[p] < 0 && !inQ[p] {
+				inQ[p] = true
+				queue = append(queue, p)
+			}
+		}
+	}
+	inc.queue = queue
+
+	nOff = grow(&inc.nSuccOff, n+1)
+	nSucc = inc.nSuccBuf[:0]
+	nOff[0] = 0
+	acc := grow(&inc.acc, words)
+	for i, u := range nodes {
+		clear(acc)
+		reach(acc, u)
+		for k, w := range acc {
+			for ; w != 0; w &= w - 1 {
+				nSucc = append(nSucc, int32(k*64+bits.TrailingZeros64(w)))
+			}
+		}
+		nOff[i+1] = int32(len(nSucc))
+	}
+	inc.nSuccBuf = nSucc
+	return nOff, nSucc
+}
+
+// joinCols joins one node's out-column pair into a successor's
+// in-column pair — must by max, may by min — and reports a change.
+// Equal 8-byte words join to themselves (max and min alike), so they
+// are skipped wholesale: near a fixpoint most of a column is equal.
+func joinCols(outM, outY, jm, jy []uint8) bool {
+	ch := false
+	u := 0
+	for ; u+8 <= len(outM); u += 8 {
+		if binary.LittleEndian.Uint64(outM[u:]) == binary.LittleEndian.Uint64(jm[u:]) &&
+			binary.LittleEndian.Uint64(outY[u:]) == binary.LittleEndian.Uint64(jy[u:]) {
+			continue
+		}
+		for v := u; v < u+8; v++ {
+			if w := outM[v]; w > jm[v] {
+				jm[v] = w
+				ch = true
+			}
+			if w := outY[v]; w < jy[v] {
+				jy[v] = w
+				ch = true
+			}
+		}
+	}
+	for ; u < len(outM); u++ {
+		if v := outM[u]; v > jm[u] {
+			jm[u] = v
+			ch = true
+		}
+		if v := outY[u]; v < jy[u] {
+			jy[u] = v
+			ch = true
+		}
+	}
+	return ch
+}
+
+// grow returns *buf resized to n elements, reallocating only when its
+// capacity falls short; the contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Revert restores the engine to the layout preceding the last Update,
@@ -1065,31 +936,23 @@ func (inc *Incremental) Revert() error {
 	}
 	inc.undo = nil
 	sg := inc.sg
-	inc.g = undo.g
-	inc.sizeScratch()
 	for ri := range sg.regions {
 		sg.regions[ri].addr = undo.addrs[ri]
 	}
 	inc.cacheRanges()
-	for _, st := range undo.full {
-		inc.fx.mustIn[st.r] = st.must
-		inc.fx.mayIn[st.r] = st.may
-	}
-	S := inc.g.numSets
-	for _, c := range undo.cols {
-		m, y := inc.fx.mustIn[c.r], inc.fx.mayIn[c.r]
-		for u, mv := range c.must {
-			l := c.set + uint32(u)*S
-			m[l] = mv
-			y[l] = c.may[u]
-		}
+	prevM, prevY := undo.must, undo.may
+	for _, ri := range undo.states {
+		m, y := inc.state(ri)
+		copy(m, prevM)
+		copy(y, prevY)
+		prevM, prevY = prevM[len(m):], prevY[len(y):]
 	}
 	inc.revertLinear(undo)
 	inc.lay = undo.lay
 	inc.res = undo.res
 	// Retire the undo for record-storage recycling; drop its pointers
-	// so the spare retains no layout, result, or linear state.
-	undo.lay, undo.res, undo.lin = nil, nil, nil
+	// so the spare retains no layout or result.
+	undo.lay, undo.res = nil, nil
 	inc.spare = undo
 	inc.cfg.Obs.Counter("analysis.incremental_reverts").Inc()
 	return nil

@@ -151,3 +151,19 @@ func TestIncrementalRejectsForeignProgram(t *testing.T) {
 		t.Fatalf("Update with a different program should error")
 	}
 }
+
+// TestIncrementalRejectsResizedLayout: every layout of one program
+// places the same bytes, so an engine never re-sizes its line universe
+// and refuses a layout claiming another size.
+func TestIncrementalRejectsResizedLayout(t *testing.T) {
+	p, w := buildLoopProgram(t)
+	inc, err := NewIncremental(layout.Natural(p), w, Config{Cache: cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1}})
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	grown := *layout.Natural(p)
+	grown.Total += 64
+	if _, err := inc.Update(&grown); err == nil {
+		t.Fatalf("Update with a layout of another size should error")
+	}
+}

@@ -15,11 +15,11 @@ import (
 // machinery of absint.go and persist.go lifted from cache lines to
 // page frames. Demand paging with LRU replacement over F frames is
 // exactly a fully associative LRU cache whose blocks are pages: one
-// set, associativity F, block size PageBytes. The region supergraph,
-// the ageing-cache transfer functions, the SCC persistence scopes, and
-// the classification pass are all geometry-parameterised already, so
-// the page analysis reuses them verbatim through a pageGeom — the only
-// page-specific code is the geometry constructor and the report.
+// set, associativity F, block size PageBytes. The analysis engine
+// (incremental.go) is geometry-parameterised already, so the page
+// analysis is that engine — supergraph, solver, persistence scopes,
+// classifier — run over a pageGeom; the only page-specific code is the
+// geometry constructor and the report.
 //
 // The payoff mirrors the cache bounds: for a single complete execution
 // matching the weights, paging.Simulate's fault count provably lies in
@@ -63,7 +63,8 @@ type PageResult struct {
 	Report PageReport
 	// Regions is the size of the region supergraph.
 	Regions int
-	// Iterations counts region transfer evaluations until fixpoint.
+	// Iterations counts the solver's column evaluations until
+	// fixpoint (see Result.Iterations).
 	Iterations int
 }
 
@@ -166,20 +167,7 @@ func pageGeom(cfg paging.Config, totalBytes uint32) geom {
 	if assoc == 0 || assoc > pages {
 		assoc = pages
 	}
-	g := geom{
-		blockBytes: bb,
-		numSets:    1,
-		assoc:      assoc,
-		numLines:   pages,
-	}
-	if assoc <= maxAge {
-		g.mustEvict = uint8(assoc)
-		g.mayEvict = uint8(assoc)
-		g.mayEvicts = true
-	} else {
-		g.mustEvict = maxAge
-	}
-	return g
+	return makeGeom(bb, 1, assoc, pages)
 }
 
 // AnalyzePages statically analyses the laid-out program's paging
@@ -200,31 +188,19 @@ func AnalyzePages(lay *layout.Layout, w *profile.Weights, cfg PageConfig) (*Page
 	root := reg.SpanOn(cfg.Lane, "analysis.pages")
 	defer root.End()
 
-	sp := root.Span("supergraph")
-	sg := buildSupergraph(lay, w)
-	g := pageGeom(cfg.Paging, lay.Total)
-	sp.End()
-	sp = root.Span("fixpoint")
-	fx := g.fixpoint(sg)
-	sp.End()
-	sp = root.Span("persist")
-	sc := buildScopes(sg, effectiveRuns(w))
-	fits := sc.computeFits(sg, g, nil)
-	sp.End()
-	sp = root.Span("classify")
-	bounds, perFunc := classify(sg, g, fx, sc, fits, lay.Program(), w)
-	sp.End()
-	sp = root.Span("report")
-	report := buildPageReport(sg, g, sc, fits, lay, cfg)
+	inc := newPageEngine(lay, w, cfg.Paging, root)
+	sp := root.Span("report")
+	report := buildPageReport(inc.sg, inc.g, inc.sc, inc.lin.fits, lay, cfg)
 	sp.End()
 
+	er := inc.Result()
 	res := &PageResult{
 		Paging:     cfg.Paging,
-		Bounds:     bounds,
-		PerFunc:    perFunc,
+		Bounds:     er.Bounds,
+		PerFunc:    er.PerFunc,
 		Report:     report,
-		Regions:    len(sg.regions),
-		Iterations: fx.iterations,
+		Regions:    er.Regions,
+		Iterations: er.Iterations,
 	}
 	root.SetAttr("paging", fmt.Sprintf("%dB x %d frames", cfg.Paging.PageBytes, cfg.Paging.Frames))
 	root.SetAttrInt("regions", int64(res.Regions))
@@ -236,17 +212,20 @@ func AnalyzePages(lay *layout.Layout, w *profile.Weights, cfg PageConfig) (*Page
 	return res, nil
 }
 
+// newPageEngine builds the analysis engine over cfg's page-frame
+// geometry, with its spans under root.
+func newPageEngine(lay *layout.Layout, w *profile.Weights, cfg paging.Config, root *obs.Span) *Incremental {
+	return newEngine(lay, w, Config{}, pageGeom(cfg, lay.Total), true, root)
+}
+
 // validatePages rejects inputs outside the page model and fills in
 // cfg's report-size defaults.
 func validatePages(lay *layout.Layout, w *profile.Weights, cfg *PageConfig) error {
-	if err := w.Check(lay.Program()); err != nil {
-		return fmt.Errorf("analysis: %w", err)
+	if err := validateInput(lay, w); err != nil {
+		return err
 	}
 	if err := cfg.Paging.Validate(); err != nil {
 		return fmt.Errorf("analysis: %w", err)
-	}
-	if lay.Total == 0 {
-		return fmt.Errorf("analysis: layout places no code")
 	}
 	if cfg.TopPages == 0 {
 		cfg.TopPages = 8
@@ -491,57 +470,36 @@ func buildPageReport(sg *supergraph, g geom, sc *sccInfo, fits [][]bool, lay *la
 }
 
 // PageEngine re-derives page-fault bounds for candidate layouts of one
-// program — the page-side twin of the Incremental cache engine, built
-// for the layout search's objective. The supergraph and persistence
-// scopes are layout-independent, so the engine builds them once;
-// Bounds re-addresses the regions in place under the candidate layout
-// (region addresses are recomputable from (f, b, start)) and re-solves
-// the tiny page-granular fixpoint from scratch. Engines are not safe
-// for concurrent use; Clone gives each search worker its own.
+// program — the page-frame instance of the analysis engine, built for
+// the layout search's objective. Bounds moves the engine to the
+// candidate with an incremental update, so its results are exactly
+// AnalyzePages' bounds for the same layout. Engines are not safe for
+// concurrent use; Clone gives each search worker its own.
 type PageEngine struct {
-	cfg  paging.Config
-	w    *profile.Weights
-	sg   *supergraph
-	sc   *sccInfo
-	fits [][]bool
-	lay  *layout.Layout
+	cfg paging.Config
+	inc *Incremental
 }
 
 // NewPageEngine builds an engine for lay's program under the given
 // profile weights and paging geometry.
 func NewPageEngine(lay *layout.Layout, w *profile.Weights, cfg paging.Config) (*PageEngine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
+	if err := validatePages(lay, w, &PageConfig{Paging: cfg}); err != nil {
+		return nil, err
 	}
-	if err := w.Check(lay.Program()); err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	if lay.Total == 0 {
-		return nil, fmt.Errorf("analysis: layout places no code")
-	}
-	sg := buildSupergraph(lay, w)
-	return &PageEngine{
-		cfg: cfg, w: w, sg: sg,
-		sc:  buildScopes(sg, effectiveRuns(w)),
-		lay: lay,
-	}, nil
+	return &PageEngine{cfg: cfg, inc: newPageEngine(lay, w, cfg, nil)}, nil
 }
 
 // Bounds returns the page-fault bounds of lay, which must lay out the
 // same program the engine was built for.
-func (e *PageEngine) Bounds(lay *layout.Layout) Bounds {
-	if lay != e.lay {
-		for ri := range e.sg.regions {
-			r := &e.sg.regions[ri]
-			r.addr = lay.InstrAddr(r.f, r.b, r.start)
-		}
-		e.lay = lay
+func (e *PageEngine) Bounds(lay *layout.Layout) (Bounds, error) {
+	if lay == e.inc.Layout() {
+		return e.inc.Result().Bounds, nil
 	}
-	g := pageGeom(e.cfg, lay.Total)
-	fx := g.fixpoint(e.sg)
-	e.fits = e.sc.computeFits(e.sg, g, e.fits)
-	b, _ := classify(e.sg, g, fx, e.sc, e.fits, lay.Program(), e.w)
-	return b
+	res, err := e.inc.Update(lay)
+	if err != nil {
+		return Bounds{}, err
+	}
+	return res.Bounds, nil
 }
 
 // Pack scores how tightly lay packs the executed bytes into pages: the
@@ -553,38 +511,24 @@ func (e *PageEngine) Bounds(lay *layout.Layout) Bounds {
 // empties completely). The layout search's page-refinement phase climbs
 // Pack between those plateau jumps; see docs/SEARCH.md.
 func (e *PageEngine) Pack(lay *layout.Layout) uint64 {
-	if lay != e.lay {
-		for ri := range e.sg.regions {
-			r := &e.sg.regions[ri]
-			r.addr = lay.InstrAddr(r.f, r.b, r.start)
-		}
-		e.lay = lay
-	}
-	shift := uint(0)
-	for 1<<shift != e.cfg.PageBytes {
-		shift++
-	}
-	per := make(map[uint32]uint64)
-	for ri := range e.sg.regions {
-		r := &e.sg.regions[ri]
+	pb := uint64(e.cfg.PageBytes)
+	per := make([]uint64, (uint64(lay.Total)+pb-1)/pb)
+	for ri := range e.inc.sg.regions {
+		r := &e.inc.sg.regions[ri]
 		if r.weight == 0 || r.words == 0 {
 			continue
 		}
 		// Regions partition the executed bytes (blocks are split, never
 		// duplicated), so per-page byte counts need no dedup.
-		addr, rem := uint64(r.addr), uint64(r.words)*4
+		addr, rem := uint64(lay.InstrAddr(r.f, r.b, r.start)), uint64(r.words)*ir.InstrBytes
 		for rem > 0 {
-			in := (uint64(1)<<shift - addr%(1<<shift))
-			if in > rem {
-				in = rem
-			}
-			per[uint32(addr>>shift)] += in
+			in := min(pb-addr%pb, rem)
+			per[addr/pb] += in
 			addr += in
 			rem -= in
 		}
 	}
 	var sum uint64
-	//lint:maprange sum of per-page squares is commutative
 	for _, b := range per {
 		sum += b * b
 	}
@@ -592,13 +536,7 @@ func (e *PageEngine) Pack(lay *layout.Layout) uint64 {
 }
 
 // Clone returns an independent engine for the same program, weights,
-// and geometry — regions are deep-copied (Bounds re-addresses them in
-// place), the layout-independent scope data is shared.
+// and geometry, positioned at the receiver's current layout.
 func (e *PageEngine) Clone() *PageEngine {
-	sg := &supergraph{
-		regions: append([]region(nil), e.sg.regions...),
-		entry:   e.sg.entry,
-		rpo:     e.sg.rpo,
-	}
-	return &PageEngine{cfg: e.cfg, w: e.w, sg: sg, sc: e.sc, lay: e.lay}
+	return &PageEngine{cfg: e.cfg, inc: e.inc.Clone()}
 }

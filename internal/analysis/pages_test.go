@@ -212,7 +212,11 @@ func TestPageEngineMatchesAnalyze(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.Bounds(l); got != want.Bounds {
+		got, err := eng.Bounds(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.Bounds {
 			t.Fatalf("layout %d: engine bounds %+v != analysis %+v", i, got, want.Bounds)
 		}
 	}
@@ -222,7 +226,11 @@ func TestPageEngineMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Bounds(layouts[1]); got != want.Bounds {
+	got, err := cl.Bounds(layouts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want.Bounds {
 		t.Fatalf("clone bounds %+v != analysis %+v", got, want.Bounds)
 	}
 }
@@ -233,7 +241,9 @@ func TestPageEngineMatchesAnalyze(t *testing.T) {
 // weights describe the simulated run exactly. High-trips seeds shape
 // loops whose page footprint exceeds the frames — the scope-
 // persistence cap and the thrash report's home turf — mirroring the
-// persistence seeds of the cache-side FuzzBounds.
+// persistence seeds of the cache-side FuzzBounds. As there, a page
+// engine built on the other layout must reach the same bounds by an
+// incremental update.
 func FuzzPageBounds(f *testing.F) {
 	f.Add(uint64(1), uint64(7), uint8(0), uint8(0), uint8(3), false)
 	f.Add(uint64(2), uint64(11), uint8(1), uint8(1), uint8(3), true)
@@ -274,13 +284,20 @@ func FuzzPageBounds(f *testing.F) {
 			t.Fatalf("profile: %v", err)
 		}
 
-		lay := layout.Natural(b.Prog)
+		lay, other := layout.Natural(b.Prog), layout.Random(b.Prog, progSeed)
 		if random {
-			lay = layout.Random(b.Prog, progSeed)
+			lay, other = other, lay
 		}
 		res, err := AnalyzePages(lay, w, PageConfig{Paging: cfg})
 		if err != nil {
 			t.Fatalf("AnalyzePages: %v", err)
+		}
+		eng, err := NewPageEngine(other, w, cfg)
+		if err != nil {
+			t.Fatalf("NewPageEngine: %v", err)
+		}
+		if got, err := eng.Bounds(lay); err != nil || got != res.Bounds {
+			t.Fatalf("engine moved to the layout: bounds %+v (err %v), fresh analysis %+v", got, err, res.Bounds)
 		}
 		if res.Bounds.Lower > res.Bounds.Upper {
 			t.Fatalf("Lower %d > Upper %d", res.Bounds.Lower, res.Bounds.Upper)

@@ -33,10 +33,10 @@ import "sort"
 //     edge into S — each region execution transfers to exactly one
 //     successor — plus one per run when the program entry lies in S.
 //
-// Whole-program persistence (the PersistentLines accounting in
-// classify) is the degenerate scope covering the entire supergraph
-// with `runs` entries; the SCC scopes tighten lines that are evicted
-// between loop visits but stable within them.
+// Whole-program persistence (the PersistentLines accounting of the
+// classifier, inclinear.go) is the degenerate scope covering the
+// entire supergraph with `runs` entries; the SCC scopes tighten lines
+// that are evicted between loop visits but stable within them.
 
 // sccInfo partitions the supergraph into strongly connected components
 // and keeps the layout-independent half of the persistence data: scope
@@ -181,65 +181,4 @@ func buildScopes(sg *supergraph, runs uint64) *sccInfo {
 		sc.entries[t] += runs
 	}
 	return sc
-}
-
-// computeFits derives the layout-dependent half of persistence: for
-// every scope, which cache sets' in-scope footprints (distinct lines
-// fetched by executed member regions) fit the set's ways. A line is
-// persistent within scope s iff fits[s][set(line)]. The reuse argument
-// recycles a previous result's allocations when its shape matches
-// (the incremental analyzer calls this per candidate layout).
-func (sc *sccInfo) computeFits(sg *supergraph, g geom, reuse [][]bool) [][]bool {
-	fits := reuse
-	if len(fits) != len(sc.members) {
-		fits = make([][]bool, len(sc.members))
-	}
-	if len(sc.members) == 0 {
-		return fits
-	}
-	mark := make([]int32, g.numLines)
-	for i := range mark {
-		mark[i] = -1
-	}
-	count := make([]uint32, g.numSets)
-	var touched []uint32
-	for s := range sc.members {
-		f := fits[s]
-		if len(f) != int(g.numSets) {
-			f = make([]bool, g.numSets)
-			fits[s] = f
-		}
-		for i := range f {
-			f[i] = true
-		}
-		touched = touched[:0]
-		for _, ri := range sc.members[s] {
-			r := &sg.regions[ri]
-			if r.weight == 0 {
-				continue
-			}
-			l0, l1, ok := r.lineRange(g.blockBytes)
-			if !ok {
-				continue
-			}
-			for l := l0; l <= l1; l++ {
-				if mark[l] == int32(s) {
-					continue
-				}
-				mark[l] = int32(s)
-				set := g.set(l)
-				if count[set] == 0 {
-					touched = append(touched, set)
-				}
-				count[set]++
-			}
-		}
-		for _, set := range touched {
-			if count[set] > g.assoc {
-				f[set] = false
-			}
-			count[set] = 0
-		}
-	}
-	return fits
 }

@@ -11,9 +11,9 @@ import (
 	"impact/internal/workload"
 )
 
-// noScopes returns an empty scope partition: classify degrades to the
-// PR 5 semantics (global persistence only), which is what the
-// tightening tests compare against.
+// noScopes returns an empty scope partition: the classifier degrades to
+// global persistence only, which is what the tightening tests compare
+// against.
 func noScopes(sg *supergraph) *sccInfo {
 	sc := &sccInfo{scope: make([]int32, len(sg.regions))}
 	for i := range sc.scope {
@@ -22,18 +22,18 @@ func noScopes(sg *supergraph) *sccInfo {
 	return sc
 }
 
-// analyzeBoth runs classify over one converged fixpoint twice — with
-// and without persistence scopes — and returns (scoped, legacy).
+// analyzeBoth classifies one converged fixpoint twice — with and
+// without persistence scopes — and returns (scoped, legacy).
 func analyzeBoth(t *testing.T, lay *layout.Layout, w *profile.Weights, cfg cache.Config) (Bounds, Bounds) {
 	t.Helper()
-	sg := buildSupergraph(lay, w)
-	g := newGeom(cfg, lay.Total)
-	fx := g.fixpoint(sg)
-	sc := buildScopes(sg, effectiveRuns(w))
-	fits := sc.computeFits(sg, g, nil)
-	scoped, _ := classify(sg, g, fx, sc, fits, lay.Program(), w)
-	legacy, _ := classify(sg, g, fx, noScopes(sg), nil, lay.Program(), w)
-	return scoped, legacy
+	inc, err := NewIncremental(lay, w, Config{Cache: cfg})
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	scoped := inc.Result().Bounds
+	inc.sc = noScopes(inc.sg)
+	inc.lin = inc.buildLinear(lay)
+	return scoped, inc.assemble(lay, nil).Bounds
 }
 
 // buildPhasedProgram returns a program whose hot loop fits the cache

@@ -65,46 +65,84 @@ func extTSPFactor(srcEnd, dst uint32) float64 {
 // ScoreLayout scores lay under the profile w without running the full
 // must/may analysis — the cheap geometry-independent slice of Analyze,
 // used by the per-stage locality ledger (core.Ledger) to price each
-// pipeline stage's contribution.
+// pipeline stage's contribution. It evaluates the same edge terms the
+// analysis engine caches, in the same order, so the two agree exactly.
 func ScoreLayout(lay *layout.Layout, w *profile.Weights) Score {
-	return scoreLayout(lay, w)
+	edges := scoreEdges(lay.Program(), w)
+	ft := make([]bool, len(edges))
+	acc := make([]float64, len(edges))
+	for i := range edges {
+		ft[i], acc[i] = edges[i].term(lay)
+	}
+	return sumScore(edges, ft, acc)
 }
 
-// scoreLayout scores every profiled control transfer of the laid-out
-// program: each intra-function arc from the end of its source block to
-// its target block, and each call from the instruction after the call
-// site to the callee's entry.
-func scoreLayout(lay *layout.Layout, w *profile.Weights) Score {
-	p := lay.Program()
-	var s Score
-	var acc float64
-	edge := func(srcEnd, dst uint32, weight uint64) {
-		if weight == 0 {
-			return
-		}
-		s.TotalWeight += weight
-		if dst == srcEnd {
-			s.FallThrough += weight
-		}
-		acc += float64(weight) * extTSPFactor(srcEnd, dst)
-	}
+// scoreEdge is one profiled control transfer; addresses are looked up
+// at evaluation time, everything else is layout-independent.
+type scoreEdge struct {
+	f ir.FuncID
+	b ir.BlockID
+	// c is the call instruction index, or -1 for an intra-function arc.
+	c int32
+	// tf/to name the target block (the callee's entry for calls).
+	tf ir.FuncID
+	to ir.BlockID
+	w  uint64
+}
+
+// scoreEdges lists every profiled control transfer of p in scoring
+// order: each intra-function arc, from the end of its source block to
+// its target block, and each call, from the instruction after the call
+// site to the callee's entry — a block's arcs before its calls.
+// Unexecuted transfers score nothing and are left out.
+func scoreEdges(p *ir.Program, w *profile.Weights) []scoreEdge {
+	var edges []scoreEdge
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			srcEnd := lay.BlockEnd(f.ID, b.ID)
 			for k, a := range b.Out {
-				edge(srcEnd, lay.BlockAddr(f.ID, a.To), w.ArcWeight(f.ID, b.ID, k))
+				if wgt := w.ArcWeight(f.ID, b.ID, k); wgt > 0 {
+					edges = append(edges, scoreEdge{f: f.ID, b: b.ID, c: -1, tf: f.ID, to: a.To, w: wgt})
+				}
 			}
 			for _, c := range b.CallSites() {
 				site := ir.CallSite{Func: f.ID, Block: b.ID, Instr: int32(c)}
-				callee := b.Instrs[c].Callee
-				edge(lay.InstrAddr(f.ID, b.ID, int32(c))+ir.InstrBytes,
-					lay.BlockAddr(callee, p.Funcs[callee].Entry),
-					w.SiteWeight(site))
+				if wgt := w.SiteWeight(site); wgt > 0 {
+					callee := b.Instrs[c].Callee
+					edges = append(edges, scoreEdge{f: f.ID, b: b.ID, c: int32(c), tf: callee, to: p.Funcs[callee].Entry, w: wgt})
+				}
 			}
 		}
 	}
+	return edges
+}
+
+// term returns the edge's fall-through flag and weighted ext-TSP term
+// under lay.
+func (e *scoreEdge) term(lay *layout.Layout) (ft bool, acc float64) {
+	var srcEnd uint32
+	if e.c < 0 {
+		srcEnd = lay.BlockEnd(e.f, e.b)
+	} else {
+		srcEnd = lay.InstrAddr(e.f, e.b, e.c) + ir.InstrBytes
+	}
+	dst := lay.BlockAddr(e.tf, e.to)
+	return dst == srcEnd, float64(e.w) * extTSPFactor(srcEnd, dst)
+}
+
+// sumScore folds per-edge terms in edge order: one fixed sequence of
+// floating-point additions, whichever caller evaluated the terms.
+func sumScore(edges []scoreEdge, ft []bool, acc []float64) Score {
+	var s Score
+	var sum float64
+	for i := range edges {
+		s.TotalWeight += edges[i].w
+		if ft[i] {
+			s.FallThrough += edges[i].w
+		}
+		sum += acc[i]
+	}
 	if s.TotalWeight > 0 {
-		s.ExtTSP = acc / float64(s.TotalWeight)
+		s.ExtTSP = sum / float64(s.TotalWeight)
 	}
 	return s
 }

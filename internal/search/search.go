@@ -305,7 +305,9 @@ func Optimize(in Input, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("search: page-analysing input order: %w", err)
 		}
-		initPB = pages.Bounds(baseLay)
+		if initPB, err = pages.Bounds(baseLay); err != nil {
+			return nil, fmt.Errorf("search: page-analysing input order: %w", err)
+		}
 		initObj.pageUpper = initPB.Upper
 	}
 
@@ -527,7 +529,10 @@ func pageRefine(in Input, cfg Config, eng *analysis.Incremental, pe *analysis.Pa
 		base = from.Analysis.Bounds.Upper
 	}
 	slackCap := base + uint64(float64(base)*refineSlack)
-	curPB := pe.Bounds(from.Layout)
+	curPB, err := pe.Bounds(from.Layout)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("page-analysing winner: %w", err)
+	}
 	curPack := pe.Pack(from.Layout)
 	curLay := from.Layout
 	startUpper := curPB.Upper
@@ -611,7 +616,10 @@ func pageRefine(in Input, cfg Config, eng *analysis.Incremental, pe *analysis.Pa
 		}
 		evals++
 		reg.Counter("search.page_evals").Inc()
-		pb := pe.Bounds(lay)
+		pb, err := pe.Bounds(lay)
+		if err != nil {
+			return nil, 0, evals, fmt.Errorf("page-analysing candidate: %w", err)
+		}
 		pack := pe.Pack(lay)
 		// Lexicographic within the phase: fewer static page faults
 		// first; at an equal bound, a lower static cache upper (the
@@ -651,7 +659,11 @@ func pageRefine(in Input, cfg Config, eng *analysis.Incremental, pe *analysis.Pa
 		if err != nil {
 			return nil, 0, evals, fmt.Errorf("re-analysing best state: %w", err)
 		}
-		cur, curLay, curRes, curPB = best.order, lay, cres, pe.Bounds(lay)
+		pb, err := pe.Bounds(lay)
+		if err != nil {
+			return nil, 0, evals, fmt.Errorf("page-analysing best state: %w", err)
+		}
+		cur, curLay, curRes, curPB = best.order, lay, cres, pb
 	}
 	if curPB.Upper >= startUpper {
 		return nil, 0, evals, nil
@@ -893,16 +905,19 @@ func (p *portfolio) climb(k int, eng *analysis.Incremental, pe *analysis.PageEng
 	curObj := p.initObj
 	// price scores a candidate layout: the incremental cache objective
 	// plus, when the paging term is on, the page-fault upper bound
-	// from a full (but page-granular, hence tiny) re-solve. The page
-	// engine is stateless across candidates — no revert needed.
-	price := func(cres *analysis.Result, lay *layout.Layout) (objective, analysis.Bounds) {
+	// from the page engine. The page engine follows whichever layout
+	// it is handed — no revert needed.
+	price := func(cres *analysis.Result, lay *layout.Layout) (objective, analysis.Bounds, error) {
 		obj := objectiveOf(cres)
 		var pb analysis.Bounds
 		if pe != nil {
-			pb = pe.Bounds(lay)
+			var err error
+			if pb, err = pe.Bounds(lay); err != nil {
+				return obj, pb, fmt.Errorf("page-analysing candidate: %w", err)
+			}
 			obj.pageUpper = pb.Upper
 		}
-		return obj, pb
+		return obj, pb, nil
 	}
 	if k > 0 {
 		reg.Counter("search.restarts").Inc()
@@ -919,7 +934,9 @@ func (p *portfolio) climb(k int, eng *analysis.Incremental, pe *analysis.PageEng
 			return nil, fmt.Errorf("analysing restart order: %w", err)
 		}
 		cr.evals++
-		curObj, _ = price(kicked, lay)
+		if curObj, _, err = price(kicked, lay); err != nil {
+			return nil, err
+		}
 	}
 	for cr.evals < p.alloc[k] {
 		cand := propose(cur, eng.Result().Conflicts.Pairs, rng)
@@ -933,7 +950,10 @@ func (p *portfolio) climb(k int, eng *analysis.Incremental, pe *analysis.PageEng
 		}
 		cr.evals++
 		reg.Counter("search.evals").Inc()
-		obj, pb := price(cres, lay)
+		obj, pb, err := price(cres, lay)
+		if err != nil {
+			return nil, err
+		}
 		if !obj.better(curObj) {
 			if err := eng.Revert(); err != nil {
 				return nil, fmt.Errorf("reverting rejected candidate: %w", err)
