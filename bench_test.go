@@ -27,7 +27,6 @@ import (
 
 	"impact/internal/analysis"
 	"impact/internal/cache"
-	"impact/internal/cache/sweep"
 	"impact/internal/core/globallayout"
 	"impact/internal/experiments"
 	"impact/internal/ir"
@@ -516,31 +515,6 @@ func BenchmarkStreamSimulate(b *testing.B) {
 	b.ReportMetric(float64(misses)/1e6, "missesM")
 }
 
-// BenchmarkShardSimulate times the set-sharded simulator on every
-// benchmark's optimized trace at the paper's default geometry, with the
-// machine's full parallelism. On a single-CPU host ShardSimulate falls
-// back to the sequential simulator (the engine's documented policy), so
-// the number stays comparable to BenchmarkAnalyzeSimulate there.
-func BenchmarkShardSimulate(b *testing.B) {
-	s := benchSuite(b)
-	geom := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	var misses uint64
-	for i := 0; i < b.N; i++ {
-		misses = 0
-		for _, p := range s.Items {
-			st, err := cache.ShardSimulate(geom, p.OptTrace, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			misses += st.Misses
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(misses)/1e6, "missesM")
-}
-
 // BenchmarkAnalyzeStatic times the static must/may analyzer over every
 // benchmark's optimized layout: the cost of miss bounds computed from
 // the IR, profile, and addresses alone, with no trace decoded (see
@@ -682,37 +656,6 @@ func BenchmarkAnalyzeSimulate(b *testing.B) {
 		misses = 0
 		for _, p := range s.Items {
 			st, err := cache.Simulate(geom, p.OptTrace)
-			if err != nil {
-				b.Fatal(err)
-			}
-			misses += st.Misses
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(misses)/1e6, "missesM")
-}
-
-// BenchmarkStackPassSharded times the banded Mattson stack pass on
-// every benchmark's optimized trace at a 32-set/64B geometry, with the
-// machine's full parallelism. Bands add more total work than the
-// serial pass (every band scans the full run stream), so single-CPU
-// hosts should compare against BenchmarkAnalyzeSimulate with care;
-// multi-core hosts see the wall-clock win. With one worker ShardRun
-// falls back to the serial pass.
-func BenchmarkStackPassSharded(b *testing.B) {
-	s := benchSuite(b)
-	geom := cache.Config{SizeBytes: 32 * 64 * 16, BlockBytes: 64, Assoc: 16}
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	var misses uint64
-	for i := 0; i < b.N; i++ {
-		misses = 0
-		for _, p := range s.Items {
-			pass, err := sweep.ShardRun(p.OptTrace, 64, 32, workers, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := pass.Stats(geom)
 			if err != nil {
 				b.Fatal(err)
 			}

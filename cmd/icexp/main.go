@@ -288,10 +288,8 @@ func main() {
 	stack := common.Registry.Counter("sweep.stack_pass_sizes").Value()
 	passes := common.Registry.Counter("sweep.trace_passes").Value()
 	reused := common.Registry.Counter("sweep.stack_pass_reused").Value()
-	sharded := common.Registry.Counter("sweep.sharded_sims").Value()
-	banded := common.Registry.Counter("sweep.stack_sharded").Value()
-	fmt.Fprintf(os.Stderr, "sweep engine: %d simulations (%d stack-derived) in %d trace passes, %d served from memo, %d from retained passes, %d set-sharded, %d banded stack passes\n",
-		run, stack, passes, memo, reused, sharded, banded)
+	fmt.Fprintf(os.Stderr, "sweep engine: %d simulations (%d stack-derived) in %d trace passes, %d served from memo, %d from retained passes\n",
+		run, stack, passes, memo, reused)
 	fmt.Fprintf(os.Stderr, "total time %v\n", time.Since(start).Round(time.Millisecond))
 	common.MustClose()
 }

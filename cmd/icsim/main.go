@@ -7,7 +7,6 @@
 //	      [-sizes 512,1024,...] [-sector 0] [-partial]
 //	      [-replacement lru|fifo|random] [-prefetch] [-latency 0]
 //	      [-cwf=true] [-paging] [-page-bytes 4096] [-frames 8]
-//	      [-workers N]
 //	      [-v] [-metrics-out m.json] [-cpuprofile f] [-memprofile f]
 //
 // It prints the miss ratio, memory traffic ratio, and (for partial
@@ -38,7 +37,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 
 	"impact/internal/cache"
 	"impact/internal/cache/sweep"
@@ -57,7 +55,6 @@ func main() {
 	cwf := flag.Bool("cwf", true, "critical-word-first load forwarding (timing model)")
 	usePaging := flag.Bool("paging", false, "also stream the trace through the LRU demand-paging simulator")
 	pf := cliutil.AddPagingFlags(flag.CommandLine)
-	workers := cliutil.AddWorkersFlag(flag.CommandLine)
 	common := cliutil.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := common.Start("icsim"); err != nil {
@@ -119,41 +116,16 @@ func main() {
 	}
 	sp := common.Registry.Span("icsim/simulate")
 	sp.SetAttr("cache", cfg.String())
-	// Stack-eligible organisations with spare cores stream through the
-	// banded Mattson stack pass: one stack per set band on its own
-	// worker, merged exactly, still single-pass and constant-memory.
-	w := *workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
+	sim, err := cache.NewSinkSimulator(cfg)
+	if err != nil {
+		sp.End()
+		fatal(err)
 	}
-	var stats cache.Stats
-	if w >= 2 && sweep.Eligible(cfg) {
-		block, sets := sweep.Geometry(cfg)
-		z, err := sweep.NewShardStream(block, sets, w, common.Registry)
-		if err != nil {
-			sp.End()
-			fatal(err)
-		}
-		if err := rd.Replay(tee(z)); err != nil {
-			sp.End()
-			fatal(err)
-		}
-		if stats, err = z.Pass().Stats(cfg); err != nil {
-			sp.End()
-			fatal(err)
-		}
-	} else {
-		sim, err := cache.NewSinkSimulator(cfg)
-		if err != nil {
-			sp.End()
-			fatal(err)
-		}
-		if err := rd.Replay(tee(sim)); err != nil {
-			sp.End()
-			fatal(err)
-		}
-		stats = sim.Stats()[0]
+	if err := rd.Replay(tee(sim)); err != nil {
+		sp.End()
+		fatal(err)
 	}
+	stats := sim.Stats()[0]
 	sp.End()
 	slog.Debug("trace streamed", "file", *tracePath, "instrs", count.Instrs, "runs", count.Runs)
 

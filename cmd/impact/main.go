@@ -327,7 +327,7 @@ func cmdSimulate(args []string) {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	name, scale := benchFlag(fs)
 	cf := cliutil.AddCacheFlags(fs)
-	layoutSel := fs.String("layout", "both", "layouts to simulate: both, opt, or nat (a lone layout may set-shard across idle cores)")
+	layoutSel := fs.String("layout", "both", "layouts to simulate: both, opt, or nat")
 	usePaging := fs.Bool("paging", false, "also run the LRU demand-paging simulator on each layout")
 	pf := cliutil.AddPagingFlags(fs)
 	workers := cliutil.AddWorkersFlag(fs)
@@ -360,10 +360,8 @@ func cmdSimulate(args []string) {
 	}
 
 	// The layouts measure through a sweep engine: size sweeps collapse
-	// into stack passes where the organisation permits, concurrent
-	// layouts simulate on the worker pool, and lone replays may shard
-	// by cache set when cores are spare (sweep.sharded_sims counts
-	// them — the CI multi-core step asserts the path is exercised).
+	// into stack passes where the organisation permits, and concurrent
+	// layouts simulate on the worker pool.
 	eng := experiments.NewEngine()
 	eng.Configure(experiments.EngineConfig{Workers: *workers})
 	eng.AttachObs(common.Registry)

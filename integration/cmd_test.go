@@ -137,6 +137,23 @@ func TestIcsimRejectsGarbageTrace(t *testing.T) {
 	}
 }
 
+// TestImpactSearchRejectsNegativeWorkers: a negative -workers count
+// is a usage error naming the flag, not a silent GOMAXPROCS run or a
+// panic.
+func TestImpactSearchRejectsNegativeWorkers(t *testing.T) {
+	cmd := exec.Command(filepath.Join(binaries(t), "impact"), "search", "-bench", "grep", "-workers", "-1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("impact search -workers -1 succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), `invalid value "-1" for flag -workers`) {
+		t.Errorf("missing flag error:\n%s", out)
+	}
+	if strings.Contains(string(out), "panic") {
+		t.Errorf("impact search panicked:\n%s", out)
+	}
+}
+
 func TestImpactRunOnExternalIR(t *testing.T) {
 	// Dump a program, then feed it back through `impact run` — the
 	// external-program path a downstream user would take.

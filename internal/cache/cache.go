@@ -631,3 +631,11 @@ func Simulate(cfg Config, tr *memtrace.Trace) (Stats, error) {
 	record(c.Stats())
 	return c.Stats(), nil
 }
+
+// ShardSimulate is Simulate; workers is ignored.
+//
+// Deprecated: set-sharded replay was slower than the serial replay on
+// the paper's traces and was removed; call Simulate.
+func ShardSimulate(cfg Config, tr *memtrace.Trace, workers int) (Stats, error) {
+	return Simulate(cfg, tr)
+}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,36 +20,54 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 
 func run(addr, bytes uint32) memtrace.Run { return memtrace.Run{Addr: addr, Bytes: bytes} }
 
+// TestValidate walks every error branch of Config.Validate, through
+// Validate and through New: a bad configuration fails both with the
+// branch's message and New returns no cache; a valid one builds one.
 func TestValidate(t *testing.T) {
-	bad := []Config{
-		{SizeBytes: 0, BlockBytes: 16},
-		{SizeBytes: 1000, BlockBytes: 16},            // not power of two
-		{SizeBytes: 1024, BlockBytes: 3},             // bad block
-		{SizeBytes: 1024, BlockBytes: 2048},          // block > size
-		{SizeBytes: 1024, BlockBytes: 512},           // block words > 64
-		{SizeBytes: 1024, BlockBytes: 64, Assoc: 5},  // does not divide
-		{SizeBytes: 1024, BlockBytes: 64, Assoc: 32}, // > blocks
-		{SizeBytes: 1024, BlockBytes: 64, SectorBytes: 6},
-		{SizeBytes: 1024, BlockBytes: 64, SectorBytes: 128},
-		{SizeBytes: 1024, BlockBytes: 64, SectorBytes: 8, PartialLoad: true},
+	tests := []struct {
+		name    string
+		cfg     Config
+		wantErr string // "" means valid
+	}{
+		{"zero size", Config{SizeBytes: 0, BlockBytes: 16}, "not a positive power of two"},
+		{"size not a power of two", Config{SizeBytes: 1000, BlockBytes: 16}, "not a positive power of two"},
+		{"block not a power of two", Config{SizeBytes: 1024, BlockBytes: 3}, "is not a power of two >= 4"},
+		{"block over 64 words", Config{SizeBytes: 1024, BlockBytes: 512}, "exceeds 256 bytes"},
+		{"block over 64 words and size", Config{SizeBytes: 1024, BlockBytes: 2048}, "exceeds 256 bytes"},
+		{"block over cache size", Config{SizeBytes: 64, BlockBytes: 128}, "exceeds cache size"},
+		{"associativity does not divide", Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 5}, "associativity 5 incompatible"},
+		{"associativity over blocks", Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 32}, "associativity 32 incompatible"},
+		{"negative latency", Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1, Timing: &TimingConfig{InitialLatency: -1}}, "negative initial latency"},
+		{"unknown replacement", Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 2, Replacement: numReplacements}, "unknown replacement policy"},
+		{"prefetch with partial fill", Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1, PrefetchNext: true, PartialLoad: true}, "prefetch requires whole-block fill"},
+		{"sector with partial load", Config{SizeBytes: 1024, BlockBytes: 64, SectorBytes: 8, PartialLoad: true}, "mutually exclusive"},
+		{"sector not a power of two", Config{SizeBytes: 1024, BlockBytes: 64, SectorBytes: 6}, "sector size 6 incompatible"},
+		{"sector over block", Config{SizeBytes: 1024, BlockBytes: 64, SectorBytes: 128}, "sector size 128 incompatible"},
+		{"direct-mapped", Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}, ""},
+		{"fully associative", Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 0}, ""},
+		{"8-way", Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 8}, ""},
+		{"sectored", Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 8}, ""},
+		{"partial load", Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}, ""},
+		{"64-word block", Config{SizeBytes: 256, BlockBytes: 256, Assoc: 1}, ""},
+		{"timed FIFO", Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 4, Replacement: FIFO, Timing: &TimingConfig{InitialLatency: 8}}, ""},
 	}
-	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-	good := []Config{
-		{SizeBytes: 2048, BlockBytes: 64, Assoc: 1},
-		{SizeBytes: 2048, BlockBytes: 64, Assoc: 0},
-		{SizeBytes: 2048, BlockBytes: 64, Assoc: 8},
-		{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 8},
-		{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true},
-		{SizeBytes: 256, BlockBytes: 256, Assoc: 1}, // 64-word block
-	}
-	for _, cfg := range good {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("config %+v rejected: %v", cfg, err)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			verr := tt.cfg.Validate()
+			c, err := New(tt.cfg)
+			if tt.wantErr == "" {
+				if verr != nil || err != nil || c == nil {
+					t.Fatalf("Validate = %v, New = %v, %v; want a cache", verr, c, err)
+				}
+				return
+			}
+			if verr == nil || !strings.Contains(verr.Error(), tt.wantErr) {
+				t.Errorf("Validate = %v, want an error containing %q", verr, tt.wantErr)
+			}
+			if err == nil || err.Error() != verr.Error() || c != nil {
+				t.Errorf("New = %v, %v; want nil and the Validate error", c, err)
+			}
+		})
 	}
 }
 
@@ -518,6 +537,35 @@ func TestMultiSimulateRejectsBadConfig(t *testing.T) {
 	_, err := MultiSimulate([]Config{{SizeBytes: 1024, BlockBytes: 64}, {SizeBytes: 7}}, &memtrace.Trace{})
 	if err == nil {
 		t.Fatal("bad config accepted")
+	}
+}
+
+// TestShardSimulateMatchesSimulate pins the deprecated forward: every
+// worker count yields exactly the serial statistics, and a bad
+// configuration is still rejected.
+func TestShardSimulateMatchesSimulate(t *testing.T) {
+	tr := randomTrace(1, 3000)
+	for _, cfg := range []Config{
+		{SizeBytes: 8192, BlockBytes: 32, Assoc: 1},
+		{SizeBytes: 4096, BlockBytes: 64, Assoc: 4, Replacement: FIFO},
+		{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, Timing: &TimingConfig{InitialLatency: 8}},
+	} {
+		want, err := Simulate(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 4} {
+			got, err := ShardSimulate(cfg, tr, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v workers=%d: %+v, serial %+v", cfg, workers, got, want)
+			}
+		}
+	}
+	if _, err := ShardSimulate(Config{SizeBytes: 100, BlockBytes: 64}, tr, 4); err == nil {
+		t.Error("invalid config accepted")
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 type cacheObs struct {
 	sims, accesses, misses, memWords, stallCycles *obs.Counter
 	l2accesses, l2misses, l2memWords              *obs.Counter
-	// reg is kept so ShardSimulate can open shard-worker-N timeline
-	// lanes on the registry's tracer.
-	reg *obs.Registry
 }
 
 // attached is the process-wide observation target; nil (the default)
@@ -45,17 +42,7 @@ func AttachObs(r *obs.Registry) {
 		l2accesses:  r.Counter("cache.l2.accesses"),
 		l2misses:    r.Counter("cache.l2.misses"),
 		l2memWords:  r.Counter("cache.l2.mem_words"),
-		reg:         r,
 	})
-}
-
-// obsRegistry returns the attached registry (nil when detached; every
-// obs.Registry method is nil-safe, so callers need no guards).
-func obsRegistry() *obs.Registry {
-	if o := attached.Load(); o != nil {
-		return o.reg
-	}
-	return nil
 }
 
 // record folds one simulation's statistics into the attached registry.

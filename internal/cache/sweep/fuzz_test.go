@@ -41,11 +41,10 @@ var fuzzConfigs = []cache.Config{
 // FuzzDifferential cross-checks every simulation strategy on
 // arbitrary traces: sequential cache.Simulate is the reference;
 // cache.MultiSimulate (and with it SinkSimulator, its streaming core)
-// must reproduce it bit-for-bit on every organisation, the sharded
-// simulator on every shardable organisation, and the stack pass — both
-// its batch and streaming (fragmented runs through a Merger) forms —
-// on every covered organisation. The seed corpus runs as ordinary unit
-// tests in short mode / CI;
+// must reproduce it bit-for-bit on every organisation, and the stack
+// pass — both its batch and streaming (fragmented runs through a
+// Merger) forms — on every covered organisation. The seed corpus runs
+// as ordinary unit tests in short mode / CI;
 // `go test -fuzz=FuzzDifferential ./internal/cache/sweep` explores
 // further.
 func FuzzDifferential(f *testing.F) {
@@ -76,18 +75,6 @@ func FuzzDifferential(f *testing.F) {
 		for i, cfg := range fuzzConfigs {
 			if got[i] != want[i] {
 				t.Errorf("%v: MultiSimulate %+v, sequential %+v", cfg, got[i], want[i])
-			}
-		}
-		for i, cfg := range fuzzConfigs {
-			if !cache.ShardEligible(cfg) {
-				continue
-			}
-			st, err := cache.ShardSimulate(cfg, tr, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != want[i] {
-				t.Errorf("%v: sharded %+v, sequential %+v", cfg, st, want[i])
 			}
 		}
 		passes := map[[2]int]*StackPass{}

@@ -29,6 +29,7 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/memtrace"
+	"impact/internal/obs"
 )
 
 // StackPass holds the result of one LRU stack pass over a trace at a
@@ -75,6 +76,14 @@ func Run(tr *memtrace.Trace, blockBytes, numSets int) (*StackPass, error) {
 	}
 	tr.Replay(s)
 	return s.Pass(), nil
+}
+
+// ShardRun is Run; workers and reg are ignored.
+//
+// Deprecated: the banded stack pass was slower than the serial pass on
+// the paper's traces and was removed; call Run.
+func ShardRun(tr *memtrace.Trace, blockBytes, numSets, workers int, reg *obs.Registry) (*StackPass, error) {
+	return Run(tr, blockBytes, numSets)
 }
 
 // StreamPass is the incremental form of the stack pass: a

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"impact/internal/cache"
@@ -209,13 +211,60 @@ func TestSweepSizes(t *testing.T) {
 	}
 }
 
+// TestShardRunMatchesSerial pins the deprecated forward: every worker
+// count derives exactly the serial pass's statistics.
+func TestShardRunMatchesSerial(t *testing.T) {
+	tr := genTrace(64032, 2500)
+	want, err := Run(tr, 64, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 4} {
+		got, err := ShardRun(tr, 64, 32, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comparePass(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+}
+
+// TestRunRejectsBadGeometry walks every rejected geometry of
+// NewStream, one row per failing condition, through NewStream and
+// Run, plus a valid geometry both accept.
 func TestRunRejectsBadGeometry(t *testing.T) {
 	tr := genTrace(17, 10)
-	for _, tc := range []struct{ block, sets int }{
-		{0, 1}, {3, 1}, {512, 1}, {64, 0}, {64, 3},
-	} {
-		if _, err := Run(tr, tc.block, tc.sets); err == nil {
-			t.Errorf("Run(%d, %d) accepted", tc.block, tc.sets)
-		}
+	tests := []struct {
+		name        string
+		block, sets int
+		wantErr     string // "" means valid
+	}{
+		{"zero block", 0, 1, "block size 0 is not a power of two"},
+		{"block not a power of two", 3, 1, "block size 3 is not a power of two"},
+		{"block over 64 words", 512, 1, "block size 512 is not a power of two"},
+		{"zero sets", 64, 0, "set count 0 is not a positive power of two"},
+		{"negative sets", 64, -4, "set count -4 is not a positive power of two"},
+		{"sets not a power of two", 64, 3, "set count 3 is not a positive power of two"},
+		{"valid", 64, 32, ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			s, err := NewStream(tt.block, tt.sets)
+			p, runErr := Run(tr, tt.block, tt.sets)
+			if tt.wantErr == "" {
+				if err != nil || s == nil || runErr != nil || p == nil {
+					t.Fatalf("NewStream = %v, %v; Run = %v, %v; want a stream and a pass", s, err, p, runErr)
+				}
+				if p.BlockBytes() != tt.block || p.NumSets() != tt.sets {
+					t.Errorf("pass geometry %d/%d, want %d/%d", p.BlockBytes(), p.NumSets(), tt.block, tt.sets)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) || s != nil {
+				t.Errorf("NewStream = %v, %v; want nil and an error containing %q", s, err, tt.wantErr)
+			}
+			if runErr == nil || runErr.Error() != err.Error() || p != nil {
+				t.Errorf("Run = %v, %v; want nil and the NewStream error", p, runErr)
+			}
+		})
 	}
 }

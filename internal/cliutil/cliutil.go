@@ -14,6 +14,7 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -165,12 +166,31 @@ func (c *Common) MustClose() {
 }
 
 // AddWorkersFlag registers the shared -workers flag: the parallelism
-// cap for the measurement engine's pools (sharded replays, banded
-// stack passes, portfolio search). Zero means GOMAXPROCS; one forces
-// the exact serial code paths. Results are identical for every value —
-// the flag only trades wall-clock time.
+// cap for the measurement engine's trace-pass pool and the portfolio
+// search. Zero means GOMAXPROCS; one forces the exact serial code
+// paths. Results are identical for every value — the flag only trades
+// wall-clock time. A negative count is rejected at parse time.
 func AddWorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "worker `count` for parallel measurement and search (0 = GOMAXPROCS, 1 = serial)")
+	var n int
+	fs.Var((*workersValue)(&n), "workers", "worker `count` for parallel measurement and search (0 = GOMAXPROCS, 1 = serial)")
+	return &n
+}
+
+// workersValue is the -workers flag: a non-negative int.
+type workersValue int
+
+func (w *workersValue) String() string { return strconv.Itoa(int(*w)) }
+
+func (w *workersValue) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return errors.New("not an integer")
+	}
+	if n < 0 {
+		return errors.New("worker count must be >= 0 (0 = GOMAXPROCS, 1 = serial)")
+	}
+	*w = workersValue(n)
+	return nil
 }
 
 // CacheFlags holds the cache-geometry flags shared by every command

@@ -2,7 +2,9 @@ package cliutil
 
 import (
 	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -52,5 +54,40 @@ func TestCacheFlagsSizeList(t *testing.T) {
 	cf = parseCache(t, "-sizes", "512,x")
 	if _, err := cf.SizeList(); err == nil {
 		t.Fatal("bad -sizes entry not rejected")
+	}
+}
+
+// TestWorkersFlag pins the -workers contract: zero and positive counts
+// parse, and a negative or non-numeric count is rejected at parse time
+// with an error that names the flag.
+func TestWorkersFlag(t *testing.T) {
+	tests := []struct {
+		name    string
+		args    []string
+		want    int
+		wantErr string // "" means the parse succeeds
+	}{
+		{"default", nil, 0, ""},
+		{"serial", []string{"-workers", "1"}, 1, ""},
+		{"four", []string{"-workers=4"}, 4, ""},
+		{"negative", []string{"-workers", "-3"}, 0, `invalid value "-3" for flag -workers: worker count must be >= 0`},
+		{"not a number", []string{"-workers", "many"}, 0, `invalid value "many" for flag -workers`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			n := AddWorkersFlag(fs)
+			err := fs.Parse(tt.args)
+			if tt.wantErr == "" {
+				if err != nil || *n != tt.want {
+					t.Fatalf("parse %v = %d, %v; want %d", tt.args, *n, err, tt.want)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("parse %v error = %v, want one containing %q", tt.args, err, tt.wantErr)
+			}
+		})
 	}
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -125,8 +123,6 @@ type sweepObs struct {
 	stackDerived *obs.Counter
 	tracePasses  *obs.Counter
 	passReused   *obs.Counter
-	shardedSims  *obs.Counter
-	stackSharded *obs.Counter
 }
 
 // passKey identifies one stack pass by trace content and geometry.
@@ -151,46 +147,18 @@ type Engine struct {
 }
 
 // EngineConfig tunes the engine's parallelism. The zero value of every
-// field means "keep the current setting" — package defaults at
-// construction (layered under the IMPACT_* environment overrides), or
-// whatever a previous Configure chose.
+// field means "keep the current setting" — the package default at
+// construction, or whatever a previous Configure chose.
 type EngineConfig struct {
-	// Workers caps the measurement pool: both the number of concurrent
-	// trace passes and the fan-out available for intra-trace sharding
-	// (set-sharded replay, banded stack passes). Zero means GOMAXPROCS;
-	// one forces strictly serial measurement.
+	// Workers caps the measurement pool: the number of concurrent
+	// trace passes. Zero means GOMAXPROCS; one forces strictly serial
+	// measurement.
 	Workers int
-	// ShardMinInstrs gates set-sharded single-config replay
-	// (cache.ShardSimulate) to traces at least this many instructions
-	// long. Env override: IMPACT_SHARD_MIN_INSTRS.
-	ShardMinInstrs uint64
-	// StackBandMinInstrs gates the banded Mattson stack pass
-	// (sweep.ShardRun) the same way. The stack pass does more work per
-	// trace word than a replay, so its default threshold is lower. Env
-	// override: IMPACT_STACK_BAND_MIN_INSTRS.
-	StackBandMinInstrs uint64
 }
 
-// envConfig reads the IMPACT_* tuning overrides.
-func envConfig() EngineConfig {
-	var cfg EngineConfig
-	if v, err := strconv.ParseUint(os.Getenv("IMPACT_SHARD_MIN_INSTRS"), 10, 64); err == nil {
-		cfg.ShardMinInstrs = v
-	}
-	if v, err := strconv.ParseUint(os.Getenv("IMPACT_STACK_BAND_MIN_INSTRS"), 10, 64); err == nil {
-		cfg.StackBandMinInstrs = v
-	}
-	if v, err := strconv.Atoi(os.Getenv("IMPACT_SWEEP_WORKERS")); err == nil {
-		cfg.Workers = v
-	}
-	return cfg
-}
-
-// NewEngine returns an empty engine tuned by the package defaults and
-// the IMPACT_* environment overrides.
+// NewEngine returns an empty engine tuned by the package defaults.
 func NewEngine() *Engine {
 	return &Engine{
-		cfg:    envConfig(),
 		memo:   make(map[simKey]cache.Stats),
 		passes: make(map[passKey]*sweep.StackPass),
 	}
@@ -204,40 +172,25 @@ func (e *Engine) Configure(cfg EngineConfig) {
 	if cfg.Workers != 0 {
 		e.cfg.Workers = cfg.Workers
 	}
-	if cfg.ShardMinInstrs != 0 {
-		e.cfg.ShardMinInstrs = cfg.ShardMinInstrs
-	}
-	if cfg.StackBandMinInstrs != 0 {
-		e.cfg.StackBandMinInstrs = cfg.StackBandMinInstrs
-	}
 }
 
 // Configure applies cfg to the shared engine backing the package-level
 // experiment entry points.
 func Configure(cfg EngineConfig) { sharedEngine.Configure(cfg) }
 
-// tuning resolves the effective settings for one batch. explicit
-// reports whether the worker count was requested (config or env)
-// rather than derived from GOMAXPROCS — an explicit 1 suppresses even
-// the unit pool's two-lane floor.
-func (e *Engine) tuning() (workers int, explicit bool, shardMin, bandMin uint64) {
+// tuning resolves the effective worker count for one batch. explicit
+// reports whether the count was configured rather than derived from
+// GOMAXPROCS — an explicit 1 suppresses even the unit pool's two-lane
+// floor.
+func (e *Engine) tuning() (workers int, explicit bool) {
 	e.mu.Lock()
-	cfg := e.cfg
+	workers = e.cfg.Workers
 	e.mu.Unlock()
-	workers = cfg.Workers
 	explicit = workers > 0
 	if workers < 1 {
-		workers = shardPool
+		workers = runtime.GOMAXPROCS(0)
 	}
-	shardMin = cfg.ShardMinInstrs
-	if shardMin == 0 {
-		shardMin = shardMinInstrs
-	}
-	bandMin = cfg.StackBandMinInstrs
-	if bandMin == 0 {
-		bandMin = stackBandMinInstrs
-	}
-	return workers, explicit, shardMin, bandMin
+	return workers, explicit
 }
 
 // sharedEngine backs every measurement in this package, so results are
@@ -260,8 +213,6 @@ func (e *Engine) AttachObs(r *obs.Registry) {
 		stackDerived: r.Counter("sweep.stack_pass_sizes"),
 		tracePasses:  r.Counter("sweep.trace_passes"),
 		passReused:   r.Counter("sweep.stack_pass_reused"),
-		shardedSims:  r.Counter("sweep.sharded_sims"),
-		stackSharded: r.Counter("sweep.stack_sharded"),
 	})
 }
 
@@ -374,15 +325,7 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 	}
 
 	units := e.plan(pending)
-	pool, explicit, shardMin, bandMin := e.tuning()
-	// Leftover pool parallelism shards individual trace passes by set
-	// band: with fewer units than workers, each unit may fan one trace
-	// across the idle workers (cache.ShardSimulate for replays,
-	// sweep.ShardRun for stack passes).
-	shardWorkers := 0
-	if n := len(units); n > 0 {
-		shardWorkers = pool / n
-	}
+	pool, explicit := e.tuning()
 	// The unit pool keeps its historical two-lane floor (trace passes
 	// interleave harmlessly and the timeline stays legible on one core)
 	// unless the caller explicitly asked for serial measurement.
@@ -393,7 +336,7 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 	results := make(map[simKey]cache.Stats, len(pending))
 	var resMu sync.Mutex
 	if err := runUnits(o, unitPool, units, func(u workUnit) error {
-		got, p, err := u.run(o, shardWorkers, shardMin, bandMin)
+		got, p, err := u.run()
 		if err != nil {
 			return err
 		}
@@ -509,50 +452,11 @@ func (e *Engine) passStats(k simKey) (cache.Stats, bool) {
 	return st, true
 }
 
-// shardPool is the parallelism available for intra-trace sharding.
-// Deliberately NOT floored at two like the unit pool: sharding splits
-// real simulation work, so on a single-core machine the skip-ahead and
-// merge overhead would only slow the batch down. Variable for tests.
-var shardPool = runtime.GOMAXPROCS(0)
-
-// shardMinInstrs is the default gate for set-sharded replay: traces
-// long enough that the per-worker replay amortises goroutine startup
-// and the per-run merge. Variable for tests; engine config and the
-// IMPACT_SHARD_MIN_INSTRS env override layer on top.
-var shardMinInstrs uint64 = 1 << 16
-
-// stackBandMinInstrs is the default gate for the banded stack pass.
-// The Mattson stack does more work per trace word than a replay
-// (distance search + histogram + exec claims), so banding pays for
-// itself on shorter traces; the threshold sits one octave below the
-// replay gate. Variable for tests; engine config and the
-// IMPACT_STACK_BAND_MIN_INSTRS env override layer on top.
-var stackBandMinInstrs uint64 = 1 << 15
-
 // run executes one trace pass and returns stats aligned with u.keys,
-// plus the stack pass for the engine to retain (nil for replays). With
-// spare pool parallelism the pass itself shards by set band: a stack
-// unit over a multi-set geometry runs one Mattson stack per band
-// (sweep.ShardRun), and a replay unit with a single shardable
-// organisation runs through the set-sharded simulator.
-func (u workUnit) run(o *sweepObs, shardWorkers int, shardMin, bandMin uint64) ([]cache.Stats, *sweep.StackPass, error) {
+// plus the stack pass for the engine to retain (nil for replays).
+func (u workUnit) run() ([]cache.Stats, *sweep.StackPass, error) {
 	if u.stack {
-		var p *sweep.StackPass
-		var err error
-		// nSets >= 2 guarantees at least two bands, so this branch never
-		// silently falls back to the serial pass under the counter.
-		if shardWorkers >= 2 && u.nSets >= 2 && u.tr.Instrs >= bandMin {
-			var reg *obs.Registry
-			if o != nil {
-				reg = o.reg
-			}
-			p, err = sweep.ShardRun(u.tr, u.blockBytes, u.nSets, shardWorkers, reg)
-			if err == nil && o != nil {
-				o.stackSharded.Inc()
-			}
-		} else {
-			p, err = sweep.Run(u.tr, u.blockBytes, u.nSets)
-		}
+		p, err := sweep.Run(u.tr, u.blockBytes, u.nSets)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -565,19 +469,6 @@ func (u workUnit) run(o *sweepObs, shardWorkers int, shardMin, bandMin uint64) (
 			out[i] = st
 		}
 		return out, p, nil
-	}
-	if len(u.keys) == 1 && shardWorkers >= 2 && u.tr.Instrs >= shardMin {
-		cfg := u.keys[0].cfg.config()
-		if cache.ShardEligible(cfg) {
-			st, err := cache.ShardSimulate(cfg, u.tr, shardWorkers)
-			if err != nil {
-				return nil, nil, err
-			}
-			if o != nil {
-				o.shardedSims.Inc()
-			}
-			return []cache.Stats{st}, nil, nil
-		}
 	}
 	cfgs := make([]cache.Config, len(u.keys))
 	for i, k := range u.keys {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"impact/internal/cache"
@@ -153,48 +154,11 @@ func TestFingerprintDistinguishesTraces(t *testing.T) {
 	}
 }
 
-// TestEngineStackSharded drives a stack-eligible geometry group through
-// an engine with spare parallelism: the group must run as a banded
-// stack pass (counter sweep.stack_sharded) and still answer every
-// organisation exactly like sequential cache.Simulate.
-func TestEngineStackSharded(t *testing.T) {
-	e := NewEngine()
-	e.Configure(EngineConfig{Workers: 8, StackBandMinInstrs: 1})
-	reg := obs.NewRegistry()
-	e.AttachObs(reg)
-	tr := sweepTestTrace(8, 2000)
-	// One geometry group (block 64, 16 sets) across the associativity
-	// ladder — the classic Table 8 shape the stack pass answers in one
-	// trace walk.
-	reqs := []SimRequest{
-		{tr, cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}},
-		{tr, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 2}},
-		{tr, cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 4}},
-	}
-	got, err := e.Batch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rq := range reqs {
-		want, err := cache.Simulate(rq.Config, rq.Trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Errorf("req %d %v: sharded stack %+v, sequential %+v", i, rq.Config, got[i], want)
-		}
-	}
-	if n := reg.Counter("sweep.stack_sharded").Value(); n == 0 {
-		t.Error("stack group with spare workers did not run the banded pass")
-	}
-}
-
 // TestEngineWorkersSerial pins that Workers: 1 measures strictly
-// serially — no sharded replays, no banded stack passes — with
-// unchanged results.
+// serially with unchanged results.
 func TestEngineWorkersSerial(t *testing.T) {
 	e := NewEngine()
-	e.Configure(EngineConfig{Workers: 1, StackBandMinInstrs: 1, ShardMinInstrs: 1})
+	e.Configure(EngineConfig{Workers: 1})
 	reg := obs.NewRegistry()
 	e.AttachObs(reg)
 	tr := sweepTestTrace(9, 1200)
@@ -213,33 +177,21 @@ func TestEngineWorkersSerial(t *testing.T) {
 			t.Errorf("req %d: serial engine %+v, sequential %+v", i, got[i], want)
 		}
 	}
-	if n := reg.Counter("sweep.stack_sharded").Value(); n != 0 {
-		t.Errorf("Workers:1 ran %d banded stack passes, want 0", n)
-	}
-	if n := reg.Counter("sweep.sharded_sims").Value(); n != 0 {
-		t.Errorf("Workers:1 ran %d sharded replays, want 0", n)
-	}
 }
 
-// TestEngineTuningLayers pins the three tuning layers: package
-// defaults, IMPACT_* environment overrides at construction, and
-// Configure on top (zero fields keeping the layer below).
+// TestEngineTuningLayers pins the worker-count layers: the GOMAXPROCS
+// default, Configure on top, and a zero field keeping the layer below.
 func TestEngineTuningLayers(t *testing.T) {
-	w, explicit, sm, bm := NewEngine().tuning()
-	if explicit || w != shardPool || sm != shardMinInstrs || bm != stackBandMinInstrs {
-		t.Errorf("defaults: got workers=%d explicit=%v shardMin=%d bandMin=%d", w, explicit, sm, bm)
-	}
-
-	t.Setenv("IMPACT_SWEEP_WORKERS", "3")
-	t.Setenv("IMPACT_SHARD_MIN_INSTRS", "456")
-	t.Setenv("IMPACT_STACK_BAND_MIN_INSTRS", "123")
 	e := NewEngine()
-	if w, explicit, sm, bm := e.tuning(); !explicit || w != 3 || sm != 456 || bm != 123 {
-		t.Errorf("env: got workers=%d explicit=%v shardMin=%d bandMin=%d", w, explicit, sm, bm)
+	if w, explicit := e.tuning(); explicit || w != runtime.GOMAXPROCS(0) {
+		t.Errorf("default: got workers=%d explicit=%v, want GOMAXPROCS and implicit", w, explicit)
 	}
-
 	e.Configure(EngineConfig{Workers: 5})
-	if w, _, sm, bm := e.tuning(); w != 5 || sm != 456 || bm != 123 {
-		t.Errorf("configure: got workers=%d shardMin=%d bandMin=%d, want 5/456/123", w, sm, bm)
+	if w, explicit := e.tuning(); !explicit || w != 5 {
+		t.Errorf("configure: got workers=%d explicit=%v, want 5 and explicit", w, explicit)
+	}
+	e.Configure(EngineConfig{})
+	if w, _ := e.tuning(); w != 5 {
+		t.Errorf("zero config: got workers=%d, want 5 kept", w)
 	}
 }

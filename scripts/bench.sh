@@ -34,11 +34,9 @@
 # (wall_seconds, which includes the one-time suite preparation). The
 # default pattern covers the table benchmarks, the BenchmarkAnalyze
 # family (static analyzer priced against the trace-driven simulator,
-# incremental re-analysis, and the page-level BenchmarkAnalyzePages), and
-# the streaming pair (BenchmarkStreamSimulate: generate-and-simulate
-# with no materialized trace; BenchmarkShardSimulate: the set-sharded
-# simulator), and the multi-core pair (BenchmarkStackPassSharded: the
-# banded stack pass; BenchmarkSearchParallel: the portfolio search).
+# incremental re-analysis, and the page-level BenchmarkAnalyzePages),
+# BenchmarkStreamSimulate (generate-and-simulate with no materialized
+# trace), and BenchmarkSearchParallel (the portfolio search).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,7 +68,7 @@ fi
 
 SCALE="${IMPACT_BENCH_SCALE:-0.25}"
 BENCHTIME="${BENCHTIME:-3x}"
-PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Shard|Stack|Search)}"
+PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Search)}"
 if [ "$MODE" = compare ]; then
     OUT="$(mktemp /tmp/bench.XXXXXX.json)"
 else

@@ -1,5 +1,5 @@
 // Command lint is the repository's stdlib-only source linter, run in
-// CI next to gofmt and go vet. It enforces five local conventions:
+// CI next to gofmt and go vet. It enforces six local conventions:
 //
 //   - fmt.Print/Printf/Println are forbidden outside cmd/, examples/,
 //     scripts/, and test files: library packages report through
@@ -25,6 +25,9 @@
 //     Randomness comes from seeded internal/xrand; a time.Now() used
 //     for timing spans or progress carries a //lint:walltime <reason>
 //     waiver (see walltime.go).
+//   - docs/OBSERVABILITY.md lists exactly the metric and lane names
+//     the code registers: an undocumented counter and a documented
+//     name nothing registers are both errors (see obsnames.go).
 //
 // Usage: go run ./scripts/lint [root]  (root defaults to ".")
 package main
@@ -73,6 +76,7 @@ func main() {
 		os.Exit(1)
 	}
 	problems = append(problems, lintMapRange(root)...)
+	problems = append(problems, lintObsInventory(root)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
