@@ -296,7 +296,8 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 }
 
 // BenchmarkAblationMinProb runs ablation A3: MIN_PROB sensitivity on a
-// three-benchmark subset (it re-runs the pipeline per threshold).
+// three-benchmark subset (it re-runs steps 3-5 on the prepared profile
+// per threshold).
 func BenchmarkAblationMinProb(b *testing.B) {
 	s := benchSuite(b)
 	small := &experiments.Suite{Items: []*experiments.Prepared{

@@ -4,14 +4,16 @@
 //
 // Usage:
 //
-//	icexp [-scale 1.0] [-tables 1,2,3,...] [-ablations] [-extensions]
+//	icexp [-scale 1.0] [-tables 1,2,3,...|none] [-ablations] [-extensions]
 //	      [-analyze] [-search] [-report] [-check off|warn|strict]
 //	      [-page-bytes 4096] [-frames 8]
 //	      [-workers N] [-v] [-metrics-out m.json] [-trace-out t.json]
 //	      [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //
 // -scale multiplies the dynamic trace lengths (1.0 reproduces the
-// default experiment; smaller values give quick approximate runs).
+// default experiment; smaller values give quick approximate runs); it
+// must be a finite number above zero. -tables selects the paper's
+// tables (1-9) to produce, or none; anything else is a usage error.
 // -check enables the internal/check pipeline verifier during suite
 // preparation (see docs/VERIFICATION.md); strict mode fails on any
 // invariant violation. -analyze runs the static cache-behavior
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,8 +48,12 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "dynamic trace length multiplier")
-	tables := flag.String("tables", "1,2,3,4,5,6,7,8,9", "comma-separated table numbers to produce")
+	scale := cliutil.AddScaleFlag(flag.CommandLine)
+	want := tableSet{}
+	for t := 1; t <= 9; t++ {
+		want[strconv.Itoa(t)] = true
+	}
+	flag.Var(want, "tables", "comma-separated table `numbers` (1-9) to produce, or none")
 	ablations := flag.Bool("ablations", false, "also run the ablation studies (A1-A3, A5, A6; A4 is bench-only)")
 	extensions := flag.Bool("extensions", false, "also run the extension experiments (E1 timing, E2 paging, E3 prefetch, E4 hierarchy, E5 extended suite)")
 	analyze := flag.Bool("analyze", false, "also run the static must/may analyzer and check its bounds against the simulator")
@@ -65,11 +72,6 @@ func main() {
 		fatal(err)
 	}
 	experiments.Configure(experiments.EngineConfig{Workers: *workers})
-
-	want := map[string]bool{}
-	for _, t := range strings.Split(*tables, ",") {
-		want[strings.TrimSpace(t)] = true
-	}
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "preparing benchmark suite (scale %.2f)...\n", *scale)
@@ -292,6 +294,36 @@ func main() {
 		run, stack, passes, memo, reused)
 	fmt.Fprintf(os.Stderr, "total time %v\n", time.Since(start).Round(time.Millisecond))
 	common.MustClose()
+}
+
+// tableSet is the -tables flag: the paper's table numbers to produce.
+// "none" selects no table; any other entry is a usage error.
+type tableSet map[string]bool
+
+func (t tableSet) String() string {
+	var ns []string
+	for n := 1; n <= 9; n++ {
+		if t[strconv.Itoa(n)] {
+			ns = append(ns, strconv.Itoa(n))
+		}
+	}
+	if len(ns) == 0 {
+		return "none"
+	}
+	return strings.Join(ns, ",")
+}
+
+func (t tableSet) Set(s string) error {
+	clear(t)
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if n, err := strconv.Atoi(f); err == nil && n >= 1 && n <= 9 {
+			t[strconv.Itoa(n)] = true
+		} else if f != "none" {
+			return fmt.Errorf("unknown table %q (want 1-9 or none)", f)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -118,8 +118,7 @@ func fatal(err error) {
 
 func benchFlag(fs *flag.FlagSet) (*string, *float64) {
 	name := fs.String("bench", "", "benchmark name (see `impact list`)")
-	scale := fs.Float64("scale", 1.0, "dynamic trace length multiplier")
-	return name, scale
+	return name, cliutil.AddScaleFlag(fs)
 }
 
 func mustBench(name string, scale float64) *workload.Benchmark {

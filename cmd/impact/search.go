@@ -24,7 +24,7 @@ import (
 // the miss bound so it can never trade cache misses for page faults.
 func cmdSearch(args []string) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
-	scale := fs.Float64("scale", 1.0, "dynamic trace length multiplier")
+	scale := cliutil.AddScaleFlag(fs)
 	bench := fs.String("bench", "", "restrict to one benchmark (default: whole suite)")
 	seed := fs.Uint64("seed", 1, "search RNG seed")
 	budget := fs.Int("budget", search.DefaultBudget, "evaluation budget per restart")

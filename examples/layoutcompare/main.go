@@ -61,11 +61,18 @@ func main() {
 	}
 	traces["random"] = rndTr
 
+	// Profile once: the full strategy inlines, so the profiled value
+	// holds the input and the inlined program with their weights, and
+	// every strategy only places them.
+	cfg := core.DefaultConfig(b.ProfileSeeds...)
+	cfg.Interp = b.InterpConfig()
+	prof, err := core.Profile(b.Prog, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, s := range strategies {
-		cfg := core.DefaultConfig(b.ProfileSeeds...)
-		cfg.Interp = b.InterpConfig()
 		cfg.Strategy = s.st
-		res, err := core.Optimize(b.Prog, cfg)
+		res, err := core.Place(prof, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@ package integration
 // once into a temp dir and driven exactly as a user would drive them.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -151,6 +152,50 @@ func TestImpactSearchRejectsNegativeWorkers(t *testing.T) {
 	}
 	if strings.Contains(string(out), "panic") {
 		t.Errorf("impact search panicked:\n%s", out)
+	}
+}
+
+// TestCommandsRejectGarbageFlags: a -scale that is not a finite
+// number above zero, or an unknown table number, is a usage error
+// (exit status 2) naming the flag — not a silently truncated or
+// substituted run, and not a panic.
+func TestCommandsRejectGarbageFlags(t *testing.T) {
+	tests := []struct {
+		name    string
+		tool    string
+		args    []string
+		wantMsg string
+	}{
+		{"simulate nan scale", "impact", []string{"simulate", "-bench", "grep", "-scale", "nan"},
+			`invalid value "nan" for flag -scale: scale must be a finite number > 0`},
+		{"simulate inf scale", "impact", []string{"simulate", "-bench", "grep", "-scale", "inf"},
+			`invalid value "inf" for flag -scale: scale must be a finite number > 0`},
+		{"simulate negative scale", "impact", []string{"simulate", "-bench", "grep", "-scale", "-3"},
+			`invalid value "-3" for flag -scale: scale must be a finite number > 0`},
+		{"search nan scale", "impact", []string{"search", "-bench", "grep", "-scale", "nan"},
+			`invalid value "nan" for flag -scale: scale must be a finite number > 0`},
+		{"icexp zero scale", "icexp", []string{"-scale", "0"},
+			`invalid value "0" for flag -scale: scale must be a finite number > 0`},
+		{"icexp unknown table", "icexp", []string{"-scale", "0.02", "-tables", "nosuch"},
+			`invalid value "nosuch" for flag -tables: unknown table "nosuch"`},
+		{"icexp table out of range", "icexp", []string{"-scale", "0.02", "-tables", "1,10"},
+			`invalid value "1,10" for flag -tables: unknown table "10"`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(binaries(t), tt.tool), tt.args...)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s %v: err %v, want exit status 2:\n%s", tt.tool, tt.args, err, out)
+			}
+			if !strings.Contains(string(out), tt.wantMsg) {
+				t.Errorf("missing %q:\n%s", tt.wantMsg, out)
+			}
+			if strings.Contains(string(out), "panic") {
+				t.Errorf("%s panicked:\n%s", tt.tool, out)
+			}
+		})
 	}
 }
 

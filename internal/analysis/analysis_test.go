@@ -214,23 +214,53 @@ func TestBoundsAssociativityRelief(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsUnsupported has one row per input and config
+// rejection of Analyze and NewIncremental — a cache outside the
+// abstract model (non-LRU replacement, sectoring, partial loading,
+// prefetching), an invalid geometry, weights of another program and a
+// layout with no code — plus valid rows.
 func TestAnalyzeRejectsUnsupported(t *testing.T) {
 	p, w := buildLoopProgram(t)
 	lay := layout.Natural(p)
-	cases := []struct {
-		name string
-		cfg  cache.Config
-		want string
+	// A program with no functions: its layout places no code.
+	empty := &ir.Program{Entry: ir.NoFunc}
+	dm := cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1}
+	tests := []struct {
+		name    string
+		lay     *layout.Layout
+		w       *profile.Weights
+		cfg     cache.Config
+		wantErr string // "" means the analysis runs
 	}{
-		{"fifo", cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO}, "replacement"},
-		{"sector", cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, SectorBytes: 16}, "sector"},
-		{"partial", cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PartialLoad: true}, "partial"},
-		{"prefetch", cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PrefetchNext: true}, "prefetch"},
+		{"fifo", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO}, "fifo replacement is outside the abstract cache model"},
+		{"random", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.RandomRepl}, "replacement is outside the abstract cache model"},
+		{"sector", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, SectorBytes: 16}, "sectored fills"},
+		{"partial", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PartialLoad: true}, "partial loading"},
+		{"prefetch", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PrefetchNext: true}, "prefetching"},
+		{"invalid geometry", lay, w, cache.Config{SizeBytes: 1000, BlockBytes: 32, Assoc: 1}, "not a positive power of two"},
+		{"zero geometry", lay, w, cache.Config{}, "not a positive power of two"},
+		{"weights of another program", lay, profile.NewWeights(empty), dm, "weights cover 0 funcs, program has 2"},
+		{"layout with no code", layout.Natural(empty), profile.NewWeights(empty), dm, "layout places no code"},
+		{"direct-mapped", lay, w, dm, ""},
+		{"fully associative", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 0}, ""},
 	}
-	for _, c := range cases {
-		if _, err := Analyze(lay, w, Config{Cache: c.cfg}); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			res, err := Analyze(tt.lay, tt.w, Config{Cache: tt.cfg})
+			inc, ierr := NewIncremental(tt.lay, tt.w, Config{Cache: tt.cfg})
+			if tt.wantErr == "" {
+				if err != nil || res == nil || ierr != nil || inc == nil {
+					t.Fatalf("Analyze = %v, NewIncremental = %v; want success", err, ierr)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) || res != nil {
+				t.Errorf("Analyze = %v, want an error containing %q", err, tt.wantErr)
+			}
+			if ierr == nil || err == nil || ierr.Error() != err.Error() || inc != nil {
+				t.Errorf("NewIncremental = %v, want the Analyze error", ierr)
+			}
+		})
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -190,6 +191,33 @@ func (w *workersValue) Set(s string) error {
 		return errors.New("worker count must be >= 0 (0 = GOMAXPROCS, 1 = serial)")
 	}
 	*w = workersValue(n)
+	return nil
+}
+
+// AddScaleFlag registers the shared -scale flag: the multiplier on
+// every benchmark's dynamic trace length, 1.0 reproducing the default
+// experiment. Anything but a finite number above zero is rejected at
+// parse time.
+func AddScaleFlag(fs *flag.FlagSet) *float64 {
+	s := 1.0
+	fs.Var((*scaleValue)(&s), "scale", "dynamic trace length `multiplier` (> 0; 1.0 = the default experiment)")
+	return &s
+}
+
+// scaleValue is the -scale flag: a finite float64 above zero.
+type scaleValue float64
+
+func (s *scaleValue) String() string { return strconv.FormatFloat(float64(*s), 'g', -1, 64) }
+
+func (s *scaleValue) Set(v string) error {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return errors.New("not a number")
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) || f <= 0 {
+		return errors.New("scale must be a finite number > 0")
+	}
+	*s = scaleValue(f)
 	return nil
 }
 

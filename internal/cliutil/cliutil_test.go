@@ -91,3 +91,45 @@ func TestWorkersFlag(t *testing.T) {
 		})
 	}
 }
+
+// TestScaleFlag pins the -scale contract: a finite number above zero
+// parses; zero, negatives, NaN, infinities (spelled out or overflowing)
+// and non-numbers are rejected at parse time with an error that names
+// the flag, instead of running some other scale.
+func TestScaleFlag(t *testing.T) {
+	tests := []struct {
+		name    string
+		args    []string
+		want    float64
+		wantErr string // "" means the parse succeeds
+	}{
+		{"default", nil, 1, ""},
+		{"quarter", []string{"-scale", "0.25"}, 0.25, ""},
+		{"exponent", []string{"-scale=2e-2"}, 0.02, ""},
+		{"zero", []string{"-scale", "0"}, 0, `invalid value "0" for flag -scale: scale must be a finite number > 0`},
+		{"negative", []string{"-scale", "-3"}, 0, `invalid value "-3" for flag -scale: scale must be a finite number > 0`},
+		{"nan", []string{"-scale", "nan"}, 0, `invalid value "nan" for flag -scale: scale must be a finite number > 0`},
+		{"inf", []string{"-scale", "inf"}, 0, `invalid value "inf" for flag -scale: scale must be a finite number > 0`},
+		{"negative inf", []string{"-scale", "-Inf"}, 0, `invalid value "-Inf" for flag -scale: scale must be a finite number > 0`},
+		{"overflow", []string{"-scale", "1e400"}, 0, `invalid value "1e400" for flag -scale: scale must be a finite number > 0`},
+		{"underflow", []string{"-scale", "1e-400"}, 0, `invalid value "1e-400" for flag -scale: scale must be a finite number > 0`},
+		{"not a number", []string{"-scale", "big"}, 0, `invalid value "big" for flag -scale: not a number`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			s := AddScaleFlag(fs)
+			err := fs.Parse(tt.args)
+			if tt.wantErr == "" {
+				if err != nil || *s != tt.want {
+					t.Fatalf("parse %v = %g, %v; want %g", tt.args, *s, err, tt.want)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("parse %v error = %v, want one containing %q", tt.args, err, tt.wantErr)
+			}
+		})
+	}
+}

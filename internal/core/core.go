@@ -11,11 +11,16 @@
 // re-measured profile, and a memory layout in which sequential and
 // spatial localities are maximised and cache mapping conflicts
 // minimised. Each step can be disabled independently (Strategy) for
-// the ablation experiments.
+// the ablation experiments. Optimize is Profile (steps 1-2, the only
+// steps that interpret the program) followed by Place (steps 3-5);
+// callers that place one program several ways profile it once and
+// call Place per variant.
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"impact/internal/analysis"
 	"impact/internal/check"
@@ -173,10 +178,72 @@ type Result struct {
 	Ledger *Ledger
 }
 
-// Optimize runs the configured pipeline steps on p.
-func Optimize(p *ir.Program, cfg Config) (*Result, error) {
+// Profiled is the outcome of the pipeline's profiling half, steps 1
+// and 2: the measured weights steps 3-5 consume, together with the
+// configuration they were measured with. Profile produces it and
+// Place consumes it, so pipeline variants that differ only in what
+// they place — trace selection threshold, global order, cold split,
+// inlining on or off — share one profiling session instead of
+// interpreting the profiling inputs again. A Profiled value is
+// read-only: every Result placed on it shares its programs and
+// weights.
+type Profiled struct {
+	// Input is the program as given and OrigWeights its profile.
+	Input       *ir.Program
+	OrigWeights *profile.Weights
+	// Inlined is Input after step 2 and Weights its re-measured
+	// profile; both are nil when profiling ran without inlining.
+	Inlined *ir.Program
+	Weights *profile.Weights
+	// InlineReport describes step 2 (zero value without inlining).
+	InlineReport inline.Report
+
+	// ProfileSeeds, Interp and Inline are the configuration the
+	// weights were measured with, Inline after defaulting. Place
+	// rejects a Config that asks for different ones.
+	ProfileSeeds []uint64
+	Interp       interp.Config
+	Inline       inline.Config
+}
+
+// ErrProfileMismatch is wrapped by the error Place returns when its
+// Config asks for a profile the Profiled value does not hold.
+var ErrProfileMismatch = errors.New("config does not match the profiled value")
+
+// placed returns the program steps 3-5 run on and its profile: the
+// inlined pair when inlined is set, the input pair otherwise.
+func (pr *Profiled) placed(inlined bool) (*ir.Program, *profile.Weights) {
+	if inlined {
+		return pr.Inlined, pr.Weights
+	}
+	return pr.Input, pr.OrigWeights
+}
+
+// serves returns an error wrapping ErrProfileMismatch unless pr holds
+// the profile the normalized cfg asks for.
+func (pr *Profiled) serves(cfg Config) error {
+	switch {
+	case !slices.Equal(cfg.ProfileSeeds, pr.ProfileSeeds):
+		return fmt.Errorf("core: %w: profiling seeds %v, profiled with %v",
+			ErrProfileMismatch, cfg.ProfileSeeds, pr.ProfileSeeds)
+	case cfg.Interp != pr.Interp:
+		return fmt.Errorf("core: %w: interp config %+v, profiled with %+v",
+			ErrProfileMismatch, cfg.Interp, pr.Interp)
+	case cfg.Inline != pr.Inline:
+		return fmt.Errorf("core: %w: inline config %+v, profiled with %+v",
+			ErrProfileMismatch, cfg.Inline, pr.Inline)
+	case cfg.Strategy.Inline && pr.Inlined == nil:
+		return fmt.Errorf("core: %w: the strategy inlines, but the value was profiled without inlining",
+			ErrProfileMismatch)
+	}
+	return nil
+}
+
+// normalize rejects a Config without profiling seeds and fills in the
+// MinProb and Inline defaults.
+func normalize(cfg Config) (Config, error) {
 	if len(cfg.ProfileSeeds) == 0 {
-		return nil, fmt.Errorf("core: no profiling seeds configured")
+		return cfg, fmt.Errorf("core: no profiling seeds configured")
 	}
 	if cfg.MinProb == 0 {
 		cfg.MinProb = traceselect.DefaultMinProb
@@ -184,59 +251,134 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 	if cfg.Inline == (inline.Config{}) {
 		cfg.Inline = inline.DefaultConfig()
 	}
-	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
+	return cfg, nil
+}
 
-	pipe := cfg.Obs.SpanOn(cfg.Lane, "pipeline")
-	defer pipe.End()
-	cfg.Obs.Counter("pipeline.runs").Inc()
+// run is the state one pipeline invocation threads through its
+// stages: the root span, the verifier's report and the ledger.
+type run struct {
+	cfg    Config
+	pipe   *obs.Span
+	checks *check.Report
+	led    *Ledger
+}
 
-	var led *Ledger
-	if cfg.Ledger {
-		led = &Ledger{}
-	}
-
-	// Pipeline verification (internal/check): each stage hands the
-	// verifier a Unit snapshot; in Strict mode an error-severity
-	// diagnostic aborts the run.
-	var checks *check.Report
+func newRun(cfg Config) *run {
+	r := &run{cfg: cfg, pipe: cfg.Obs.SpanOn(cfg.Lane, "pipeline")}
 	if cfg.Check != check.Off {
-		checks = &check.Report{}
+		r.checks = &check.Report{}
 	}
-	verify := func(u *check.Unit) error {
-		if cfg.Check == check.Off {
-			return nil
-		}
-		vs := pipe.Span("check")
-		rep := check.Run(u, check.ForStage(u.Stage), cfg.Obs)
-		vs.End()
-		checks.Merge(rep)
-		if cfg.Check == check.Strict {
-			if err := rep.Err(); err != nil {
-				return fmt.Errorf("core: %s stage failed verification: %w", u.Stage, err)
-			}
-		}
+	if cfg.Ledger {
+		r.led = &Ledger{}
+	}
+	return r
+}
+
+// verify is pipeline verification (internal/check): each stage hands
+// the verifier a Unit snapshot; in Strict mode an error-severity
+// diagnostic aborts the run.
+func (r *run) verify(u *check.Unit) error {
+	if r.cfg.Check == check.Off {
 		return nil
 	}
+	vs := r.pipe.Span("check")
+	rep := check.Run(u, check.ForStage(u.Stage), r.cfg.Obs)
+	vs.End()
+	r.checks.Merge(rep)
+	if r.cfg.Check == check.Strict {
+		if err := rep.Err(); err != nil {
+			return fmt.Errorf("core: %s stage failed verification: %w", u.Stage, err)
+		}
+	}
+	return nil
+}
+
+// Optimize runs the configured pipeline steps on p: the profiling half
+// (Profile) and the placement half (Place) in sequence, under one
+// pipeline span.
+func Optimize(p *ir.Program, cfg Config) (*Result, error) {
+	cfg, err := normalize(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := newRun(cfg)
+	defer r.pipe.End()
+	cfg.Obs.Counter("pipeline.runs").Inc()
+	pr, err := r.profile(p)
+	if err != nil {
+		return nil, err
+	}
+	return r.place(pr)
+}
+
+// Profile runs the pipeline's profiling half on p: step 1, then step
+// 2 with its re-profile when cfg.Strategy.Inline is set. It only
+// measures. Place verifies the profiled stages under its own
+// Config.Check and records their ledger rows, so Place(Profile(p,
+// cfg), cfg) returns what Optimize(p, cfg) returns; Profile ignores
+// Check, Ledger and every field that only steps 3-5 read.
+func Profile(p *ir.Program, cfg Config) (*Profiled, error) {
+	cfg, err := normalize(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Check, cfg.Ledger = check.Off, false
+	r := newRun(cfg)
+	defer r.pipe.End()
+	return r.profile(p)
+}
+
+// Place runs the pipeline's placement half on a profiled value: steps
+// 3-5 and the optional search, analysis and pages stages, on the
+// inlined program when cfg.Strategy.Inline is set and on the input
+// program otherwise. It interprets nothing. cfg must ask for the
+// profile pr holds — the same ProfileSeeds, Interp and Inline
+// configuration, and an inlined program when the strategy inlines —
+// or Place returns an error wrapping ErrProfileMismatch instead of
+// placing on weights measured under other inputs.
+func Place(pr *Profiled, cfg Config) (*Result, error) {
+	cfg, err := normalize(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := pr.serves(cfg); err != nil {
+		return nil, err
+	}
+	r := newRun(cfg)
+	defer r.pipe.End()
+	cfg.Obs.Counter("pipeline.runs").Inc()
+	if err := r.acceptInput(pr); err != nil {
+		return nil, err
+	}
+	if err := r.acceptInline(pr); err != nil {
+		return nil, err
+	}
+	return r.place(pr)
+}
+
+// profile runs steps 1 and 2, verifying each stage and recording its
+// ledger row as soon as it completes.
+func (r *run) profile(p *ir.Program) (*Profiled, error) {
+	cfg := r.cfg
+	pr := &Profiled{Input: p, ProfileSeeds: slices.Clone(cfg.ProfileSeeds), Interp: cfg.Interp, Inline: cfg.Inline}
+	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
 
 	// Step 1: execution profiling.
-	sp := pipe.Span("profile")
-	origW, _, err := profile.Profile(p, profCfg)
+	sp := r.pipe.Span("profile")
+	var err error
+	pr.OrigWeights, _, err = profile.Profile(p, profCfg)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling input program: %w", err)
 	}
-	if err := verify(&check.Unit{Stage: check.StageInput, Prog: p, Weights: origW}); err != nil {
+	if err := r.acceptInput(pr); err != nil {
 		return nil, err
 	}
-	led.capture("input", layout.Natural(p), origW)
 
 	// Step 2: function inline expansion.
-	prog := p
-	var inlineRep inline.Report
-	w := origW
 	if cfg.Strategy.Inline {
-		sp = pipe.Span("inline")
-		prog, inlineRep, err = inline.Expand(p, origW, cfg.Inline)
+		sp = r.pipe.Span("inline")
+		pr.Inlined, pr.InlineReport, err = inline.Expand(p, pr.OrigWeights, cfg.Inline)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("core: inline expansion: %w", err)
@@ -244,40 +386,73 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		// Re-profile the transformed program with the same inputs;
 		// IMPACT-I instead propagates weights through the transform,
 		// which is equivalent but harder to verify (see DESIGN.md).
-		w, _, err = profile.Profile(prog, profCfg)
+		pr.Weights, _, err = profile.Profile(pr.Inlined, profCfg)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)
 		}
-		cfg.Obs.Counter("pipeline.inline.sites_inlined").Add(uint64(inlineRep.SitesInlined))
-		if err := verify(&check.Unit{
+		cfg.Obs.Counter("pipeline.inline.sites_inlined").Add(uint64(pr.InlineReport.SitesInlined))
+	}
+	if err := r.acceptInline(pr); err != nil {
+		return nil, err
+	}
+	return pr, nil
+}
+
+// acceptInput verifies the profiled input program and records the
+// ledger's "input" row.
+func (r *run) acceptInput(pr *Profiled) error {
+	if err := r.verify(&check.Unit{Stage: check.StageInput, Prog: pr.Input, Weights: pr.OrigWeights}); err != nil {
+		return err
+	}
+	if r.led != nil {
+		r.led.capture("input", layout.Natural(pr.Input), pr.OrigWeights)
+	}
+	return nil
+}
+
+// acceptInline verifies step 2 when the run inlines and records the
+// ledger's "inline" row.
+func (r *run) acceptInline(pr *Profiled) error {
+	prog, w := pr.placed(r.cfg.Strategy.Inline)
+	if r.cfg.Strategy.Inline {
+		if err := r.verify(&check.Unit{
 			Stage: check.StageInline, Prog: prog, Weights: w,
-			Before: p, BeforeWeights: origW, Inline: &inlineRep,
+			Before: pr.Input, BeforeWeights: pr.OrigWeights, Inline: &pr.InlineReport,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
 	// After inlining the program still has its natural layout; the
 	// ledger row prices the code growth and the locality of the
 	// re-measured profile before any reordering. When inlining is
 	// disabled the row repeats "input" (zero delta).
-	led.capture("inline", layout.Natural(prog), w)
+	if r.led != nil {
+		r.led.capture("inline", layout.Natural(prog), w)
+	}
+	return nil
+}
 
+// place runs steps 3-5 and the optional stages on pr.
+func (r *run) place(pr *Profiled) (*Result, error) {
+	cfg := r.cfg
+	prog, w := pr.placed(cfg.Strategy.Inline)
 	res := &Result{
-		Prog:         prog,
-		Weights:      w,
-		OrigWeights:  origW,
-		InlineReport: inlineRep,
-		TotalBytes:   prog.Bytes(),
-		Checks:       checks,
-		Ledger:       led,
+		Prog:        prog,
+		Weights:     w,
+		OrigWeights: pr.OrigWeights,
+		TotalBytes:  prog.Bytes(),
+		Checks:      r.checks,
+		Ledger:      r.led,
+	}
+	if cfg.Strategy.Inline {
+		res.InlineReport = pr.InlineReport
 	}
 
 	// Step 3: trace selection. (Step 4 consumes only its own
 	// function's selection, so the two steps run as separate passes —
 	// which also gives each a clean timing span.)
-	sp = pipe.Span("traceselect")
+	sp := r.pipe.Span("traceselect")
 	res.Traces = make([]traceselect.Result, len(prog.Funcs))
 	res.Orders = make([]funclayout.Order, len(prog.Funcs))
 	var tracesFormed int
@@ -294,23 +469,23 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 	}
 	sp.End()
 	cfg.Obs.Counter("pipeline.traceselect.traces").Add(uint64(tracesFormed))
-	if err := verify(&check.Unit{
+	if err := r.verify(&check.Unit{
 		Stage: check.StageTrace, Prog: prog, Weights: w,
 		Traces: res.Traces, MinProb: cfg.MinProb,
 		TraceLayout: cfg.Strategy.TraceLayout,
 	}); err != nil {
 		return nil, err
 	}
-	if led != nil {
+	if r.led != nil {
 		lay, err := layout.FromPlacement(prog, traceSelectionPlacement(prog, res.Traces))
 		if err != nil {
 			return nil, fmt.Errorf("core: ledger traceselect layout: %w", err)
 		}
-		led.capture("traceselect", lay, w)
+		r.led.capture("traceselect", lay, w)
 	}
 
 	// Step 4: function body layout.
-	sp = pipe.Span("funclayout")
+	sp = r.pipe.Span("funclayout")
 	var blocksMoved int
 	for _, f := range prog.Funcs {
 		fw := &w.Funcs[f.ID]
@@ -328,7 +503,7 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 	}
 	sp.End()
 	cfg.Obs.Counter("pipeline.funclayout.blocks_moved").Add(uint64(blocksMoved))
-	if led != nil {
+	if r.led != nil {
 		var pl layout.Placement
 		for _, f := range prog.Funcs {
 			for _, b := range res.Orders[f.ID].Blocks {
@@ -339,11 +514,11 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: ledger funclayout layout: %w", err)
 		}
-		led.capture("funclayout", lay, w)
+		r.led.capture("funclayout", lay, w)
 	}
 
 	// Step 5: global layout.
-	sp = pipe.Span("globallayout")
+	sp = r.pipe.Span("globallayout")
 	if cfg.Strategy.GlobalDFS {
 		if cfg.Strategy.PettisHansen {
 			res.GlobalOrder = globallayout.PettisHansen(prog, w)
@@ -367,7 +542,7 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 	cfg.Obs.Counter("pipeline.globallayout.funcs_moved").Add(uint64(funcsMoved))
 
 	// Compose the final placement.
-	sp = pipe.Span("compose")
+	sp = r.pipe.Span("compose")
 	var pl layout.Placement
 	if cfg.Strategy.SplitCold {
 		// Effective regions of all functions in global order, then the
@@ -391,14 +566,15 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 			}
 		}
 	}
+	var err error
 	res.Layout, err = layout.FromPlacement(prog, pl)
 	if err != nil {
 		return nil, fmt.Errorf("core: composing layout: %w", err)
 	}
 	sp.End()
 	cfg.Obs.Counter("pipeline.compose.blocks_placed").Add(uint64(len(pl.Order)))
-	led.capture("globallayout", res.Layout, w)
-	if err := verify(&check.Unit{
+	r.led.capture("globallayout", res.Layout, w)
+	if err := r.verify(&check.Unit{
 		Stage: check.StageLayout, Prog: prog, Weights: w,
 		Traces: res.Traces, MinProb: cfg.MinProb,
 		Orders: res.Orders, Global: &res.GlobalOrder,
@@ -418,7 +594,7 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		if scfg.Lane == 0 {
 			scfg.Lane = cfg.Lane
 		}
-		sp = pipe.Span("search")
+		sp = r.pipe.Span("search")
 		res.Search, err = search.Optimize(search.Input{
 			Prog: prog, Weights: w,
 			Orders: res.Orders, Global: res.GlobalOrder,
@@ -431,7 +607,7 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		if res.Search.Improved {
 			res.GlobalOrder = res.Search.Order
 			res.Layout = res.Search.Layout
-			if err := verify(&check.Unit{
+			if err := r.verify(&check.Unit{
 				Stage: check.StageSearch, Prog: prog, Weights: w,
 				Traces: res.Traces, MinProb: cfg.MinProb,
 				Orders: res.Orders, Global: &res.GlobalOrder,
@@ -440,7 +616,7 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 			}); err != nil {
 				return nil, err
 			}
-			led.capture("search", res.Layout, w)
+			r.led.capture("search", res.Layout, w)
 		}
 	}
 
@@ -453,13 +629,13 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		if acfg.Lane == 0 {
 			acfg.Lane = cfg.Lane
 		}
-		sp = pipe.Span("analysis")
+		sp = r.pipe.Span("analysis")
 		res.Analysis, err = analysis.Analyze(res.Layout, w, acfg)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: static cache analysis: %w", err)
 		}
-		if err := verify(&check.Unit{
+		if err := r.verify(&check.Unit{
 			Stage: check.StageAnalysis, Prog: prog, Weights: w,
 			Layout: res.Layout, Analysis: res.Analysis,
 		}); err != nil {
@@ -476,13 +652,13 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		if pcfg.Lane == 0 {
 			pcfg.Lane = cfg.Lane
 		}
-		sp = pipe.Span("pages")
+		sp = r.pipe.Span("pages")
 		res.Pages, err = analysis.AnalyzePages(res.Layout, w, pcfg)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: static page analysis: %w", err)
 		}
-		if err := verify(&check.Unit{
+		if err := r.verify(&check.Unit{
 			Stage: check.StagePaging, Prog: prog, Weights: w,
 			Layout: res.Layout, Pages: res.Pages,
 		}); err != nil {

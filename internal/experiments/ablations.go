@@ -20,6 +20,13 @@ import (
 // LayoutStrategies names the A1 ablation arms, in presentation order.
 var LayoutStrategies = []string{"natural", "random", "trace-only", "no-inline", "no-split", "full"}
 
+// partialStrategies are the A1 arms that run part of the pipeline.
+var partialStrategies = map[string]core.Strategy{
+	"trace-only": {TraceLayout: true},
+	"no-inline":  {TraceLayout: true, GlobalDFS: true, SplitCold: true},
+	"no-split":   {Inline: true, TraceLayout: true, GlobalDFS: true},
+}
+
 // AblationLayoutRow holds one benchmark's miss ratio per strategy.
 type AblationLayoutRow struct {
 	Name string
@@ -30,19 +37,17 @@ type AblationLayoutRow struct {
 //
 //	natural    — original program, declaration order (the baseline);
 //	random     — original program, random function/block order;
-//	trace-only — steps 3-5 without inline expansion's... see no-inline;
-//	             here: trace selection + function layout only, natural
-//	             function order, no cold split, no inlining;
+//	trace-only — steps 3-4 only: trace selection and function body
+//	             layout, functions in declaration order, no cold split,
+//	             no inlining;
 //	no-inline  — the full layout pipeline (steps 3-5) without step 2;
 //	no-split   — full pipeline except the effective/non-executed split;
 //	full       — the paper's complete pipeline.
+//
+// The partial pipelines place the prepared profile (Prepared.Profile);
+// only their evaluation traces are interpreted.
 func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	strategies := map[string]core.Strategy{
-		"trace-only": {TraceLayout: true},
-		"no-inline":  {TraceLayout: true, GlobalDFS: true, SplitCold: true},
-		"no-split":   {Inline: true, TraceLayout: true, GlobalDFS: true},
-	}
 	var out []AblationLayoutRow
 	for _, p := range s.Items {
 		b := p.Bench
@@ -60,11 +65,8 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 		traces["random"] = rndTr
 
 		//lint:maprange results land in the traces map; rendering iterates LayoutStrategies
-		for name, st := range strategies {
-			ccfg := core.DefaultConfig(b.ProfileSeeds...)
-			ccfg.Interp = b.InterpConfig()
-			ccfg.Strategy = st
-			_, tr, err := p.deriveOptimize("layout:"+name, ccfg)
+		for name, st := range partialStrategies {
+			_, tr, err := p.deriveOptimize("layout:"+name, pipelineConfig(b, st))
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
 			}
@@ -189,7 +191,8 @@ type AblationMinProbRow struct {
 	Desirable map[float64]float64
 }
 
-// AblationMinProb re-runs the pipeline at each threshold.
+// AblationMinProb re-runs steps 3-5 on the prepared profile at each
+// threshold.
 func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	var out []AblationMinProbRow
@@ -201,8 +204,7 @@ func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 			Desirable: make(map[float64]float64),
 		}
 		for _, mp := range MinProbValues {
-			ccfg := core.DefaultConfig(b.ProfileSeeds...)
-			ccfg.Interp = b.InterpConfig()
+			ccfg := pipelineConfig(b, core.FullStrategy())
 			var res *core.Result
 			var tr *memtrace.Trace
 			var err error
@@ -264,9 +266,7 @@ func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 		withDFS += st.MissRatio()
 
 		// Without DFS: full pipeline minus the global order.
-		ccfg := core.DefaultConfig(b.ProfileSeeds...)
-		ccfg.Interp = b.InterpConfig()
-		ccfg.Strategy = core.Strategy{Inline: true, TraceLayout: true, SplitCold: true}
+		ccfg := pipelineConfig(b, core.Strategy{Inline: true, TraceLayout: true, SplitCold: true})
 		_, tr, err := p.deriveOptimize("global:no-dfs", ccfg)
 		if err != nil {
 			return 0, 0, err
@@ -364,9 +364,7 @@ func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
 			return nil, err
 		}
 
-		ccfg := core.DefaultConfig(b.ProfileSeeds...)
-		ccfg.Interp = b.InterpConfig()
-		ccfg.Strategy = core.FullStrategy()
+		ccfg := pipelineConfig(b, core.FullStrategy())
 		ccfg.Strategy.PettisHansen = true
 		_, tr, err := p.deriveOptimize("globalalgo:ph", ccfg)
 		if err != nil {

@@ -63,10 +63,7 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 	for _, p := range s.Items[:3] {
 		b := p.Bench
 		for _, sc := range strategies {
-			ccfg := core.DefaultConfig(b.ProfileSeeds...)
-			ccfg.Interp = b.InterpConfig()
-			ccfg.Strategy = sc.st
-			res, tr, err := p.deriveOptimize("layout:"+sc.name, ccfg)
+			res, tr, err := p.deriveOptimize("layout:"+sc.name, pipelineConfig(b, sc.st))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name(), sc.name, err)
 			}

@@ -35,7 +35,12 @@ import (
 // Prepared bundles one benchmark's pipeline outputs.
 type Prepared struct {
 	Bench *workload.Benchmark
-	// Opt is the full-pipeline result (inlined program + layout).
+	// Profile is the profiling half of the full-pipeline run: the
+	// input and inlined programs with their measured weights. Pipeline
+	// variants place on it (core.Place) instead of profiling again.
+	Profile *core.Profiled
+	// Opt is the full-pipeline result (inlined program + layout),
+	// placed on Profile.
 	Opt *core.Result
 	// OptTrace is the evaluation trace under the optimized layout.
 	OptTrace *memtrace.Trace
@@ -52,6 +57,8 @@ type Prepared struct {
 	// pipeline is deterministic, so a variant's result and evaluation
 	// trace never change across re-runs; caching them turns repeated
 	// table generation from pipeline-bound into a map lookup.
+	// derivedMu serializes every variant of this benchmark, lookups
+	// and builds alike.
 	derivedMu sync.Mutex
 	derived   map[string]*derivedVariant
 
@@ -82,8 +89,10 @@ type derivedVariant struct {
 // deriveTrace returns the memoized (pipeline result, evaluation trace)
 // for the named variant, building it on first use. Errors are cached
 // too — a deterministic build that failed once will fail identically.
-// The per-variant lock is held across the build: concurrent callers of
-// the same variant wait rather than duplicating a pipeline run.
+// One lock per benchmark (derivedMu) is held across the build, so
+// concurrent callers of the same variant wait rather than duplicating
+// a pipeline run, and callers of other variants of the same benchmark
+// wait too.
 func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memtrace.Trace, error)) (*core.Result, *memtrace.Trace, error) {
 	p.derivedMu.Lock()
 	defer p.derivedMu.Unlock()
@@ -99,11 +108,14 @@ func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memt
 	return v.res, v.tr, v.err
 }
 
-// deriveOptimize is deriveTrace for the common shape: run the pipeline
-// with a tweaked config, then trace the evaluation run.
+// deriveOptimize is deriveTrace for the common shape: place the
+// prepared profile under a tweaked config, then trace the evaluation
+// run. No profiling input is interpreted again; a config that asks for
+// another profile (other seeds, interp or inline configuration) is an
+// error from core.Place, never a silent reuse.
 func (p *Prepared) deriveOptimize(variant string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
 	return p.deriveTrace(variant, func() (*core.Result, *memtrace.Trace, error) {
-		res, err := core.Optimize(p.Bench.Prog, cfg)
+		res, err := core.Place(p.Profile, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -113,6 +125,16 @@ func (p *Prepared) deriveOptimize(variant string, cfg core.Config) (*core.Result
 		}
 		return res, tr, nil
 	})
+}
+
+// pipelineConfig is the paper's pipeline configuration for benchmark b
+// with strategy st: the prepared run uses the full strategy, and every
+// pipeline variant starts from the same profiling configuration.
+func pipelineConfig(b *workload.Benchmark, st core.Strategy) core.Config {
+	cfg := core.DefaultConfig(b.ProfileSeeds...)
+	cfg.Interp = b.InterpConfig()
+	cfg.Strategy = st
+	return cfg
 }
 
 // Name returns the benchmark name.
@@ -275,13 +297,16 @@ func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Sui
 }
 
 func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, error) {
-	cfg := core.DefaultConfig(b.ProfileSeeds...)
-	cfg.Interp = b.InterpConfig()
+	cfg := pipelineConfig(b, core.FullStrategy())
 	cfg.Obs = opts.Obs
 	cfg.Check = opts.Check
 	cfg.Lane = lane
 	cfg.Ledger = opts.Ledger
-	res, err := core.Optimize(b.Prog, cfg)
+	prof, err := core.Profile(b.Prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.Place(prof, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -321,6 +346,7 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 	}
 	return &Prepared{
 		Bench:    b,
+		Profile:  prof,
 		Opt:      res,
 		OptTrace: optTr,
 		NatTrace: natTr,

@@ -55,9 +55,7 @@ func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
 		var err error
 		_, tr, err = p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
 			scaled := ir.ScaleCode(b.Prog, factor)
-			cfg := core.DefaultConfig(b.ProfileSeeds...)
-			cfg.Interp = b.InterpConfig()
-			res, err := core.Optimize(scaled, cfg)
+			res, err := core.Optimize(scaled, pipelineConfig(b, core.FullStrategy()))
 			if err != nil {
 				return nil, nil, err
 			}

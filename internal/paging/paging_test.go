@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,20 +11,45 @@ import (
 
 func run(addr, bytes uint32) memtrace.Run { return memtrace.Run{Addr: addr, Bytes: bytes} }
 
+// TestValidate has one row per Config.Validate error branch, each
+// checked through Validate, NewSimulator and Simulate, plus valid rows.
 func TestValidate(t *testing.T) {
-	bad := []Config{
-		{PageBytes: 0},
-		{PageBytes: 100},
-		{PageBytes: 32},
-		{PageBytes: 4096, Frames: -1},
+	tests := []struct {
+		name    string
+		cfg     Config
+		wantErr string // "" means valid
+	}{
+		{"zero page size", Config{PageBytes: 0}, "page size 0 is not a power of two >= 64"},
+		{"negative page size", Config{PageBytes: -64}, "page size -64 is not a power of two >= 64"},
+		{"page size not a power of two", Config{PageBytes: 100}, "page size 100 is not a power of two >= 64"},
+		{"page size below 64", Config{PageBytes: 32}, "page size 32 is not a power of two >= 64"},
+		{"negative frames", Config{PageBytes: 4096, Frames: -1}, "negative frame count -1"},
+		{"4KB pages, 8 frames", Config{PageBytes: 4096, Frames: 8}, ""},
+		{"smallest page, unbounded", Config{PageBytes: 64}, ""},
+		{"1MB page, one frame", Config{PageBytes: 1 << 20, Frames: 1}, ""},
 	}
-	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-	if err := (Config{PageBytes: 4096, Frames: 8}).Validate(); err != nil {
-		t.Fatal(err)
+	tr := &memtrace.Trace{Runs: []memtrace.Run{run(0, 64)}, Instrs: 16}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			verr := tt.cfg.Validate()
+			sim, nerr := NewSimulator(tt.cfg)
+			_, serr := Simulate(tt.cfg, tr)
+			if tt.wantErr == "" {
+				if verr != nil || nerr != nil || sim == nil || serr != nil {
+					t.Fatalf("Validate = %v, NewSimulator = %v, %v, Simulate = %v; want success", verr, sim, nerr, serr)
+				}
+				return
+			}
+			if verr == nil || !strings.Contains(verr.Error(), tt.wantErr) {
+				t.Errorf("Validate = %v, want an error containing %q", verr, tt.wantErr)
+			}
+			if nerr == nil || nerr.Error() != verr.Error() || sim != nil {
+				t.Errorf("NewSimulator = %v, %v; want nil and the Validate error", sim, nerr)
+			}
+			if serr == nil || serr.Error() != verr.Error() {
+				t.Errorf("Simulate = %v; want the Validate error", serr)
+			}
+		})
 	}
 }
 

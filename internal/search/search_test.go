@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,7 +10,9 @@ import (
 	"impact/internal/cache"
 	"impact/internal/check"
 	"impact/internal/core"
+	"impact/internal/core/globallayout"
 	"impact/internal/interp"
+	"impact/internal/ir"
 	"impact/internal/layout"
 	"impact/internal/paging"
 	"impact/internal/profile"
@@ -466,5 +469,59 @@ func TestPageRefine(t *testing.T) {
 	}
 	if c.PageRefined != nil {
 		t.Fatalf("PageBudget=-1 still emitted a refined variant")
+	}
+}
+
+// TestOptimizeRejectsBadInput has one row per input rejection of
+// Optimize — a nil program or nil weights, a block-order count that
+// does not match the program, and a global order that is not a
+// permutation of its functions — plus the analyzer's rejection of an
+// unsupported cache, and a valid row.
+func TestOptimizeRejectsBadInput(t *testing.T) {
+	_, in := prepared(t, 3)
+	n := len(in.Prog.Funcs)
+	funcs := func(edit func([]ir.FuncID) []ir.FuncID) globallayout.Order {
+		return globallayout.Order{Funcs: edit(append([]ir.FuncID(nil), in.Global.Funcs...))}
+	}
+	tests := []struct {
+		name    string
+		edit    func(*search.Input)
+		cache   cache.Config
+		wantErr string // "" means the search runs
+	}{
+		{"nil program", func(in *search.Input) { in.Prog = nil }, tightGeom, "search: nil program or weights"},
+		{"nil weights", func(in *search.Input) { in.Weights = nil }, tightGeom, "search: nil program or weights"},
+		{"missing block order", func(in *search.Input) { in.Orders = in.Orders[:n-1] }, tightGeom,
+			"block orders for"},
+		{"extra block order", func(in *search.Input) { in.Orders = append(in.Orders[:n:n], in.Orders[0]) }, tightGeom,
+			"block orders for"},
+		{"function missing from the global order", func(in *search.Input) {
+			in.Global = funcs(func(f []ir.FuncID) []ir.FuncID { return f[:n-1] })
+		}, tightGeom, "global order is not a permutation"},
+		{"function placed twice", func(in *search.Input) {
+			in.Global = funcs(func(f []ir.FuncID) []ir.FuncID { f[1] = f[0]; return f })
+		}, tightGeom, "global order is not a permutation"},
+		{"function out of range", func(in *search.Input) {
+			in.Global = funcs(func(f []ir.FuncID) []ir.FuncID { f[0] = ir.FuncID(n + 5); return f })
+		}, tightGeom, "global order is not a permutation"},
+		{"cache outside the abstract model", func(*search.Input) {},
+			cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO}, "search: analysing input order"},
+		{"greedy input", func(*search.Input) {}, tightGeom, ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			bad := in
+			tt.edit(&bad)
+			res, err := search.Optimize(bad, search.Config{Cache: tt.cache, Seed: 1, Budget: 8, Restarts: 1})
+			if tt.wantErr == "" {
+				if err != nil || res == nil {
+					t.Fatalf("Optimize = %v; want a result", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) || res != nil {
+				t.Errorf("Optimize = %v, want an error containing %q", err, tt.wantErr)
+			}
+		})
 	}
 }

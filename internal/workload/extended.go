@@ -15,17 +15,10 @@ package workload
 
 // ExtendedSuite builds the extension benchmarks at the given scale.
 func ExtendedSuite(scale float64) []*Benchmark {
-	if scale <= 0 {
-		scale = 1
-	}
 	params := ExtendedSuiteParams()
 	out := make([]*Benchmark, len(params))
 	for i, p := range params {
-		p.TargetInstrs = uint64(float64(p.TargetInstrs) * scale)
-		if p.TargetInstrs < 50_000 {
-			p.TargetInstrs = 50_000
-		}
-		out[i] = MustBuild(p)
+		out[i] = MustBuild(scaled(p, scale))
 	}
 	return out
 }

@@ -20,20 +20,14 @@ package workload
 // down to a few million; miss and traffic ratios for 0.5-8KB caches
 // converge well before that (see EXPERIMENTS.md).
 
-// SuiteScale multiplies every benchmark's TargetInstrs; 1.0 is the
-// default experiment length. Tests use smaller scales for speed.
+// Suite builds the ten benchmarks with every TargetInstrs multiplied
+// by scale; 1.0 is the default experiment length. Tests use smaller
+// scales for speed.
 func Suite(scale float64) []*Benchmark {
-	if scale <= 0 {
-		scale = 1
-	}
 	params := SuiteParams()
 	out := make([]*Benchmark, len(params))
 	for i, p := range params {
-		p.TargetInstrs = uint64(float64(p.TargetInstrs) * scale)
-		if p.TargetInstrs < 50_000 {
-			p.TargetInstrs = 50_000
-		}
-		out[i] = MustBuild(p)
+		out[i] = MustBuild(scaled(p, scale))
 	}
 	return out
 }
@@ -43,17 +37,33 @@ func Suite(scale float64) []*Benchmark {
 func ByName(name string, scale float64) *Benchmark {
 	for _, p := range SuiteParams() {
 		if p.Name == name {
-			if scale <= 0 {
-				scale = 1
-			}
-			p.TargetInstrs = uint64(float64(p.TargetInstrs) * scale)
-			if p.TargetInstrs < 50_000 {
-				p.TargetInstrs = 50_000
-			}
-			return MustBuild(p)
+			return MustBuild(scaled(p, scale))
 		}
 	}
 	return nil
+}
+
+// minScaledInstrs is the shortest run a scaled benchmark is given.
+const minScaledInstrs = 50_000
+
+// scaled returns p with TargetInstrs multiplied by scale. A scale that
+// is not above zero (NaN included) means 1.0. The result is at least
+// minScaledInstrs and at most maxTargetInstrs, so no scale overflows
+// the step guard; command-line flags reject such scales before they
+// get here (cliutil.AddScaleFlag).
+func scaled(p Params, scale float64) Params {
+	if !(scale > 0) {
+		scale = 1
+	}
+	switch t := float64(p.TargetInstrs) * scale; {
+	case t >= maxTargetInstrs:
+		p.TargetInstrs = maxTargetInstrs
+	case t < minScaledInstrs:
+		p.TargetInstrs = minScaledInstrs
+	default:
+		p.TargetInstrs = uint64(t)
+	}
+	return p
 }
 
 // SuiteParams returns the parameter sets of the ten benchmark models

@@ -22,6 +22,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"impact/internal/interp"
 	"impact/internal/ir"
@@ -144,6 +145,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("workload %s: PhaseTrips %v < 1", p.Name, p.PhaseTrips)
 	case p.TargetInstrs == 0:
 		return fmt.Errorf("workload %s: TargetInstrs is zero", p.Name)
+	case p.TargetInstrs > maxTargetInstrs:
+		return fmt.Errorf("workload %s: TargetInstrs %d overflows the step guard (max %d)",
+			p.Name, p.TargetInstrs, uint64(maxTargetInstrs))
 	case p.ProfileRuns < 1:
 		return fmt.Errorf("workload %s: ProfileRuns %d < 1", p.Name, p.ProfileRuns)
 	}
@@ -190,6 +194,11 @@ func (b *Benchmark) EvalConfig() interp.Config {
 func (b *Benchmark) stepGuard() uint64 {
 	return 4*b.Params.TargetInstrs + 1<<20
 }
+
+// maxTargetInstrs is the largest TargetInstrs whose step guard fits in
+// a uint64; Validate rejects larger ones rather than let the guard
+// wrap to a tiny cap that silently truncates every run.
+const maxTargetInstrs = (math.MaxUint64 - 1<<20) / 4
 
 // Build generates the benchmark for p. Generation is deterministic in
 // p (including p.Seed).

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +85,8 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.WorkerLoopTrips = 0 },
 		func(p *Params) { p.PhaseTrips = 0.5 },
 		func(p *Params) { p.TargetInstrs = 0 },
+		func(p *Params) { p.TargetInstrs = maxTargetInstrs + 1 },
+		func(p *Params) { p.TargetInstrs = math.MaxUint64 },
 		func(p *Params) { p.ProfileRuns = 0 },
 	}
 	for i, mutate := range cases {
@@ -95,6 +98,34 @@ func TestParamsValidate(t *testing.T) {
 		if _, err := Build(p); err == nil {
 			t.Errorf("case %d: Build accepted invalid params", i)
 		}
+	}
+}
+
+// TestStepGuardNeverWraps: the largest valid TargetInstrs keeps its
+// step guard above the target, and no scale, however hostile, yields
+// parameters Validate rejects or a guard that wrapped (a NaN scale
+// once capped every run at 2^20 instructions).
+func TestStepGuardNeverWraps(t *testing.T) {
+	p := SuiteParams()[0]
+	p.TargetInstrs = maxTargetInstrs
+	if err := p.Validate(); err != nil {
+		t.Fatalf("largest valid TargetInstrs rejected: %v", err)
+	}
+	if g := (&Benchmark{Params: p}).stepGuard(); g < p.TargetInstrs {
+		t.Fatalf("step guard %d wrapped below TargetInstrs %d", g, p.TargetInstrs)
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 0, 1e300, 1e-300, 0.25} {
+		s := scaled(SuiteParams()[0], scale)
+		if err := s.Validate(); err != nil {
+			t.Errorf("scale %v: %v", scale, err)
+		}
+		if g := (&Benchmark{Params: s}).stepGuard(); g < s.TargetInstrs {
+			t.Errorf("scale %v: step guard %d below TargetInstrs %d", scale, g, s.TargetInstrs)
+		}
+	}
+	base := SuiteParams()[0].TargetInstrs
+	if got := scaled(SuiteParams()[0], math.NaN()).TargetInstrs; got != base {
+		t.Errorf("NaN scale gave TargetInstrs %d, want the unscaled %d", got, base)
 	}
 }
 

@@ -36,7 +36,9 @@
 # family (static analyzer priced against the trace-driven simulator,
 # incremental re-analysis, and the page-level BenchmarkAnalyzePages),
 # BenchmarkStreamSimulate (generate-and-simulate with no materialized
-# trace), and BenchmarkSearchParallel (the portfolio search).
+# trace), BenchmarkSearchParallel (the portfolio search), and the three
+# ablations that re-run pipeline variants (A1 layout strategy, A3
+# MIN_PROB, A6 global ordering), which place the prepared profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +70,7 @@ fi
 
 SCALE="${IMPACT_BENCH_SCALE:-0.25}"
 BENCHTIME="${BENCHTIME:-3x}"
-PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Search)}"
+PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Search|Ablation(LayoutStrategy|MinProb|GlobalAlgo))}"
 if [ "$MODE" = compare ]; then
     OUT="$(mktemp /tmp/bench.XXXXXX.json)"
 else
