@@ -487,6 +487,54 @@ func BenchmarkAblationGlobalAlgo(b *testing.B) {
 	b.ReportMetric(p/n*100, "phMiss%")
 }
 
+// BenchmarkProfile times the execution engine's counting run:
+// profile.Profile of every suite program over its profiling seeds,
+// the pipeline's step 1 as core.Profile runs it. It reports the
+// engine's cost per executed instruction (ns/instr).
+func BenchmarkProfile(b *testing.B) {
+	s := benchSuite(b)
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		instrs = 0
+		for _, p := range s.Items {
+			w, _, err := profile.Profile(p.Bench.Prog, profile.Config{Seeds: p.Bench.ProfileSeeds, Interp: p.Bench.InterpConfig()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += w.DynInstrs
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
+}
+
+// BenchmarkEvalTrace times the execution engine's tracing run:
+// layout.Trace of every suite program's evaluation input under its
+// natural layout, materializing the fetch trace. It reports the cost
+// per traced instruction (ns/instr).
+func BenchmarkEvalTrace(b *testing.B) {
+	s := benchSuite(b)
+	lays := make([]*layout.Layout, len(s.Items))
+	for i, p := range s.Items {
+		lays[i] = layout.Natural(p.Bench.Prog)
+	}
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		instrs = 0
+		for j, p := range s.Items {
+			tr, _, err := layout.Trace(lays[j], p.Bench.EvalSeed, p.Bench.EvalConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += tr.Instrs
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
+}
+
 // BenchmarkStreamSimulate times the end-to-end streaming pipeline:
 // every benchmark's natural-layout evaluation run regenerates straight
 // into the cache simulator (layout.Stream → cache.SinkSimulator) with

@@ -27,8 +27,12 @@
 // geometry, with the page-fault term of the combined objective at the
 // -page-bytes/-frames geometry, and prints the simulator-priced
 // comparison (see docs/SEARCH.md). -page-bytes and -frames also set
-// the E2 extension's paging geometry. The observability flags are
-// shared by all commands; see docs/OBSERVABILITY.md.
+// the E2 extension's paging geometry; they must describe a valid
+// geometry (pages a power of two >= 64 bytes, frames >= 0), or the
+// command exits 2 before preparing anything. The -analyze
+// page-pressure summary is fixed at 4KB pages and 8 frames whatever
+// the flags say. The observability flags are shared by all commands;
+// see docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -64,6 +68,9 @@ func main() {
 	workers := cliutil.AddWorkersFlag(flag.CommandLine)
 	common := cliutil.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if err := pageFlags.Check(); err != nil {
+		cliutil.ExitUsage("icexp", err)
+	}
 	mode, err := check.ParseMode(*checkMode)
 	if err != nil {
 		fatal(err)

@@ -21,6 +21,9 @@
 // demand-paging simulator at the -page-bytes/-frames geometry and
 // reports page faults and the touched-page footprint.
 //
+// A cache or paging geometry no simulator accepts exits with status 2
+// before the trace file is opened.
+//
 // The trace is never materialized: runs stream from the file straight
 // into the simulator (memtrace.Reader), so memory stays constant
 // regardless of trace length.
@@ -69,6 +72,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	cfg := cf.Config()
+	cfg.Replacement = repl
+	cfg.PrefetchNext = *prefetch
+	if *latency > 0 {
+		cfg.Timing = &cache.TimingConfig{InitialLatency: *latency, CriticalWordFirst: *cwf}
+	}
+	if err := cf.Check(cfg); err != nil {
+		cliutil.ExitUsage("icsim", err)
+	}
+	if err := pf.Check(); err != nil {
+		cliutil.ExitUsage("icsim", err)
+	}
+	sizeList, err := cf.SizeList()
+	if err != nil {
+		fatal(err)
+	}
 	f, err := os.Open(*tracePath)
 	if err != nil {
 		fatal(err)
@@ -79,16 +98,6 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := cf.Config()
-	cfg.Replacement = repl
-	cfg.PrefetchNext = *prefetch
-	if *latency > 0 {
-		cfg.Timing = &cache.TimingConfig{InitialLatency: *latency, CriticalWordFirst: *cwf}
-	}
-	sizeList, err := cf.SizeList()
-	if err != nil {
-		fatal(err)
-	}
 	var count memtrace.RunCount
 	var pager *paging.Simulator
 	if *usePaging {

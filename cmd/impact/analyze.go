@@ -87,6 +87,7 @@ func cmdAnalyze(args []string) {
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON on stdout")
 	common := startCommon(fs, args)
 	defer common.MustClose()
+	checkGeometry(cf, pf)
 	b := mustBench(*name, *scale)
 
 	res := optimize(b, *strategy, common.Registry)

@@ -116,6 +116,20 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// checkGeometry rejects, with exit status 2, cache flags no simulator
+// accepts and, when pf is non-nil, invalid paging flags — right after
+// parsing, before any benchmark is prepared.
+func checkGeometry(cf *cliutil.CacheFlags, pf *cliutil.PagingFlags) {
+	if err := cf.Check(cf.Config()); err != nil {
+		cliutil.ExitUsage("impact", err)
+	}
+	if pf != nil {
+		if err := pf.Check(); err != nil {
+			cliutil.ExitUsage("impact", err)
+		}
+	}
+}
+
 func benchFlag(fs *flag.FlagSet) (*string, *float64) {
 	name := fs.String("bench", "", "benchmark name (see `impact list`)")
 	return name, cliutil.AddScaleFlag(fs)
@@ -332,6 +346,7 @@ func cmdSimulate(args []string) {
 	workers := cliutil.AddWorkersFlag(fs)
 	common := startCommon(fs, args)
 	defer common.MustClose()
+	checkGeometry(cf, pf)
 	b := mustBench(*name, *scale)
 
 	cfg := cf.Config()
@@ -405,10 +420,6 @@ func cmdSimulate(args []string) {
 		fmt.Print(t.String())
 		return
 	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-
 	reqs := make([]experiments.SimRequest, len(runs))
 	for i, r := range runs {
 		reqs[i] = experiments.SimRequest{Trace: r.tr, Config: cfg}
@@ -428,9 +439,6 @@ func cmdSimulate(args []string) {
 
 	if *usePaging {
 		pcfg := pf.Config()
-		if err := pcfg.Validate(); err != nil {
-			fatal(err)
-		}
 		pt := texttable.New(fmt.Sprintf("%s paging (%s)", b.Name(), pcfg),
 			"layout", "faults", "faults/M", "pages touched")
 		for _, r := range runs {
@@ -537,6 +545,7 @@ func cmdRun(args []string) {
 	workers := cliutil.AddWorkersFlag(fs)
 	common := startCommon(fs, args)
 	defer common.MustClose()
+	checkGeometry(cf, nil)
 	if *irPath == "" {
 		fatal(fmt.Errorf("missing -ir"))
 	}

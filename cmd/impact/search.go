@@ -35,12 +35,9 @@ func cmdSearch(args []string) {
 	pf := cliutil.AddPagingFlags(fs)
 	common := startCommon(fs, args)
 	defer common.MustClose()
+	checkGeometry(cf, pf)
 	experiments.Configure(experiments.EngineConfig{Workers: *workers})
-
 	ccfg := cf.Config()
-	if err := ccfg.Validate(); err != nil {
-		fatal(err)
-	}
 
 	start := time.Now()
 	suite, err := experiments.PrepareWith(*scale, experiments.Options{
@@ -70,9 +67,6 @@ func cmdSearch(args []string) {
 	var pcfg *paging.Config
 	if *usePaging {
 		c := pf.Config()
-		if err := c.Validate(); err != nil {
-			fatal(err)
-		}
 		pcfg = &c
 		scfg.Paging = pcfg
 	}

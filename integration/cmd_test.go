@@ -156,9 +156,10 @@ func TestImpactSearchRejectsNegativeWorkers(t *testing.T) {
 }
 
 // TestCommandsRejectGarbageFlags: a -scale that is not a finite
-// number above zero, or an unknown table number, is a usage error
-// (exit status 2) naming the flag — not a silently truncated or
-// substituted run, and not a panic.
+// number above zero, an unknown table number, or a cache or paging
+// geometry no simulator accepts is a usage error (exit status 2)
+// naming the flag — not a silently truncated or substituted run, not
+// a failure after minutes of work, and not a panic.
 func TestCommandsRejectGarbageFlags(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -180,6 +181,29 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			`invalid value "nosuch" for flag -tables: unknown table "nosuch"`},
 		{"icexp table out of range", "icexp", []string{"-scale", "0.02", "-tables", "1,10"},
 			`invalid value "1,10" for flag -tables: unknown table "10"`},
+		// Geometry flags are checked right after parsing, before any
+		// benchmark is prepared or file opened, whether or not the
+		// requested sections read them.
+		{"icexp negative frames", "icexp", []string{"-scale", "0.02", "-tables", "1", "-frames", "-1"},
+			"icexp: invalid paging geometry (-page-bytes 4096 -frames -1): paging: negative frame count -1"},
+		{"icexp analyze bad page size", "icexp", []string{"-tables", "none", "-analyze", "-page-bytes", "100"},
+			"icexp: invalid paging geometry (-page-bytes 100 -frames 8): paging: page size 100 is not a power of two >= 64"},
+		{"icexp extensions bad page size", "icexp", []string{"-scale", "0.02", "-tables", "none", "-extensions", "-page-bytes", "100"},
+			"icexp: invalid paging geometry (-page-bytes 100 -frames 8)"},
+		{"simulate negative assoc", "impact", []string{"simulate", "-bench", "grep", "-assoc", "-2"},
+			"impact: invalid cache geometry (-size 2048 -block 64 -assoc -2): cache: associativity -2 incompatible with 32 blocks"},
+		{"simulate bad sweep entry", "impact", []string{"simulate", "-bench", "grep", "-sizes", "512,1000"},
+			"impact: invalid cache geometry (-sizes entry 1000 -block 64 -assoc 1)"},
+		{"analyze bad page size", "impact", []string{"analyze", "-bench", "grep", "-pages", "-page-bytes", "100"},
+			"impact: invalid paging geometry (-page-bytes 100 -frames 8)"},
+		{"search bad block", "impact", []string{"search", "-bench", "grep", "-block", "3"},
+			"impact: invalid cache geometry (-size 2048 -block 3 -assoc 1)"},
+		{"run bad size", "impact", []string{"run", "-ir", "no-such.ir", "-size", "1000"},
+			"impact: invalid cache geometry (-size 1000 -block 64 -assoc 1)"},
+		{"icsim bad size", "icsim", []string{"-trace", "no-such.itr", "-size", "1000"},
+			"icsim: invalid cache geometry (-size 1000 -block 64 -assoc 1)"},
+		{"icsim bad frames", "icsim", []string{"-trace", "no-such.itr", "-paging", "-frames", "-3"},
+			"icsim: invalid paging geometry (-page-bytes 4096 -frames -3)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 
 // The abstract interpretation runs over a region supergraph rather
 // than the block-level CFG: a region is one maximal sequential fetch
-// segment — the exact unit the interpreter emits as an Exec event and
-// the tracer turns into one address run. A block with call sites
+// segment — the exact unit the interpreter's tracing run emits as one
+// address run. A block with call sites
 // c0 < c1 < ... splits into segments [0,c0], (c0,c1], ..., (ck,end):
 // each segment up to and including a call instruction, then the tail.
 // Edges mirror every control transfer the machine can take:

@@ -6,7 +6,7 @@ import "impact/internal/memtrace"
 // stream: a memtrace.Sink that fans every incoming run into a fresh
 // cache per configuration. It is the streaming counterpart of
 // MultiSimulate (which is now a thin wrapper over it) — a trace
-// generated on the fly (interp → layout.Tracer → memtrace.Merger) or
+// generated on the fly (interp → layout.Stream → memtrace.Merger) or
 // decoded from a file (memtrace.Reader) is simulated without ever
 // being materialized.
 //

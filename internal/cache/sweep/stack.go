@@ -88,7 +88,7 @@ func ShardRun(tr *memtrace.Trace, blockBytes, numSets, workers int, reg *obs.Reg
 
 // StreamPass is the incremental form of the stack pass: a
 // memtrace.Sink that accumulates the same statistics run by run, so a
-// trace generated live (interp → layout.Tracer → Merger) is swept
+// trace generated live (interp → layout.Stream → Merger) is swept
 // without ever being materialized. Runs MUST arrive in canonical form
 // — zero-length runs dropped, contiguous neighbours merged, exactly
 // what Trace.Replay, memtrace.Reader, or a memtrace.Merger deliver —

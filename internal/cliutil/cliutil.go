@@ -278,6 +278,39 @@ func (c *CacheFlags) SizeList() ([]int, error) {
 	return out, nil
 }
 
+// Check validates the cache organisation a command builds from the
+// flags — cfg is Config() with the command's policy extensions
+// applied — at -size, or at every -sizes entry when that flag is
+// given. Commands call it right after flag parsing, so a geometry no
+// simulator accepts fails before any work starts; the error names the
+// flags and their values.
+func (c *CacheFlags) Check(cfg cache.Config) error {
+	sizes, err := c.SizeList()
+	if err != nil {
+		return err
+	}
+	name := "-size"
+	if sizes == nil {
+		sizes = []int{cfg.SizeBytes}
+	} else {
+		name = "-sizes entry"
+	}
+	for _, size := range sizes {
+		cfg.SizeBytes = size
+		if err := cfg.Validate(); err != nil {
+			geom := fmt.Sprintf("%s %d -block %d -assoc %d", name, size, c.Block, c.Assoc)
+			if c.Sector != 0 {
+				geom += fmt.Sprintf(" -sector %d", c.Sector)
+			}
+			if c.Partial {
+				geom += " -partial"
+			}
+			return fmt.Errorf("invalid cache geometry (%s): %w", geom, err)
+		}
+	}
+	return nil
+}
+
 // PagingFlags holds the page-geometry flags shared by every command
 // that parameterises instruction paging (icsim, impact
 // simulate/analyze/search, icexp), mirroring CacheFlags: one
@@ -299,4 +332,22 @@ func AddPagingFlags(fs *flag.FlagSet) *PagingFlags {
 // Config returns the paging configuration the flags describe.
 func (p *PagingFlags) Config() paging.Config {
 	return paging.Config{PageBytes: p.PageBytes, Frames: p.Frames}
+}
+
+// Check validates the paging geometry the flags describe. Commands
+// call it right after flag parsing; the error names the flags and
+// their values.
+func (p *PagingFlags) Check() error {
+	if err := p.Config().Validate(); err != nil {
+		return fmt.Errorf("invalid paging geometry (-page-bytes %d -frames %d): %w", p.PageBytes, p.Frames, err)
+	}
+	return nil
+}
+
+// ExitUsage reports a flag value the command cannot run with the way
+// the flag package reports a malformed one: the message on stderr and
+// exit status 2.
+func ExitUsage(tool string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	os.Exit(2)
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"impact/internal/cache"
 )
 
 func parseCache(t *testing.T, args ...string) *CacheFlags {
@@ -54,6 +56,65 @@ func TestCacheFlagsSizeList(t *testing.T) {
 	cf = parseCache(t, "-sizes", "512,x")
 	if _, err := cf.SizeList(); err == nil {
 		t.Fatal("bad -sizes entry not rejected")
+	}
+}
+
+// TestGeometryCheck pins the flag-level geometry checks: every
+// geometry the simulators reject fails Check with an error naming the
+// flags and the simulator's reason, and valid ones pass.
+func TestGeometryCheck(t *testing.T) {
+	tests := []struct {
+		name    string
+		cache   []string // cache flags
+		paging  []string // paging flags
+		latency int      // policy extension applied by the caller
+		wantErr string   // "" = valid
+	}{
+		{name: "defaults"},
+		{name: "fully associative sweep", cache: []string{"-sizes", "512,4096", "-assoc", "0"}},
+		{name: "unbounded frames", paging: []string{"-frames", "0"}},
+		{name: "size not a power of two", cache: []string{"-size", "1000"},
+			wantErr: "invalid cache geometry (-size 1000 -block 64 -assoc 1): cache: size 1000 is not a positive power of two"},
+		{name: "negative associativity", cache: []string{"-assoc", "-2"},
+			wantErr: "invalid cache geometry (-size 2048 -block 64 -assoc -2): cache: associativity -2 incompatible with 32 blocks"},
+		{name: "block too small", cache: []string{"-block", "2"},
+			wantErr: "invalid cache geometry (-size 2048 -block 2 -assoc 1): cache: block size 2 is not a power of two >= 4"},
+		{name: "bad sweep entry", cache: []string{"-sizes", "512,768"},
+			wantErr: "invalid cache geometry (-sizes entry 768 -block 64 -assoc 1): cache: size 768"},
+		{name: "malformed sweep entry", cache: []string{"-sizes", "512,x"}, wantErr: `bad -sizes entry "x"`},
+		{name: "sector and partial", cache: []string{"-sector", "8", "-partial"},
+			wantErr: "(-size 2048 -block 64 -assoc 1 -sector 8 -partial): cache: sectoring and partial loading are mutually exclusive"},
+		{name: "negative latency", latency: -1, wantErr: "cache: negative initial latency -1"},
+		{name: "page size", paging: []string{"-page-bytes", "100"},
+			wantErr: "invalid paging geometry (-page-bytes 100 -frames 8): paging: page size 100 is not a power of two >= 64"},
+		{name: "negative frames", paging: []string{"-frames", "-1"},
+			wantErr: "invalid paging geometry (-page-bytes 4096 -frames -1): paging: negative frame count -1"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			cf := AddCacheFlags(fs)
+			pf := AddPagingFlags(fs)
+			if err := fs.Parse(append(append([]string{}, tt.cache...), tt.paging...)); err != nil {
+				t.Fatal(err)
+			}
+			cfg := cf.Config()
+			if tt.latency != 0 {
+				cfg.Timing = &cache.TimingConfig{InitialLatency: tt.latency}
+			}
+			err := cf.Check(cfg)
+			if err == nil {
+				err = pf.Check()
+			}
+			switch {
+			case tt.wantErr == "" && err != nil:
+				t.Fatalf("valid geometry rejected: %v", err)
+			case tt.wantErr != "" && err == nil:
+				t.Fatalf("invalid geometry accepted, want %q", tt.wantErr)
+			case tt.wantErr != "" && !strings.Contains(err.Error(), tt.wantErr):
+				t.Fatalf("error %q, want it to contain %q", err, tt.wantErr)
+			}
+		})
 	}
 }
 

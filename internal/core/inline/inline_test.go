@@ -11,6 +11,12 @@ import (
 
 // hotLeafProgram builds main with a loop calling leaf every iteration
 // and a cold call to coldFn once.
+// execute runs p once on the given seed.
+func execute(p *ir.Program, seed uint64) (interp.Result, error) {
+	e := interp.NewEngine(p)
+	return e.Count(seed, interp.Config{}, e.NewCounts())
+}
+
 func hotLeafProgram(t testing.TB) *ir.Program {
 	t.Helper()
 	pb := ir.NewProgramBuilder()
@@ -225,11 +231,11 @@ func TestSemanticsPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(seed uint64) bool {
-		before, err := interp.NewEngine(p).Run(seed, interp.Config{}, interp.NopSink{})
+		before, err := execute(p, seed)
 		if err != nil {
 			return false
 		}
-		after, err := interp.NewEngine(np).Run(seed, interp.Config{}, interp.NopSink{})
+		after, err := execute(np, seed)
 		if err != nil {
 			return false
 		}
@@ -317,7 +323,7 @@ func TestSplitBlockKeepsLaterSites(t *testing.T) {
 		}
 	}
 	// Execution still runs all of A's and B's filler.
-	res, err := interp.NewEngine(np).Run(1, interp.Config{}, interp.NopSink{})
+	res, err := execute(np, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +446,7 @@ func TestInlineCallAsFirstInstruction(t *testing.T) {
 	if len(head.Instrs) != 0 {
 		t.Fatalf("head block has %d instrs, want 0 (call was first)", len(head.Instrs))
 	}
-	res, err := interp.NewEngine(np).Run(1, interp.Config{}, interp.NopSink{})
+	res, err := execute(np, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +510,7 @@ func TestInlineCalleeWithMultipleExits(t *testing.T) {
 	// check both arms are reachable over several seeds.
 	short, long := false, false
 	for s := uint64(0); s < 30; s++ {
-		res, err := interp.NewEngine(np).Run(s, interp.Config{}, interp.NopSink{})
+		res, err := execute(np, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,53 +7,33 @@
 // One seed plays the role of one input file; the paper's "runs" (Table
 // 2) become runs of this engine with distinct seeds.
 //
-// Two consumers sit on top of the engine via the Sink interface:
-// internal/profile implements the IMPACT-I profiler (node and arc
-// weights of the call graph and control graphs), and internal/layout
-// implements the dynamic-trace generator that feeds the cache
-// simulator. Both observe the same execution events, mirroring the
-// paper where the instrumented binary and the traced binary execute
-// the same program.
+// NewEngine compiles a program once into flat tables — one record per
+// block, a flat call list and a flat successor array, all in program
+// order — and a single run loop walks them. The loop has two
+// consumers, and the paper's instrumented binary and traced binary are
+// one program executing identically under both:
+//
+//   - Count adds execution counts to dense per-block, per-arc and
+//     per-call slices (Counts); internal/profile folds them into the
+//     IMPACT-I profile (node and arc weights of the call graph and
+//     control graphs).
+//   - Trace emits one instruction fetch run per executed segment of a
+//     block, addressed from a per-block address table;
+//     internal/layout's dynamic-trace generator feeds the cache
+//     simulator with it.
 package interp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"impact/internal/ir"
+	"impact/internal/memtrace"
 	"impact/internal/xrand"
 )
-
-// Sink receives execution events. Methods are called in program order.
-type Sink interface {
-	// EnterBlock is called once each time control enters block b of
-	// function f, before any of its instructions execute.
-	EnterBlock(f ir.FuncID, b ir.BlockID)
-	// Exec is called for each maximal run of sequentially executed
-	// instructions [lo, hi) within block b. A block's execution emits
-	// one Exec per segment between calls.
-	Exec(f ir.FuncID, b ir.BlockID, lo, hi int32)
-	// TakeArc is called when control leaves block b of f via its
-	// arcIdx-th outgoing arc.
-	TakeArc(f ir.FuncID, b ir.BlockID, arcIdx int32)
-	// Call is called when the call at site transfers control to
-	// callee, after the Exec covering the call instruction.
-	Call(site ir.CallSite, callee ir.FuncID)
-	// Return is called when function f returns to its caller (or, for
-	// the entry function, terminates the program).
-	Return(f ir.FuncID)
-}
-
-// NopSink discards all events. Embed it to implement partial sinks.
-type NopSink struct{}
-
-func (NopSink) EnterBlock(ir.FuncID, ir.BlockID)         {}
-func (NopSink) Exec(ir.FuncID, ir.BlockID, int32, int32) {}
-func (NopSink) TakeArc(ir.FuncID, ir.BlockID, int32)     {}
-func (NopSink) Call(ir.CallSite, ir.FuncID)              {}
-func (NopSink) Return(ir.FuncID)                         {}
 
 // Config controls one execution.
 type Config struct {
@@ -96,22 +76,71 @@ type Result struct {
 	Completed bool
 }
 
-type frame struct {
-	f     ir.FuncID
-	b     ir.BlockID
-	instr int32
-	site  ir.CallSite // call site that created this frame (for debugging)
+// Counts holds a counting run's execution counts, indexed in program
+// order: blocks by (FuncID, BlockID), arcs by (FuncID, BlockID, arc
+// index), and calls by (FuncID, BlockID, instruction index) over the
+// call instructions only. Count adds to the slices, so one Counts
+// accumulates a whole profiling session.
+type Counts struct {
+	// Blocks counts how many times control entered each block at its
+	// top (function entry or a taken arc; a return into the middle of
+	// a block is not an entry).
+	Blocks []uint64
+	// Arcs counts how many times each arc was taken.
+	Arcs []uint64
+	// Calls counts how many times each call instruction executed.
+	Calls []uint64
 }
 
-// Engine executes one program. An Engine precomputes per-block call
-// positions and per-run jittered arc probabilities, so constructing
-// one Engine and running it many times with different seeds is cheap.
-// An Engine is safe for concurrent Run calls.
+// block is one basic block's record in the engine's flat tables.
+type block struct {
+	// instrs is the block's instruction count.
+	instrs int32
+	// calls and callsEnd delimit the block's call instructions in
+	// Engine.calls.
+	calls, callsEnd int32
+	// arcs and arcsEnd delimit the block's outgoing arcs in
+	// Engine.succ and in a run's cumulative probabilities; a block
+	// without arcs is a function exit.
+	arcs, arcsEnd int32
+}
+
+// call is one call instruction's record.
+type call struct {
+	// instr is the call's instruction index within its block.
+	instr int32
+	// entry is the flat index of the callee's entry block.
+	entry int32
+}
+
+// frame is one activation on the run loop's call stack.
+type frame struct {
+	// blk is the flat index of the executing block.
+	blk int32
+	// instr is the next instruction to execute in blk.
+	instr int32
+	// call is the flat index of blk's next call instruction.
+	call int32
+}
+
+// Engine executes one program. NewEngine compiles the program into
+// flat tables once and each run caches its jittered arc probabilities,
+// so constructing one Engine and running it many times with different
+// seeds is cheap. An Engine is safe for concurrent runs.
 type Engine struct {
 	prog *ir.Program
-	// callPos[f][b] lists instruction indices of calls in the block.
-	callPos [][][]int32
-	// probsCache holds the jittered-probability tables of the most
+	// funcs[f] is the flat index of function f's block 0; funcs has
+	// one extra entry, the block count.
+	funcs []int32
+	// entry is the flat index of the entry function's entry block.
+	entry  int32
+	blocks []block
+	calls  []call
+	// succ is the flat successor block of every arc, and probs its
+	// behavioural probability, both in program order.
+	succ  []int32
+	probs []float64
+	// probsCache holds the cumulative arc probabilities of the most
 	// recent run. Re-running the same seed — tracing the same "input"
 	// under a second layout, or re-deriving a memoized trace — skips
 	// the whole-program table rebuild. Lock-free: entries are
@@ -119,37 +148,87 @@ type Engine struct {
 	probsCache atomic.Pointer[probsEntry]
 }
 
-// probsEntry is one cached jittered-probability table, keyed by the
+// probsEntry is one cached cumulative-probability slice, keyed by the
 // derived probability seed and the jitter amplitude.
 type probsEntry struct {
 	seed   uint64
 	jitter float64
-	probs  [][][]float64
+	cum    []float64
 }
 
-// NewEngine prepares p for execution. The program must be valid.
+// NewEngine compiles p into the engine's flat tables. The program must
+// be valid.
 func NewEngine(p *ir.Program) *Engine {
-	e := &Engine{prog: p}
-	e.callPos = make([][][]int32, len(p.Funcs))
+	e := &Engine{
+		prog:   p,
+		funcs:  make([]int32, len(p.Funcs)+1),
+		blocks: make([]block, 0, p.NumBlocks()),
+	}
 	for fi, f := range p.Funcs {
-		e.callPos[fi] = make([][]int32, len(f.Blocks))
-		for bi, b := range f.Blocks {
+		e.funcs[fi] = int32(len(e.blocks))
+		for _, b := range f.Blocks {
+			rec := block{instrs: int32(len(b.Instrs)), calls: int32(len(e.calls)), arcs: int32(len(e.succ))}
 			for j, in := range b.Instrs {
 				if in.Op == ir.OpCall {
-					e.callPos[fi][bi] = append(e.callPos[fi][bi], int32(j))
+					e.calls = append(e.calls, call{instr: int32(j), entry: int32(in.Callee)})
 				}
 			}
+			for _, a := range b.Out {
+				e.succ = append(e.succ, e.funcs[fi]+int32(a.To))
+				e.probs = append(e.probs, a.Prob)
+			}
+			rec.callsEnd, rec.arcsEnd = int32(len(e.calls)), int32(len(e.succ))
+			e.blocks = append(e.blocks, rec)
 		}
 	}
+	e.funcs[len(p.Funcs)] = int32(len(e.blocks))
+	// Callee entries are resolved once every function's base is known.
+	for i := range e.calls {
+		f := e.calls[i].entry
+		e.calls[i].entry = e.funcs[f] + int32(p.Funcs[f].Entry)
+	}
+	e.entry = e.funcs[p.Entry] + int32(p.EntryFunc().Entry)
 	return e
+}
+
+// NewCounts returns zeroed counters shaped for the engine's program.
+func (e *Engine) NewCounts() *Counts {
+	return &Counts{
+		Blocks: make([]uint64, len(e.blocks)),
+		Arcs:   make([]uint64, len(e.succ)),
+		Calls:  make([]uint64, len(e.calls)),
+	}
 }
 
 // ErrDepthExceeded reports that the call stack grew past MaxDepth.
 var ErrDepthExceeded = errors.New("interp: call depth exceeded")
 
-// Run executes the program with the given seed as its "input",
-// streaming events to sink.
-func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
+// Count executes the program with the given seed as its "input",
+// adding its block, arc and call counts to c.
+func (e *Engine) Count(seed uint64, cfg Config, c *Counts) (Result, error) {
+	if len(c.Blocks) != len(e.blocks) || len(c.Arcs) != len(e.succ) || len(c.Calls) != len(e.calls) {
+		return Result{}, fmt.Errorf("interp: counts shaped for %d blocks, %d arcs, %d calls; program has %d, %d, %d",
+			len(c.Blocks), len(c.Arcs), len(c.Calls), len(e.blocks), len(e.succ), len(e.calls))
+	}
+	return e.run(seed, cfg, c, nil, nil)
+}
+
+// Trace executes the program with the given seed as its "input",
+// feeding sink one fetch run per executed segment of a block: from
+// where execution enters or resumes in the block to its next call
+// instruction (inclusive) or its end. addr holds every block's byte
+// address in program order. Empty segments are skipped; contiguous
+// runs are not merged.
+func (e *Engine) Trace(seed uint64, cfg Config, addr []uint32, sink memtrace.Sink) (Result, error) {
+	if len(addr) != len(e.blocks) {
+		return Result{}, fmt.Errorf("interp: address table covers %d blocks, program has %d", len(addr), len(e.blocks))
+	}
+	return e.run(seed, cfg, nil, addr, sink)
+}
+
+// run is the engine's one run loop. It counts into c when c is
+// non-nil and traces into sink when sink is non-nil.
+func (e *Engine) run(seed uint64, cfg Config, c *Counts, addr []uint32, sink memtrace.Sink) (Result, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -160,97 +239,113 @@ func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
 		return Result{}, fmt.Errorf("interp: ProbJitter %v outside [0, 1)", cfg.ProbJitter)
 	}
 	rng := xrand.New(xrand.Seed(seed, 0x45c0))
-	pseed := xrand.Seed(seed, 0x11f7)
-	var probs [][][]float64
-	if c := e.probsCache.Load(); c != nil && c.seed == pseed && c.jitter == cfg.ProbJitter {
-		probs = c.probs
-	} else {
-		probs = e.jitteredProbs(pseed, cfg.ProbJitter)
-		e.probsCache.Store(&probsEntry{seed: pseed, jitter: cfg.ProbJitter, probs: probs})
-	}
+	cum := e.cumProbs(xrand.Seed(seed, 0x11f7), cfg.ProbJitter)
 
 	var res Result
-	prog := e.prog
-	entry := prog.EntryFunc()
-	stack := make([]frame, 1, 64)
-	stack[0] = frame{f: prog.Entry, b: entry.Entry, instr: 0}
-
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		fn := prog.Funcs[fr.f]
-		blk := fn.Blocks[fr.b]
-
-		if fr.instr == 0 {
-			// Control has just arrived at the top of this block
-			// (function entry or taken arc); a return into the middle
-			// of a block resumes with instr > 0 and does not re-enter.
-			sink.EnterBlock(fr.f, fr.b)
+	blocks, calls, succ := e.blocks, e.calls, e.succ
+	stack := make([]frame, 0, 64)
+	fr := frame{blk: e.entry, call: blocks[e.entry].calls}
+	if c != nil {
+		c.Blocks[fr.blk]++
+	}
+	for {
+		b := &blocks[fr.blk]
+		// Execute up to and including the block's next call, or to
+		// the block's end.
+		lo, hi := fr.instr, b.instrs
+		isCall := fr.call < b.callsEnd
+		var cl call
+		if isCall {
+			cl = calls[fr.call]
+			hi = cl.instr + 1
 		}
-
-		// Execute up to the next call in this block, or to the end.
-		next := int32(len(blk.Instrs))
-		isCall := false
-		for _, cp := range e.callPos[fr.f][fr.b] {
-			if cp >= fr.instr {
-				next = cp
-				isCall = true
-				break
+		if hi > lo {
+			if sink != nil {
+				sink.Run(memtrace.Run{Addr: addr[fr.blk] + uint32(lo)*ir.InstrBytes, Bytes: uint32(hi-lo) * ir.InstrBytes})
 			}
+			res.Instrs += uint64(hi - lo)
 		}
 		if isCall {
-			// Segment includes the call instruction itself.
-			lo, hi := fr.instr, next+1
-			if hi > lo {
-				sink.Exec(fr.f, fr.b, lo, hi)
-				res.Instrs += uint64(hi - lo)
-			}
 			res.Calls++
-			callee := blk.Instrs[next].Callee
-			site := ir.CallSite{Func: fr.f, Block: fr.b, Instr: next}
-			sink.Call(site, callee)
-			fr.instr = next + 1
-			if len(stack) >= cfg.MaxDepth {
-				return res, fmt.Errorf("%w (depth %d at %s calling %s)",
-					ErrDepthExceeded, len(stack), fn.Name, prog.Funcs[callee].Name)
+			if c != nil {
+				c.Calls[fr.call]++
 			}
-			cf := prog.Funcs[callee]
-			stack = append(stack, frame{f: callee, b: cf.Entry, instr: 0, site: site})
+			if len(stack)+1 >= cfg.MaxDepth {
+				return res, fmt.Errorf("%w (depth %d at %s calling %s)", ErrDepthExceeded,
+					len(stack)+1, e.prog.Funcs[e.funcOf(fr.blk)].Name, e.prog.Funcs[e.funcOf(cl.entry)].Name)
+			}
+			fr.instr, fr.call = hi, fr.call+1
+			stack = append(stack, fr)
+			fr = frame{blk: cl.entry, call: blocks[cl.entry].calls}
 			if res.Instrs >= cfg.MaxSteps {
 				return res, nil
 			}
+			if c != nil {
+				c.Blocks[fr.blk]++
+			}
 			continue
 		}
-
-		// Block runs to completion.
-		lo, hi := fr.instr, int32(len(blk.Instrs))
-		if hi > lo {
-			sink.Exec(fr.f, fr.b, lo, hi)
-			res.Instrs += uint64(hi - lo)
-		}
-		if len(blk.Out) == 0 {
-			// Function exit.
+		if b.arcs == b.arcsEnd {
+			// Function exit: return to the caller, or end the program.
 			res.Returns++
-			sink.Return(fr.f)
+			if len(stack) == 0 {
+				res.Completed = res.Instrs < cfg.MaxSteps
+				return res, nil
+			}
+			fr = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if res.Instrs >= cfg.MaxSteps {
 				return res, nil
 			}
 			continue
 		}
-		arcIdx := chooseArc(probs[fr.f][fr.b], rng)
-		sink.TakeArc(fr.f, fr.b, int32(arcIdx))
+		// Choose the outgoing arc; a block with one arc takes it
+		// without drawing.
+		j := b.arcs
+		switch n := b.arcsEnd - j; {
+		case n == 2:
+			if rng.Float64() >= cum[j] {
+				j++
+			}
+		case n > 2:
+			x := rng.Float64()
+			for j < b.arcsEnd-1 && x >= cum[j] {
+				j++
+			}
+		}
 		res.Branches++
-		fr.b = blk.Out[arcIdx].To
-		fr.instr = 0
+		if c != nil {
+			c.Arcs[j]++
+		}
+		fr = frame{blk: succ[j], call: blocks[succ[j]].calls}
 		if res.Instrs >= cfg.MaxSteps {
 			return res, nil
 		}
+		if c != nil {
+			c.Blocks[fr.blk]++
+		}
 	}
-	res.Completed = true
-	return res, nil
 }
 
-// jitteredProbs builds per-run cumulative arc probability tables.
+// funcOf returns the function owning flat block blk.
+func (e *Engine) funcOf(blk int32) ir.FuncID {
+	return ir.FuncID(sort.Search(len(e.funcs)-1, func(f int) bool { return e.funcs[f+1] > blk }))
+}
+
+// cumProbs returns the cumulative arc probabilities for one run,
+// reusing the cached slice when the seed and jitter match.
+func (e *Engine) cumProbs(seed uint64, jitter float64) []float64 {
+	if c := e.probsCache.Load(); c != nil && c.seed == seed && c.jitter == jitter {
+		return c.cum
+	}
+	cum := e.jitteredProbs(seed, jitter)
+	e.probsCache.Store(&probsEntry{seed: seed, jitter: jitter, cum: cum})
+	return cum
+}
+
+// jitteredProbs builds a run's cumulative arc probabilities: for each
+// block, the running sum of its jittered arc probabilities,
+// renormalised so that its last arc's entry is exactly 1.
 //
 // The jitter factor of an arc is a pure function of the run seed and
 // the arc's shape (its probability, index, and fan-out), NOT of the
@@ -260,51 +355,27 @@ func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
 // makes identical branch decisions on the original and the inlined
 // program — exactly as one input file drives one control-flow history
 // regardless of how the compiler arranged the code.
-func (e *Engine) jitteredProbs(seed uint64, jitter float64) [][][]float64 {
-	out := make([][][]float64, len(e.prog.Funcs))
-	for fi, f := range e.prog.Funcs {
-		out[fi] = make([][]float64, len(f.Blocks))
-		for bi, b := range f.Blocks {
-			if len(b.Out) == 0 {
-				continue
-			}
-			cum := make([]float64, len(b.Out))
-			var total float64
-			for k, a := range b.Out {
-				p := a.Prob
-				if jitter > 0 && p > 0 && len(b.Out) > 1 {
-					u := float64(xrand.Seed(seed, math.Float64bits(p), uint64(k), uint64(len(b.Out)))>>11) / (1 << 53)
-					p *= 1 + jitter*(2*u-1)
-				}
-				total += p
-				cum[k] = total
-			}
-			// Renormalise so the final entry is exactly 1.
-			for k := range cum {
-				cum[k] /= total
-			}
-			cum[len(cum)-1] = 1
-			out[fi][bi] = cum
+func (e *Engine) jitteredProbs(seed uint64, jitter float64) []float64 {
+	cum := make([]float64, len(e.probs))
+	for _, b := range e.blocks {
+		out := e.probs[b.arcs:b.arcsEnd]
+		if len(out) == 0 {
+			continue
 		}
-	}
-	return out
-}
-
-func chooseArc(cum []float64, rng *xrand.RNG) int {
-	if len(cum) == 1 {
-		return 0
-	}
-	x := rng.Float64()
-	if len(cum) == 2 {
-		if x < cum[0] {
-			return 0
+		blockCum := cum[b.arcs:b.arcsEnd]
+		var total float64
+		for k, p := range out {
+			if jitter > 0 && p > 0 && len(out) > 1 {
+				u := float64(xrand.Seed(seed, math.Float64bits(p), uint64(k), uint64(len(out)))>>11) / (1 << 53)
+				p *= 1 + jitter*(2*u-1)
+			}
+			total += p
+			blockCum[k] = total
 		}
-		return 1
-	}
-	for i, c := range cum {
-		if x < c {
-			return i
+		for k := range blockCum {
+			blockCum[k] /= total
 		}
+		blockCum[len(blockCum)-1] = 1
 	}
-	return len(cum) - 1
+	return cum
 }

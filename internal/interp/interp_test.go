@@ -2,38 +2,74 @@ package interp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"impact/internal/ir"
+	"impact/internal/memtrace"
 )
 
-// recorder captures every event for assertion.
-type recorder struct {
-	enters  []string
-	execs   [][4]int32
-	arcs    [][3]int32
-	calls   []ir.CallSite
-	returns []ir.FuncID
-	instrs  int64
+// runRecorder is a memtrace.Sink that keeps every fetch run.
+type runRecorder struct {
+	runs  []memtrace.Run
+	words uint64
 }
 
-func (r *recorder) EnterBlock(f ir.FuncID, b ir.BlockID) {
-	r.enters = append(r.enters, "")
-	_ = f
-	_ = b
+func (r *runRecorder) Run(run memtrace.Run) {
+	r.runs = append(r.runs, run)
+	r.words += uint64(run.Words())
 }
-func (r *recorder) Exec(f ir.FuncID, b ir.BlockID, lo, hi int32) {
-	r.execs = append(r.execs, [4]int32{int32(f), int32(b), lo, hi})
-	r.instrs += int64(hi - lo)
+
+// naturalAddrs returns every block's address with blocks laid out in
+// program order, the engine's address-table order.
+func naturalAddrs(p *ir.Program) []uint32 {
+	var addrs []uint32
+	var at uint32
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			addrs = append(addrs, at)
+			at += uint32(b.Bytes())
+		}
+	}
+	return addrs
 }
-func (r *recorder) TakeArc(f ir.FuncID, b ir.BlockID, arcIdx int32) {
-	r.arcs = append(r.arcs, [3]int32{int32(f), int32(b), arcIdx})
+
+// countAndTrace runs p once counting and once tracing under its
+// natural addresses, and checks both runs agree.
+func countAndTrace(t *testing.T, p *ir.Program, seed uint64, cfg Config) (Result, *Counts, *runRecorder) {
+	t.Helper()
+	e := NewEngine(p)
+	c := e.NewCounts()
+	res, err := e.Count(seed, cfg, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &runRecorder{}
+	tres, err := e.Trace(seed, cfg, naturalAddrs(p), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tres != res {
+		t.Fatalf("traced run %+v, counting run %+v", tres, res)
+	}
+	if rec.words != res.Instrs {
+		t.Fatalf("trace holds %d words, run executed %d instructions", rec.words, res.Instrs)
+	}
+	return res, c, rec
 }
-func (r *recorder) Call(site ir.CallSite, callee ir.FuncID) {
-	r.calls = append(r.calls, site)
-	_ = callee
+
+// count runs e once into fresh counters.
+func count(e *Engine, seed uint64, cfg Config) (Result, error) {
+	return e.Count(seed, cfg, e.NewCounts())
 }
-func (r *recorder) Return(f ir.FuncID) { r.returns = append(r.returns, f) }
+
+func sum(xs []uint64) uint64 {
+	var s uint64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
 
 // straightLine builds: main: b0(3 instrs) -> b1(2 instrs, ret).
 func straightLine(t *testing.T) *ir.Program {
@@ -87,11 +123,7 @@ func loopProgram(t *testing.T, p float64) *ir.Program {
 
 func TestStraightLineEvents(t *testing.T) {
 	p := straightLine(t)
-	rec := &recorder{}
-	res, err := NewEngine(p).Run(1, Config{}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, c, rec := countAndTrace(t, p, 1, Config{})
 	if !res.Completed {
 		t.Fatal("straight-line run did not complete")
 	}
@@ -99,30 +131,31 @@ func TestStraightLineEvents(t *testing.T) {
 	if res.Instrs != 5 {
 		t.Fatalf("Instrs = %d, want 5", res.Instrs)
 	}
-	if rec.instrs != 5 {
-		t.Fatalf("sink saw %d instrs, want 5", rec.instrs)
+	if rec.words != 5 {
+		t.Fatalf("trace holds %d words, want 5", rec.words)
 	}
-	if len(rec.enters) != 2 {
-		t.Fatalf("EnterBlock called %d times, want 2", len(rec.enters))
+	// One segment per block: b0 [0,12), b1 [12,20).
+	want := []memtrace.Run{{Addr: 0, Bytes: 12}, {Addr: 12, Bytes: 8}}
+	if !slices.Equal(rec.runs, want) {
+		t.Fatalf("runs %v, want %v", rec.runs, want)
 	}
-	if len(rec.arcs) != 1 {
-		t.Fatalf("TakeArc called %d times, want 1", len(rec.arcs))
+	if !slices.Equal(c.Blocks, []uint64{1, 1}) {
+		t.Fatalf("block entries %v, want [1 1]", c.Blocks)
+	}
+	if !slices.Equal(c.Arcs, []uint64{1}) {
+		t.Fatalf("arc counts %v, want [1]", c.Arcs)
 	}
 	if res.Branches != 1 {
 		t.Fatalf("Branches = %d, want 1", res.Branches)
 	}
-	if len(rec.returns) != 1 || res.Returns != 1 {
+	if res.Returns != 1 {
 		t.Fatal("expected exactly one return")
 	}
 }
 
 func TestCallSequence(t *testing.T) {
 	p := callProgram(t)
-	rec := &recorder{}
-	res, err := NewEngine(p).Run(7, Config{}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, c, rec := countAndTrace(t, p, 7, Config{})
 	// main block: 2 fill + call + 3 fill + ret = 7; leaf: 3. Total 10.
 	if res.Instrs != 10 {
 		t.Fatalf("Instrs = %d, want 10", res.Instrs)
@@ -133,38 +166,35 @@ func TestCallSequence(t *testing.T) {
 	if res.Returns != 2 {
 		t.Fatalf("Returns = %d, want 2", res.Returns)
 	}
-	if len(rec.calls) != 1 {
-		t.Fatal("sink missed the call event")
+	// The program's one call instruction (main's, at instruction 2)
+	// executed once.
+	if !slices.Equal(c.Calls, []uint64{1}) {
+		t.Fatalf("call counts %v, want [1]", c.Calls)
 	}
-	site := rec.calls[0]
-	if site.Func != 1 || site.Block != 0 || site.Instr != 2 {
-		t.Fatalf("call site = %+v", site)
+	if p.Funcs[1].Blocks[0].Instrs[2].Op != ir.OpCall {
+		t.Fatal("main's call is not at instruction 2")
 	}
-	// Exec segments: main [0,3) (incl. call), leaf [0,3), main [3,7).
-	want := [][4]int32{{1, 0, 0, 3}, {0, 0, 0, 3}, {1, 0, 3, 7}}
-	if len(rec.execs) != len(want) {
-		t.Fatalf("got %d exec segments %v, want %v", len(rec.execs), rec.execs, want)
+	// Segments: main [0,3) (incl. call), leaf [0,3), main [3,7). The
+	// leaf block sits at 0, main's at 12.
+	want := []memtrace.Run{{Addr: 12, Bytes: 12}, {Addr: 0, Bytes: 12}, {Addr: 24, Bytes: 16}}
+	if !slices.Equal(rec.runs, want) {
+		t.Fatalf("runs %v, want %v", rec.runs, want)
 	}
-	for i, w := range want {
-		if rec.execs[i] != w {
-			t.Fatalf("segment %d = %v, want %v", i, rec.execs[i], w)
-		}
-	}
-	// EnterBlock: main entry once, leaf entry once. Resuming main
+	// Block entries: main entry once, leaf entry once. Resuming main
 	// after the call must NOT re-enter the block.
-	if len(rec.enters) != 2 {
-		t.Fatalf("EnterBlock called %d times, want 2", len(rec.enters))
+	if !slices.Equal(c.Blocks, []uint64{1, 1}) {
+		t.Fatalf("block entries %v, want [1 1]", c.Blocks)
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	p := loopProgram(t, 0.9)
 	e := NewEngine(p)
-	r1, err := e.Run(123, Config{}, NopSink{})
+	r1, err := count(e, 123, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(123, Config{}, NopSink{})
+	r2, err := count(e, 123, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +206,12 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	p := loopProgram(t, 0.9)
 	e := NewEngine(p)
-	r1, _ := e.Run(1, Config{}, NopSink{})
-	r2, _ := e.Run(2, Config{}, NopSink{})
+	r1, _ := count(e, 1, Config{})
+	r2, _ := count(e, 2, Config{})
 	if r1.Instrs == r2.Instrs {
 		// Possible but wildly unlikely for a geometric loop; try a
 		// third seed before declaring failure.
-		r3, _ := e.Run(3, Config{}, NopSink{})
+		r3, _ := count(e, 3, Config{})
 		if r3.Instrs == r1.Instrs {
 			t.Fatal("three seeds produced identical loop lengths")
 		}
@@ -194,7 +224,7 @@ func TestLoopMeanTripCount(t *testing.T) {
 	var totalBody uint64
 	const runs = 2000
 	for s := uint64(0); s < runs; s++ {
-		res, err := e.Run(s, Config{}, NopSink{})
+		res, err := count(e, s, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +239,7 @@ func TestLoopMeanTripCount(t *testing.T) {
 
 func TestMaxStepsStopsRun(t *testing.T) {
 	p := loopProgram(t, 0.999999) // effectively infinite
-	res, err := NewEngine(p).Run(5, Config{MaxSteps: 1000}, NopSink{})
+	res, err := count(NewEngine(p), 5, Config{MaxSteps: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +268,7 @@ func TestMaxDepthError(t *testing.T) {
 	pb.SetEntry(fa.ID())
 	p := pb.Build()
 
-	_, err := NewEngine(p).Run(1, Config{MaxDepth: 64}, NopSink{})
+	_, err := count(NewEngine(p), 1, Config{MaxDepth: 64})
 	if !errors.Is(err, ErrDepthExceeded) {
 		t.Fatalf("err = %v, want ErrDepthExceeded", err)
 	}
@@ -246,10 +276,10 @@ func TestMaxDepthError(t *testing.T) {
 
 func TestProbJitterValidation(t *testing.T) {
 	p := straightLine(t)
-	if _, err := NewEngine(p).Run(1, Config{ProbJitter: 1.5}, NopSink{}); err == nil {
+	if _, err := count(NewEngine(p), 1, Config{ProbJitter: 1.5}); err == nil {
 		t.Fatal("ProbJitter 1.5 accepted")
 	}
-	if _, err := NewEngine(p).Run(1, Config{ProbJitter: -0.1}, NopSink{}); err == nil {
+	if _, err := count(NewEngine(p), 1, Config{ProbJitter: -0.1}); err == nil {
 		t.Fatal("negative ProbJitter accepted")
 	}
 }
@@ -261,8 +291,8 @@ func TestProbJitterChangesBehaviour(t *testing.T) {
 	// differ for at least one of a few seeds.
 	differs := false
 	for s := uint64(0); s < 5 && !differs; s++ {
-		a, _ := e.Run(s, Config{}, NopSink{})
-		b, _ := e.Run(s, Config{ProbJitter: 0.3}, NopSink{})
+		a, _ := count(e, s, Config{})
+		b, _ := count(e, s, Config{ProbJitter: 0.3})
 		differs = a.Instrs != b.Instrs
 	}
 	if !differs {
@@ -285,21 +315,17 @@ func TestEmptyBlockExecutes(t *testing.T) {
 	fb.Ret(b1)
 	p := pb.Build()
 
-	rec := &recorder{}
-	res, err := NewEngine(p).Run(1, Config{}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, c, rec := countAndTrace(t, p, 1, Config{})
 	if res.Instrs != 4 {
 		t.Fatalf("Instrs = %d, want 4", res.Instrs)
 	}
-	if len(rec.enters) != 3 {
-		t.Fatalf("EnterBlock count = %d, want 3 (empty block still entered)", len(rec.enters))
+	if !slices.Equal(c.Blocks, []uint64{1, 1, 1}) {
+		t.Fatalf("block entries %v, want [1 1 1] (empty block still entered)", c.Blocks)
 	}
-	// Empty block must not emit a zero-length Exec.
-	for _, e := range rec.execs {
-		if e[2] == e[3] {
-			t.Fatalf("zero-length exec segment emitted: %v", e)
+	// Empty block must not emit a zero-length run.
+	for _, r := range rec.runs {
+		if r.Bytes == 0 {
+			t.Fatalf("zero-length run emitted: %v", r)
 		}
 	}
 }
@@ -318,17 +344,31 @@ func TestBranchDistribution(t *testing.T) {
 	p := pb.Build()
 
 	eng := NewEngine(p)
-	counts := [2]int{}
+	c := eng.NewCounts()
 	const runs = 5000
 	for s := uint64(0); s < runs; s++ {
-		rec := &recorder{}
-		if _, err := eng.Run(s, Config{}, rec); err != nil {
+		if _, err := eng.Count(s, Config{}, c); err != nil {
 			t.Fatal(err)
 		}
-		counts[rec.arcs[0][2]]++
 	}
-	frac := float64(counts[0]) / runs
+	if c.Arcs[0]+c.Arcs[1] != runs {
+		t.Fatalf("arc counts %v, want %d in total", c.Arcs, runs)
+	}
+	frac := float64(c.Arcs[0]) / runs
 	if frac < 0.77 || frac > 0.83 {
 		t.Fatalf("arc 0 taken fraction %v, want ~0.8", frac)
+	}
+}
+
+// TestShapeMismatch: counters or an address table shaped for another
+// program are rejected before the run starts.
+func TestShapeMismatch(t *testing.T) {
+	e := NewEngine(callProgram(t))
+	other := NewEngine(straightLine(t))
+	if _, err := e.Count(1, Config{}, other.NewCounts()); err == nil {
+		t.Error("Count accepted counters of another program")
+	}
+	if _, err := e.Trace(1, Config{}, []uint32{0}, &runRecorder{}); err == nil {
+		t.Error("Trace accepted a one-block address table for a two-block program")
 	}
 }

@@ -13,8 +13,8 @@ import (
 //
 // Metrics: counters interp.runs, interp.instrs, interp.branches,
 // interp.calls, interp.returns, interp.busy_ns; gauge
-// interp.events_per_sec (total sink events over total recorded busy
-// time — with parallel runs this is per-worker throughput, not
+// interp.events_per_sec (total execution events over total recorded
+// busy time — with parallel runs this is per-worker throughput, not
 // machine throughput).
 func Record(r *obs.Registry, res Result, elapsed time.Duration) {
 	if r == nil {

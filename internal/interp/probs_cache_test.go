@@ -13,7 +13,7 @@ func TestProbsCacheReuse(t *testing.T) {
 	e := NewEngine(p)
 	cfg := Config{MaxSteps: 2000, ProbJitter: 0.4}
 
-	r1, err := e.Run(3, cfg, NopSink{})
+	r1, err := count(e, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestProbsCacheReuse(t *testing.T) {
 	if c1 == nil {
 		t.Fatal("no cache entry after Run")
 	}
-	r2, err := e.Run(3, cfg, NopSink{})
+	r2, err := count(e, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestProbsCacheReuse(t *testing.T) {
 		t.Errorf("cached run diverged: %+v vs %+v", r1, r2)
 	}
 	// A fresh engine must agree with the cached run.
-	r3, err := NewEngine(p).Run(3, cfg, NopSink{})
+	r3, err := count(NewEngine(p), 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestProbsCacheReuse(t *testing.T) {
 		t.Errorf("fresh engine %+v, cached engine %+v", r3, r1)
 	}
 
-	if _, err := e.Run(4, cfg, NopSink{}); err != nil {
+	if _, err := count(e, 4, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if e.probsCache.Load() == c1 {
@@ -48,7 +48,7 @@ func TestProbsCacheReuse(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.ProbJitter = 0
-	if _, err := e.Run(4, cfg2, NopSink{}); err != nil {
+	if _, err := count(e, 4, cfg2); err != nil {
 		t.Fatal(err)
 	}
 	if c := e.probsCache.Load(); c == nil || c.jitter != 0 {
@@ -65,7 +65,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	cfg := Config{MaxSteps: 1000, ProbJitter: 0.2}
 	want := map[uint64]Result{}
 	for seed := uint64(0); seed < 4; seed++ {
-		r, err := e.Run(seed, cfg, NopSink{})
+		r, err := count(e, seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				seed := uint64((g + i) % 4)
-				r, err := e.Run(seed, cfg, NopSink{})
+				r, err := count(e, seed, cfg)
 				if err != nil {
 					t.Error(err)
 					return

@@ -8,11 +8,12 @@
 // implicitly compares against: the natural layout (declaration order,
 // what a conventional compiler and linker emit) and a random layout.
 //
-// The Tracer bridges the execution engine to the cache simulator: it
-// converts Exec events into sequential fetch runs using the layout's
-// addresses. Running the same program under two layouts yields two
-// different address traces — which is precisely how instruction
-// placement affects cache behaviour.
+// Trace and Stream bridge the execution engine to the cache simulator:
+// the engine runs from the layout's per-block address table and emits
+// each executed segment of a block as one sequential fetch run.
+// Running the same program under two layouts yields two different
+// address traces — which is precisely how instruction placement
+// affects cache behaviour.
 package layout
 
 import (
@@ -41,8 +42,11 @@ type Placement struct {
 // Layout maps blocks to byte addresses.
 type Layout struct {
 	prog *ir.Program
-	// addr[f][b] is the byte address of the block's first instruction.
-	addr [][]uint32
+	// addr is the byte address of every block's first instruction in
+	// program order — the execution engine's address table — and
+	// base[f] the index of function f's block 0 in it.
+	addr []uint32
+	base []int
 	// Total is one past the highest code byte.
 	Total uint32
 }
@@ -51,28 +55,27 @@ type Layout struct {
 func (l *Layout) Program() *ir.Program { return l.prog }
 
 // BlockAddr returns the byte address of block b in function f.
-func (l *Layout) BlockAddr(f ir.FuncID, b ir.BlockID) uint32 { return l.addr[f][b] }
+func (l *Layout) BlockAddr(f ir.FuncID, b ir.BlockID) uint32 { return l.addr[l.base[f]+int(b)] }
 
 // InstrAddr returns the byte address of instruction i of block b.
 func (l *Layout) InstrAddr(f ir.FuncID, b ir.BlockID, i int32) uint32 {
-	return l.addr[f][b] + uint32(i)*ir.InstrBytes
+	return l.BlockAddr(f, b) + uint32(i)*ir.InstrBytes
 }
 
 // BlockEnd returns one past the last code byte of block b in function
 // f — the address a fall-through successor must start at.
 func (l *Layout) BlockEnd(f ir.FuncID, b ir.BlockID) uint32 {
-	return l.addr[f][b] + uint32(l.prog.Funcs[f].Blocks[b].Bytes())
+	return l.BlockAddr(f, b) + uint32(l.prog.Funcs[f].Blocks[b].Bytes())
 }
 
 // FromPlacement assigns addresses following pl's order. It returns an
 // error unless pl covers every block of p exactly once.
 func FromPlacement(p *ir.Program, pl Placement) (*Layout, error) {
-	l := &Layout{prog: p, addr: make([][]uint32, len(p.Funcs))}
-	seen := make([][]bool, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		l.addr[fi] = make([]uint32, len(f.Blocks))
-		seen[fi] = make([]bool, len(f.Blocks))
+	l := &Layout{prog: p, addr: make([]uint32, p.NumBlocks()), base: make([]int, len(p.Funcs))}
+	for fi := 1; fi < len(p.Funcs); fi++ {
+		l.base[fi] = l.base[fi-1] + len(p.Funcs[fi-1].Blocks)
 	}
+	seen := make([]bool, len(l.addr))
 	var at uint32
 	for _, ref := range pl.Order {
 		if ref.F < 0 || int(ref.F) >= len(p.Funcs) {
@@ -82,16 +85,17 @@ func FromPlacement(p *ir.Program, pl Placement) (*Layout, error) {
 		if ref.B < 0 || int(ref.B) >= len(f.Blocks) {
 			return nil, fmt.Errorf("layout: placement references block %d of %d in %q", ref.B, len(f.Blocks), f.Name)
 		}
-		if seen[ref.F][ref.B] {
+		i := l.base[ref.F] + int(ref.B)
+		if seen[i] {
 			return nil, fmt.Errorf("layout: block %q/%d placed twice", f.Name, ref.B)
 		}
-		seen[ref.F][ref.B] = true
-		l.addr[ref.F][ref.B] = at
+		seen[i] = true
+		l.addr[i] = at
 		at += uint32(f.Blocks[ref.B].Bytes())
 	}
 	for fi, f := range p.Funcs {
 		for bi := range f.Blocks {
-			if !seen[fi][bi] {
+			if !seen[l.base[fi]+bi] {
 				return nil, fmt.Errorf("layout: block %q/%d not placed", f.Name, bi)
 			}
 		}
@@ -148,32 +152,11 @@ func Random(p *ir.Program, seed uint64) *Layout {
 	return l
 }
 
-// Tracer converts execution events into instruction fetch runs under a
-// given layout.
-type Tracer struct {
-	interp.NopSink
-	lay  *Layout
-	sink memtrace.Sink
-}
-
-// NewTracer returns a tracer feeding sink.
-func NewTracer(lay *Layout, sink memtrace.Sink) *Tracer {
-	return &Tracer{lay: lay, sink: sink}
-}
-
-// Exec translates an executed instruction range into a fetch run.
-func (t *Tracer) Exec(f ir.FuncID, b ir.BlockID, lo, hi int32) {
-	t.sink.Run(memtrace.Run{
-		Addr:  t.lay.InstrAddr(f, b, lo),
-		Bytes: uint32(hi-lo) * ir.InstrBytes,
-	})
-}
-
 // engineFor returns an execution engine for p, reusing the most
 // recently built one when the program matches. Tracing the same
 // program under several layouts (optimized vs natural, or derived
-// pipeline variants) re-runs the engine instead of re-deriving its
-// call-position tables, and — together with the engine's own
+// pipeline variants) re-runs the engine instead of re-compiling its
+// flat tables, and — together with the engine's own
 // jittered-probability cache — makes repeat runs of one seed cheap.
 // Engines are immutable after construction, so sharing one across
 // goroutines is safe; the cache itself is a single lock-free entry.
@@ -201,7 +184,7 @@ var engines atomic.Pointer[engineEntry]
 // simulators (cache.SinkSimulator, sweep.StreamPass).
 func Stream(lay *Layout, seed uint64, cfg interp.Config, sink memtrace.Sink) (interp.Result, error) {
 	m := memtrace.NewMerger(sink)
-	res, err := engineFor(lay.Program()).Run(seed, cfg, NewTracer(lay, m))
+	res, err := engineFor(lay.Program()).Trace(seed, cfg, lay.addr, m)
 	if err != nil {
 		return res, err
 	}
@@ -215,7 +198,7 @@ func Stream(lay *Layout, seed uint64, cfg interp.Config, sink memtrace.Sink) (in
 // building a multi-million-run trace never re-copies it.
 func Trace(lay *Layout, seed uint64, cfg interp.Config) (*memtrace.Trace, interp.Result, error) {
 	var buf memtrace.Buffer
-	res, err := engineFor(lay.Program()).Run(seed, cfg, NewTracer(lay, &buf))
+	res, err := engineFor(lay.Program()).Trace(seed, cfg, lay.addr, &buf)
 	if err != nil {
 		return nil, res, err
 	}

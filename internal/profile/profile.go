@@ -170,31 +170,6 @@ func (w *Weights) Check(p *ir.Program) error {
 	return nil
 }
 
-// Collector is an interp.Sink that accumulates profile weights,
-// playing the role of the probe calls the IMPACT-I profiler inserts
-// into the instrumented program.
-type Collector struct {
-	interp.NopSink
-	W *Weights
-}
-
-// NewCollector returns a collector accumulating into w.
-func NewCollector(w *Weights) *Collector { return &Collector{W: w} }
-
-func (c *Collector) EnterBlock(f ir.FuncID, b ir.BlockID) {
-	c.W.Funcs[f].BlockW[b]++
-}
-
-func (c *Collector) TakeArc(f ir.FuncID, b ir.BlockID, arcIdx int32) {
-	c.W.Funcs[f].ArcW[b][arcIdx]++
-}
-
-func (c *Collector) Call(site ir.CallSite, callee ir.FuncID) {
-	c.W.Sites[site]++
-	c.W.Pairs[CallPair{Caller: site.Func, Callee: callee}]++
-	c.W.Funcs[callee].Entries++
-}
-
 // Config controls a profiling session.
 type Config struct {
 	// Seeds lists the profiling inputs; each seed is one run.
@@ -207,22 +182,22 @@ type Config struct {
 }
 
 // Profile runs program p once per seed and returns the merged weights
-// plus the per-run execution results.
+// plus the per-run execution results. The runs count into the engine's
+// dense block, arc and call counters — the probe calls the IMPACT-I
+// profiler inserts into the instrumented program — and the session
+// folds them into the weights once, after its last run.
 func Profile(p *ir.Program, cfg Config) (*Weights, []interp.Result, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, nil, fmt.Errorf("profile: no seeds given")
 	}
-	w := NewWeights(p)
-	// The entry function is entered once per run but no Call event
-	// reports it; account for it explicitly.
 	eng := interp.NewEngine(p)
-	col := NewCollector(w)
+	counts := eng.NewCounts()
+	w := NewWeights(p)
 	results := make([]interp.Result, 0, len(cfg.Seeds))
 	for _, seed := range cfg.Seeds {
-		w.Funcs[p.Entry].Entries++
 		//lint:walltime per-run timing metric only; weights are clock-free
 		start := time.Now()
-		res, err := eng.Run(seed, cfg.Interp, col)
+		res, err := eng.Count(seed, cfg.Interp, counts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("profile: seed %d: %w", seed, err)
 		}
@@ -237,5 +212,37 @@ func Profile(p *ir.Program, cfg Config) (*Weights, []interp.Result, error) {
 		results = append(results, res)
 	}
 	w.Runs = len(cfg.Seeds)
+	w.fold(p, counts)
 	return w, results, nil
+}
+
+// fold adds a session's counts to w. Blocks and arcs add up in
+// program order; every executed call site adds to its site, its
+// caller/callee pair and its callee's entry count. The entry function
+// is entered once per run without a call.
+func (w *Weights) fold(p *ir.Program, c *interp.Counts) {
+	var bi, ai, ci int
+	for f, fn := range p.Funcs {
+		fw := &w.Funcs[f]
+		for b, blk := range fn.Blocks {
+			fw.BlockW[b] += c.Blocks[bi]
+			bi++
+			for k := range blk.Out {
+				fw.ArcW[b][k] += c.Arcs[ai]
+				ai++
+			}
+			for j, in := range blk.Instrs {
+				if in.Op != ir.OpCall {
+					continue
+				}
+				if n := c.Calls[ci]; n > 0 {
+					w.Sites[ir.CallSite{Func: ir.FuncID(f), Block: ir.BlockID(b), Instr: int32(j)}] += n
+					w.Pairs[CallPair{Caller: ir.FuncID(f), Callee: in.Callee}] += n
+					w.Funcs[in.Callee].Entries += n
+				}
+				ci++
+			}
+		}
+	}
+	w.Funcs[p.Entry].Entries += uint64(w.Runs)
 }

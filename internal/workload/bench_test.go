@@ -22,10 +22,11 @@ func BenchmarkExecutionEngine(b *testing.B) {
 	bench := ByName("yacc", 0.1)
 	eng := interp.NewEngine(bench.Prog)
 	cfg := bench.EvalConfig()
+	counts := eng.NewCounts()
 	var instrs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(uint64(i), cfg, interp.NopSink{})
+		res, err := eng.Count(uint64(i), cfg, counts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -149,10 +149,11 @@ func TestRunsCompleteNearTarget(t *testing.T) {
 	for _, name := range []string{"wc", "tee", "compress"} {
 		b := ByName(name, 0.05)
 		eng := interp.NewEngine(b.Prog)
+		counts := eng.NewCounts()
 		var total uint64
 		const runs = 6
 		for i := 0; i < runs; i++ {
-			res, err := eng.Run(uint64(1000+i), b.EvalConfig(), interp.NopSink{})
+			res, err := eng.Count(uint64(1000+i), b.EvalConfig(), counts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

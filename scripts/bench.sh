@@ -36,9 +36,11 @@
 # family (static analyzer priced against the trace-driven simulator,
 # incremental re-analysis, and the page-level BenchmarkAnalyzePages),
 # BenchmarkStreamSimulate (generate-and-simulate with no materialized
-# trace), BenchmarkSearchParallel (the portfolio search), and the three
+# trace), BenchmarkSearchParallel (the portfolio search), the three
 # ablations that re-run pipeline variants (A1 layout strategy, A3
-# MIN_PROB, A6 global ordering), which place the prepared profile.
+# MIN_PROB, A6 global ordering), which place the prepared profile, and
+# the execution engine's two runs, BenchmarkProfile (counting) and
+# BenchmarkEvalTrace (tracing), which report ns/instr.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,7 +72,7 @@ fi
 
 SCALE="${IMPACT_BENCH_SCALE:-0.25}"
 BENCHTIME="${BENCHTIME:-3x}"
-PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Search|Ablation(LayoutStrategy|MinProb|GlobalAlgo))}"
+PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Search|Ablation(LayoutStrategy|MinProb|GlobalAlgo)|Profile|EvalTrace)}"
 if [ "$MODE" = compare ]; then
     OUT="$(mktemp /tmp/bench.XXXXXX.json)"
 else
