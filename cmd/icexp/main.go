@@ -296,9 +296,8 @@ func main() {
 	memo := common.Registry.Counter("sweep.sims_memoized").Value()
 	stack := common.Registry.Counter("sweep.stack_pass_sizes").Value()
 	passes := common.Registry.Counter("sweep.trace_passes").Value()
-	reused := common.Registry.Counter("sweep.stack_pass_reused").Value()
-	fmt.Fprintf(os.Stderr, "sweep engine: %d simulations (%d stack-derived) in %d trace passes, %d served from memo, %d from retained passes\n",
-		run, stack, passes, memo, reused)
+	fmt.Fprintf(os.Stderr, "sweep engine: %d simulations (%d stack-derived) in %d trace passes, %d served from memo\n",
+		run, stack, passes, memo)
 	fmt.Fprintf(os.Stderr, "total time %v\n", time.Since(start).Round(time.Millisecond))
 	common.MustClose()
 }

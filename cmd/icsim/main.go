@@ -24,14 +24,14 @@
 // A cache or paging geometry no simulator accepts exits with status 2
 // before the trace file is opened.
 //
-// The trace is never materialized: runs stream from the file straight
-// into the simulator (memtrace.Reader), so memory stays constant
-// regardless of trace length.
+// -sizes replaces -size with a comma-separated cache size sweep.
 //
-// -sizes replaces -size with a comma-separated cache size sweep,
-// simulated in a single streaming pass over the file: one LRU stack
-// pass when the organisation permits (fully associative, whole-block,
-// untimed), otherwise one fan-out replay into all sizes at once (see
+// The trace is never materialized: runs stream from the file
+// (memtrace.Reader) in one pass into a sweep plan, so memory stays
+// constant regardless of trace length. The plan measures the requested
+// organisations the way the experiments engine does: LRU stack passes
+// where they pay (a whole-block LRU sweep sharing one set count, or a
+// cache wider than 8 ways), one fan-out replay for the rest (see
 // docs/PERFORMANCE.md).
 package main
 
@@ -45,6 +45,7 @@ import (
 	"impact/internal/cache/sweep"
 	"impact/internal/cliutil"
 	"impact/internal/memtrace"
+	"impact/internal/obs"
 	"impact/internal/paging"
 	"impact/internal/texttable"
 )
@@ -98,58 +99,68 @@ func main() {
 		fatal(err)
 	}
 
-	var count memtrace.RunCount
-	var pager *paging.Simulator
-	if *usePaging {
-		pager, err = paging.NewSimulator(pf.Config())
-		if err != nil {
-			fatal(err)
-		}
-	}
-	// tee fans the cache sink out to the run counter and, when -paging
-	// is set, the demand-paging simulator — still one streaming pass.
-	tee := func(s memtrace.Sink) memtrace.Sink {
-		if pager != nil {
-			return memtrace.Tee(s, &count, pager)
-		}
-		return memtrace.Tee(s, &count)
-	}
+	cfgs := []cache.Config{cfg}
+	var sp *obs.Span
 	if sizeList != nil {
-		sp := common.Registry.Span("icsim/sweep")
+		cfgs = make([]cache.Config, len(sizeList))
+		for i, size := range sizeList {
+			cfgs[i] = cfg
+			cfgs[i].SizeBytes = size
+		}
+		sp = common.Registry.Span("icsim/sweep")
 		sp.SetAttrInt("sizes", int64(len(sizeList)))
-		sweepSizes(cfg, rd, &count, sizeList, *tracePath, tee)
-		printPaging(pager)
-		sp.End()
-		common.MustClose()
-		return
+	} else {
+		sp = common.Registry.Span("icsim/simulate")
+		sp.SetAttr("cache", cfg.String())
 	}
-	sp := common.Registry.Span("icsim/simulate")
-	sp.SetAttr("cache", cfg.String())
-	sim, err := cache.NewSinkSimulator(cfg)
+	plan, err := sweep.NewPlan(cfgs...)
 	if err != nil {
 		sp.End()
 		fatal(err)
 	}
-	if err := rd.Replay(tee(sim)); err != nil {
+	// One streaming pass feeds the plan, the run counter and, with
+	// -paging, the demand-paging simulator.
+	var count memtrace.RunCount
+	sinks := []memtrace.Sink{plan, &count}
+	var pager *paging.Simulator
+	if *usePaging {
+		if pager, err = paging.NewSimulator(pf.Config()); err != nil {
+			sp.End()
+			fatal(err)
+		}
+		sinks = append(sinks, pager)
+	}
+	if err := rd.Replay(memtrace.Tee(sinks...)); err != nil {
 		sp.End()
 		fatal(err)
 	}
-	stats := sim.Stats()[0]
+	stats := plan.Stats()
 	sp.End()
 	slog.Debug("trace streamed", "file", *tracePath, "instrs", count.Instrs, "runs", count.Runs)
 
-	fmt.Printf("trace:    %s (%d instruction fetches, %d runs)\n", *tracePath, count.Instrs, count.Runs)
+	if sizeList != nil {
+		printSweep(cfg, stats, sizeList, *tracePath, count)
+	} else {
+		printSingle(cfg, stats[0], *tracePath, count)
+	}
+	printPaging(pager)
+	common.MustClose()
+}
+
+// printSingle reports one organisation's statistics.
+func printSingle(cfg cache.Config, stats cache.Stats, tracePath string, count memtrace.RunCount) {
+	fmt.Printf("trace:    %s (%d instruction fetches, %d runs)\n", tracePath, count.Instrs, count.Runs)
 	fmt.Printf("cache:    %s\n", cfg)
 	fmt.Printf("misses:   %d\n", stats.Misses)
 	fmt.Printf("miss:     %.4f%%\n", stats.MissRatio()*100)
 	fmt.Printf("traffic:  %.4f%%\n", stats.TrafficRatio()*100)
-	if cf.Partial || cf.Sector != 0 {
+	if cfg.PartialLoad || cfg.SectorBytes != 0 {
 		fmt.Printf("avg.fetch: %.1f words\n", stats.AvgFetchWords())
 	}
 	if stats.ExecRuns > 0 {
 		fmt.Printf("avg.exec:  %.1f instructions\n", stats.AvgExecWords())
 	}
-	if *prefetch {
+	if cfg.PrefetchNext {
 		fmt.Printf("prefetches: %d (%.1f%% used)\n", stats.Prefetches, stats.PrefetchAccuracy()*100)
 	}
 	if cfg.Timing != nil {
@@ -157,8 +168,6 @@ func main() {
 		fmt.Printf("cycles:       %d\n", stats.Cycles())
 		fmt.Printf("eff. access:  %.3f cycles/fetch\n", stats.EffectiveAccessTime())
 	}
-	printPaging(pager)
-	common.MustClose()
 }
 
 // printPaging reports the teed demand-paging simulation, if one ran.
@@ -171,32 +180,8 @@ func printPaging(pager *paging.Simulator) {
 		st.Faults, st.FaultRate(), st.PagesTouched)
 }
 
-// sweepSizes runs the -sizes size sweep in one streaming pass over the
-// file: a stack pass for fully associative whole-block organisations,
-// a fan-out replay into every size otherwise.
-func sweepSizes(template cache.Config, rd *memtrace.Reader, count *memtrace.RunCount, sizeList []int, tracePath string, tee func(memtrace.Sink) memtrace.Sink) {
-	z, cfgs, err := sweep.NewSizeStream(template, sizeList)
-	if err != nil {
-		fatal(err)
-	}
-	var stats []cache.Stats
-	if z != nil {
-		if err := rd.Replay(tee(z)); err != nil {
-			fatal(err)
-		}
-		if stats, err = z.Results(); err != nil {
-			fatal(err)
-		}
-	} else {
-		sim, err := cache.NewSinkSimulator(cfgs...)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rd.Replay(tee(sim)); err != nil {
-			fatal(err)
-		}
-		stats = sim.Stats()
-	}
+// printSweep reports a -sizes sweep, one row per size.
+func printSweep(template cache.Config, stats []cache.Stats, sizeList []int, tracePath string, count memtrace.RunCount) {
 	desc := fmt.Sprintf("%dB blocks", template.BlockBytes)
 	switch template.Assoc {
 	case 0:

@@ -88,6 +88,9 @@ func cmdAnalyze(args []string) {
 	common := startCommon(fs, args)
 	defer common.MustClose()
 	checkGeometry(cf, pf)
+	checkCount("top-sets", *topSets)
+	checkCount("top-pairs", *topPairs)
+	checkCount("top-funcs", *topFuncs)
 	b := mustBench(*name, *scale)
 
 	res := optimize(b, *strategy, common.Registry)

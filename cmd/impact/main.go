@@ -60,7 +60,6 @@ import (
 	"strconv"
 	"strings"
 
-	"impact/internal/cache"
 	"impact/internal/check"
 	"impact/internal/cliutil"
 	"impact/internal/core"
@@ -127,6 +126,14 @@ func checkGeometry(cf *cliutil.CacheFlags, pf *cliutil.PagingFlags) {
 		if err := pf.Check(); err != nil {
 			cliutil.ExitUsage("impact", err)
 		}
+	}
+}
+
+// checkCount rejects a negative count flag right after parsing: a
+// usage error naming the flag, not a silently empty report or search.
+func checkCount(name string, v int) {
+	if v < 0 {
+		cliutil.ExitUsage("impact", fmt.Errorf("invalid value %d for flag -%s: must be >= 0", v, name))
 	}
 }
 
@@ -395,38 +402,41 @@ func cmdSimulate(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if sizeList != nil {
-		sweeps := make([][]cache.Stats, len(runs))
-		for i, r := range runs {
-			s, err := eng.SweepSizes(r.tr, cfg, sizeList)
-			if err != nil {
-				fatal(err)
-			}
-			sweeps[i] = s
+	// One batch measures every layout at every size, so a size sweep
+	// of both layouts is planned at once.
+	sizes := sizeList
+	if sizes == nil {
+		sizes = []int{cfg.SizeBytes}
+	}
+	var reqs []experiments.SimRequest
+	for _, r := range runs {
+		for _, size := range sizes {
+			c := cfg
+			c.SizeBytes = size
+			reqs = append(reqs, experiments.SimRequest{Trace: r.tr, Config: c})
 		}
+	}
+	stats, err := eng.Batch(reqs)
+	if err != nil {
+		fatal(err)
+	}
+	if sizeList != nil {
 		cols := []string{"size"}
 		for _, r := range runs {
 			short := r.label[:3]
 			cols = append(cols, short+" miss", short+" traffic")
 		}
 		t := texttable.New(fmt.Sprintf("%s size sweep (%dB blocks)", b.Name(), cfg.BlockBytes), cols...)
-		for i := range sizeList {
-			row := []any{sizeList[i]}
-			for _, s := range sweeps {
-				row = append(row, texttable.Pct3(s[i].MissRatio()), texttable.Pct(s[i].TrafficRatio()))
+		for i, size := range sizeList {
+			row := []any{size}
+			for j := range runs {
+				st := stats[j*len(sizeList)+i]
+				row = append(row, texttable.Pct3(st.MissRatio()), texttable.Pct(st.TrafficRatio()))
 			}
 			t.Row(row...)
 		}
 		fmt.Print(t.String())
 		return
-	}
-	reqs := make([]experiments.SimRequest, len(runs))
-	for i, r := range runs {
-		reqs[i] = experiments.SimRequest{Trace: r.tr, Config: cfg}
-	}
-	stats, err := eng.Batch(reqs)
-	if err != nil {
-		fatal(err)
 	}
 
 	t := texttable.New(fmt.Sprintf("%s on %s", b.Name(), cfg),

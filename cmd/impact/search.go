@@ -36,6 +36,7 @@ func cmdSearch(args []string) {
 	common := startCommon(fs, args)
 	defer common.MustClose()
 	checkGeometry(cf, pf)
+	checkCount("budget", *budget)
 	experiments.Configure(experiments.EngineConfig{Workers: *workers})
 	ccfg := cf.Config()
 

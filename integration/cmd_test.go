@@ -5,9 +5,11 @@ package integration
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +104,101 @@ func TestImpactSimulate(t *testing.T) {
 	}
 }
 
+// TestSizeSweepsMatchSingleSize: a -sizes sweep prints, for every
+// size, the numbers the single-size command prints. icsim runs four
+// templates over one trace file — fully associative and 16-way ones,
+// which stack, and direct-mapped and 4-way FIFO ones, which replay
+// (512B holds only 8 blocks, so the 16-way sweep starts at 1024B) — and
+// impact simulate sweeps both layouts.
+func TestSizeSweepsMatchSingleSize(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "cccp.itr")
+	runTool(t, "impact", "trace", "-bench", "cccp", "-scale", "0.05", "-strategy", "random", "-o", trace)
+	all := []string{"512", "1024", "2048", "4096", "8192"}
+	for _, tmpl := range []struct {
+		args  []string
+		sizes []string
+	}{
+		{[]string{"-assoc", "0"}, all},
+		{[]string{"-assoc", "1"}, all},
+		{[]string{"-assoc", "4", "-replacement", "fifo"}, all},
+		{[]string{"-assoc", "16"}, all[1:]},
+	} {
+		sweep := runTool(t, "icsim", append([]string{"-trace", trace, "-sizes", strings.Join(tmpl.sizes, ",")}, tmpl.args...)...)
+		rows := tableRows(sweep)
+		if len(rows) != len(tmpl.sizes) {
+			t.Fatalf("icsim %v: %d rows for %d sizes:\n%s", tmpl.args, len(rows), len(tmpl.sizes), sweep)
+		}
+		for i, size := range tmpl.sizes {
+			single := runTool(t, "icsim", append([]string{"-trace", trace, "-size", size}, tmpl.args...)...)
+			// Sweep row: size, misses, miss, traffic, avg.exec. The
+			// single-size report prints the ratios with more decimals.
+			row := rows[i]
+			avgExec := "0.0"
+			if v := lineField(single, "avg.exec:"); v != "" {
+				avgExec = v
+			}
+			if row[0] != size || row[1] != lineField(single, "misses:") || row[4] != avgExec ||
+				!samePct(row[2], lineField(single, "miss:"), 0.0005+0.00005) ||
+				!samePct(row[3], lineField(single, "traffic:"), 0.005+0.00005) {
+				t.Errorf("icsim %v size %s: sweep row %v, single-size report:\n%s", tmpl.args, size, row, single)
+			}
+		}
+	}
+
+	sizes := []string{"512", "1024", "2048", "4096"}
+	sweep := tableRows(runTool(t, "impact", "simulate", "-bench", "cmp", "-scale", "0.05", "-sizes", strings.Join(sizes, ",")))
+	if len(sweep) != len(sizes) {
+		t.Fatalf("impact simulate: %d rows for %d sizes", len(sweep), len(sizes))
+	}
+	for i, size := range sizes {
+		// Single-size rows: layout, miss, traffic, misses, accesses.
+		single := tableRows(runTool(t, "impact", "simulate", "-bench", "cmp", "-scale", "0.05", "-size", size))
+		want := []string{size, single[0][1], single[0][2], single[1][1], single[1][2]}
+		if single[0][0] != "optimized" || single[1][0] != "natural" || strings.Join(sweep[i], " ") != strings.Join(want, " ") {
+			t.Errorf("impact simulate size %s: sweep row %v, single-size rows %v", size, sweep[i], single)
+		}
+	}
+}
+
+// tableRows returns the fields of the body rows of the first text table
+// in out: the lines after its dashed rule, up to a blank line.
+func tableRows(out string) [][]string {
+	var rows [][]string
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case !in:
+			in = strings.HasPrefix(line, "---")
+		case strings.TrimSpace(line) == "":
+			return rows
+		default:
+			rows = append(rows, strings.Fields(line))
+		}
+	}
+	return rows
+}
+
+// lineField returns the first field after prefix on the line of out
+// that starts with it, or "".
+func lineField(out, prefix string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			if f := strings.Fields(rest); len(f) > 0 {
+				return f[0]
+			}
+		}
+	}
+	return ""
+}
+
+// samePct reports whether two printed percentages agree within tol
+// percentage points: the sum of their rounding steps' halves.
+func samePct(a, b string, tol float64) bool {
+	x, errA := strconv.ParseFloat(strings.TrimSuffix(a, "%"), 64)
+	y, errB := strconv.ParseFloat(strings.TrimSuffix(b, "%"), 64)
+	return errA == nil && errB == nil && math.Abs(x-y) <= tol+1e-9
+}
+
 func TestImpactDumpRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wc.ir")
 	runTool(t, "impact", "dump", "-bench", "wc", "-scale", "0.05", "-o", path)
@@ -156,10 +253,11 @@ func TestImpactSearchRejectsNegativeWorkers(t *testing.T) {
 }
 
 // TestCommandsRejectGarbageFlags: a -scale that is not a finite
-// number above zero, an unknown table number, or a cache or paging
-// geometry no simulator accepts is a usage error (exit status 2)
-// naming the flag — not a silently truncated or substituted run, not
-// a failure after minutes of work, and not a panic.
+// number above zero, an unknown table number, a cache or paging
+// geometry no simulator accepts, or a negative report size or search
+// budget is a usage error (exit status 2) naming the flag — not a
+// silently truncated or substituted run, not a failure after minutes
+// of work, and not a panic.
 func TestCommandsRejectGarbageFlags(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -204,6 +302,20 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			"icsim: invalid cache geometry (-size 1000 -block 64 -assoc 1)"},
 		{"icsim bad frames", "icsim", []string{"-trace", "no-such.itr", "-paging", "-frames", "-3"},
 			"icsim: invalid paging geometry (-page-bytes 4096 -frames -3)"},
+		// Report sizes and the search budget are counts: a negative one
+		// is a usage error, not a panic or a silently empty run.
+		{"analyze negative top sets", "impact", []string{"analyze", "-bench", "wc", "-scale", "0.02", "-top-sets", "-1"},
+			"impact: invalid value -1 for flag -top-sets: must be >= 0"},
+		{"analyze pages negative top sets", "impact", []string{"analyze", "-bench", "wc", "-scale", "0.02", "-pages", "-top-sets", "-1"},
+			"impact: invalid value -1 for flag -top-sets: must be >= 0"},
+		{"analyze negative top pairs", "impact", []string{"analyze", "-bench", "wc", "-scale", "0.02", "-top-pairs", "-1"},
+			"impact: invalid value -1 for flag -top-pairs: must be >= 0"},
+		{"analyze pages negative top pairs", "impact", []string{"analyze", "-bench", "wc", "-scale", "0.02", "-pages", "-top-pairs", "-1"},
+			"impact: invalid value -1 for flag -top-pairs: must be >= 0"},
+		{"analyze negative top funcs", "impact", []string{"analyze", "-bench", "wc", "-scale", "0.02", "-top-funcs", "-1"},
+			"impact: invalid value -1 for flag -top-funcs: must be >= 0"},
+		{"search negative budget", "impact", []string{"search", "-bench", "wc", "-scale", "0.02", "-budget", "-5"},
+			"impact: invalid value -5 for flag -budget: must be >= 0"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -62,8 +62,12 @@ func TestTraceFileBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	loaded, err := memtrace.Read(rf)
+	rd, err := memtrace.NewReader(rf)
 	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := &memtrace.Trace{}
+	if err := rd.Replay(loaded); err != nil {
 		t.Fatal(err)
 	}
 

@@ -55,7 +55,7 @@ type Config struct {
 	Cache cache.Config
 	// TopSets / TopLines / TopPairs bound the conflict report: how
 	// many pressured sets to keep, lines per set, and function pairs.
-	// Zero means 8 / 4 / 8.
+	// Zero means 8 / 4 / 8; a negative size is an error.
 	TopSets, TopLines, TopPairs int
 	// Obs, when non-nil, receives analysis.* counters and spans.
 	Obs *obs.Registry
@@ -122,6 +122,10 @@ func validate(lay *layout.Layout, w *profile.Weights, cfg *Config) error {
 		return fmt.Errorf("analysis: partial loading is outside the abstract cache model (whole-block only)")
 	case cfg.Cache.PrefetchNext:
 		return fmt.Errorf("analysis: prefetching is outside the abstract cache model")
+	}
+	if cfg.TopSets < 0 || cfg.TopLines < 0 || cfg.TopPairs < 0 {
+		return fmt.Errorf("analysis: negative report size (TopSets %d, TopLines %d, TopPairs %d)",
+			cfg.TopSets, cfg.TopLines, cfg.TopPairs)
 	}
 	if cfg.TopSets == 0 {
 		cfg.TopSets = 8

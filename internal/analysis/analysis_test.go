@@ -217,37 +217,42 @@ func TestBoundsAssociativityRelief(t *testing.T) {
 // TestAnalyzeRejectsUnsupported has one row per input and config
 // rejection of Analyze and NewIncremental — a cache outside the
 // abstract model (non-LRU replacement, sectoring, partial loading,
-// prefetching), an invalid geometry, weights of another program and a
-// layout with no code — plus valid rows.
+// prefetching), an invalid geometry, a negative report size, weights
+// of another program and a layout with no code — plus valid rows.
 func TestAnalyzeRejectsUnsupported(t *testing.T) {
 	p, w := buildLoopProgram(t)
 	lay := layout.Natural(p)
 	// A program with no functions: its layout places no code.
 	empty := &ir.Program{Entry: ir.NoFunc}
 	dm := cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1}
+	c := func(cc cache.Config) Config { return Config{Cache: cc} }
 	tests := []struct {
 		name    string
 		lay     *layout.Layout
 		w       *profile.Weights
-		cfg     cache.Config
+		cfg     Config
 		wantErr string // "" means the analysis runs
 	}{
-		{"fifo", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO}, "fifo replacement is outside the abstract cache model"},
-		{"random", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.RandomRepl}, "replacement is outside the abstract cache model"},
-		{"sector", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, SectorBytes: 16}, "sectored fills"},
-		{"partial", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PartialLoad: true}, "partial loading"},
-		{"prefetch", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PrefetchNext: true}, "prefetching"},
-		{"invalid geometry", lay, w, cache.Config{SizeBytes: 1000, BlockBytes: 32, Assoc: 1}, "not a positive power of two"},
-		{"zero geometry", lay, w, cache.Config{}, "not a positive power of two"},
-		{"weights of another program", lay, profile.NewWeights(empty), dm, "weights cover 0 funcs, program has 2"},
-		{"layout with no code", layout.Natural(empty), profile.NewWeights(empty), dm, "layout places no code"},
-		{"direct-mapped", lay, w, dm, ""},
-		{"fully associative", lay, w, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 0}, ""},
+		{"fifo", lay, w, c(cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO}), "fifo replacement is outside the abstract cache model"},
+		{"random", lay, w, c(cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 2, Replacement: cache.RandomRepl}), "replacement is outside the abstract cache model"},
+		{"sector", lay, w, c(cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, SectorBytes: 16}), "sectored fills"},
+		{"partial", lay, w, c(cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PartialLoad: true}), "partial loading"},
+		{"prefetch", lay, w, c(cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, PrefetchNext: true}), "prefetching"},
+		{"invalid geometry", lay, w, c(cache.Config{SizeBytes: 1000, BlockBytes: 32, Assoc: 1}), "not a positive power of two"},
+		{"zero geometry", lay, w, c(cache.Config{}), "not a positive power of two"},
+		{"weights of another program", lay, profile.NewWeights(empty), c(dm), "weights cover 0 funcs, program has 2"},
+		{"layout with no code", layout.Natural(empty), profile.NewWeights(empty), c(dm), "layout places no code"},
+		{"negative top sets", lay, w, Config{Cache: dm, TopSets: -1}, "negative report size (TopSets -1, TopLines 0, TopPairs 0)"},
+		{"negative top lines", lay, w, Config{Cache: dm, TopLines: -2}, "negative report size (TopSets 0, TopLines -2, TopPairs 0)"},
+		{"negative top pairs", lay, w, Config{Cache: dm, TopPairs: -1}, "negative report size (TopSets 0, TopLines 0, TopPairs -1)"},
+		{"direct-mapped", lay, w, c(dm), ""},
+		{"direct-mapped, one set and line", lay, w, Config{Cache: dm, TopSets: 1, TopLines: 1, TopPairs: 1}, ""},
+		{"fully associative", lay, w, c(cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 0}), ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := Analyze(tt.lay, tt.w, Config{Cache: tt.cfg})
-			inc, ierr := NewIncremental(tt.lay, tt.w, Config{Cache: tt.cfg})
+			res, err := Analyze(tt.lay, tt.w, tt.cfg)
+			inc, ierr := NewIncremental(tt.lay, tt.w, tt.cfg)
 			if tt.wantErr == "" {
 				if err != nil || res == nil || ierr != nil || inc == nil {
 					t.Fatalf("Analyze = %v, NewIncremental = %v; want success", err, ierr)

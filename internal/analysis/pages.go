@@ -37,7 +37,7 @@ type PageConfig struct {
 	Paging paging.Config
 	// TopPages bounds how many pressured pages and straddling
 	// functions the report keeps; TopPairs bounds the thrash pairs.
-	// Zero means 8 / 8.
+	// Zero means 8 / 8; a negative size is an error.
 	TopPages, TopPairs int
 	// Obs, when non-nil, receives analysis.pages.* counters and spans.
 	Obs *obs.Registry
@@ -226,6 +226,9 @@ func validatePages(lay *layout.Layout, w *profile.Weights, cfg *PageConfig) erro
 	}
 	if err := cfg.Paging.Validate(); err != nil {
 		return fmt.Errorf("analysis: %w", err)
+	}
+	if cfg.TopPages < 0 || cfg.TopPairs < 0 {
+		return fmt.Errorf("analysis: negative report size (TopPages %d, TopPairs %d)", cfg.TopPages, cfg.TopPairs)
 	}
 	if cfg.TopPages == 0 {
 		cfg.TopPages = 8

@@ -116,33 +116,38 @@ func TestPageGeom(t *testing.T) {
 }
 
 // TestAnalyzePagesValidate has one row per input and config rejection
-// of AnalyzePages — an invalid paging geometry, weights of another
-// program and a layout with no code — plus valid rows.
+// of AnalyzePages — an invalid paging geometry, a negative report
+// size, weights of another program and a layout with no code — plus
+// valid rows.
 func TestAnalyzePagesValidate(t *testing.T) {
 	lay, w, _ := pagesWorkload(t, 1, 2, 3)
 	// A program with no functions: its layout places no code.
 	empty := &ir.Program{Entry: ir.NoFunc}
 	pg := paging.Config{PageBytes: 4096, Frames: 8}
+	c := func(pc paging.Config) PageConfig { return PageConfig{Paging: pc} }
 	tests := []struct {
 		name    string
 		lay     *layout.Layout
 		w       *profile.Weights
-		cfg     paging.Config
+		cfg     PageConfig
 		wantErr string // "" means the analysis runs
 	}{
-		{"page size not a power of two", lay, w, paging.Config{PageBytes: 100}, "page size 100 is not a power of two >= 64"},
-		{"page size below 64", lay, w, paging.Config{PageBytes: 32, Frames: 4}, "page size 32 is not a power of two >= 64"},
-		{"zero geometry", lay, w, paging.Config{}, "page size 0 is not a power of two >= 64"},
-		{"negative frames", lay, w, paging.Config{PageBytes: 4096, Frames: -1}, "negative frame count -1"},
-		{"weights of another program", lay, profile.NewWeights(empty), pg, "weights cover 0 funcs"},
-		{"layout with no code", layout.Natural(empty), profile.NewWeights(empty), pg, "layout places no code"},
-		{"4KB pages, 8 frames", lay, w, pg, ""},
-		{"small pages, 2 frames", lay, w, paging.Config{PageBytes: 256, Frames: 2}, ""},
-		{"unbounded frames", lay, w, paging.Config{PageBytes: 4096}, ""},
+		{"page size not a power of two", lay, w, c(paging.Config{PageBytes: 100}), "page size 100 is not a power of two >= 64"},
+		{"page size below 64", lay, w, c(paging.Config{PageBytes: 32, Frames: 4}), "page size 32 is not a power of two >= 64"},
+		{"zero geometry", lay, w, c(paging.Config{}), "page size 0 is not a power of two >= 64"},
+		{"negative frames", lay, w, c(paging.Config{PageBytes: 4096, Frames: -1}), "negative frame count -1"},
+		{"weights of another program", lay, profile.NewWeights(empty), c(pg), "weights cover 0 funcs"},
+		{"layout with no code", layout.Natural(empty), profile.NewWeights(empty), c(pg), "layout places no code"},
+		{"negative top pages", lay, w, PageConfig{Paging: pg, TopPages: -1}, "negative report size (TopPages -1, TopPairs 0)"},
+		{"negative top pairs", lay, w, PageConfig{Paging: pg, TopPairs: -3}, "negative report size (TopPages 0, TopPairs -3)"},
+		{"4KB pages, 8 frames", lay, w, c(pg), ""},
+		{"one page and pair", lay, w, PageConfig{Paging: pg, TopPages: 1, TopPairs: 1}, ""},
+		{"small pages, 2 frames", lay, w, c(paging.Config{PageBytes: 256, Frames: 2}), ""},
+		{"unbounded frames", lay, w, c(paging.Config{PageBytes: 4096}), ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := AnalyzePages(tt.lay, tt.w, PageConfig{Paging: tt.cfg})
+			res, err := AnalyzePages(tt.lay, tt.w, tt.cfg)
 			if tt.wantErr == "" {
 				if err != nil || res == nil {
 					t.Fatalf("AnalyzePages = %v; want a result", err)

@@ -48,7 +48,7 @@ func TestHotLoopZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.attach()
-			c, err := New(cfg)
+			c, err := newCache(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

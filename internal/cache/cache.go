@@ -317,8 +317,8 @@ func (c *Cache) emitFetch(wordAddr, words uint32) {
 	}
 }
 
-// New returns a cache for cfg. The cache starts cold (all invalid).
-func New(cfg Config) (*Cache, error) {
+// newCache returns a cache for cfg. The cache starts cold (all invalid).
+func newCache(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -623,7 +623,7 @@ func (c *Cache) accessGroup(mb, gw0, gEnd, runW0 uint32) {
 // Simulate replays an entire trace into a fresh cache and returns the
 // statistics.
 func Simulate(cfg Config, tr *memtrace.Trace) (Stats, error) {
-	c, err := New(cfg)
+	c, err := newCache(cfg)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -17,20 +17,20 @@ type Hierarchy struct {
 	L1, L2 *Cache
 }
 
-// NewHierarchy builds a two-level hierarchy from the given
+// newHierarchy builds a two-level hierarchy from the given
 // organisations.
-func NewHierarchy(l1, l2 Config) (*Hierarchy, error) {
+func newHierarchy(l1, l2 Config) (*Hierarchy, error) {
 	if l2.SectorBytes != 0 || l2.PartialLoad || l2.PrefetchNext {
 		return nil, errBadL2("second level must use plain whole-block fill")
 	}
 	if l2.BlockBytes < l1.BlockBytes {
 		return nil, errBadL2("second-level block smaller than first-level block")
 	}
-	c1, err := New(l1)
+	c1, err := newCache(l1)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := New(l2)
+	c2, err := newCache(l2)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func (h *Hierarchy) LocalL2MissRatio() float64 { return h.L2.Stats().MissRatio()
 // SimulateHierarchy replays a trace through a fresh two-level
 // hierarchy and returns the per-level statistics.
 func SimulateHierarchy(l1, l2 Config, tr *memtrace.Trace) (Stats, Stats, error) {
-	h, err := NewHierarchy(l1, l2)
+	h, err := newHierarchy(l1, l2)
 	if err != nil {
 		return Stats{}, Stats{}, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func mustHierarchy(t *testing.T, l1, l2 Config) *Hierarchy {
 	t.Helper()
-	h, err := NewHierarchy(l1, l2)
+	h, err := newHierarchy(l1, l2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +26,11 @@ func TestHierarchyValidation(t *testing.T) {
 		{SizeBytes: 8191, BlockBytes: 64, Assoc: 2}, // invalid size
 	}
 	for _, l2 := range bad {
-		if _, err := NewHierarchy(l1, l2); err == nil {
+		if _, err := newHierarchy(l1, l2); err == nil {
 			t.Errorf("L2 config %+v accepted", l2)
 		}
 	}
-	if _, err := NewHierarchy(Config{SizeBytes: 7}, Config{SizeBytes: 8192, BlockBytes: 64}); err == nil {
+	if _, err := newHierarchy(Config{SizeBytes: 7}, Config{SizeBytes: 8192, BlockBytes: 64}); err == nil {
 		t.Error("invalid L1 accepted")
 	}
 }

@@ -2,13 +2,14 @@ package cache
 
 import "impact/internal/memtrace"
 
-// SinkSimulator simulates one or more organisations from a live run
+// SinkSimulator simulates one or more organisations from a run
 // stream: a memtrace.Sink that fans every incoming run into a fresh
-// cache per configuration. It is the streaming counterpart of
-// MultiSimulate (which is now a thin wrapper over it) — a trace
-// generated on the fly (interp → layout.Stream → memtrace.Merger) or
-// decoded from a file (memtrace.Reader) is simulated without ever
-// being materialized.
+// cache per configuration, so the stream is walked once however many
+// organisations it feeds. It is the broadcast replay of the sweep
+// planner (internal/cache/sweep). A materialized trace replays into
+// it, and so does a trace generated on the fly (interp → layout.Stream
+// → memtrace.Merger) or decoded from a file (memtrace.Reader), which
+// is then simulated without ever being materialized.
 //
 // Runs must arrive in canonical form — zero-length runs dropped,
 // contiguous neighbours merged, exactly what Trace.Replay,
@@ -25,7 +26,7 @@ type SinkSimulator struct {
 func NewSinkSimulator(cfgs ...Config) (*SinkSimulator, error) {
 	caches := make([]*Cache, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := New(cfg)
+		c, err := newCache(cfg)
 		if err != nil {
 			return nil, err
 		}

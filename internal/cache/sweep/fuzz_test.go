@@ -24,27 +24,34 @@ func decodeTrace(data []byte) *memtrace.Trace {
 }
 
 // fuzzConfigs is the organisation matrix every fuzz input is checked
-// against: both stack-eligible shapes (exercising the histogram and
-// exec derivation) and replay-only shapes (exercising MultiSimulate's
-// broadcast and the direct-mapped fast path).
+// against, planned as one Plan: stack groups (two fully associative
+// sizes plus a duplicate, two associativities of one 8-set geometry),
+// a lone 16-way cache that stacks, and replay-only shapes — lone
+// direct-mapped and 4-way caches, FIFO, sectoring, partial loading,
+// prefetch and timing.
 var fuzzConfigs = []cache.Config{
 	{SizeBytes: 512, BlockBytes: 16, Assoc: 0},
 	{SizeBytes: 2048, BlockBytes: 64, Assoc: 0},
+	{SizeBytes: 1024, BlockBytes: 64, Assoc: 0},
+	{SizeBytes: 2048, BlockBytes: 64, Assoc: 0},
 	{SizeBytes: 2048, BlockBytes: 64, Assoc: 1},
 	{SizeBytes: 2048, BlockBytes: 64, Assoc: 4},
+	{SizeBytes: 4096, BlockBytes: 64, Assoc: 8},
+	{SizeBytes: 1024, BlockBytes: 32, Assoc: 4},
+	{SizeBytes: 4096, BlockBytes: 64, Assoc: 16},
 	{SizeBytes: 1024, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO},
 	{SizeBytes: 1024, BlockBytes: 64, Assoc: 1, SectorBytes: 16},
 	{SizeBytes: 1024, BlockBytes: 64, Assoc: 1, PartialLoad: true},
 	{SizeBytes: 1024, BlockBytes: 32, Assoc: 1, PrefetchNext: true},
+	{SizeBytes: 1024, BlockBytes: 32, Assoc: 1, Timing: &cache.TimingConfig{InitialLatency: 4}},
 }
 
-// FuzzDifferential cross-checks every simulation strategy on
-// arbitrary traces: sequential cache.Simulate is the reference;
-// cache.MultiSimulate (and with it SinkSimulator, its streaming core)
-// must reproduce it bit-for-bit on every organisation, and the stack
-// pass — both its batch and streaming (fragmented runs through a
-// Merger) forms — on every covered organisation. The seed corpus runs
-// as ordinary unit tests in short mode / CI;
+// FuzzDifferential cross-checks the planner on arbitrary traces:
+// sequential cache.Simulate is the reference, and a Plan over
+// fuzzConfigs must reproduce it bit for bit on every organisation —
+// fed the materialized trace through Plan.Run, and fed word-fragmented
+// runs through a Merger one pass at a time, as the experiments engine
+// runs passes. The seed corpus runs as ordinary unit tests;
 // `go test -fuzz=FuzzDifferential ./internal/cache/sweep` explores
 // further.
 func FuzzDifferential(f *testing.F) {
@@ -68,50 +75,32 @@ func FuzzDifferential(f *testing.F) {
 			}
 			want[i] = st
 		}
-		got, err := cache.MultiSimulate(fuzzConfigs, tr)
+		whole, err := NewPlan(fuzzConfigs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, cfg := range fuzzConfigs {
-			if got[i] != want[i] {
-				t.Errorf("%v: MultiSimulate %+v, sequential %+v", cfg, got[i], want[i])
-			}
+		tr.Replay(whole)
+		fragmented, err := NewPlan(fuzzConfigs...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		passes := map[[2]int]*StackPass{}
-		for i, cfg := range fuzzConfigs {
-			if !Eligible(cfg) {
-				continue
-			}
-			block, sets := Geometry(cfg)
-			key := [2]int{block, sets}
-			p := passes[key]
-			if p == nil {
-				var err error
-				if p, err = Run(tr, block, sets); err != nil {
-					t.Fatal(err)
+		for _, p := range fragmented.Passes() {
+			m := memtrace.NewMerger(p)
+			for _, r := range tr.Runs {
+				for off := uint32(0); off < r.Bytes; off += memtrace.WordBytes {
+					m.Run(memtrace.Run{Addr: r.Addr + off, Bytes: memtrace.WordBytes})
 				}
-				passes[key] = p
-				// The streaming pass fed word-fragmented runs through a
-				// Merger must accumulate the identical pass.
-				s, err := NewStream(block, sets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := memtrace.NewMerger(s)
-				for _, r := range tr.Runs {
-					for off := uint32(0); off < r.Bytes; off += memtrace.WordBytes {
-						m.Run(memtrace.Run{Addr: r.Addr + off, Bytes: memtrace.WordBytes})
-					}
-				}
-				m.Flush()
-				comparePass(t, "fuzz-stream", s.Pass(), p)
 			}
-			st, err := p.Stats(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != want[i] {
-				t.Errorf("%v: stack pass %+v, sequential %+v", cfg, st, want[i])
+			m.Flush()
+		}
+		for _, pl := range []struct {
+			name string
+			got  []cache.Stats
+		}{{"plan", whole.Stats()}, {"fragmented plan", fragmented.Stats()}} {
+			for i, cfg := range fuzzConfigs {
+				if pl.got[i] != want[i] {
+					t.Errorf("%v: %s %+v, sequential %+v", cfg, pl.name, pl.got[i], want[i])
+				}
 			}
 		}
 	})

@@ -1,27 +1,31 @@
-// Package sweep implements single-pass multi-configuration cache
-// simulation.
+// Package sweep measures many cache organisations in as few trace
+// walks as it can.
 //
 // The paper's evaluation replays entire execution traces once per
 // cache organisation, and organisations overlap heavily across tables
 // (Table 1 sweeps cache sizes at each block size, Tables 6-8 and the
-// ablations revisit the 2KB/64B design point). This package pays the
-// trace-iteration cost once per *family* of organisations instead of
-// once per organisation:
+// ablations revisit the 2KB/64B design point). A Plan pays the
+// trace-walk cost once per *family* of organisations instead of once
+// per organisation. It is the one place that decides how an
+// organisation is measured; every pass is one of two kinds:
 //
-//   - StackPass is Mattson's LRU stack algorithm (Mattson, Gecsei,
+//   - a StackPass is Mattson's LRU stack algorithm (Mattson, Gecsei,
 //     Slutz, Traiger, "Evaluation techniques for storage hierarchies",
-//     IBM Systems Journal 1970): one block-granular pass produces a
-//     stack-distance histogram from which the exact miss count of
-//     every LRU cache with the pass's set count — every associativity,
-//     and therefore every capacity — is read off directly. With one
-//     set it is the classic fully-associative size sweep of Table 1.
-//   - SweepSizes drives a size sweep through a single stack pass when
-//     the organisation allows it and falls back to one broadcast
-//     replay (cache.MultiSimulate) when it does not.
+//     IBM Systems Journal 1970): one block-granular walk produces a
+//     stack-distance histogram from which the exact statistics of
+//     every LRU cache with the pass's block size and set count — every
+//     associativity, and therefore every capacity — are read off
+//     directly. With one set it is the classic fully associative size
+//     sweep of Table 1.
+//   - the broadcast replay (cache.SinkSimulator) fans every run out to
+//     one cache per remaining organisation.
 //
-// The applicability matrix and measured speedups are documented in
-// docs/PERFORMANCE.md; internal/experiments builds its memoizing sweep
-// scheduler on top of this package.
+// NewPlan groups the organisations a stack pass can derive by (block
+// size, set count). A group of two or more, or a lone organisation
+// wider than 8 ways, becomes one stack pass; everything else shares
+// one replay. The experiments engine, icsim and impact simulate all
+// measure through a Plan. The measured speedups are in
+// docs/PERFORMANCE.md.
 package sweep
 
 import (
@@ -32,18 +36,28 @@ import (
 	"impact/internal/obs"
 )
 
-// StackPass holds the result of one LRU stack pass over a trace at a
-// fixed block size and set count. It derives exact statistics for any
-// whole-block LRU organisation with that geometry: associativity A
-// yields the cache of SizeBytes = numSets * A * blockBytes.
+// StackPass is one LRU stack pass at a fixed block size and set
+// count: a memtrace.Sink that accumulates, run by run, the statistics
+// of every whole-block LRU organisation with that geometry.
+// Associativity A yields the cache of SizeBytes = sets * A * block.
+//
+// Runs MUST arrive in canonical form — zero-length runs dropped,
+// contiguous neighbours merged, exactly what Trace.Replay,
+// memtrace.Reader, or a memtrace.Merger deliver — because a run
+// boundary closes an exec run; splitting one canonical run in two
+// would change the avg.exec accounting.
+//
+// The steady-state Run path performs no allocations: per-set stacks
+// and the distance histogram grow only while new blocks or new depths
+// appear (see TestStreamPassZeroAlloc).
 type StackPass struct {
-	blockBytes int
-	numSets    int
 	blockWords uint32
+	sets       uint32
+	// stacks holds each set's blocks, most recently used first.
+	stacks [][]uint32
 	// accesses counts instruction fetches (identical for every derived
-	// configuration); groups counts block-granular lookups.
+	// configuration).
 	accesses uint64
-	groups   uint64
 	// cold counts first-touch lookups (infinite stack distance); they
 	// miss at every capacity.
 	cold uint64
@@ -70,12 +84,12 @@ type StackPass struct {
 // lookup (the scan depth is the stack distance itself, so traces with
 // locality — the only ones worth simulating — keep it shallow).
 func Run(tr *memtrace.Trace, blockBytes, numSets int) (*StackPass, error) {
-	s, err := NewStream(blockBytes, numSets)
-	if err != nil {
+	if err := checkGeometry(blockBytes, numSets); err != nil {
 		return nil, err
 	}
-	tr.Replay(s)
-	return s.Pass(), nil
+	p := newStackPass(blockBytes, numSets)
+	tr.Replay(p)
+	return p, nil
 }
 
 // ShardRun is Run; workers and reg are ignored.
@@ -86,48 +100,31 @@ func ShardRun(tr *memtrace.Trace, blockBytes, numSets, workers int, reg *obs.Reg
 	return Run(tr, blockBytes, numSets)
 }
 
-// StreamPass is the incremental form of the stack pass: a
-// memtrace.Sink that accumulates the same statistics run by run, so a
-// trace generated live (interp → layout.Stream → Merger) is swept
-// without ever being materialized. Runs MUST arrive in canonical form
-// — zero-length runs dropped, contiguous neighbours merged, exactly
-// what Trace.Replay, memtrace.Reader, or a memtrace.Merger deliver —
-// because a run boundary closes an exec run; splitting one canonical
-// run in two would change the avg.exec accounting.
-//
-// The steady-state Run path performs no allocations: per-set stacks
-// and the distance histogram grow only while new blocks or new depths
-// appear (see TestStreamPassZeroAlloc).
-type StreamPass struct {
-	p      *StackPass
-	stacks [][]uint32
-	sets   uint32
-}
-
-// NewStream validates the geometry and returns an empty streaming
-// stack pass.
-func NewStream(blockBytes, numSets int) (*StreamPass, error) {
+// checkGeometry returns why a stack-pass geometry is invalid, or nil.
+// The geometry of every valid cache.Config passes.
+func checkGeometry(blockBytes, numSets int) error {
 	if blockBytes < memtrace.WordBytes || blockBytes&(blockBytes-1) != 0 || blockBytes > 64*memtrace.WordBytes {
-		return nil, fmt.Errorf("sweep: block size %d is not a power of two in [%d, %d]",
+		return fmt.Errorf("sweep: block size %d is not a power of two in [%d, %d]",
 			blockBytes, memtrace.WordBytes, 64*memtrace.WordBytes)
 	}
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		return nil, fmt.Errorf("sweep: set count %d is not a positive power of two", numSets)
+		return fmt.Errorf("sweep: set count %d is not a positive power of two", numSets)
 	}
-	return &StreamPass{
-		p: &StackPass{
-			blockBytes: blockBytes,
-			numSets:    numSets,
-			blockWords: uint32(blockBytes / memtrace.WordBytes),
-		},
-		stacks: make([][]uint32, numSets),
-		sets:   uint32(numSets),
-	}, nil
+	return nil
+}
+
+// newStackPass returns an empty pass over a geometry checkGeometry
+// accepts.
+func newStackPass(blockBytes, numSets int) *StackPass {
+	return &StackPass{
+		blockWords: uint32(blockBytes / memtrace.WordBytes),
+		sets:       uint32(numSets),
+		stacks:     make([][]uint32, numSets),
+	}
 }
 
 // Run accumulates one canonical run into the pass.
-func (s *StreamPass) Run(r memtrace.Run) {
-	p := s.p
+func (p *StackPass) Run(r memtrace.Run) {
 	w0, w1 := r.WordRange()
 	if w1 <= w0 {
 		return
@@ -145,7 +142,7 @@ func (s *StreamPass) Run(r memtrace.Run) {
 		if gEnd > w1 {
 			gEnd = w1
 		}
-		st := s.stacks[mb%s.sets]
+		st := p.stacks[mb%p.sets]
 		depth := 0
 		for i, b := range st {
 			if b == mb {
@@ -153,7 +150,6 @@ func (s *StreamPass) Run(r memtrace.Run) {
 				break
 			}
 		}
-		p.groups++
 		if !coldSeen {
 			contrib := int64(runWords - (w - w0))
 			if depth == 0 {
@@ -169,7 +165,7 @@ func (s *StreamPass) Run(r memtrace.Run) {
 			st = append(st, 0)
 			copy(st[1:], st[:len(st)-1])
 			st[0] = mb
-			s.stacks[mb%s.sets] = st
+			p.stacks[mb%p.sets] = st
 		} else {
 			for len(p.hist) < depth {
 				p.hist = append(p.hist, 0)
@@ -181,12 +177,6 @@ func (s *StreamPass) Run(r memtrace.Run) {
 		w = gEnd
 	}
 }
-
-// Pass returns the statistics accumulated so far. The result is a
-// standalone StackPass: retaining it does not pin the per-set stack
-// memory once the StreamPass itself is released. Further Run calls
-// keep accumulating into the same pass.
-func (s *StreamPass) Pass() *StackPass { return s.p }
 
 // addRange adds v to the exec accumulator for associativities [lo, hi].
 func (p *StackPass) addRange(lo, hi int, v int64) {
@@ -205,19 +195,13 @@ func (p *StackPass) addInf(lo int, v int64) {
 	p.execInf[lo] += v
 }
 
-// BlockBytes returns the pass's block size.
-func (p *StackPass) BlockBytes() int { return p.blockBytes }
-
-// NumSets returns the pass's set count.
-func (p *StackPass) NumSets() int { return p.numSets }
-
 // Accesses returns the number of instruction fetches observed.
 func (p *StackPass) Accesses() uint64 { return p.accesses }
 
-// MissesAt returns the exact miss count of a whole-block LRU cache
+// missesAt returns the exact miss count of a whole-block LRU cache
 // with the pass's set count and the given associativity: the cold
 // lookups plus every lookup whose stack distance exceeded assoc.
-func (p *StackPass) MissesAt(assoc int) uint64 {
+func (p *StackPass) missesAt(assoc int) uint64 {
 	m := p.cold
 	for d := assoc; d < len(p.hist); d++ {
 		m += p.hist[d]
@@ -238,16 +222,16 @@ func (p *StackPass) execWordsAt(assoc int) uint64 {
 	return uint64(v)
 }
 
-// Covers reports whether cfg's statistics can be derived from this
+// covers reports whether cfg's statistics can be derived from this
 // pass: a whole-block LRU organisation (direct-mapped counts — a
 // single-way set never consults its replacement policy) without
 // prefetch or the timing model, whose geometry matches the pass.
-func (p *StackPass) Covers(cfg cache.Config) bool {
-	if !Eligible(cfg) {
+func (p *StackPass) covers(cfg cache.Config) bool {
+	if !eligible(cfg) {
 		return false
 	}
-	block, sets := Geometry(cfg)
-	return block == p.blockBytes && sets == p.numSets
+	block, sets := geometry(cfg)
+	return block == int(p.blockWords)*memtrace.WordBytes && sets == int(p.sets)
 }
 
 // Stats derives the full simulation statistics for cfg, which must be
@@ -256,129 +240,55 @@ func (p *StackPass) Covers(cfg cache.Config) bool {
 // paper's avg.exec bookkeeping (every miss opens one exec run, so
 // ExecRuns equals Misses) from the difference arrays. Only StallCycles
 // is out of reach — the timing model needs per-miss fill overlap, so
-// timed configurations are not Covered and fall back to replay.
+// timed configurations are not covered and fall back to replay.
 func (p *StackPass) Stats(cfg cache.Config) (cache.Stats, error) {
-	if !p.Covers(cfg) {
+	if !p.covers(cfg) {
 		return cache.Stats{}, fmt.Errorf("sweep: %v not covered by stack pass (%dB blocks, %d sets)",
-			cfg, p.blockBytes, p.numSets)
+			cfg, int(p.blockWords)*memtrace.WordBytes, p.sets)
 	}
-	assoc := (cfg.SizeBytes / cfg.BlockBytes) / p.numSets
-	misses := p.MissesAt(assoc)
+	return p.derive(cfg), nil
+}
+
+// derive is Stats for a covered cfg.
+func (p *StackPass) derive(cfg cache.Config) cache.Stats {
+	assoc := (cfg.SizeBytes / cfg.BlockBytes) / int(p.sets)
+	misses := p.missesAt(assoc)
 	return cache.Stats{
 		Accesses:  p.accesses,
 		Misses:    misses,
 		MemWords:  misses * uint64(p.blockWords),
 		ExecRuns:  misses,
 		ExecWords: p.execWordsAt(assoc),
-	}, nil
+	}
 }
 
-// Eligible reports whether cfg belongs to the family the stack
+// eligible reports whether cfg belongs to the family the stack
 // algorithm can derive: whole-block fill with true LRU stacking
 // behaviour and no side effects that depend on capacity (prefetch
 // pollutes the stack per-capacity; the timing model needs per-miss
 // state). Sectoring and partial loading carry per-word valid bits that
 // violate stack inclusion.
-func Eligible(cfg cache.Config) bool {
+func eligible(cfg cache.Config) bool {
 	if cfg.Validate() != nil {
 		return false
 	}
 	if cfg.SectorBytes != 0 || cfg.PartialLoad || cfg.PrefetchNext || cfg.Timing != nil {
 		return false
 	}
-	assoc := cfg.Assoc
-	if assoc == 0 {
-		assoc = cfg.SizeBytes / cfg.BlockBytes
-	}
-	return cfg.Replacement == cache.LRU || assoc == 1
+	return cfg.Replacement == cache.LRU || ways(cfg) == 1
 }
 
-// Geometry returns the stack-pass geometry (block size, set count)
-// that covers cfg. Only meaningful for Eligible configurations.
-func Geometry(cfg cache.Config) (blockBytes, numSets int) {
-	blocks := cfg.SizeBytes / cfg.BlockBytes
-	assoc := cfg.Assoc
-	if assoc == 0 {
-		assoc = blocks
+// ways returns cfg's associativity, resolving 0 (fully associative)
+// to the block count.
+func ways(cfg cache.Config) int {
+	if cfg.Assoc == 0 {
+		return cfg.SizeBytes / cfg.BlockBytes
 	}
-	return cfg.BlockBytes, blocks / assoc
+	return cfg.Assoc
 }
 
-// SizeStream is a streaming size sweep: a memtrace.Sink accumulating
-// one fully-associative stack pass whose Results derive the stats of
-// the template organisation at every requested size. It exists so a
-// size sweep over a trace file (icsim -sizes) or a live generation run
-// needs constant memory. Only stackable sweeps stream; NewSizeStream
-// reports the fallback set of configurations otherwise.
-type SizeStream struct {
-	s    *StreamPass
-	cfgs []cache.Config
-}
-
-// NewSizeStream validates the sweep and, when a single
-// fully-associative stack pass covers it (template Assoc 0, every
-// derived configuration Eligible), returns a streaming sink. A nil
-// SizeStream with a nil error means the sweep is not stackable: the
-// caller must materialize the trace and broadcast-replay the returned
-// configurations (cache.MultiSimulate), as SweepSizes does.
-func NewSizeStream(template cache.Config, sizes []int) (*SizeStream, []cache.Config, error) {
-	cfgs := make([]cache.Config, len(sizes))
-	stackable := template.Assoc == 0
-	for i, s := range sizes {
-		cfg := template
-		cfg.SizeBytes = s
-		if err := cfg.Validate(); err != nil {
-			return nil, nil, err
-		}
-		cfgs[i] = cfg
-		stackable = stackable && Eligible(cfg)
-	}
-	if len(cfgs) == 0 || !stackable {
-		return nil, cfgs, nil
-	}
-	s, err := NewStream(template.BlockBytes, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &SizeStream{s: s, cfgs: cfgs}, cfgs, nil
-}
-
-// Run accumulates one canonical run (see StreamPass.Run).
-func (z *SizeStream) Run(r memtrace.Run) { z.s.Run(r) }
-
-// Results derives the per-size statistics, in input order, identical
-// to sequential cache.Simulate calls on the materialized trace.
-func (z *SizeStream) Results() ([]cache.Stats, error) {
-	p := z.s.Pass()
-	out := make([]cache.Stats, len(z.cfgs))
-	for i, cfg := range z.cfgs {
-		st, err := p.Stats(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
-// SweepSizes simulates the template organisation at every cache size
-// with the minimum number of trace passes: one stack pass when every
-// derived configuration shares a geometry (a fully associative
-// template — Assoc 0 — keeps one set at every size, the classic
-// Mattson sweep), otherwise one broadcast replay via
-// cache.MultiSimulate. Results are in input order and identical to
-// sequential cache.Simulate calls.
-func SweepSizes(tr *memtrace.Trace, template cache.Config, sizes []int) ([]cache.Stats, error) {
-	z, cfgs, err := NewSizeStream(template, sizes)
-	if err != nil {
-		return nil, err
-	}
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	if z == nil {
-		return cache.MultiSimulate(cfgs, tr)
-	}
-	tr.Replay(z)
-	return z.Results()
+// geometry returns the stack-pass geometry (block size, set count)
+// that covers cfg. Only meaningful for eligible configurations.
+func geometry(cfg cache.Config) (blockBytes, numSets int) {
+	return cfg.BlockBytes, cfg.SizeBytes / cfg.BlockBytes / ways(cfg)
 }

@@ -120,8 +120,8 @@ func TestStackHandCrafted(t *testing.T) {
 		assoc int
 		want  uint64
 	}{{1, 6}, {2, 5}, {3, 3}, {4, 3}} {
-		if got := p.MissesAt(tc.assoc); got != tc.want {
-			t.Errorf("MissesAt(%d) = %d, want %d", tc.assoc, got, tc.want)
+		if got := p.missesAt(tc.assoc); got != tc.want {
+			t.Errorf("missesAt(%d) = %d, want %d", tc.assoc, got, tc.want)
 		}
 	}
 	if p.Accesses() != 24 {
@@ -151,8 +151,8 @@ func TestEligible(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		if got := Eligible(cfg); got != tc.want {
-			t.Errorf("%s: Eligible = %v, want %v", tc.name, got, tc.want)
+		if got := eligible(cfg); got != tc.want {
+			t.Errorf("%s: eligible = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -163,51 +163,17 @@ func TestCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Covers(cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 0}) {
+	if !p.covers(cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 0}) {
 		t.Error("FA config with matching block not covered")
 	}
-	if p.Covers(cache.Config{SizeBytes: 4096, BlockBytes: 32, Assoc: 0}) {
+	if p.covers(cache.Config{SizeBytes: 4096, BlockBytes: 32, Assoc: 0}) {
 		t.Error("mismatched block size covered")
 	}
-	if p.Covers(cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 1}) {
+	if p.covers(cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 1}) {
 		t.Error("direct-mapped config (64 sets) covered by 1-set pass")
 	}
 	if _, err := p.Stats(cache.Config{SizeBytes: 4096, BlockBytes: 32, Assoc: 0}); err == nil {
 		t.Error("Stats on uncovered config did not error")
-	}
-}
-
-func TestSweepSizes(t *testing.T) {
-	tr := genTrace(13, 2500)
-	sizes := []int{512, 1024, 2048, 4096, 8192}
-	for _, template := range []cache.Config{
-		{BlockBytes: 64, Assoc: 0},                    // stack-pass path
-		{BlockBytes: 64, Assoc: 1},                    // broadcast path
-		{BlockBytes: 32, Assoc: 2},                    // broadcast path
-		{BlockBytes: 64, Assoc: 1, SectorBytes: 16},   // ineligible fill
-		{BlockBytes: 64, Assoc: 1, PartialLoad: true}, // ineligible fill
-	} {
-		got, err := SweepSizes(tr, template, sizes)
-		if err != nil {
-			t.Fatalf("%+v: %v", template, err)
-		}
-		for i, size := range sizes {
-			cfg := template
-			cfg.SizeBytes = size
-			want, err := cache.Simulate(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] != want {
-				t.Errorf("%v: sweep %+v, sequential %+v", cfg, got[i], want)
-			}
-		}
-	}
-	if out, err := SweepSizes(tr, cache.Config{BlockBytes: 64}, nil); err != nil || out != nil {
-		t.Errorf("empty sweep = %v, %v", out, err)
-	}
-	if _, err := SweepSizes(tr, cache.Config{BlockBytes: 64}, []int{1000}); err == nil {
-		t.Error("invalid size accepted")
 	}
 }
 
@@ -229,8 +195,8 @@ func TestShardRunMatchesSerial(t *testing.T) {
 }
 
 // TestRunRejectsBadGeometry walks every rejected geometry of
-// NewStream, one row per failing condition, through NewStream and
-// Run, plus a valid geometry both accept.
+// checkGeometry, one row per failing condition, through checkGeometry
+// and Run, plus a valid geometry both accept.
 func TestRunRejectsBadGeometry(t *testing.T) {
 	tr := genTrace(17, 10)
 	tests := []struct {
@@ -248,22 +214,22 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s, err := NewStream(tt.block, tt.sets)
+			err := checkGeometry(tt.block, tt.sets)
 			p, runErr := Run(tr, tt.block, tt.sets)
 			if tt.wantErr == "" {
-				if err != nil || s == nil || runErr != nil || p == nil {
-					t.Fatalf("NewStream = %v, %v; Run = %v, %v; want a stream and a pass", s, err, p, runErr)
+				if err != nil || runErr != nil || p == nil {
+					t.Fatalf("checkGeometry = %v; Run = %v, %v; want a pass", err, p, runErr)
 				}
-				if p.BlockBytes() != tt.block || p.NumSets() != tt.sets {
-					t.Errorf("pass geometry %d/%d, want %d/%d", p.BlockBytes(), p.NumSets(), tt.block, tt.sets)
+				if block := int(p.blockWords) * memtrace.WordBytes; block != tt.block || int(p.sets) != tt.sets {
+					t.Errorf("pass geometry %d/%d, want %d/%d", block, p.sets, tt.block, tt.sets)
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tt.wantErr) || s != nil {
-				t.Errorf("NewStream = %v, %v; want nil and an error containing %q", s, err, tt.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Errorf("checkGeometry = %v; want an error containing %q", err, tt.wantErr)
 			}
 			if runErr == nil || runErr.Error() != err.Error() || p != nil {
-				t.Errorf("Run = %v, %v; want nil and the NewStream error", p, runErr)
+				t.Errorf("Run = %v, %v; want nil and the checkGeometry error", p, runErr)
 			}
 		})
 	}

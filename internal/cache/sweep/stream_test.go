@@ -8,7 +8,7 @@ import (
 )
 
 // TestStreamPassMatchesBatch feeds the same trace to Run (batch) and
-// to a StreamPass run by run, including through a Merger fed raw,
+// to a stack pass run by run, including through a Merger fed raw,
 // fragmented runs, and requires identical derived stats everywhere.
 func TestStreamPassMatchesBatch(t *testing.T) {
 	for _, geom := range []struct{ block, sets int }{
@@ -21,22 +21,16 @@ func TestStreamPassMatchesBatch(t *testing.T) {
 		}
 
 		// Direct streaming of canonical runs.
-		s, err := NewStream(geom.block, geom.sets)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newStackPass(geom.block, geom.sets)
 		for _, r := range tr.Runs {
 			s.Run(r)
 		}
-		comparePass(t, "stream", s.Pass(), want)
+		comparePass(t, "stream", s, want)
 
 		// Streaming through a Merger fed deliberately fragmented runs:
 		// split every canonical run into word-sized pieces. The Merger
 		// must reassemble the canonical sequence.
-		s2, err := NewStream(geom.block, geom.sets)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s2 := newStackPass(geom.block, geom.sets)
 		m := memtrace.NewMerger(s2)
 		for _, r := range tr.Runs {
 			for off := uint32(0); off < r.Bytes; off += memtrace.WordBytes {
@@ -44,7 +38,7 @@ func TestStreamPassMatchesBatch(t *testing.T) {
 			}
 		}
 		m.Flush()
-		comparePass(t, "merger-stream", s2.Pass(), want)
+		comparePass(t, "merger-stream", s2, want)
 	}
 }
 
@@ -55,14 +49,15 @@ func comparePass(t *testing.T, label string, got, want *StackPass) {
 	if got.Accesses() != want.Accesses() {
 		t.Errorf("%s: accesses %d, want %d", label, got.Accesses(), want.Accesses())
 	}
+	block := int(want.blockWords) * memtrace.WordBytes
 	for assoc := 1; assoc <= 64; assoc *= 2 {
 		cfg := cache.Config{
-			SizeBytes:   want.NumSets() * assoc * want.BlockBytes(),
-			BlockBytes:  want.BlockBytes(),
+			SizeBytes:   int(want.sets) * assoc * block,
+			BlockBytes:  block,
 			Assoc:       assoc,
 			Replacement: cache.LRU,
 		}
-		if cfg.Validate() != nil || !want.Covers(cfg) {
+		if cfg.Validate() != nil || !want.covers(cfg) {
 			continue
 		}
 		w, err := want.Stats(cfg)
@@ -79,77 +74,18 @@ func comparePass(t *testing.T, label string, got, want *StackPass) {
 	}
 }
 
-func TestSizeStream(t *testing.T) {
-	tr := genTrace(41, 2500)
-	sizes := []int{512, 1024, 2048, 4096, 8192}
-
-	// Stackable: fully associative template.
-	tmpl := cache.Config{BlockBytes: 64, Assoc: 0}
-	z, cfgs, err := NewSizeStream(tmpl, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z == nil {
-		t.Fatal("fully associative sweep should be stackable")
-	}
-	if len(cfgs) != len(sizes) {
-		t.Fatalf("got %d configs, want %d", len(cfgs), len(sizes))
-	}
-	tr.Replay(z)
-	got, err := z.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SweepSizes(tr, tmpl, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("size %d: stream %+v, SweepSizes %+v", sizes[i], got[i], want[i])
-		}
-		st, err := cache.Simulate(cfgs[i], tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != st {
-			t.Errorf("size %d: stream %+v, Simulate %+v", sizes[i], got[i], st)
-		}
-	}
-
-	// Not stackable: direct-mapped template changes set count per size.
-	dm, dmCfgs, err := NewSizeStream(cache.Config{BlockBytes: 64, Assoc: 1}, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm != nil {
-		t.Fatal("direct-mapped sweep must not stream (geometry varies with size)")
-	}
-	if len(dmCfgs) != len(sizes) {
-		t.Fatalf("fallback configs: got %d, want %d", len(dmCfgs), len(sizes))
-	}
-
-	// Empty sweep.
-	if _, cfgs, err := NewSizeStream(tmpl, nil); err != nil || len(cfgs) != 0 {
-		t.Fatalf("empty sweep: cfgs=%v err=%v", cfgs, err)
-	}
-}
-
 // TestStreamPassZeroAlloc pins the zero-alloc steady state of the
 // stack-update inner loop: once the working set has been touched (all
 // stacks at capacity, histogram sized), replaying the same trace
 // allocates nothing.
 func TestStreamPassZeroAlloc(t *testing.T) {
 	tr := genTrace(43, 2000)
-	s, err := NewStream(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStackPass(64, 8)
 	tr.Replay(s) // warm: grows stacks and histogram
 	avg := testing.AllocsPerRun(10, func() {
 		tr.Replay(s)
 	})
 	if avg != 0 {
-		t.Errorf("steady-state StreamPass.Run allocates %.1f times per replay, want 0", avg)
+		t.Errorf("steady-state StackPass.Run allocates %.1f times per replay, want 0", avg)
 	}
 }

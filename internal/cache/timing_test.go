@@ -224,7 +224,7 @@ func TestFIFODiffersFromLRU(t *testing.T) {
 		{Addr: 0, Bytes: 4},   // a: hit under LRU, miss under FIFO
 	}
 	runCfg := func(rep Replacement) Stats {
-		c, err := New(Config{SizeBytes: 128, BlockBytes: 64, Assoc: 2, Replacement: rep})
+		c, err := newCache(Config{SizeBytes: 128, BlockBytes: 64, Assoc: 2, Replacement: rep})
 		if err != nil {
 			t.Fatal(err)
 		}

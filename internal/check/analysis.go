@@ -20,10 +20,10 @@ func boundsAnalyzer() *Analyzer {
 		b := res.Bounds
 
 		if b.Lower > b.Upper {
-			r.errorf(ProgLoc(), "miss lower bound %d exceeds upper bound %d", b.Lower, b.Upper)
+			r.errorf(progLoc(), "miss lower bound %d exceeds upper bound %d", b.Lower, b.Upper)
 		}
 		if b.Upper > b.WeightedLineRefs {
-			r.errorf(ProgLoc(), "miss upper bound %d exceeds total weighted line references %d",
+			r.errorf(progLoc(), "miss upper bound %d exceeds total weighted line references %d",
 				b.Upper, b.WeightedLineRefs)
 		}
 
@@ -33,11 +33,11 @@ func boundsAnalyzer() *Analyzer {
 			weight += b.RefWeight[c]
 		}
 		if refs != uint64(b.LineRefs) {
-			r.errorf(ProgLoc(), "class reference counts sum to %d, want %d line references",
+			r.errorf(progLoc(), "class reference counts sum to %d, want %d line references",
 				refs, b.LineRefs)
 		}
 		if weight != b.WeightedLineRefs {
-			r.errorf(ProgLoc(), "class reference weights sum to %d, want %d", weight, b.WeightedLineRefs)
+			r.errorf(progLoc(), "class reference weights sum to %d, want %d", weight, b.WeightedLineRefs)
 		}
 
 		// The analyzer models one fetch per instruction per block
@@ -47,7 +47,7 @@ func boundsAnalyzer() *Analyzer {
 		// mid-block and legitimately break the identity.
 		if u.Weights.Capped == 0 {
 			if b.Accesses != u.Weights.DynInstrs {
-				r.errorf(ProgLoc(), "modelled %d fetches, profile measured %d dynamic instructions",
+				r.errorf(progLoc(), "modelled %d fetches, profile measured %d dynamic instructions",
 					b.Accesses, u.Weights.DynInstrs)
 			}
 		} else {
@@ -55,17 +55,17 @@ func boundsAnalyzer() *Analyzer {
 		}
 
 		if s := res.Score; s.ExtTSP < 0 || s.ExtTSP > 1 {
-			r.errorf(ProgLoc(), "ext-TSP score %g outside [0, 1]", s.ExtTSP)
+			r.errorf(progLoc(), "ext-TSP score %g outside [0, 1]", s.ExtTSP)
 		}
 		if s := res.Score; s.FallThrough > s.TotalWeight {
-			r.errorf(ProgLoc(), "fall-through weight %d exceeds total transfer weight %d",
+			r.errorf(progLoc(), "fall-through weight %d exceeds total transfer weight %d",
 				s.FallThrough, s.TotalWeight)
 		}
 
 		var fLower, fAccesses uint64
 		for _, f := range res.PerFunc {
 			if f.Lower > f.Upper {
-				r.errorf(FuncLoc(f.Func), "per-function miss lower bound %d exceeds upper bound %d",
+				r.errorf(funcLoc(f.Func), "per-function miss lower bound %d exceeds upper bound %d",
 					f.Lower, f.Upper)
 			}
 			fLower += f.Lower
@@ -75,11 +75,11 @@ func boundsAnalyzer() *Analyzer {
 		// fetches; only the upper bounds differ (the whole-program
 		// bound tightens persistent lines, per-function bounds do not).
 		if fLower != b.Lower {
-			r.errorf(ProgLoc(), "per-function lower bounds sum to %d, want program lower bound %d",
+			r.errorf(progLoc(), "per-function lower bounds sum to %d, want program lower bound %d",
 				fLower, b.Lower)
 		}
 		if fAccesses != b.Accesses {
-			r.errorf(ProgLoc(), "per-function fetch counts sum to %d, want %d", fAccesses, b.Accesses)
+			r.errorf(progLoc(), "per-function fetch counts sum to %d, want %d", fAccesses, b.Accesses)
 		}
 	}
 	return a

@@ -109,14 +109,14 @@ type Loc struct {
 	Instr int32
 }
 
-// ProgLoc returns the program-level (fieldless) location.
-func ProgLoc() Loc { return Loc{Func: ir.NoFunc, Block: ir.NoBlock, Instr: -1} }
+// progLoc returns the program-level (fieldless) location.
+func progLoc() Loc { return Loc{Func: ir.NoFunc, Block: ir.NoBlock, Instr: -1} }
 
-// FuncLoc returns a function-level location.
-func FuncLoc(f ir.FuncID) Loc { return Loc{Func: f, Block: ir.NoBlock, Instr: -1} }
+// funcLoc returns a function-level location.
+func funcLoc(f ir.FuncID) Loc { return Loc{Func: f, Block: ir.NoBlock, Instr: -1} }
 
-// BlockLoc returns a block-level location.
-func BlockLoc(f ir.FuncID, b ir.BlockID) Loc { return Loc{Func: f, Block: b, Instr: -1} }
+// blockLoc returns a block-level location.
+func blockLoc(f ir.FuncID, b ir.BlockID) Loc { return Loc{Func: f, Block: b, Instr: -1} }
 
 // String renders the location compactly ("func 3/block 7/instr 2").
 func (l Loc) String() string {
@@ -317,6 +317,8 @@ type Analyzer struct {
 func (a *Analyzer) Applies(u *Unit) bool { return u.Prog != nil && a.applies(u) }
 
 // All returns every analyzer in deterministic order.
+//
+//lint:testapi FuzzMutations (fuzz_test.go, package check_test) runs every analyzer
 func All() []*Analyzer {
 	return []*Analyzer{
 		cfgAnalyzer(),
@@ -331,8 +333,8 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
+// byName returns the named analyzer, or nil.
+func byName(name string) *Analyzer {
 	for _, a := range All() {
 		if a.Name == name {
 			return a
@@ -368,7 +370,7 @@ func ForStage(stage string) []*Analyzer {
 func pick(names ...string) []*Analyzer {
 	out := make([]*Analyzer, 0, len(names))
 	for _, n := range names {
-		if a := ByName(n); a != nil {
+		if a := byName(n); a != nil {
 			out = append(out, a)
 		}
 	}

@@ -4,6 +4,8 @@ import "impact/internal/ir"
 
 // Reachable computes the set of blocks reachable from f's entry
 // through static arcs, indexed by BlockID.
+//
+//lint:testapi TestReachable (dom_test.go, package check_test)
 func Reachable(f *ir.Function) []bool {
 	return reachFrom(f, func(ir.Arc) bool { return true })
 }
@@ -13,6 +15,8 @@ func Reachable(f *ir.Function) []bool {
 // execution engine can actually visit. A block outside this set but
 // inside Reachable is dead: code that exists, links, and can never
 // run.
+//
+//lint:testapi TestReachable (dom_test.go, package check_test)
 func ProbReachable(f *ir.Function) []bool {
 	return reachFrom(f, func(a ir.Arc) bool { return a.Prob > 0 })
 }
@@ -38,6 +42,8 @@ func reachFrom(f *ir.Function, follow func(ir.Arc) bool) []bool {
 // using the Cooper–Harvey–Kennedy iterative algorithm. The result is
 // indexed by BlockID; the entry block's immediate dominator is itself,
 // and blocks unreachable from the entry get NoBlock.
+//
+//lint:testapi TestDominators and TestDominatorsUnreachable (dom_test.go, package check_test)
 func Dominators(f *ir.Function) []ir.BlockID {
 	n := len(f.Blocks)
 	// Reverse postorder over reachable blocks.

@@ -21,10 +21,10 @@ func pageBoundsAnalyzer() *Analyzer {
 		b := res.Bounds
 
 		if b.Lower > b.Upper {
-			r.errorf(ProgLoc(), "fault lower bound %d exceeds upper bound %d", b.Lower, b.Upper)
+			r.errorf(progLoc(), "fault lower bound %d exceeds upper bound %d", b.Lower, b.Upper)
 		}
 		if b.Upper > b.WeightedLineRefs {
-			r.errorf(ProgLoc(), "fault upper bound %d exceeds total weighted page references %d",
+			r.errorf(progLoc(), "fault upper bound %d exceeds total weighted page references %d",
 				b.Upper, b.WeightedLineRefs)
 		}
 
@@ -34,11 +34,11 @@ func pageBoundsAnalyzer() *Analyzer {
 			weight += b.RefWeight[c]
 		}
 		if refs != uint64(b.LineRefs) {
-			r.errorf(ProgLoc(), "class reference counts sum to %d, want %d page references",
+			r.errorf(progLoc(), "class reference counts sum to %d, want %d page references",
 				refs, b.LineRefs)
 		}
 		if weight != b.WeightedLineRefs {
-			r.errorf(ProgLoc(), "class reference weights sum to %d, want %d", weight, b.WeightedLineRefs)
+			r.errorf(progLoc(), "class reference weights sum to %d, want %d", weight, b.WeightedLineRefs)
 		}
 
 		// One fetch per instruction per block execution, as measured by
@@ -46,14 +46,14 @@ func pageBoundsAnalyzer() *Analyzer {
 		// break the identity.
 		if u.Weights.Capped == 0 {
 			if b.Accesses != u.Weights.DynInstrs {
-				r.errorf(ProgLoc(), "modelled %d fetches, profile measured %d dynamic instructions",
+				r.errorf(progLoc(), "modelled %d fetches, profile measured %d dynamic instructions",
 					b.Accesses, u.Weights.DynInstrs)
 			}
 			// Every executed page's first-ever reference on a path is
 			// not an always-hit, so the upper bound admits at least one
 			// fault per footprint page.
 			if b.Upper < uint64(res.Report.ExecPages) {
-				r.errorf(ProgLoc(), "fault upper bound %d below the %d-page executed footprint",
+				r.errorf(progLoc(), "fault upper bound %d below the %d-page executed footprint",
 					b.Upper, res.Report.ExecPages)
 			}
 		} else {
@@ -62,26 +62,26 @@ func pageBoundsAnalyzer() *Analyzer {
 
 		rep := res.Report
 		if rep.ExecPages > rep.CodePages {
-			r.errorf(ProgLoc(), "executed footprint %d pages exceeds %d code pages",
+			r.errorf(progLoc(), "executed footprint %d pages exceeds %d code pages",
 				rep.ExecPages, rep.CodePages)
 		}
 		if rep.HotPages > rep.ExecPages {
-			r.errorf(ProgLoc(), "hot working set %d pages exceeds %d-page footprint",
+			r.errorf(progLoc(), "hot working set %d pages exceeds %d-page footprint",
 				rep.HotPages, rep.ExecPages)
 		}
 		if rep.WasteBytes > uint64(rep.ExecPages*res.Paging.PageBytes) {
-			r.errorf(ProgLoc(), "waste %dB exceeds the executed pages' %dB",
+			r.errorf(progLoc(), "waste %dB exceeds the executed pages' %dB",
 				rep.WasteBytes, rep.ExecPages*res.Paging.PageBytes)
 		}
 		if res.Paging.Frames == 0 && (rep.ThrashScopes != 0 || len(rep.Pairs) != 0) {
-			r.errorf(ProgLoc(), "unbounded frames report %d thrashing scopes and %d pairs",
+			r.errorf(progLoc(), "unbounded frames report %d thrashing scopes and %d pairs",
 				rep.ThrashScopes, len(rep.Pairs))
 		}
 
 		var fLower, fAccesses uint64
 		for _, f := range res.PerFunc {
 			if f.Lower > f.Upper {
-				r.errorf(FuncLoc(f.Func), "per-function fault lower bound %d exceeds upper bound %d",
+				r.errorf(funcLoc(f.Func), "per-function fault lower bound %d exceeds upper bound %d",
 					f.Lower, f.Upper)
 			}
 			fLower += f.Lower
@@ -91,11 +91,11 @@ func pageBoundsAnalyzer() *Analyzer {
 		// only the upper bounds differ (the whole-program bound
 		// tightens persistent pages, per-function bounds do not).
 		if fLower != b.Lower {
-			r.errorf(ProgLoc(), "per-function lower bounds sum to %d, want program lower bound %d",
+			r.errorf(progLoc(), "per-function lower bounds sum to %d, want program lower bound %d",
 				fLower, b.Lower)
 		}
 		if fAccesses != b.Accesses {
-			r.errorf(ProgLoc(), "per-function fetch counts sum to %d, want %d", fAccesses, b.Accesses)
+			r.errorf(progLoc(), "per-function fetch counts sum to %d, want %d", fAccesses, b.Accesses)
 		}
 	}
 	return a

@@ -30,7 +30,7 @@ func cfgAnalyzer() *Analyzer {
 func runCFG(u *Unit, r *reporter) {
 	for _, f := range u.Prog.Funcs {
 		for _, b := range f.Blocks {
-			loc := BlockLoc(f.ID, b.ID)
+			loc := blockLoc(f.ID, b.ID)
 			var last ir.Opcode = ir.OpALU
 			if len(b.Instrs) > 0 {
 				last = b.Instrs[len(b.Instrs)-1].Op
@@ -94,7 +94,7 @@ func runReach(u *Unit, r *reporter) {
 		idom := Dominators(f)
 		var probReach []bool
 		for _, b := range f.Blocks {
-			loc := BlockLoc(f.ID, b.ID)
+			loc := blockLoc(f.ID, b.ID)
 			if !reach[b.ID] {
 				r.errorf(loc, "block is unreachable from the function entry")
 				continue
@@ -136,7 +136,7 @@ func weightFlowAnalyzer() *Analyzer {
 func runWeightFlow(u *Unit, r *reporter) {
 	p, w := u.Prog, u.Weights
 	if err := w.Check(p); err != nil {
-		r.errorf(ProgLoc(), "profile weights do not match the program shape: %v", err)
+		r.errorf(progLoc(), "profile weights do not match the program shape: %v", err)
 		return
 	}
 	if w.Capped > 0 {
@@ -159,7 +159,7 @@ func runWeightFlow(u *Unit, r *reporter) {
 				inflow[b.Out[k].To] += c
 			}
 			if len(b.Out) > 0 && out != fw.BlockW[b.ID] {
-				r.errorf(BlockLoc(f.ID, b.ID), "outflow %d != block weight %d (every execution must leave via exactly one arc)",
+				r.errorf(blockLoc(f.ID, b.ID), "outflow %d != block weight %d (every execution must leave via exactly one arc)",
 					out, fw.BlockW[b.ID])
 			}
 		}
@@ -169,7 +169,7 @@ func runWeightFlow(u *Unit, r *reporter) {
 				want += fw.Entries
 			}
 			if fw.BlockW[b.ID] != want {
-				r.errorf(BlockLoc(f.ID, b.ID), "block weight %d != inflow %d (arc inflow plus function entries)",
+				r.errorf(blockLoc(f.ID, b.ID), "block weight %d != inflow %d (arc inflow plus function entries)",
 					fw.BlockW[b.ID], want)
 			}
 		}
@@ -205,17 +205,17 @@ func runWeightFlow(u *Unit, r *reporter) {
 	for _, pair := range sortedPairs(pairs) {
 		want := pairs[pair]
 		if got := w.Pairs[pair]; got != want {
-			r.errorf(FuncLoc(pair.Caller), "call-graph weight %d for callee %d != %d, the sum of its site weights", got, pair.Callee, want)
+			r.errorf(funcLoc(pair.Caller), "call-graph weight %d for callee %d != %d, the sum of its site weights", got, pair.Callee, want)
 		}
 	}
 	for _, pair := range sortedPairs(w.Pairs) {
 		got := w.Pairs[pair]
 		if _, ok := pairs[pair]; !ok && got != 0 {
-			r.errorf(FuncLoc(pair.Caller), "call-graph arc to callee %d has weight %d but no executed call site", pair.Callee, got)
+			r.errorf(funcLoc(pair.Caller), "call-graph arc to callee %d has weight %d but no executed call site", pair.Callee, got)
 		}
 	}
 	if siteTotal != w.DynCalls {
-		r.errorf(ProgLoc(), "site weights sum to %d but the profile recorded %d dynamic calls", siteTotal, w.DynCalls)
+		r.errorf(progLoc(), "site weights sum to %d but the profile recorded %d dynamic calls", siteTotal, w.DynCalls)
 	}
 	for _, f := range p.Funcs {
 		var want uint64
@@ -229,7 +229,7 @@ func runWeightFlow(u *Unit, r *reporter) {
 			want += uint64(w.Runs)
 		}
 		if got := w.Funcs[f.ID].Entries; got != want {
-			r.errorf(FuncLoc(f.ID), "function entries %d != %d, the incoming call-graph weight (plus one per run for the program entry)", got, want)
+			r.errorf(funcLoc(f.ID), "function entries %d != %d, the incoming call-graph weight (plus one per run for the program entry)", got, want)
 		}
 	}
 }

@@ -30,20 +30,20 @@ func runInline(u *Unit, r *reporter) {
 
 	// Static accounting against the report.
 	if rep.BytesBefore != before.Bytes() {
-		r.errorf(ProgLoc(), "report says %d bytes before inlining, program has %d", rep.BytesBefore, before.Bytes())
+		r.errorf(progLoc(), "report says %d bytes before inlining, program has %d", rep.BytesBefore, before.Bytes())
 	}
 	if rep.BytesAfter != after.Bytes() {
-		r.errorf(ProgLoc(), "report says %d bytes after inlining, program has %d", rep.BytesAfter, after.Bytes())
+		r.errorf(progLoc(), "report says %d bytes after inlining, program has %d", rep.BytesAfter, after.Bytes())
 	}
 	if rep.SitesInlined != len(rep.Expansions) {
-		r.errorf(ProgLoc(), "report counts %d inlined sites but records %d expansions", rep.SitesInlined, len(rep.Expansions))
+		r.errorf(progLoc(), "report counts %d inlined sites but records %d expansions", rep.SitesInlined, len(rep.Expansions))
 	}
 	if len(after.Funcs) != len(before.Funcs) {
-		r.errorf(ProgLoc(), "inlining changed the function count %d -> %d", len(before.Funcs), len(after.Funcs))
+		r.errorf(progLoc(), "inlining changed the function count %d -> %d", len(before.Funcs), len(after.Funcs))
 		return
 	}
 	if after.Entry != before.Entry {
-		r.errorf(ProgLoc(), "inlining moved the program entry %d -> %d", before.Entry, after.Entry)
+		r.errorf(progLoc(), "inlining moved the program entry %d -> %d", before.Entry, after.Entry)
 	}
 
 	// Per-function: identity preserved, block growth fully explained by
@@ -52,27 +52,27 @@ func runInline(u *Unit, r *reporter) {
 	added := make([]int, len(before.Funcs))
 	for _, e := range rep.Expansions {
 		if int(e.Site.Func) >= len(before.Funcs) || int(e.Callee) >= len(before.Funcs) {
-			r.errorf(ProgLoc(), "expansion references out-of-range function (site %v, callee %d)", e.Site, e.Callee)
+			r.errorf(progLoc(), "expansion references out-of-range function (site %v, callee %d)", e.Site, e.Callee)
 			continue
 		}
 		added[e.Site.Func] += e.CloneBlocks + 1
 		if before.Funcs[e.Callee].NoInline {
-			r.errorf(FuncLoc(e.Site.Func), "expansion inlined %q, a NoInline (system-call boundary) function", before.Funcs[e.Callee].Name)
+			r.errorf(funcLoc(e.Site.Func), "expansion inlined %q, a NoInline (system-call boundary) function", before.Funcs[e.Callee].Name)
 		}
 		if e.Callee == e.Site.Func {
-			r.errorf(FuncLoc(e.Site.Func), "expansion inlined a function into itself")
+			r.errorf(funcLoc(e.Site.Func), "expansion inlined a function into itself")
 		}
 	}
 	for i, bf := range before.Funcs {
 		af := after.Funcs[i]
 		if af.Name != bf.Name {
-			r.errorf(FuncLoc(bf.ID), "inlining renamed function %q -> %q", bf.Name, af.Name)
+			r.errorf(funcLoc(bf.ID), "inlining renamed function %q -> %q", bf.Name, af.Name)
 		}
 		if af.NoInline != bf.NoInline {
-			r.errorf(FuncLoc(bf.ID), "inlining changed the NoInline marker")
+			r.errorf(funcLoc(bf.ID), "inlining changed the NoInline marker")
 		}
 		if want := len(bf.Blocks) + added[i]; len(af.Blocks) != want {
-			r.errorf(FuncLoc(bf.ID), "function has %d blocks, but %d original blocks plus %d recorded expansions give %d",
+			r.errorf(funcLoc(bf.ID), "function has %d blocks, but %d original blocks plus %d recorded expansions give %d",
 				len(af.Blocks), len(bf.Blocks), added[i], want)
 		}
 	}
@@ -88,20 +88,20 @@ func runInline(u *Unit, r *reporter) {
 	}
 	callDelta := int64(bw.DynCalls) - int64(aw.DynCalls)
 	if callDelta < 0 {
-		r.errorf(ProgLoc(), "inlining increased dynamic calls %d -> %d", bw.DynCalls, aw.DynCalls)
+		r.errorf(progLoc(), "inlining increased dynamic calls %d -> %d", bw.DynCalls, aw.DynCalls)
 	}
 	if instrDelta := int64(bw.DynInstrs) - int64(aw.DynInstrs); instrDelta != callDelta {
-		r.errorf(ProgLoc(), "dynamic instruction delta %d != eliminated calls %d (each expansion deletes exactly the call instruction)",
+		r.errorf(progLoc(), "dynamic instruction delta %d != eliminated calls %d (each expansion deletes exactly the call instruction)",
 			instrDelta, callDelta)
 	}
 	if retDelta := int64(bw.DynReturns) - int64(aw.DynReturns); retDelta != callDelta {
-		r.errorf(ProgLoc(), "dynamic return delta %d != eliminated calls %d (each expansion turns one return into a jump)",
+		r.errorf(progLoc(), "dynamic return delta %d != eliminated calls %d (each expansion turns one return into a jump)",
 			retDelta, callDelta)
 	}
 	beforeWork := weightedFillerWork(before, bw)
 	afterWork := weightedFillerWork(after, aw)
 	if beforeWork != afterWork {
-		r.errorf(ProgLoc(), "executed non-control work changed %d -> %d across inlining (the transform may only move code)",
+		r.errorf(progLoc(), "executed non-control work changed %d -> %d across inlining (the transform may only move code)",
 			beforeWork, afterWork)
 	}
 }
@@ -145,12 +145,12 @@ func tracesAnalyzer() *Analyzer {
 func runTraces(u *Unit, r *reporter) {
 	p := u.Prog
 	if len(u.Traces) != len(p.Funcs) {
-		r.errorf(ProgLoc(), "trace selection covers %d functions, program has %d", len(u.Traces), len(p.Funcs))
+		r.errorf(progLoc(), "trace selection covers %d functions, program has %d", len(u.Traces), len(p.Funcs))
 		return
 	}
 	for _, f := range p.Funcs {
 		sel := &u.Traces[f.ID]
-		floc := FuncLoc(f.ID)
+		floc := funcLoc(f.ID)
 		if len(sel.TraceOf) != len(f.Blocks) || len(sel.PosOf) != len(f.Blocks) {
 			r.errorf(floc, "trace maps cover %d/%d blocks, function has %d", len(sel.TraceOf), len(sel.PosOf), len(f.Blocks))
 			continue
@@ -177,7 +177,7 @@ func runTraces(u *Unit, r *reporter) {
 				}
 				seen[b]++
 				if sel.TraceOf[b] != ti || sel.PosOf[b] != pos {
-					r.errorf(BlockLoc(f.ID, b), "trace maps place block in trace %d pos %d, trace %d holds it at pos %d",
+					r.errorf(blockLoc(f.ID, b), "trace maps place block in trace %d pos %d, trace %d holds it at pos %d",
 						sel.TraceOf[b], sel.PosOf[b], ti, pos)
 				}
 				if fw != nil {
@@ -201,14 +201,14 @@ func runTraces(u *Unit, r *reporter) {
 				}
 				switch {
 				case !haveArc:
-					r.errorf(BlockLoc(f.ID, b), "trace %d places block after %d with no connecting arc", ti, prev)
+					r.errorf(blockLoc(f.ID, b), "trace %d places block after %d with no connecting arc", ti, prev)
 				case arcW == 0:
-					r.errorf(BlockLoc(f.ID, b), "trace %d transition %d->%d has zero profiled weight", ti, prev, b)
+					r.errorf(blockLoc(f.ID, b), "trace %d transition %d->%d has zero profiled weight", ti, prev, b)
 				case float64(arcW) < u.MinProb*float64(fw.BlockW[prev]):
-					r.errorf(BlockLoc(f.ID, b), "trace %d transition %d->%d weight %d below MIN_PROB %.2f of source weight %d",
+					r.errorf(blockLoc(f.ID, b), "trace %d transition %d->%d weight %d below MIN_PROB %.2f of source weight %d",
 						ti, prev, b, arcW, u.MinProb, fw.BlockW[prev])
 				case float64(arcW) < u.MinProb*float64(fw.BlockW[b]):
-					r.errorf(BlockLoc(f.ID, b), "trace %d transition %d->%d weight %d below MIN_PROB %.2f of destination weight %d",
+					r.errorf(blockLoc(f.ID, b), "trace %d transition %d->%d weight %d below MIN_PROB %.2f of destination weight %d",
 						ti, prev, b, arcW, u.MinProb, fw.BlockW[b])
 				}
 			}
@@ -218,12 +218,12 @@ func runTraces(u *Unit, r *reporter) {
 		}
 		for b, n := range seen {
 			if n != 1 {
-				r.errorf(BlockLoc(f.ID, ir.BlockID(b)), "block appears in %d traces, want exactly 1 (traces must partition the blocks)", n)
+				r.errorf(blockLoc(f.ID, ir.BlockID(b)), "block appears in %d traces, want exactly 1 (traces must partition the blocks)", n)
 			}
 		}
 		if et := sel.TraceOf[f.Entry]; et >= 0 && et < len(sel.Traces) &&
 			len(sel.Traces[et].Blocks) > 0 && sel.Traces[et].Head() != f.Entry {
-			r.errorf(BlockLoc(f.ID, f.Entry), "entry block sits at position %d of trace %d; the entry trace must start at the entry block",
+			r.errorf(blockLoc(f.ID, f.Entry), "entry block sits at position %d of trace %d; the entry trace must start at the entry block",
 				sel.PosOf[f.Entry], et)
 		}
 	}
@@ -247,13 +247,13 @@ func funcLayoutAnalyzer() *Analyzer {
 func runFuncLayout(u *Unit, r *reporter) {
 	p := u.Prog
 	if len(u.Orders) != len(p.Funcs) || len(u.Traces) != len(p.Funcs) {
-		r.errorf(ProgLoc(), "layout covers %d orders / %d selections, program has %d functions", len(u.Orders), len(u.Traces), len(p.Funcs))
+		r.errorf(progLoc(), "layout covers %d orders / %d selections, program has %d functions", len(u.Orders), len(u.Traces), len(p.Funcs))
 		return
 	}
 	for _, f := range p.Funcs {
 		o := &u.Orders[f.ID]
 		sel := &u.Traces[f.ID]
-		floc := FuncLoc(f.ID)
+		floc := funcLoc(f.ID)
 		if len(o.Blocks) != len(f.Blocks) {
 			r.errorf(floc, "order places %d blocks, function has %d", len(o.Blocks), len(f.Blocks))
 			continue
@@ -266,7 +266,7 @@ func runFuncLayout(u *Unit, r *reporter) {
 		bijection := true
 		for b, at := range pos {
 			if at < 0 {
-				r.errorf(BlockLoc(f.ID, ir.BlockID(b)), "block missing from the layout order (order must be a bijection)")
+				r.errorf(blockLoc(f.ID, ir.BlockID(b)), "block missing from the layout order (order must be a bijection)")
 				bijection = false
 			}
 		}
@@ -279,7 +279,7 @@ func runFuncLayout(u *Unit, r *reporter) {
 			for i := 1; i < len(tr.Blocks); i++ {
 				prev, cur := tr.Blocks[i-1], tr.Blocks[i]
 				if pos[cur] != pos[prev]+1 {
-					r.errorf(BlockLoc(f.ID, cur), "trace %d split by the layout: block follows %d in the trace but sits %d slots away",
+					r.errorf(blockLoc(f.ID, cur), "trace %d split by the layout: block follows %d in the trace but sits %d slots away",
 						ti, prev, pos[cur]-pos[prev])
 				}
 			}
@@ -291,14 +291,14 @@ func runFuncLayout(u *Unit, r *reporter) {
 		for i, b := range o.Blocks {
 			w := sel.Traces[sel.TraceOf[b]].Weight
 			if i < o.EffectiveBlocks && w == 0 {
-				r.errorf(BlockLoc(f.ID, b), "zero-weight trace block placed in the effective region (slot %d of %d)", i, o.EffectiveBlocks)
+				r.errorf(blockLoc(f.ID, b), "zero-weight trace block placed in the effective region (slot %d of %d)", i, o.EffectiveBlocks)
 			}
 			if i >= o.EffectiveBlocks && w != 0 {
-				r.errorf(BlockLoc(f.ID, b), "non-zero-weight trace block placed below the effective boundary (slot %d, boundary %d)", i, o.EffectiveBlocks)
+				r.errorf(blockLoc(f.ID, b), "non-zero-weight trace block placed below the effective boundary (slot %d, boundary %d)", i, o.EffectiveBlocks)
 			}
 		}
 		if et := sel.TraceOf[f.Entry]; sel.Traces[et].Weight > 0 && o.Blocks[0] != f.Entry {
-			r.errorf(BlockLoc(f.ID, f.Entry), "executed function does not start with its entry block (placement starts at the entry trace)")
+			r.errorf(blockLoc(f.ID, f.Entry), "executed function does not start with its entry block (placement starts at the entry trace)")
 		}
 	}
 }
@@ -326,7 +326,7 @@ func runGlobalLayout(u *Unit, r *reporter) {
 	rank := u.Global.Positions(len(p.Funcs))
 	for f, at := range rank {
 		if at < 0 {
-			r.errorf(FuncLoc(ir.FuncID(f)), "function missing from the global order (order must be a permutation)")
+			r.errorf(funcLoc(ir.FuncID(f)), "function missing from the global order (order must be a permutation)")
 		}
 	}
 
@@ -358,7 +358,7 @@ func runGlobalLayout(u *Unit, r *reporter) {
 	tiled := true
 	for _, e := range extents {
 		if e.addr != at {
-			r.errorf(BlockLoc(e.f, e.b), "block at address %#x %s the expected tiling position %#x", e.addr,
+			r.errorf(blockLoc(e.f, e.b), "block at address %#x %s the expected tiling position %#x", e.addr,
 				overlapOrGap(e.addr, at), at)
 			tiled = false
 			break
@@ -366,10 +366,10 @@ func runGlobalLayout(u *Unit, r *reporter) {
 		at += e.size
 	}
 	if tiled && at != u.Layout.Total {
-		r.errorf(ProgLoc(), "blocks tile %d bytes but the layout claims %d total", at, u.Layout.Total)
+		r.errorf(progLoc(), "blocks tile %d bytes but the layout claims %d total", at, u.Layout.Total)
 	}
 	if u.Layout.Total != uint32(p.Bytes()) {
-		r.errorf(ProgLoc(), "layout spans %d bytes, program has %d bytes of code", u.Layout.Total, p.Bytes())
+		r.errorf(progLoc(), "layout spans %d bytes, program has %d bytes of code", u.Layout.Total, p.Bytes())
 	}
 
 	if len(u.Orders) != len(p.Funcs) {
@@ -390,7 +390,7 @@ func runGlobalLayout(u *Unit, r *reporter) {
 				if i > 0 {
 					prev := blocks[i-1]
 					if want := u.Layout.BlockAddr(f.ID, prev) + uint32(f.Blocks[prev].Bytes()); addr != want {
-						r.errorf(BlockLoc(f.ID, b), "%s region not contiguous: block at %#x, previous block ends at %#x", name, addr, want)
+						r.errorf(blockLoc(f.ID, b), "%s region not contiguous: block at %#x, previous block ends at %#x", name, addr, want)
 					}
 				}
 			}
@@ -402,12 +402,12 @@ func runGlobalLayout(u *Unit, r *reporter) {
 			for _, b := range hot {
 				addr := u.Layout.BlockAddr(f.ID, b)
 				if addr+uint32(f.Blocks[b].Bytes()) > eff {
-					r.errorf(BlockLoc(f.ID, b), "effective block at %#x spills past the packed effective region [0, %#x)", addr, eff)
+					r.errorf(blockLoc(f.ID, b), "effective block at %#x spills past the packed effective region [0, %#x)", addr, eff)
 				}
 			}
 			for _, b := range cold {
 				if addr := u.Layout.BlockAddr(f.ID, b); addr < eff {
-					r.errorf(BlockLoc(f.ID, b), "non-executed block at %#x placed inside the packed effective region [0, %#x)", addr, eff)
+					r.errorf(blockLoc(f.ID, b), "non-executed block at %#x placed inside the packed effective region [0, %#x)", addr, eff)
 				}
 			}
 		} else {

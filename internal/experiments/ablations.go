@@ -253,6 +253,8 @@ func RenderAblationMinProb(rows []AblationMinProbRow) string {
 // declaration order, with inline expansion and intra-function layout
 // held fixed. Returns the suite-average 2KB/64B direct-mapped miss
 // ratio with DFS enabled and disabled.
+//
+//lint:testapi BenchmarkAblationGlobalLayout (bench_test.go) times it; icexp does not run A4
 func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	for _, p := range s.Items {

@@ -83,7 +83,7 @@ type ExtendedRow struct {
 // natural baseline. The scale applies to the extension's dynamic
 // trace lengths.
 func ExtExtendedSuite(scale float64) ([]ExtendedRow, error) {
-	suite, err := PrepareBenchmarks(workload.ExtendedSuite(scale))
+	suite, err := prepareBenchmarks(workload.ExtendedSuite(scale))
 	if err != nil {
 		return nil, err
 	}

@@ -199,8 +199,10 @@ func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // Prepare builds the benchmark suite at the given dynamic scale and
 // runs the full pipeline on every benchmark. Scale 1.0 reproduces the
 // default experiment lengths; tests use smaller scales.
+//
+//lint:testapi the root bench_test.go benchmarks prepare their suite with it
 func Prepare(scale float64) (*Suite, error) {
-	return PrepareBenchmarks(workload.Suite(scale))
+	return prepareBenchmarks(workload.Suite(scale))
 }
 
 // PrepareWith is Prepare with observability options.
@@ -208,9 +210,9 @@ func PrepareWith(scale float64, opts Options) (*Suite, error) {
 	return PrepareBenchmarksWith(workload.Suite(scale), opts)
 }
 
-// PrepareBenchmarks runs the pipeline on the given benchmarks,
+// prepareBenchmarks runs the pipeline on the given benchmarks,
 // in parallel across CPUs.
-func PrepareBenchmarks(benchmarks []*workload.Benchmark) (*Suite, error) {
+func prepareBenchmarks(benchmarks []*workload.Benchmark) (*Suite, error) {
 	return PrepareBenchmarksWith(benchmarks, Options{})
 }
 

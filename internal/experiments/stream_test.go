@@ -12,70 +12,37 @@ import (
 	"impact/internal/workload"
 )
 
-// TestEnginePassReuse pins the retained-stack-pass memo level: sweeping
-// several sizes of one stackable geometry costs exactly one trace pass,
-// and a later request for a NEW size of that geometry is derived
-// arithmetically from the retained pass — zero further passes, counted
-// on sweep.stack_pass_reused — with results identical to sequential
+// TestEnginePassReuse pins that one stack pass serves a whole size
+// sweep: sweeping several sizes of one stackable geometry costs
+// exactly one trace pass, with results identical to sequential
 // cache.Simulate.
 func TestEnginePassReuse(t *testing.T) {
 	e := NewEngine()
 	reg := obs.NewRegistry()
 	e.AttachObs(reg)
 	tr := sweepTestTrace(8, 1200)
-	template := cache.Config{BlockBytes: 64, Assoc: 0}
-	sizes := []int{512, 1024, 2048}
-
-	got, err := e.SweepSizes(tr, template, sizes)
+	var reqs []SimRequest
+	for _, size := range []int{512, 1024, 2048} {
+		reqs = append(reqs, SimRequest{tr, cache.Config{SizeBytes: size, BlockBytes: 64, Assoc: 0}})
+	}
+	got, err := e.Batch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, size := range sizes {
-		cfg := template
-		cfg.SizeBytes = size
-		want, err := cache.Simulate(cfg, tr)
+	for i, rq := range reqs {
+		want, err := cache.Simulate(rq.Config, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got[i] != want {
-			t.Errorf("size %d: sweep %+v, sequential %+v", size, got[i], want)
+			t.Errorf("%v: sweep %+v, sequential %+v", rq.Config, got[i], want)
 		}
 	}
 	if passes := reg.Counter("sweep.trace_passes").Value(); passes != 1 {
-		t.Fatalf("size sweep cost %d trace passes, want 1", passes)
+		t.Errorf("size sweep cost %d trace passes, want 1", passes)
 	}
-
-	// A size the sweep never requested: no memo entry, but the retained
-	// pass covers its geometry.
-	cfg := template
-	cfg.SizeBytes = 4096
-	st, err := e.Simulate(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cache.Simulate(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != want {
-		t.Errorf("pass-derived result %+v, sequential %+v", st, want)
-	}
-	if passes := reg.Counter("sweep.trace_passes").Value(); passes != 1 {
-		t.Errorf("new size of a swept geometry cost a trace pass (%d total, want 1)", passes)
-	}
-	if reused := reg.Counter("sweep.stack_pass_reused").Value(); reused != 1 {
-		t.Errorf("stack_pass_reused = %d, want 1", reused)
-	}
-	if run := reg.Counter("sweep.sims_run").Value(); run != 3 {
-		t.Errorf("sims_run = %d, want 3 (pass reuse must not count as a run)", run)
-	}
-
-	// Asking again is a plain memo hit, not a second derivation.
-	if _, err := e.Simulate(cfg, tr); err != nil {
-		t.Fatal(err)
-	}
-	if reused := reg.Counter("sweep.stack_pass_reused").Value(); reused != 1 {
-		t.Errorf("repeat request re-derived from the pass (reused=%d, want 1)", reused)
+	if derived := reg.Counter("sweep.stack_pass_sizes").Value(); derived != 3 {
+		t.Errorf("stack_pass_sizes = %d, want 3", derived)
 	}
 }
 
@@ -116,7 +83,7 @@ func tableGeometries() (nat, opt []cache.Config) {
 // generate-and-simulate stream (no materialized trace anywhere) both
 // reproduce sequential cache.Simulate bit for bit.
 func TestTablesStreamDifferential(t *testing.T) {
-	s, err := PrepareBenchmarks(workload.Suite(0.05)[:3])
+	s, err := prepareBenchmarks(workload.Suite(0.05)[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +127,18 @@ func TestTablesStreamDifferential(t *testing.T) {
 		}
 		// End-to-end streaming generation: re-run the natural-layout
 		// evaluation input straight into the fan-out simulator AND a
-		// streaming stack pass, with no materialized trace in between.
+		// sweep plan (one stack pass per block size), with no
+		// materialized trace in between.
 		lay := layout.Natural(p.Bench.Prog)
 		sim, err := cache.NewSinkSimulator(natCfgs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		z, err := sweep.NewStream(64, 1)
+		plan, err := sweep.NewPlan(natCfgs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), memtrace.Tee(sim, z))
+		res, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), memtrace.Tee(sim, plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,18 +151,10 @@ func TestTablesStreamDifferential(t *testing.T) {
 					p.Name(), natCfgs[i], st, natWant[i])
 			}
 		}
-		pass := z.Pass()
-		for i, cfg := range natCfgs {
-			if cfg.BlockBytes != 64 || cfg.Assoc != 0 {
-				continue
-			}
-			st, err := pass.Stats(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for i, st := range plan.Stats() {
 			if st != natWant[i] {
-				t.Errorf("%s %v: streamed stack pass %+v, sequential %+v",
-					p.Name(), cfg, st, natWant[i])
+				t.Errorf("%s %v: streamed plan %+v, sequential %+v",
+					p.Name(), natCfgs[i], st, natWant[i])
 			}
 		}
 	}

@@ -24,10 +24,10 @@ import (
 //     for once per process no matter how many tables ask for it, even
 //     when a deterministic pipeline re-run produced a fresh but
 //     identical trace value.
-//  2. Misses are scheduled to minimise trace passes: organisations the
-//     LRU stack algorithm covers are grouped by geometry and answered
-//     by one stack pass per group (sweep.StackPass), and the remainder
-//     share one broadcast replay per trace (cache.MultiSimulate).
+//  2. Misses are grouped by trace, and each trace's organisations go
+//     to the sweep planner (sweep.NewPlan), which decides between
+//     stack passes and one broadcast replay. Every pass of every plan
+//     is one work unit.
 //
 // Work units run on a bounded worker pool. Every derived statistic is
 // bit-identical to sequential cache.Simulate — the differential tests
@@ -122,13 +122,6 @@ type sweepObs struct {
 	simsMemoized *obs.Counter
 	stackDerived *obs.Counter
 	tracePasses  *obs.Counter
-	passReused   *obs.Counter
-}
-
-// passKey identifies one stack pass by trace content and geometry.
-type passKey struct {
-	fp           uint64
-	block, nSets int
 }
 
 // Engine memoizes and schedules cache measurements. The zero value is
@@ -137,13 +130,7 @@ type Engine struct {
 	mu   sync.Mutex
 	cfg  EngineConfig
 	memo map[simKey]cache.Stats
-	// passes retains every completed stack pass by (trace fingerprint,
-	// geometry). A later request for an organisation the pass covers —
-	// a new cache size of an already-swept geometry, the classic
-	// SweepSizes overlap — is derived arithmetically instead of costing
-	// another trace pass (counter sweep.stack_pass_reused).
-	passes map[passKey]*sweep.StackPass
-	obs    atomic.Pointer[sweepObs]
+	obs  atomic.Pointer[sweepObs]
 }
 
 // EngineConfig tunes the engine's parallelism. The zero value of every
@@ -158,10 +145,7 @@ type EngineConfig struct {
 
 // NewEngine returns an empty engine tuned by the package defaults.
 func NewEngine() *Engine {
-	return &Engine{
-		memo:   make(map[simKey]cache.Stats),
-		passes: make(map[passKey]*sweep.StackPass),
-	}
+	return &Engine{memo: make(map[simKey]cache.Stats)}
 }
 
 // Configure overrides the engine's tuning for subsequent batches; zero
@@ -212,24 +196,7 @@ func (e *Engine) AttachObs(r *obs.Registry) {
 		simsMemoized: r.Counter("sweep.sims_memoized"),
 		stackDerived: r.Counter("sweep.stack_pass_sizes"),
 		tracePasses:  r.Counter("sweep.trace_passes"),
-		passReused:   r.Counter("sweep.stack_pass_reused"),
 	})
-}
-
-// SweepSizes measures the template organisation at every cache size
-// through the engine: requests route into Batch, so results come from
-// the memo, a retained stack pass, or a minimal set of new trace
-// passes (one stack pass for a fully associative template — the
-// classic Mattson sweep — one broadcast replay otherwise). Results are
-// in input order and identical to sequential cache.Simulate.
-func (e *Engine) SweepSizes(tr *memtrace.Trace, template cache.Config, sizes []int) ([]cache.Stats, error) {
-	reqs := make([]SimRequest, len(sizes))
-	for i, s := range sizes {
-		cfg := template
-		cfg.SizeBytes = s
-		reqs[i] = SimRequest{Trace: tr, Config: cfg}
-	}
-	return e.Batch(reqs)
 }
 
 // Simulate measures one (trace, organisation) pair through the memo.
@@ -241,14 +208,19 @@ func (e *Engine) Simulate(cfg cache.Config, tr *memtrace.Trace) (cache.Stats, er
 	return out[0], nil
 }
 
-// workUnit is one trace pass: either a stack pass deriving several
-// organisations or a broadcast replay of the rest.
+// workUnit is one pass of a trace's plan: a stack pass deriving
+// several organisations or the broadcast replay of the rest.
 type workUnit struct {
 	tr   *memtrace.Trace
+	pass *sweep.Pass
+}
+
+// tracePlan is one trace's pending organisations and the plan that
+// measures them, aligned with keys.
+type tracePlan struct {
+	tr   *memtrace.Trace
 	keys []simKey
-	// stack geometry; nil keys run through MultiSimulate instead.
-	stack             bool
-	blockBytes, nSets int
+	plan *sweep.Plan
 }
 
 // Batch measures every request, deduplicating against the memo and
@@ -280,11 +252,12 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 		keys[i] = simKey{fp: fp, cfg: canonicalize(rq.Config)}
 	}
 
-	// Resolve memo hits — including organisations a retained stack
-	// pass already covers — and collect the distinct keys still to
-	// run, remembering a representative trace per key and fingerprint.
-	pending := make(map[simKey]*memtrace.Trace)
-	var memoized, deduped, passHits uint64
+	// Resolve memo hits and group the distinct keys still to run by
+	// trace, in request order.
+	var plans []*tracePlan
+	byTrace := make(map[uint64]*tracePlan)
+	pending := make(map[simKey]bool)
+	var memoized, deduped uint64
 	e.mu.Lock()
 	for i, k := range keys {
 		if st, ok := e.memo[k]; ok {
@@ -292,25 +265,24 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 			memoized++
 			continue
 		}
-		if st, ok := e.passStats(k); ok {
-			e.memo[k] = st
-			out[i] = st
-			passHits++
-			continue
-		}
-		if _, ok := pending[k]; ok {
+		if pending[k] {
 			deduped++
 			continue
 		}
-		pending[k] = reqs[i].Trace
+		pending[k] = true
+		tp := byTrace[k.fp]
+		if tp == nil {
+			tp = &tracePlan{tr: reqs[i].Trace}
+			byTrace[k.fp] = tp
+			plans = append(plans, tp)
+		}
+		tp.keys = append(tp.keys, k)
 	}
 	e.mu.Unlock()
 	if o != nil {
 		o.simsMemoized.Add(memoized + deduped)
-		o.passReused.Add(passHits)
 		o.simsRun.Add(uint64(len(pending)))
 		sp.SetAttrInt("memo_hits", int64(memoized+deduped))
-		sp.SetAttrInt("pass_reused", int64(passHits))
 		sp.SetAttrInt("sims", int64(len(pending)))
 		if len(pending) == 0 {
 			// A fully-memoized batch leaves no task span behind; the
@@ -324,7 +296,10 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 		return out, nil
 	}
 
-	units := e.plan(pending)
+	units, err := plan(plans)
+	if err != nil {
+		return nil, err
+	}
 	pool, explicit := e.tuning()
 	// The unit pool keeps its historical two-lane floor (trace passes
 	// interleave harmlessly and the timeline stays legible on one core)
@@ -333,177 +308,67 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 	if !explicit && unitPool < 2 {
 		unitPool = 2
 	}
-	results := make(map[simKey]cache.Stats, len(pending))
-	var resMu sync.Mutex
-	if err := runUnits(o, unitPool, units, func(u workUnit) error {
-		got, p, err := u.run()
-		if err != nil {
-			return err
-		}
-		resMu.Lock()
-		for i, k := range u.keys {
-			results[k] = got[i]
-		}
-		resMu.Unlock()
-		if p != nil {
-			e.mu.Lock()
-			e.passes[passKey{fp: u.keys[0].fp, block: u.blockBytes, nSets: u.nSets}] = p
-			e.mu.Unlock()
-		}
-		if o != nil {
-			o.tracePasses.Inc()
-			if u.stack {
-				o.stackDerived.Add(uint64(len(u.keys)))
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	runUnits(o, unitPool, units)
 
 	e.mu.Lock()
-	//lint:maprange map-to-map copy
-	for k, st := range results {
-		e.memo[k] = st
-	}
-	e.mu.Unlock()
-	for i, k := range keys {
-		if st, ok := results[k]; ok {
-			out[i] = st
+	defer e.mu.Unlock()
+	for _, tp := range plans {
+		for i, st := range tp.plan.Stats() {
+			e.memo[tp.keys[i]] = st
 		}
+	}
+	for i, k := range keys {
+		out[i] = e.memo[k]
 	}
 	return out, nil
 }
 
-// plan splits the pending keys into trace passes: per trace, one stack
-// pass per geometry group that pays for itself (two or more derivable
-// organisations, or one whose way scan would be wide), and one
-// broadcast replay for everything else.
-func (e *Engine) plan(pending map[simKey]*memtrace.Trace) []workUnit {
-	type geomKey struct {
-		fp           uint64
-		block, nSets int
-	}
-	stackGroups := make(map[geomKey][]simKey)
-	eligible := make(map[simKey]geomKey)
-	//lint:maprange grouping only; results are keyed, never positional
-	for k := range pending {
-		cfg := k.cfg.config()
-		if sweep.Eligible(cfg) {
-			block, sets := sweep.Geometry(cfg)
-			g := geomKey{fp: k.fp, block: block, nSets: sets}
-			stackGroups[g] = append(stackGroups[g], k)
-			eligible[k] = g
-		}
-	}
+// plan asks the sweep planner how to measure each trace's pending
+// organisations. Every pass of every plan is one work unit.
+func plan(plans []*tracePlan) ([]workUnit, error) {
 	var units []workUnit
-	replay := make(map[uint64]*workUnit)
-	//lint:maprange unit membership and results are keyed, never positional
-	for k, tr := range pending {
-		if g, ok := eligible[k]; ok {
-			group := stackGroups[g]
-			// A lone low-associativity organisation replays as fast as
-			// it stacks; group passes and wide way scans favour the
-			// stack.
-			if len(group) >= 2 || k.cfg.assoc > 8 {
-				continue // handled as a stack group below
-			}
-			delete(stackGroups, g)
+	for _, tp := range plans {
+		cfgs := make([]cache.Config, len(tp.keys))
+		for i, k := range tp.keys {
+			cfgs[i] = k.cfg.config()
 		}
-		u := replay[k.fp]
-		if u == nil {
-			u = &workUnit{tr: tr}
-			replay[k.fp] = u
-		}
-		u.keys = append(u.keys, k)
-	}
-	//lint:maprange pass order does not affect per-key stats, which is all callers see
-	for g, group := range stackGroups {
-		if len(group) >= 2 || group[0].cfg.assoc > 8 {
-			units = append(units, workUnit{
-				tr: pending[group[0]], keys: group,
-				stack: true, blockBytes: g.block, nSets: g.nSets,
-			})
-		}
-	}
-	//lint:maprange pass order does not affect per-key stats, which is all callers see
-	for _, u := range replay {
-		units = append(units, *u)
-	}
-	return units
-}
-
-// passStats serves k from a retained stack pass, if one covers it.
-// Caller holds e.mu.
-func (e *Engine) passStats(k simKey) (cache.Stats, bool) {
-	cfg := k.cfg.config()
-	if !sweep.Eligible(cfg) {
-		return cache.Stats{}, false
-	}
-	block, sets := sweep.Geometry(cfg)
-	p := e.passes[passKey{fp: k.fp, block: block, nSets: sets}]
-	if p == nil {
-		return cache.Stats{}, false
-	}
-	st, err := p.Stats(cfg)
-	if err != nil {
-		return cache.Stats{}, false
-	}
-	return st, true
-}
-
-// run executes one trace pass and returns stats aligned with u.keys,
-// plus the stack pass for the engine to retain (nil for replays).
-func (u workUnit) run() ([]cache.Stats, *sweep.StackPass, error) {
-	if u.stack {
-		p, err := sweep.Run(u.tr, u.blockBytes, u.nSets)
+		p, err := sweep.NewPlan(cfgs...)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		out := make([]cache.Stats, len(u.keys))
-		for i, k := range u.keys {
-			st, err := p.Stats(k.cfg.config())
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = st
+		tp.plan = p
+		for _, pass := range p.Passes() {
+			units = append(units, workUnit{tr: tp.tr, pass: pass})
 		}
-		return out, p, nil
 	}
-	cfgs := make([]cache.Config, len(u.keys))
-	for i, k := range u.keys {
-		cfgs[i] = k.cfg.config()
-	}
-	out, err := cache.MultiSimulate(cfgs, u.tr)
-	return out, nil, err
+	return units, nil
 }
 
-// runUnits executes the units on a worker pool bounded by pool and
-// returns the first error. Each worker owns one timeline lane
+// runUnits replays each unit's trace into its pass on a worker pool
+// bounded by pool. Each worker owns one timeline lane
 // ("sweep-worker-N", stable across batches because tracer lanes dedupe
 // by name), and every unit runs under a "sweep/task" span on that lane
 // carrying its kind and size — the concurrency structure of a sweep is
 // legible straight off the timeline. pool == 1 (an explicit Workers: 1
 // or a GOMAXPROCS=1 host) runs strictly serial: no goroutines at all.
-func runUnits(o *sweepObs, pool int, units []workUnit, do func(workUnit) error) error {
-	if len(units) == 0 {
-		return nil
-	}
-	run := func(lane obs.Lane, u workUnit) error {
+func runUnits(o *sweepObs, pool int, units []workUnit) {
+	run := func(lane obs.Lane, u workUnit) {
 		if o == nil {
-			return do(u)
+			u.tr.Replay(u.pass)
+			return
 		}
 		sp := o.reg.SpanOn(lane, "sweep/task")
-		if u.stack {
+		if u.pass.Stack() {
 			sp.SetAttr("kind", "stack")
+			o.stackDerived.Add(uint64(u.pass.Orgs()))
 		} else {
 			sp.SetAttr("kind", "replay")
 		}
-		sp.SetAttrInt("orgs", int64(len(u.keys)))
+		sp.SetAttrInt("orgs", int64(u.pass.Orgs()))
 		sp.SetAttrInt("trace_runs", int64(len(u.tr.Runs)))
-		err := do(u)
+		u.tr.Replay(u.pass)
+		o.tracePasses.Inc()
 		sp.End()
-		return err
 	}
 	if pool == 1 {
 		var lane obs.Lane
@@ -511,21 +376,15 @@ func runUnits(o *sweepObs, pool int, units []workUnit, do func(workUnit) error) 
 			lane = o.reg.NewLane("sweep-worker-0")
 		}
 		for _, u := range units {
-			if err := run(lane, u); err != nil {
-				return err
-			}
+			run(lane, u)
 		}
-		return nil
+		return
 	}
-	workers := pool
-	if workers > len(units) {
-		workers = len(units)
-	}
+	workers := min(pool, len(units))
 	// Static round-robin assignment rather than a shared queue: units
 	// are few and coarse (whole trace passes), so balance barely
 	// suffers, and every worker is guaranteed a share — the timeline
 	// shows real parallel structure instead of one greedy lane.
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)
@@ -536,17 +395,9 @@ func runUnits(o *sweepObs, pool int, units []workUnit, do func(workUnit) error) 
 				lane = o.reg.NewLane(fmt.Sprintf("sweep-worker-%d", wkr))
 			}
 			for i := wkr; i < len(units); i += workers {
-				if err := run(lane, units[i]); err != nil && errs[wkr] == nil {
-					errs[wkr] = err
-				}
+				run(lane, units[i])
 			}
 		}(wkr)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -14,8 +14,8 @@ func CloneBlock(b *Block, id BlockID) *Block {
 	return nb
 }
 
-// CloneFunc returns a deep copy of f.
-func CloneFunc(f *Function) *Function {
+// cloneFunc returns a deep copy of f.
+func cloneFunc(f *Function) *Function {
 	nf := &Function{ID: f.ID, Name: f.Name, Entry: f.Entry, NoInline: f.NoInline}
 	nf.Blocks = make([]*Block, len(f.Blocks))
 	for i, b := range f.Blocks {
@@ -31,7 +31,7 @@ func Clone(p *Program) *Program {
 	np := &Program{Entry: p.Entry}
 	np.Funcs = make([]*Function, len(p.Funcs))
 	for i, f := range p.Funcs {
-		np.Funcs[i] = CloneFunc(f)
+		np.Funcs[i] = cloneFunc(f)
 	}
 	return np
 }

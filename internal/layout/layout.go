@@ -181,7 +181,7 @@ var engines atomic.Pointer[engineEntry]
 // dropped, contiguous runs merged — the exact sequence replaying a
 // materialized Trace would deliver) without materializing it. This is
 // the zero-copy path from the execution engine into the streaming
-// simulators (cache.SinkSimulator, sweep.StreamPass).
+// simulators (cache.SinkSimulator, sweep.Plan).
 func Stream(lay *Layout, seed uint64, cfg interp.Config, sink memtrace.Sink) (interp.Result, error) {
 	m := memtrace.NewMerger(sink)
 	res, err := engineFor(lay.Program()).Trace(seed, cfg, lay.addr, m)

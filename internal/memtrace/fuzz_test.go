@@ -23,7 +23,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{'I', 'T', 'R', '2', 0x80, 0x80, 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		tr, err := readTrace(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -33,7 +33,7 @@ func FuzzRead(f *testing.F) {
 		if err := wr.Close(); err != nil {
 			t.Fatalf("accepted trace failed to re-encode: %v", err)
 		}
-		tr2, err := Read(&out)
+		tr2, err := readTrace(&out)
 		if err != nil {
 			t.Fatalf("re-encoded trace rejected: %v", err)
 		}

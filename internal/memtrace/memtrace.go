@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
@@ -193,41 +192,3 @@ func (wr *Writer) Close() error {
 
 // ErrBadTrace reports a malformed trace file.
 var ErrBadTrace = errors.New("memtrace: malformed trace file")
-
-// Read parses a binary trace written by Writer.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, m[:])
-	}
-	t := &Trace{}
-	prevEnd := int64(0)
-	for i := 0; ; i++ {
-		// Peek one byte to distinguish clean EOF from truncation.
-		if _, err := br.Peek(1); err == io.EOF {
-			return t, nil
-		}
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: run %d address: %v", ErrBadTrace, i, err)
-		}
-		bytes, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: run %d length: %v", ErrBadTrace, i, err)
-		}
-		addr := prevEnd + delta
-		if addr < 0 || addr > 1<<32-1 || bytes == 0 || bytes > 1<<32-1 ||
-			addr+int64(bytes) > 1<<32 || bytes%WordBytes != 0 || addr%WordBytes != 0 {
-			return nil, fmt.Errorf("%w: run %d out of range (addr=%d bytes=%d)", ErrBadTrace, i, addr, bytes)
-		}
-		// Trace.Run canonicalises: adjacent runs merge, exactly as the
-		// writer and the tracer do, so hand-crafted inputs decode to
-		// the same representation a round trip would produce.
-		t.Run(Run{Addr: uint32(addr), Bytes: uint32(bytes)})
-		prevEnd = addr + int64(bytes)
-	}
-}

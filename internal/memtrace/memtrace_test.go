@@ -90,7 +90,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWriterMergesLikeTrace(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestWriterMergesLikeTrace(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("nope"))); err == nil {
+	if _, err := readTrace(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
+	if _, err := readTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	// Valid magic, truncated body: a partial varint after the header.
-	if _, err := Read(bytes.NewReader([]byte{'I', 'T', 'R', '2', 0x80})); err == nil {
+	if _, err := readTrace(bytes.NewReader([]byte{'I', 'T', 'R', '2', 0x80})); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestReadRejectsMisaligned(t *testing.T) {
 	buf.Write([]byte{'I', 'T', 'R', '2'})
 	buf.Write([]byte{0}) // delta 0
 	buf.Write([]byte{3}) // 3 bytes: misaligned
-	if _, err := Read(&buf); err == nil {
+	if _, err := readTrace(&buf); err == nil {
 		t.Fatal("misaligned run accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWriterStreamsWithoutBuffering(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if w.Close() != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := readTrace(&buf)
 		if err != nil {
 			return false
 		}

@@ -85,20 +85,17 @@ func (c *RunCount) Run(r Run) {
 	c.Instrs += uint64(r.Words())
 }
 
-// Reader decodes a binary trace stream (the Writer format) one run at
-// a time. Unlike Read it never materializes the run list: memory stays
-// constant regardless of trace length, which is what lets a simulator
-// consume arbitrarily long trace files. Next yields the same canonical
-// run sequence Read would store — adjacent contiguous runs in the file
-// merge before they are returned — and fails with the same ErrBadTrace
-// diagnostics on malformed input.
+// Reader decodes a binary trace stream (the Writer format) in one
+// pass, without materializing the run list: memory stays constant
+// regardless of trace length, which is what lets a simulator consume
+// arbitrarily long trace files. Replay delivers the canonical run
+// sequence — adjacent contiguous runs in the file merge, as in Trace —
+// so replaying into a Trace materializes the file.
 type Reader struct {
 	br      *bufio.Reader
 	prevEnd int64
 	i       int // run index, for error messages
-	pending Run
-	started bool
-	done    bool
+	err     error
 }
 
 // NewReader checks the magic header and returns a streaming reader.
@@ -137,53 +134,26 @@ func (rd *Reader) next() (Run, error) {
 	return Run{Addr: uint32(addr), Bytes: uint32(bytes)}, nil
 }
 
-// Next returns the next canonical run, or io.EOF at the end of the
-// stream. Any other error is a malformed trace (ErrBadTrace).
-func (rd *Reader) Next() (Run, error) {
-	if rd.done {
-		return Run{}, io.EOF
+// Replay feeds every remaining canonical run to sink and returns the
+// first decode error (ErrBadTrace), if any. On an error the run being
+// merged is not delivered, and the error is sticky: the reader does
+// not resynchronise, so every later Replay returns it again.
+func (rd *Reader) Replay(sink Sink) error {
+	if rd.err != nil {
+		return rd.err
 	}
+	m := NewMerger(sink)
 	for {
 		r, err := rd.next()
 		if err == io.EOF {
-			rd.done = true
-			if rd.started {
-				rd.started = false
-				return rd.pending, nil
-			}
-			return Run{}, io.EOF
-		}
-		if err != nil {
-			rd.done = true
-			return Run{}, err
-		}
-		if !rd.started {
-			rd.started = true
-			rd.pending = r
-			continue
-		}
-		if rd.pending.Addr+rd.pending.Bytes == r.Addr {
-			rd.pending.Bytes += r.Bytes
-			continue
-		}
-		out := rd.pending
-		rd.pending = r
-		return out, nil
-	}
-}
-
-// Replay feeds every remaining run to sink and returns the first
-// decode error, if any.
-func (rd *Reader) Replay(sink Sink) error {
-	for {
-		r, err := rd.Next()
-		if err == io.EOF {
+			m.Flush()
 			return nil
 		}
 		if err != nil {
+			rd.err = err
 			return err
 		}
-		sink.Run(r)
+		m.Run(r)
 	}
 }
 

@@ -84,52 +84,57 @@ func TestMergerZeroAndReuse(t *testing.T) {
 	}
 }
 
+// readTrace materializes a binary trace: a Reader replayed into a
+// Trace.
+func readTrace(r io.Reader) (*Trace, error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trace{}
+	if err := rd.Replay(tr); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// TestReaderRoundTrip writes random raw runs and replays the file: the
+// Reader must deliver exactly the canonical runs a Trace builds from
+// the same raw runs, and a second Replay after the end delivers
+// nothing.
 func TestReaderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		runs := randomRuns(rng, rng.Intn(300))
 		var buf bytes.Buffer
 		wr := NewWriter(&buf)
+		var want Trace
 		for _, r := range runs {
 			wr.Run(r)
+			want.Run(r)
 		}
 		if err := wr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data := buf.Bytes()
-
-		want, err := Read(bytes.NewReader(data))
+		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
+		var got []Run
+		collect := sinkFunc(func(r Run) { got = append(got, r) })
+		if err := rd.Replay(collect); err != nil {
 			t.Fatal(err)
 		}
-		var got Trace
-		i := 0
-		for {
-			r, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i < len(want.Runs) && r != want.Runs[i] {
-				t.Fatalf("trial %d run %d: Reader %+v, Read %+v", trial, i, r, want.Runs[i])
-			}
-			got.Runs = append(got.Runs, r)
-			got.Instrs += uint64(r.Words())
-			i++
+		if len(got) != len(want.Runs) {
+			t.Fatalf("trial %d: Reader yielded %d runs, want %d", trial, len(got), len(want.Runs))
 		}
-		if len(got.Runs) != len(want.Runs) || got.Instrs != want.Instrs {
-			t.Fatalf("trial %d: Reader yielded %d runs / %d instrs, Read %d / %d",
-				trial, len(got.Runs), got.Instrs, len(want.Runs), want.Instrs)
+		for i, r := range got {
+			if r != want.Runs[i] {
+				t.Fatalf("trial %d run %d: Reader %+v, want %+v", trial, i, r, want.Runs[i])
+			}
 		}
-		// Next after EOF stays EOF.
-		if _, err := rd.Next(); err != io.EOF {
-			t.Fatalf("Next after EOF: %v, want io.EOF", err)
+		if err := rd.Replay(collect); err != nil || len(got) != len(want.Runs) {
+			t.Fatalf("Replay after the end: %v, %d runs, want nil and no new run", err, len(got)-len(want.Runs))
 		}
 	}
 }
@@ -144,10 +149,6 @@ func TestReaderReplay(t *testing.T) {
 	if err := wr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +157,9 @@ func TestReaderReplay(t *testing.T) {
 	if err := rd.Replay(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Instrs != want.Instrs || len(got.Runs) != len(want.Runs) {
-		t.Fatalf("Replay: %d runs / %d instrs, want %d / %d", len(got.Runs), got.Instrs, len(want.Runs), want.Instrs)
+	want := []Run{{Addr: 0, Bytes: 64}, {Addr: 256, Bytes: 24}}
+	if got.Instrs != 22 || len(got.Runs) != len(want) || got.Runs[0] != want[0] || got.Runs[1] != want[1] {
+		t.Fatalf("Replay: %+v / %d instrs, want %+v / 22", got.Runs, got.Instrs, want)
 	}
 }
 
@@ -169,8 +171,8 @@ func TestReaderErrors(t *testing.T) {
 		t.Errorf("empty input: %v, want ErrBadTrace", err)
 	}
 
-	// A malformed body must fail through Next with ErrBadTrace, in
-	// agreement with Read on the same bytes.
+	// A malformed body must fail through Replay with ErrBadTrace, and
+	// so must materializing it.
 	bad := [][]byte{
 		append([]byte("ITR2"), 0x80),                      // truncated varint
 		append([]byte("ITR2"), encodeRun(-8, 16)...),      // negative address
@@ -181,20 +183,21 @@ func TestReaderErrors(t *testing.T) {
 		append([]byte("ITR2"), encodeRun(1<<32-8, 16)...), // end past 2^32
 	}
 	for i, data := range bad {
-		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("case %d: Read accepted malformed trace (%v)", i, err)
+		if _, err := readTrace(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("case %d: readTrace accepted malformed trace (%v)", i, err)
 		}
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("case %d: header rejected: %v", i, err)
 		}
-		_, err = rd.Next()
+		var tr Trace
+		err = rd.Replay(&tr)
 		if !errors.Is(err, ErrBadTrace) {
-			t.Errorf("case %d: Reader.Next = %v, want ErrBadTrace", i, err)
+			t.Errorf("case %d: Reader.Replay = %v, want ErrBadTrace", i, err)
 		}
 		// Errors are sticky: the reader does not resynchronise.
-		if _, err2 := rd.Next(); err2 != io.EOF && !errors.Is(err2, ErrBadTrace) {
-			t.Errorf("case %d: Next after error = %v", i, err2)
+		if err2 := rd.Replay(&tr); err2 != err {
+			t.Errorf("case %d: Replay after error = %v, want %v", i, err2, err)
 		}
 	}
 }

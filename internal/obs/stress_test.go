@@ -13,7 +13,7 @@ import (
 // span records, later calls return 0 and add nothing.
 func TestSpanDoubleEndIsNoOp(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracerWithClock(256, fakeClock(10))
+	tr := newTracerWithClock(256, fakeClock(10))
 	r.AttachTracer(tr)
 
 	sp := r.Span("stage")

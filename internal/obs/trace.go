@@ -116,13 +116,13 @@ type Tracer struct {
 func NewTracer(capacity int) *Tracer {
 	//lint:walltime the tracer's whole job is wall-clock timestamps
 	base := time.Now()
-	return NewTracerWithClock(capacity, func() int64 { return int64(time.Since(base)) })
+	return newTracerWithClock(capacity, func() int64 { return int64(time.Since(base)) })
 }
 
-// NewTracerWithClock is NewTracer with an injected clock returning
+// newTracerWithClock is NewTracer with an injected clock returning
 // nanoseconds since tracer start. Tests use a fake stepping clock to
 // make exported traces fully deterministic.
-func NewTracerWithClock(capacity int, clock func() int64) *Tracer {
+func newTracerWithClock(capacity int, clock func() int64) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}

@@ -27,7 +27,7 @@ func fakeClock(step int64) func() int64 {
 // instant event.
 func buildFixtureTrace() (*Registry, *Tracer) {
 	r := NewRegistry()
-	tr := NewTracerWithClock(1024, fakeClock(1000)) // 1µs per clock read
+	tr := newTracerWithClock(1024, fakeClock(1000)) // 1µs per clock read
 	r.AttachTracer(tr)
 
 	pipe := r.Span("pipeline")
@@ -187,7 +187,7 @@ func TestTimelineText(t *testing.T) {
 }
 
 func TestTracerRingWrapDropsOldest(t *testing.T) {
-	tr := NewTracerWithClock(traceShards*4, fakeClock(1)) // 4 slots per shard
+	tr := newTracerWithClock(traceShards*4, fakeClock(1)) // 4 slots per shard
 	const emitted = 50
 	for i := 0; i < emitted; i++ {
 		tr.Emit(0, "e", Int64Attr("i", int64(i)))

@@ -63,6 +63,8 @@ type Weights struct {
 }
 
 // NewWeights returns zeroed weights shaped for program p.
+//
+//lint:testapi hand-built weights in the analysis, inline and globallayout tests
 func NewWeights(p *ir.Program) *Weights {
 	w := &Weights{
 		Funcs: make([]FuncWeights, len(p.Funcs)),

@@ -24,6 +24,8 @@ func ExtendedSuite(scale float64) []*Benchmark {
 }
 
 // FullSuite builds the original ten benchmarks plus the extension.
+//
+//lint:testapi TestEngineGolden (internal/layout) pins every program of it
 func FullSuite(scale float64) []*Benchmark {
 	return append(Suite(scale), ExtendedSuite(scale)...)
 }

@@ -1,5 +1,5 @@
 // Command lint is the repository's stdlib-only source linter, run in
-// CI next to gofmt and go vet. It enforces six local conventions:
+// CI next to gofmt and go vet. It enforces seven local conventions:
 //
 //   - fmt.Print/Printf/Println are forbidden outside cmd/, examples/,
 //     scripts/, and test files: library packages report through
@@ -28,6 +28,10 @@
 //   - docs/OBSERVABILITY.md lists exactly the metric and lane names
 //     the code registers: an undocumented counter and a documented
 //     name nothing registers are both errors (see obsnames.go).
+//   - an exported package-level function in non-test internal/ code
+//     must have a non-test caller outside its package, or carry a
+//     //lint:testapi <reason> waiver naming its test callers (see
+//     callers.go).
 //
 // Usage: go run ./scripts/lint [root]  (root defaults to ".")
 package main
@@ -77,6 +81,7 @@ func main() {
 	}
 	problems = append(problems, lintMapRange(root)...)
 	problems = append(problems, lintObsInventory(root)...)
+	problems = append(problems, lintCallers(root)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
