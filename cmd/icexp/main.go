@@ -15,8 +15,9 @@
 // must be a finite number above zero. -tables selects the paper's
 // tables (1-9) to produce, or none; anything else is a usage error.
 // -check enables the internal/check pipeline verifier during suite
-// preparation (see docs/VERIFICATION.md); strict mode fails on any
-// invariant violation. -analyze runs the static cache-behavior
+// preparation and on every static analysis -analyze builds (see
+// docs/VERIFICATION.md); strict mode fails on any invariant
+// violation, and a mode other than off, warn or strict exits 2. -analyze runs the static cache-behavior
 // analyzer (see docs/ANALYSIS.md) over every benchmark and geometry
 // and prints its must/may miss bounds next to the simulator's
 // measurements — both the cache-line analysis and the page-level
@@ -73,7 +74,7 @@ func main() {
 	}
 	mode, err := check.ParseMode(*checkMode)
 	if err != nil {
-		fatal(err)
+		cliutil.ExitUsage("icexp", cliutil.InvalidValue("check", *checkMode, err))
 	}
 	if err := common.Start("icexp"); err != nil {
 		fatal(err)

@@ -21,8 +21,9 @@
 // demand-paging simulator at the -page-bytes/-frames geometry and
 // reports page faults and the touched-page footprint.
 //
-// A cache or paging geometry no simulator accepts exits with status 2
-// before the trace file is opened.
+// A cache or paging geometry no simulator accepts, or an unknown
+// -replacement policy, exits with status 2 before the trace file is
+// opened.
 //
 // -sizes replaces -size with a comma-separated cache size sweep.
 //
@@ -71,7 +72,7 @@ func main() {
 	}
 	repl, err := cache.ParseReplacement(*replacement)
 	if err != nil {
-		fatal(err)
+		cliutil.ExitUsage("icsim", cliutil.InvalidValue("replacement", *replacement, err))
 	}
 	cfg := cf.Config()
 	cfg.Replacement = repl

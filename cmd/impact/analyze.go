@@ -10,6 +10,7 @@ import (
 	"impact/internal/analysis"
 	"impact/internal/cache"
 	"impact/internal/cliutil"
+	"impact/internal/memtrace"
 	"impact/internal/paging"
 	"impact/internal/profile"
 	"impact/internal/texttable"
@@ -91,9 +92,10 @@ func cmdAnalyze(args []string) {
 	checkCount("top-sets", *topSets)
 	checkCount("top-pairs", *topPairs)
 	checkCount("top-funcs", *topFuncs)
+	st := mustStrategy(*strategy)
 	b := mustBench(*name, *scale)
 
-	res := optimize(b, *strategy, common.Registry)
+	res := optimize(b, st, common.Registry)
 
 	// The weights come from the single evaluation run, so the bounds
 	// are guarantees for that run's trace — the same execution
@@ -105,6 +107,14 @@ func cmdAnalyze(args []string) {
 	})
 	if err != nil {
 		fatal(err)
+	}
+
+	// -measure simulates one evaluation trace at every geometry.
+	var tr *memtrace.Trace
+	if *measure {
+		if tr, _, err = res.EvalTrace(b.EvalSeed, b.EvalConfig()); err != nil {
+			fatal(err)
+		}
 	}
 
 	sizeList, err := cf.SizeList()
@@ -147,10 +157,6 @@ func cmdAnalyze(args []string) {
 			printAnalysis(b.Name(), ares)
 		}
 		if *measure {
-			tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
-			if err != nil {
-				fatal(err)
-			}
 			st, err := cache.Simulate(ccfg, tr)
 			if err != nil {
 				fatal(err)
@@ -190,10 +196,6 @@ func cmdAnalyze(args []string) {
 			printPages(b.Name(), pres)
 		}
 		if *measure {
-			tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
-			if err != nil {
-				fatal(err)
-			}
 			st, err := paging.Simulate(pres.Paging, tr)
 			if err != nil {
 				fatal(err)

@@ -48,6 +48,11 @@
 //	    optimized layout against the natural baseline. -report adds
 //	    the per-stage locality ledger. Add -trace-out to capture the
 //	    run's execution timeline.
+//
+// Every subcommand checks its flags right after parsing: a missing
+// required flag, an unknown -bench, -strategy or -layout, a malformed
+// -seeds list, or a geometry no simulator accepts exits with status 2
+// before any benchmark is built or file opened.
 package main
 
 import (
@@ -137,20 +142,39 @@ func checkCount(name string, v int) {
 	}
 }
 
+// requireFlag rejects a missing required flag right after parsing.
+func requireFlag(name, value string) {
+	if value == "" {
+		cliutil.ExitUsage("impact", fmt.Errorf("missing required flag -%s", name))
+	}
+}
+
 func benchFlag(fs *flag.FlagSet) (*string, *float64) {
 	name := fs.String("bench", "", "benchmark name (see `impact list`)")
 	return name, cliutil.AddScaleFlag(fs)
 }
 
-func mustBench(name string, scale float64) *workload.Benchmark {
+// checkBench rejects a -bench that names no suite benchmark right
+// after parsing, before anything is built; an empty name passes.
+func checkBench(name string) {
 	if name == "" {
-		fatal(fmt.Errorf("missing -bench"))
+		return
 	}
-	b := workload.ByName(name, scale)
-	if b == nil {
-		fatal(fmt.Errorf("unknown benchmark %q", name))
+	for _, p := range workload.SuiteParams() {
+		if p.Name == name {
+			return
+		}
 	}
-	return b
+	cliutil.ExitUsage("impact", cliutil.InvalidValue("bench", name,
+		fmt.Errorf("unknown benchmark %q (see impact list)", name)))
+}
+
+// mustBench builds the benchmark -bench names; a missing or unknown
+// name is a usage error.
+func mustBench(name string, scale float64) *workload.Benchmark {
+	requireFlag("bench", name)
+	checkBench(name)
+	return workload.ByName(name, scale)
 }
 
 // startCommon parses fs with the shared observability flags attached
@@ -238,14 +262,20 @@ func strategyByName(name string) (core.Strategy, error) {
 	case "no-split":
 		return core.Strategy{Inline: true, TraceLayout: true, GlobalDFS: true}, nil
 	}
-	return core.Strategy{}, fmt.Errorf("unknown strategy %q", name)
+	return core.Strategy{}, fmt.Errorf("unknown strategy %q (want full, natural, no-inline, trace-only, or no-split)", name)
 }
 
-func optimize(b *workload.Benchmark, strategy string, reg *obs.Registry) *core.Result {
-	st, err := strategyByName(strategy)
+// mustStrategy resolves -strategy right after parsing; an unknown name
+// is a usage error.
+func mustStrategy(name string) core.Strategy {
+	st, err := strategyByName(name)
 	if err != nil {
-		fatal(err)
+		cliutil.ExitUsage("impact", cliutil.InvalidValue("strategy", name, err))
 	}
+	return st
+}
+
+func optimize(b *workload.Benchmark, st core.Strategy, reg *obs.Registry) *core.Result {
 	cfg := core.DefaultConfig(b.ProfileSeeds...)
 	cfg.Interp = b.InterpConfig()
 	cfg.Strategy = st
@@ -263,8 +293,9 @@ func cmdLayout(args []string) {
 	strategy := fs.String("strategy", "full", "placement strategy")
 	common := startCommon(fs, args)
 	defer common.MustClose()
+	st := mustStrategy(*strategy)
 	b := mustBench(*name, *scale)
-	res := optimize(b, *strategy, common.Registry)
+	res := optimize(b, st, common.Registry)
 
 	fmt.Printf("benchmark %s, strategy %s\n", b.Name(), *strategy)
 	fmt.Printf("inlined %d call sites (code %+.1f%%), program %s, effective %s\n\n",
@@ -310,16 +341,18 @@ func cmdTrace(args []string) {
 	out := fs.String("o", "", "output trace file (required)")
 	common := startCommon(fs, args)
 	defer common.MustClose()
-	b := mustBench(*name, *scale)
-	if *out == "" {
-		fatal(fmt.Errorf("missing -o"))
+	var st core.Strategy
+	if *strategy != "random" {
+		st = mustStrategy(*strategy)
 	}
+	requireFlag("o", *out)
+	b := mustBench(*name, *scale)
 
 	var lay *layout.Layout
 	if *strategy == "random" {
 		lay = layout.Random(b.Prog, 1)
 	} else {
-		lay = optimize(b, *strategy, common.Registry).Layout
+		lay = optimize(b, st, common.Registry).Layout
 	}
 
 	f, err := os.Create(*out)
@@ -354,18 +387,18 @@ func cmdSimulate(args []string) {
 	common := startCommon(fs, args)
 	defer common.MustClose()
 	checkGeometry(cf, pf)
-	b := mustBench(*name, *scale)
-
-	cfg := cf.Config()
 	wantOpt := *layoutSel == "both" || *layoutSel == "opt"
 	wantNat := *layoutSel == "both" || *layoutSel == "nat"
 	if !wantOpt && !wantNat {
-		fatal(fmt.Errorf("unknown -layout %q (want both, opt, or nat)", *layoutSel))
+		cliutil.ExitUsage("impact", cliutil.InvalidValue("layout", *layoutSel,
+			fmt.Errorf("unknown layout %q (want both, opt, or nat)", *layoutSel)))
 	}
+	b := mustBench(*name, *scale)
 
+	cfg := cf.Config()
 	var optTr, natTr *memtrace.Trace
 	if wantOpt {
-		res := optimize(b, "full", common.Registry)
+		res := optimize(b, core.FullStrategy(), common.Registry)
 		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
 		if err != nil {
 			fatal(err)
@@ -472,11 +505,7 @@ func cmdCheck(args []string) {
 	all := fs.Bool("all", false, "check every benchmark in the suite")
 	common := startCommon(fs, args)
 	defer common.MustClose()
-
-	st, err := strategyByName(*strategy)
-	if err != nil {
-		fatal(err)
-	}
+	st := mustStrategy(*strategy)
 	var benches []*workload.Benchmark
 	if *all {
 		benches = workload.Suite(*scale)
@@ -525,7 +554,7 @@ func cmdDump(args []string) {
 
 	prog := b.Prog
 	if *inlined {
-		prog = optimize(b, "full", common.Registry).Prog
+		prog = optimize(b, core.FullStrategy(), common.Registry).Prog
 	}
 	w := io.Writer(os.Stdout)
 	if *out != "" {
@@ -556,8 +585,15 @@ func cmdRun(args []string) {
 	common := startCommon(fs, args)
 	defer common.MustClose()
 	checkGeometry(cf, nil)
-	if *irPath == "" {
-		fatal(fmt.Errorf("missing -ir"))
+	requireFlag("ir", *irPath)
+	var seeds []uint64
+	for _, s := range strings.Split(*seedsArg, ",") {
+		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+		if err != nil {
+			cliutil.ExitUsage("impact", cliutil.InvalidValue("seeds", *seedsArg,
+				fmt.Errorf("seed %q is not an unsigned integer", s)))
+		}
+		seeds = append(seeds, v)
 	}
 
 	f, err := os.Open(*irPath)
@@ -568,15 +604,6 @@ func cmdRun(args []string) {
 	f.Close()
 	if err != nil {
 		fatal(err)
-	}
-
-	var seeds []uint64
-	for _, s := range strings.Split(*seedsArg, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad seed %q: %v", s, err))
-		}
-		seeds = append(seeds, v)
 	}
 
 	cfg := core.DefaultConfig(seeds...)

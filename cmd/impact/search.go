@@ -37,6 +37,7 @@ func cmdSearch(args []string) {
 	defer common.MustClose()
 	checkGeometry(cf, pf)
 	checkCount("budget", *budget)
+	checkBench(*bench)
 	experiments.Configure(experiments.EngineConfig{Workers: *workers})
 	ccfg := cf.Config()
 
@@ -54,9 +55,6 @@ func cmdSearch(args []string) {
 			if p.Name() == *bench {
 				kept = append(kept, p)
 			}
-		}
-		if len(kept) == 0 {
-			fatal(fmt.Errorf("unknown benchmark %q", *bench))
 		}
 		suite.Items = kept
 	}

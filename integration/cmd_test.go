@@ -254,17 +254,19 @@ func TestImpactSearchRejectsNegativeWorkers(t *testing.T) {
 
 // TestCommandsRejectGarbageFlags: a -scale that is not a finite
 // number above zero, an unknown table number, a cache or paging
-// geometry no simulator accepts, or a negative report size or search
-// budget is a usage error (exit status 2) naming the flag — not a
-// silently truncated or substituted run, not a failure after minutes
-// of work, and not a panic.
+// geometry no simulator accepts, a negative report size or search
+// budget, a value outside a flag's fixed set, an unknown or missing
+// benchmark, or a missing required flag is a usage error (exit status
+// 2) naming the flag — not a silently truncated or substituted run,
+// not a failure after minutes of work, and not a panic.
 func TestCommandsRejectGarbageFlags(t *testing.T) {
-	tests := []struct {
+	type garbage struct {
 		name    string
 		tool    string
 		args    []string
 		wantMsg string
-	}{
+	}
+	tests := []garbage{
 		{"simulate nan scale", "impact", []string{"simulate", "-bench", "grep", "-scale", "nan"},
 			`invalid value "nan" for flag -scale: scale must be a finite number > 0`},
 		{"simulate inf scale", "impact", []string{"simulate", "-bench", "grep", "-scale", "inf"},
@@ -316,6 +318,44 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			"impact: invalid value -1 for flag -top-funcs: must be >= 0"},
 		{"search negative budget", "impact", []string{"search", "-bench", "wc", "-scale", "0.02", "-budget", "-5"},
 			"impact: invalid value -5 for flag -budget: must be >= 0"},
+		// Flags with a fixed set of values and required flags are
+		// checked right after parsing too, before any benchmark is
+		// built or file opened.
+		{"icexp unknown check mode", "icexp", []string{"-check", "bogus"},
+			`icexp: invalid value "bogus" for flag -check: check: unknown mode "bogus"`},
+		{"icsim unknown replacement", "icsim", []string{"-trace", "no-such.itr", "-replacement", "bogus"},
+			`icsim: invalid value "bogus" for flag -replacement: cache: unknown replacement policy "bogus"`},
+		{"layout unknown strategy", "impact", []string{"layout", "-bench", "wc", "-strategy", "bogus"},
+			`impact: invalid value "bogus" for flag -strategy: unknown strategy "bogus"`},
+		{"trace unknown strategy", "impact", []string{"trace", "-bench", "wc", "-o", os.DevNull, "-strategy", "bogus"},
+			`impact: invalid value "bogus" for flag -strategy: unknown strategy "bogus"`},
+		{"analyze unknown strategy", "impact", []string{"analyze", "-bench", "wc", "-strategy", "bogus"},
+			`impact: invalid value "bogus" for flag -strategy: unknown strategy "bogus"`},
+		{"check unknown strategy", "impact", []string{"check", "-bench", "wc", "-strategy", "bogus"},
+			`impact: invalid value "bogus" for flag -strategy: unknown strategy "bogus"`},
+		{"simulate unknown layout", "impact", []string{"simulate", "-bench", "wc", "-layout", "bogus"},
+			`impact: invalid value "bogus" for flag -layout: unknown layout "bogus"`},
+		{"trace missing output", "impact", []string{"trace", "-bench", "wc"},
+			"impact: missing required flag -o"},
+		{"run missing ir", "impact", []string{"run"},
+			"impact: missing required flag -ir"},
+		{"run bad seeds", "impact", []string{"run", "-ir", "no-such.ir", "-seeds", "a,b"},
+			`impact: invalid value "a,b" for flag -seeds: seed "a" is not an unsigned integer`},
+		{"search unknown bench", "impact", []string{"search", "-bench", "bogus"},
+			`impact: invalid value "bogus" for flag -bench: unknown benchmark "bogus"`},
+	}
+	// Every subcommand that runs one benchmark needs -bench to name a
+	// suite benchmark.
+	for _, sub := range []string{"profile", "layout", "trace", "simulate", "analyze", "check", "dump"} {
+		var extra []string
+		if sub == "trace" {
+			extra = []string{"-o", os.DevNull}
+		}
+		tests = append(tests,
+			garbage{sub + " unknown bench", "impact", append([]string{sub, "-bench", "bogus"}, extra...),
+				`impact: invalid value "bogus" for flag -bench: unknown benchmark "bogus"`},
+			garbage{sub + " missing bench", "impact", append([]string{sub}, extra...),
+				"impact: missing required flag -bench"})
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

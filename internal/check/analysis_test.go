@@ -7,7 +7,6 @@ import (
 	"impact/internal/analysis"
 	"impact/internal/cache"
 	"impact/internal/check"
-	"impact/internal/core"
 	"impact/internal/ir"
 	"impact/internal/layout"
 	"impact/internal/profile"
@@ -103,26 +102,5 @@ func TestBoundsAnalyzerFlagsCorruption(t *testing.T) {
 				t.Fatalf("diagnostics for %q missing %q:\n%s", c.name, c.want, rep)
 			}
 		})
-	}
-}
-
-// TestOptimizeRunsAnalysisStage: core.Optimize with Config.Analysis
-// set must attach a result and verify it strictly without errors.
-func TestOptimizeRunsAnalysisStage(t *testing.T) {
-	u := analysisUnit(t) // reuse the program construction
-	cfg := core.DefaultConfig(1, 2, 3)
-	cfg.Check = check.Strict
-	cfg.Analysis = &analysis.Config{
-		Cache: cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
-	}
-	res, err := core.Optimize(u.Prog, cfg)
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	if res.Analysis == nil {
-		t.Fatalf("Result.Analysis is nil with Config.Analysis set")
-	}
-	if res.Analysis.Bounds.Lower > res.Analysis.Bounds.Upper {
-		t.Fatalf("bounds inverted: [%d, %d]", res.Analysis.Bounds.Lower, res.Analysis.Bounds.Upper)
 	}
 }

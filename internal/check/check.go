@@ -17,10 +17,12 @@
 // them into a Report and counts per-analyzer results in obs.
 //
 // internal/core threads the verifier through Optimize behind
-// Config.Check (Off / Warn / Strict); `impact check` and
-// `icexp -check` expose it on the command line. docs/VERIFICATION.md
-// documents every analyzer, its invariant, and the paper section that
-// justifies it.
+// Config.Check (Off / Warn / Strict); internal/experiments runs the
+// search stage on every searched layout and the analysis and paging
+// stages on every static analysis it builds, under the same modes.
+// `impact check` and `icexp -check` expose it on the command line.
+// docs/VERIFICATION.md documents every analyzer, its invariant, and
+// the paper section that justifies it.
 package check
 
 import (
@@ -281,8 +283,10 @@ func (u *Unit) funcName(f ir.FuncID) string {
 	return u.Prog.Funcs[f].Name
 }
 
-// Stage names used by core.Optimize; ForStage maps them to the
-// analyzers that can run there.
+// Stage names: core.Optimize checks input through layout, and
+// internal/experiments checks search, analysis and paging where it
+// builds those results. ForStage maps them to the analyzers that can
+// run there.
 const (
 	// StageInput checks the profiled input program.
 	StageInput = "input"
@@ -296,9 +300,11 @@ const (
 	// conflict-driven search replaces the global order: every emitted
 	// order must satisfy exactly what the greedy order satisfied.
 	StageSearch = "search"
-	// StageAnalysis checks the static cache-behavior analysis.
+	// StageAnalysis checks a static cache-behavior analysis of a
+	// layout (experiments.Prepared.Analyze).
 	StageAnalysis = "analysis"
-	// StagePaging checks the static page-level analysis.
+	// StagePaging checks a static page-level analysis of a layout
+	// (experiments.Prepared.AnalyzePages).
 	StagePaging = "paging"
 )
 
@@ -343,10 +349,12 @@ func byName(name string) *Analyzer {
 	return nil
 }
 
-// ForStage returns the analyzers that core.Optimize runs after the
-// given stage. Program-level analyzers rerun after inline expansion
-// (the one stage that rewrites the IR); stage-equivalence analyzers
-// run once, where their mappings become available.
+// ForStage returns the analyzers that run after the given stage:
+// core.Optimize's stages, the experiments' search checks, and the
+// bounds checks of every analysis the experiments build. Program-level
+// analyzers rerun after inline expansion (the one stage that rewrites
+// the IR); stage-equivalence analyzers run once, where their mappings
+// become available.
 func ForStage(stage string) []*Analyzer {
 	switch stage {
 	case StageInput:

@@ -344,6 +344,12 @@ func (p *PagingFlags) Check() error {
 	return nil
 }
 
+// InvalidValue is the usage error for a flag value outside the set the
+// flag accepts, worded the way the flag package words a malformed one.
+func InvalidValue(flag, value string, err error) error {
+	return fmt.Errorf("invalid value %q for flag -%s: %w", value, flag, err)
+}
+
 // ExitUsage reports a flag value the command cannot run with the way
 // the flag package reports a malformed one: the message on stderr and
 // exit status 2.

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"slices"
 
-	"impact/internal/analysis"
 	"impact/internal/check"
 	"impact/internal/core/funclayout"
 	"impact/internal/core/globallayout"
@@ -84,23 +83,6 @@ type Config struct {
 	// it, Warn collects diagnostics into Result.Checks, Strict
 	// additionally fails the run on any error-severity diagnostic.
 	Check check.Mode
-	// Analysis, when non-nil, runs the static cache-behavior analyzer
-	// (internal/analysis) on the final layout and stores the result in
-	// Result.Analysis; its internal consistency is verified under
-	// Config.Check like any pipeline stage. Nil skips the analysis.
-	Analysis *analysis.Config
-	// Search, when non-nil, runs the conflict-driven layout search
-	// (internal/search) after the layout is composed: candidate global
-	// function orders are scored by incremental re-analysis and the
-	// best order replaces GlobalOrder/Layout when it tightens the
-	// static miss upper bound. The searched layout is re-verified
-	// under Config.Check (check.StageSearch). Nil skips the search.
-	Search *search.Config
-	// Pages, when non-nil, runs the static page-level analyzer
-	// (analysis.AnalyzePages) on the final layout and stores the
-	// result in Result.Pages; its internal consistency is verified
-	// under Config.Check (check.StagePaging). Nil skips the analysis.
-	Pages *analysis.PageConfig
 	// Obs, when non-nil, receives per-stage spans (pipeline/profile,
 	// pipeline/inline, pipeline/traceselect, pipeline/funclayout,
 	// pipeline/globallayout, pipeline/compose) and work counters; nil
@@ -159,19 +141,6 @@ type Result struct {
 	// Checks holds the verifier's diagnostics (nil when Config.Check
 	// is Off).
 	Checks *check.Report
-
-	// Analysis holds the static cache-behavior analysis of the final
-	// layout (nil unless Config.Analysis was set).
-	Analysis *analysis.Result
-
-	// Search holds the layout search outcome (nil unless
-	// Config.Search was set). When Search.Improved, GlobalOrder and
-	// Layout already reflect the searched order.
-	Search *search.Result
-
-	// Pages holds the static page-level analysis of the final layout
-	// (nil unless Config.Pages was set).
-	Pages *analysis.PageResult
 
 	// Ledger holds the per-stage locality ledger (nil unless
 	// Config.Ledger was set).
@@ -329,10 +298,9 @@ func Profile(p *ir.Program, cfg Config) (*Profiled, error) {
 }
 
 // Place runs the pipeline's placement half on a profiled value: steps
-// 3-5 and the optional search, analysis and pages stages, on the
-// inlined program when cfg.Strategy.Inline is set and on the input
-// program otherwise. It interprets nothing. cfg must ask for the
-// profile pr holds — the same ProfileSeeds, Interp and Inline
+// 3-5, on the inlined program when cfg.Strategy.Inline is set and on
+// the input program otherwise. It interprets nothing. cfg must ask
+// for the profile pr holds — the same ProfileSeeds, Interp and Inline
 // configuration, and an inlined program when the strategy inlines —
 // or Place returns an error wrapping ErrProfileMismatch instead of
 // placing on weights measured under other inputs.
@@ -433,7 +401,7 @@ func (r *run) acceptInline(pr *Profiled) error {
 	return nil
 }
 
-// place runs steps 3-5 and the optional stages on pr.
+// place runs steps 3-5 on pr and composes the final layout.
 func (r *run) place(pr *Profiled) (*Result, error) {
 	cfg := r.cfg
 	prog, w := pr.placed(cfg.Strategy.Inline)
@@ -543,36 +511,13 @@ func (r *run) place(pr *Profiled) (*Result, error) {
 
 	// Compose the final placement.
 	sp = r.pipe.Span("compose")
-	var pl layout.Placement
-	if cfg.Strategy.SplitCold {
-		// Effective regions of all functions in global order, then the
-		// non-executed regions in the same order.
-		for _, f := range res.GlobalOrder.Funcs {
-			o := res.Orders[f]
-			for _, b := range o.Blocks[:o.EffectiveBlocks] {
-				pl.Order = append(pl.Order, layout.BlockRef{F: f, B: b})
-			}
-		}
-		for _, f := range res.GlobalOrder.Funcs {
-			o := res.Orders[f]
-			for _, b := range o.Blocks[o.EffectiveBlocks:] {
-				pl.Order = append(pl.Order, layout.BlockRef{F: f, B: b})
-			}
-		}
-	} else {
-		for _, f := range res.GlobalOrder.Funcs {
-			for _, b := range res.Orders[f].Blocks {
-				pl.Order = append(pl.Order, layout.BlockRef{F: f, B: b})
-			}
-		}
-	}
 	var err error
-	res.Layout, err = layout.FromPlacement(prog, pl)
+	res.Layout, err = search.Compose(prog, res.Orders, res.GlobalOrder, cfg.Strategy.SplitCold)
 	if err != nil {
 		return nil, fmt.Errorf("core: composing layout: %w", err)
 	}
 	sp.End()
-	cfg.Obs.Counter("pipeline.compose.blocks_placed").Add(uint64(len(pl.Order)))
+	cfg.Obs.Counter("pipeline.compose.blocks_placed").Add(uint64(prog.NumBlocks()))
 	r.led.capture("globallayout", res.Layout, w)
 	if err := r.verify(&check.Unit{
 		Stage: check.StageLayout, Prog: prog, Weights: w,
@@ -582,88 +527,6 @@ func (r *run) place(pr *Profiled) (*Result, error) {
 		TraceLayout: cfg.Strategy.TraceLayout, SplitCold: cfg.Strategy.SplitCold,
 	}); err != nil {
 		return nil, err
-	}
-
-	// Optional stage: conflict-driven local search over the global
-	// function order, scored by incremental static re-analysis.
-	if cfg.Search != nil {
-		scfg := *cfg.Search
-		if scfg.Obs == nil {
-			scfg.Obs = cfg.Obs
-		}
-		if scfg.Lane == 0 {
-			scfg.Lane = cfg.Lane
-		}
-		sp = r.pipe.Span("search")
-		res.Search, err = search.Optimize(search.Input{
-			Prog: prog, Weights: w,
-			Orders: res.Orders, Global: res.GlobalOrder,
-			SplitCold: cfg.Strategy.SplitCold,
-		}, scfg)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: layout search: %w", err)
-		}
-		if res.Search.Improved {
-			res.GlobalOrder = res.Search.Order
-			res.Layout = res.Search.Layout
-			if err := r.verify(&check.Unit{
-				Stage: check.StageSearch, Prog: prog, Weights: w,
-				Traces: res.Traces, MinProb: cfg.MinProb,
-				Orders: res.Orders, Global: &res.GlobalOrder,
-				Layout: res.Layout, EffectiveBytes: res.EffectiveBytes,
-				TraceLayout: cfg.Strategy.TraceLayout, SplitCold: cfg.Strategy.SplitCold,
-			}); err != nil {
-				return nil, err
-			}
-			r.led.capture("search", res.Layout, w)
-		}
-	}
-
-	// Optional stage: static cache-behavior analysis of the layout.
-	if cfg.Analysis != nil {
-		acfg := *cfg.Analysis
-		if acfg.Obs == nil {
-			acfg.Obs = cfg.Obs
-		}
-		if acfg.Lane == 0 {
-			acfg.Lane = cfg.Lane
-		}
-		sp = r.pipe.Span("analysis")
-		res.Analysis, err = analysis.Analyze(res.Layout, w, acfg)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: static cache analysis: %w", err)
-		}
-		if err := r.verify(&check.Unit{
-			Stage: check.StageAnalysis, Prog: prog, Weights: w,
-			Layout: res.Layout, Analysis: res.Analysis,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Optional stage: static page-level analysis of the layout.
-	if cfg.Pages != nil {
-		pcfg := *cfg.Pages
-		if pcfg.Obs == nil {
-			pcfg.Obs = cfg.Obs
-		}
-		if pcfg.Lane == 0 {
-			pcfg.Lane = cfg.Lane
-		}
-		sp = r.pipe.Span("pages")
-		res.Pages, err = analysis.AnalyzePages(res.Layout, w, pcfg)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: static page analysis: %w", err)
-		}
-		if err := r.verify(&check.Unit{
-			Stage: check.StagePaging, Prog: prog, Weights: w,
-			Layout: res.Layout, Pages: res.Pages,
-		}); err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }
@@ -703,10 +566,6 @@ func naturalOrder(f *ir.Function, fw *profile.FuncWeights) funclayout.Order {
 func (res *Result) EvalTrace(seed uint64, cfg interp.Config) (*memtrace.Trace, interp.Result, error) {
 	return layout.Trace(res.Layout, seed, cfg)
 }
-
-// DynCallsAfter returns the dynamic call count of the transformed
-// program over the profiling runs (for Table 3's "call dec").
-func (res *Result) DynCallsAfter() uint64 { return res.Weights.DynCalls }
 
 // CallDecrease returns the fraction of dynamic calls eliminated by
 // inline expansion (Table 3 "call dec").

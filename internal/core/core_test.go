@@ -289,9 +289,6 @@ func TestPerCallMetricsEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DynCallsAfter() != res.Weights.DynCalls {
-		t.Fatal("DynCallsAfter does not match weights")
-	}
 	// Zero-call edge cases (mutate copies of the counters).
 	saved := *res.Weights
 	savedOrig := *res.OrigWeights

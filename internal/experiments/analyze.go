@@ -5,6 +5,7 @@ import (
 
 	"impact/internal/analysis"
 	"impact/internal/cache"
+	"impact/internal/check"
 	"impact/internal/interp"
 	"impact/internal/ir"
 	"impact/internal/profile"
@@ -18,12 +19,6 @@ import (
 // must/may miss bounds against the trace-driven simulator — the
 // differential invariant that cross-validates the analyzer, the layout
 // code, and the sweep engine against each other.
-
-// analyzedEntry is one memoized static analysis.
-type analyzedEntry struct {
-	res *analysis.Result
-	err error
-}
 
 // evalProfile profiles prog over b's single evaluation run — the
 // identical deterministic execution the evaluation trace records.
@@ -44,24 +39,26 @@ func (p *Prepared) EvalWeights() (*profile.Weights, error) {
 }
 
 // Analyze returns the memoized static cache-behavior analysis of the
-// optimized layout under cfg, built from the evaluation-run weights.
+// optimized layout under cfg, built from the evaluation-run weights and
+// verified by the bounds analyzer under the suite's check mode.
 func (p *Prepared) Analyze(cfg cache.Config) (*analysis.Result, error) {
 	w, err := p.EvalWeights()
 	if err != nil {
 		return nil, err
 	}
-	p.analyzedMu.Lock()
-	defer p.analyzedMu.Unlock()
-	if p.analyzed == nil {
-		p.analyzed = make(map[cache.Config]*analyzedEntry)
-	}
-	e, ok := p.analyzed[cfg]
-	if !ok {
-		e = &analyzedEntry{}
-		e.res, e.err = analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
-		p.analyzed[cfg] = e
-	}
-	return e.res, e.err
+	return p.analyzed.get(cfg, func() (*analysis.Result, error) {
+		res, err := analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
+		if err != nil {
+			return nil, err
+		}
+		if err := p.verify(&check.Unit{
+			Stage: check.StageAnalysis, Prog: p.Opt.Prog, Weights: w,
+			Layout: p.Opt.Layout, Analysis: res,
+		}); err != nil {
+			return nil, err
+		}
+		return res, nil
+	})
 }
 
 // BoundRow is one benchmark x geometry bound-vs-measurement

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"impact/internal/analysis"
+	"impact/internal/check"
 	"impact/internal/paging"
 	"impact/internal/texttable"
 )
@@ -12,33 +13,30 @@ import (
 // internal/analysis.AnalyzePages over the prepared benchmarks and
 // checking its page-fault bounds against the demand-paging simulator —
 // the external half of the bracket invariant (the internal half is
-// check's pagebounds analyzer, which needs no trace).
-
-// pageEntry is one memoized static page analysis.
-type pageEntry struct {
-	res *analysis.PageResult
-	err error
-}
+// check's pagebounds analyzer, which needs no trace and runs on every
+// analysis AnalyzePages builds).
 
 // AnalyzePages returns the memoized static page-level analysis of the
-// optimized layout under cfg, built from the evaluation-run weights.
+// optimized layout under cfg, built from the evaluation-run weights and
+// verified by the pagebounds analyzer under the suite's check mode.
 func (p *Prepared) AnalyzePages(cfg paging.Config) (*analysis.PageResult, error) {
 	w, err := p.EvalWeights()
 	if err != nil {
 		return nil, err
 	}
-	p.pagesMu.Lock()
-	defer p.pagesMu.Unlock()
-	if p.pages == nil {
-		p.pages = make(map[paging.Config]*pageEntry)
-	}
-	e, ok := p.pages[cfg]
-	if !ok {
-		e = &pageEntry{}
-		e.res, e.err = analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
-		p.pages[cfg] = e
-	}
-	return e.res, e.err
+	return p.pages.get(cfg, func() (*analysis.PageResult, error) {
+		res, err := analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
+		if err != nil {
+			return nil, err
+		}
+		if err := p.verify(&check.Unit{
+			Stage: check.StagePaging, Prog: p.Opt.Prog, Weights: w,
+			Layout: p.Opt.Layout, Pages: res,
+		}); err != nil {
+			return nil, err
+		}
+		return res, nil
+	})
 }
 
 // PageBoundSizes and PageBoundFrames are the paging geometries

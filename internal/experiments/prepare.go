@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"impact/internal/analysis"
 	"impact/internal/cache"
 	"impact/internal/check"
 	"impact/internal/core"
@@ -56,11 +57,10 @@ type Prepared struct {
 	// MIN_PROB sweeps, code scaling) keyed by variant name. The
 	// pipeline is deterministic, so a variant's result and evaluation
 	// trace never change across re-runs; caching them turns repeated
-	// table generation from pipeline-bound into a map lookup.
-	// derivedMu serializes every variant of this benchmark, lookups
-	// and builds alike.
-	derivedMu sync.Mutex
-	derived   map[string]*derivedVariant
+	// table generation from pipeline-bound into a map lookup. Its one
+	// lock serializes every variant of this benchmark, lookups and
+	// builds alike.
+	derived memo[string, derivedVariant]
 
 	// evalW memoizes the evaluation-run profile of the optimized
 	// program (see EvalWeights).
@@ -69,43 +69,74 @@ type Prepared struct {
 	evalWErr  error
 
 	// analyzed memoizes static analyses per cache geometry (see
-	// Analyze).
-	analyzedMu sync.Mutex
-	analyzed   map[cache.Config]*analyzedEntry
+	// Analyze), and pages static page-level analyses per paging
+	// geometry (see AnalyzePages).
+	analyzed memo[cache.Config, *analysis.Result]
+	pages    memo[paging.Config, *analysis.PageResult]
 
-	// pages memoizes static page-level analyses per paging geometry
-	// (see AnalyzePages).
-	pagesMu sync.Mutex
-	pages   map[paging.Config]*pageEntry
+	// mode and reg are the suite's Options.Check and Options.Obs: every
+	// analysis built above is verified under them (see verify).
+	mode check.Mode
+	reg  *obs.Registry
+}
+
+// memo caches one build per key, errors included: every build here is
+// deterministic, so one that failed once would fail identically. The
+// lock is held across the build, so concurrent callers of one key wait
+// rather than build twice, and callers of other keys wait too.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	v   V
+	err error
+}
+
+// get returns the memoized build of k, running build on first use.
+func (m *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.m[k]
+	if !ok {
+		e.v, e.err = build()
+		if m.m == nil {
+			m.m = make(map[K]memoEntry[V])
+		}
+		m.m[k] = e
+	}
+	return e.v, e.err
 }
 
 // derivedVariant is one memoized pipeline re-run.
 type derivedVariant struct {
 	res *core.Result
 	tr  *memtrace.Trace
-	err error
 }
 
 // deriveTrace returns the memoized (pipeline result, evaluation trace)
-// for the named variant, building it on first use. Errors are cached
-// too — a deterministic build that failed once will fail identically.
-// One lock per benchmark (derivedMu) is held across the build, so
-// concurrent callers of the same variant wait rather than duplicating
-// a pipeline run, and callers of other variants of the same benchmark
-// wait too.
+// for the named variant, building it on first use (see memo).
 func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memtrace.Trace, error)) (*core.Result, *memtrace.Trace, error) {
-	p.derivedMu.Lock()
-	defer p.derivedMu.Unlock()
-	if p.derived == nil {
-		p.derived = make(map[string]*derivedVariant)
+	v, err := p.derived.get(variant, func() (derivedVariant, error) {
+		res, tr, err := build()
+		return derivedVariant{res, tr}, err
+	})
+	return v.res, v.tr, err
+}
+
+// verify runs the analyzers of u's stage under the suite's check mode:
+// nothing under Off, and under Strict an error-severity diagnostic
+// becomes the returned error.
+func (p *Prepared) verify(u *check.Unit) error {
+	if p.mode == check.Off {
+		return nil
 	}
-	v, ok := p.derived[variant]
-	if !ok {
-		v = &derivedVariant{}
-		v.res, v.tr, v.err = build()
-		p.derived[variant] = v
+	err := check.Run(u, check.ForStage(u.Stage), p.reg).Err()
+	if err != nil && p.mode == check.Strict {
+		return fmt.Errorf("experiments: %s stage failed verification: %w", u.Stage, err)
 	}
-	return v.res, v.tr, v.err
+	return nil
 }
 
 // deriveOptimize is deriveTrace for the common shape: place the
@@ -354,6 +385,8 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 		NatTrace: natTr,
 		OptRun:   optRun,
 		NatRun:   natRun,
+		mode:     opts.Check,
+		reg:      opts.Obs,
 	}, nil
 }
 

@@ -1,0 +1,99 @@
+package experiments
+
+import (
+	"sort"
+	"strings"
+	"testing"
+
+	"impact/internal/cache"
+	"impact/internal/check"
+	"impact/internal/obs"
+	"impact/internal/paging"
+	"impact/internal/smith"
+	"impact/internal/workload"
+)
+
+// TestBoundChecksVerifyEveryAnalysis is the live path of the bounds
+// and pagebounds analyzers: with the suite prepared under
+// check.Strict, every analysis BoundCheck and PageBoundCheck build
+// goes through them and passes; under check.Off none does. A
+// corrupted result sent through the same hook fails under Strict.
+func TestBoundChecksVerifyEveryAnalysis(t *testing.T) {
+	t.Cleanup(func() { sharedEngine.AttachObs(nil) })
+	prepare := func(mode check.Mode) (*Suite, *obs.Registry) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		s, err := PrepareBenchmarksWith([]*workload.Benchmark{
+			workload.ByName("wc", 0.02), workload.ByName("grep", 0.02),
+		}, Options{Check: mode, Obs: reg})
+		if err != nil {
+			t.Fatalf("prepare under %s: %v", mode, err)
+		}
+		if _, err := BoundCheck(s); err != nil {
+			t.Fatalf("BoundCheck under %s: %v", mode, err)
+		}
+		if _, err := PageBoundCheck(s); err != nil {
+			t.Fatalf("PageBoundCheck under %s: %v", mode, err)
+		}
+		return s, reg
+	}
+
+	s, reg := prepare(check.Strict)
+	n := uint64(len(s.Items))
+	counters := reg.Snapshot().Counters
+	if got, want := counters["check.bounds.runs"], uint64(len(smith.CacheSizes)*len(smith.BlockSizes))*n; got != want {
+		t.Errorf("strict: check.bounds.runs = %d, want %d", got, want)
+	}
+	if got, want := counters["check.pagebounds.runs"], uint64(len(PageBoundSizes)*len(PageBoundFrames))*n; got != want {
+		t.Errorf("strict: check.pagebounds.runs = %d, want %d", got, want)
+	}
+	var names []string
+	for name := range counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if strings.HasPrefix(name, "check.") && strings.HasSuffix(name, ".errors") && counters[name] != 0 {
+			t.Errorf("strict: %s = %d on real analyses", name, counters[name])
+		}
+	}
+
+	_, offReg := prepare(check.Off)
+	off := offReg.Snapshot().Counters
+	if off["check.bounds.runs"] != 0 || off["check.pagebounds.runs"] != 0 {
+		t.Errorf("off: bounds runs %d, pagebounds runs %d, want none",
+			off["check.bounds.runs"], off["check.pagebounds.runs"])
+	}
+
+	p := s.Items[0]
+	w, err := p.EvalWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Analyze(cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *res
+	bad.Bounds.Lower = bad.Bounds.Upper + 1
+	err = p.verify(&check.Unit{
+		Stage: check.StageAnalysis, Prog: p.Opt.Prog, Weights: w,
+		Layout: p.Opt.Layout, Analysis: &bad,
+	})
+	if err == nil || !strings.Contains(err.Error(), "miss lower bound") {
+		t.Errorf("corrupted analysis under strict: err = %v, want a miss lower bound violation", err)
+	}
+	pres, err := p.AnalyzePages(paging.Config{PageBytes: 4096, Frames: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPages := *pres
+	badPages.Report.HotPages = badPages.Report.ExecPages + 1
+	err = p.verify(&check.Unit{
+		Stage: check.StagePaging, Prog: p.Opt.Prog, Weights: w,
+		Layout: p.Opt.Layout, Pages: &badPages,
+	})
+	if err == nil || !strings.Contains(err.Error(), "hot working set") {
+		t.Errorf("corrupted page analysis under strict: err = %v, want a hot working set violation", err)
+	}
+}

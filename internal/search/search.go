@@ -188,11 +188,11 @@ type Refined struct {
 	Evals int
 }
 
-// Compose builds the layout for a function order, exactly as
-// core.Optimize composes its final placement: every function's blocks
-// in its Order, functions in global order, and with splitCold the
-// effective regions of all functions packed before every non-executed
-// region.
+// Compose builds the layout for a function order: every function's
+// blocks in its Order, functions in global order, and with splitCold
+// the effective regions of all functions packed before every
+// non-executed region. core.Place composes its final placement with
+// it, so a searched order is laid out exactly as the greedy one.
 func Compose(prog *ir.Program, orders []funclayout.Order, global globallayout.Order, splitCold bool) (*layout.Layout, error) {
 	var pl layout.Placement
 	if splitCold {

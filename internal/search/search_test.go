@@ -8,7 +8,6 @@ import (
 
 	"impact/internal/analysis"
 	"impact/internal/cache"
-	"impact/internal/check"
 	"impact/internal/core"
 	"impact/internal/core/globallayout"
 	"impact/internal/interp"
@@ -161,54 +160,6 @@ func TestOptimizeCheckpoints(t *testing.T) {
 		if res.Checkpoints[i].Eval <= res.Checkpoints[i-1].Eval {
 			t.Fatalf("checkpoints out of eval order: %+v", res.Checkpoints)
 		}
-	}
-}
-
-// TestSearchStage: the pipeline's fifth stage runs under strict
-// verification — every emitted layout passes the same funclayout and
-// globallayout analyzers as the greedy layout.
-func TestSearchStage(t *testing.T) {
-	b, err := workload.Build(workload.Params{
-		Name: "stage", InputDesc: "stage", Seed: 9,
-		Phases: 2, WorkersPerPhase: [2]int{2, 3},
-		WorkerSegments: [2]int{1, 3}, BlockInstrs: [2]int{1, 8},
-		Utilities: 3, UtilInstrs: [2]int{2, 6},
-		ColdFuncs: 2, ColdFuncInstrs: [2]int{2, 8},
-		WorkerLoopTrips: 6, CallFrac: 0.5, DiamondFrac: 0.5, BranchBias: 0.8,
-		ColdEscapeFrac: 0.3, ColdEscapeProb: 0.02,
-		PhaseTrips: 2, TargetInstrs: 9000, ProfileRuns: 1,
-	})
-	if err != nil {
-		t.Fatalf("workload.Build: %v", err)
-	}
-	cfg := core.DefaultConfig(16)
-	cfg.Interp = interp.Config{MaxSteps: 1 << 19}
-	cfg.Check = check.Strict
-	cfg.Search = &search.Config{Cache: tightGeom, Seed: 2, Budget: 48}
-	res, err := core.Optimize(b.Prog, cfg)
-	if err != nil {
-		t.Fatalf("core.Optimize with search: %v", err)
-	}
-	if res.Search == nil {
-		t.Fatal("no search result recorded")
-	}
-	if res.Search.Improved {
-		if res.Layout != res.Search.Layout {
-			t.Fatal("Improved search did not replace the pipeline layout")
-		}
-		if !reflect.DeepEqual(res.GlobalOrder, res.Search.Order) {
-			t.Fatal("Improved search did not replace the global order")
-		}
-	} else if res.Search.Initial.Bounds.Upper != res.Search.Analysis.Bounds.Upper {
-		t.Fatal("unimproved search changed the reported bounds")
-	}
-	// The searched layout still profiles/executes correctly.
-	w, _, err := profile.Profile(res.Prog, profile.Config{Seeds: []uint64{99}, Interp: cfg.Interp})
-	if err != nil {
-		t.Fatalf("profiling searched program: %v", err)
-	}
-	if w.DynInstrs == 0 {
-		t.Fatal("searched program executed nothing")
 	}
 }
 
