@@ -17,7 +17,7 @@ import (
 	"impact/internal/smith"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden analysis fixture instead of checking it")
+var updateGolden = flag.Bool("update", false, "rewrite the golden analysis fixtures instead of checking them")
 
 // goldenPath is the committed snapshot of the static analyzer's output
 // over the test suite.
@@ -124,6 +124,101 @@ func TestAnalysisGolden(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Fatalf("%d of %d golden lines differ", bad, len(wl)-1)
+	}
+}
+
+// iterationsPath pins the solver work behind TestAnalysisGolden's cells.
+var iterationsPath = filepath.Join("testdata", "iterations.golden")
+
+// TestIterationsGolden pins Result.Iterations — the node evaluations
+// the per-set solver performs until its fixpoint — over
+// TestAnalysisGolden's grid: every cache and page cell, both layouts,
+// every benchmark. `impact analyze` prints the count and the
+// analysis.iterations counters add it up, so a solver that stores or
+// joins its columns differently must still evaluate the same nodes in
+// the same order.
+//
+// Regenerate with `go test ./internal/experiments -run
+// TestIterationsGolden -update` — only for a change meant to alter
+// the solver's worklist, never for a change of column representation.
+func TestIterationsGolden(t *testing.T) {
+	s := testSuite(t)
+	var cacheGeoms []cache.Config
+	for _, cs := range smith.CacheSizes {
+		for _, bs := range smith.BlockSizes {
+			cacheGeoms = append(cacheGeoms, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1})
+		}
+	}
+	for _, assoc := range []int{2, 4, 0} {
+		cacheGeoms = append(cacheGeoms, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: assoc})
+	}
+
+	var b strings.Builder
+	for _, p := range s.Items {
+		optW, err := p.EvalWeights()
+		if err != nil {
+			t.Fatal(err)
+		}
+		natW, _, err := evalProfile(p.Bench.Prog, p.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []struct {
+			name string
+			lay  *layout.Layout
+			w    *profile.Weights
+		}{
+			{"opt", p.Opt.Layout, optW},
+			{"nat", layout.Natural(p.Bench.Prog), natW},
+		} {
+			for _, g := range cacheGeoms {
+				res, err := analysis.Analyze(l.lay, l.w, analysis.Config{Cache: g})
+				if err != nil {
+					t.Fatalf("%s/%s %v: %v", p.Name(), l.name, g, err)
+				}
+				fmt.Fprintf(&b, "%s %s cache %d/%d/%d iterations %d\n",
+					p.Name(), l.name, g.SizeBytes, g.BlockBytes, g.Assoc, res.Iterations)
+			}
+			for _, pb := range PageBoundSizes {
+				for _, fr := range PageBoundFrames {
+					pcfg := paging.Config{PageBytes: pb, Frames: fr}
+					res, err := analysis.AnalyzePages(l.lay, l.w, analysis.PageConfig{Paging: pcfg})
+					if err != nil {
+						t.Fatalf("%s/%s %+v: %v", p.Name(), l.name, pcfg, err)
+					}
+					fmt.Fprintf(&b, "%s %s pages %d/%d iterations %d\n",
+						p.Name(), l.name, pb, fr, res.Iterations)
+				}
+			}
+		}
+	}
+	got := b.String()
+
+	if *updateGolden {
+		if err := os.WriteFile(iterationsPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(iterationsPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the fixture)", err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("fixture has %d lines, analysis produced %d", len(wl), len(gl))
+	}
+	bad := 0
+	for i := range gl {
+		if gl[i] != wl[i] {
+			if bad < 10 {
+				t.Errorf("line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d iteration lines differ", bad, len(wl)-1)
 	}
 }
 
