@@ -28,14 +28,16 @@ import (
 //     with may-age >= m would be unsound: on a path where x is older
 //     than its bound, those lines need not age.
 //
-// Ages are stored one byte per line; 0xFF means absent. Accesses only
-// ever read and age the lines of one set, so the transfer functions
-// work on a set's packed column (see colLen) and the fixpoint is solved
-// one set at a time (incremental.go). For
-// associativities beyond 254 (large fully associative caches) the
-// must analysis evicts early at age 254 (shrinking the guaranteed
-// cache — sound) and the may analysis stops ageing at 254 and never
-// evicts (growing the possible cache — sound).
+// The per-region states store ages one byte per line; 0xFF means
+// absent. Accesses only ever read and age the lines of one set, so the
+// transfer functions work on a set's packed column (see colLen) and the
+// fixpoint is solved one set at a time (incremental.go), on the same
+// columns held as bit planes (planes.go); mustAccess/mayAccess below
+// are the byte form the classifier replays. For associativities beyond
+// 254 (large fully associative caches) the must analysis evicts early
+// at age 254 (shrinking the guaranteed cache — sound) and the may
+// analysis stops ageing at 254 and never evicts (growing the possible
+// cache — sound).
 
 const (
 	absentAge = 0xFF

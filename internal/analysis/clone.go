@@ -25,9 +25,10 @@ import (
 //     per-region must/may states, the cached line spans, and
 //     the linear caches' aggregate arrays, maps, persistence
 //     footprints/fits, and per-edge score terms.
-//   - Fresh (scratch): worklist flags, condensation buffers, undo
-//     storage. A clone therefore has no pending undo: Revert errors
-//     until its first Update, exactly like a new engine.
+//   - Fresh (scratch): worklist flags, condensation buffers, the
+//     solver's bit-sliced columns, the classifier's byte replay
+//     columns, undo storage. A clone therefore has no pending undo:
+//     Revert errors until its first Update, exactly like a new engine.
 //
 // Two engines that start from equal states and apply equal Update
 // sequences produce bit-identical Results — clone_test.go holds a
