@@ -74,6 +74,9 @@ func main() {
 	if err != nil {
 		cliutil.ExitUsage("icsim", cliutil.InvalidValue("replacement", *replacement, err))
 	}
+	if *latency < 0 {
+		cliutil.ExitUsage("icsim", fmt.Errorf("invalid value %d for flag -latency: must be >= 0", *latency))
+	}
 	cfg := cf.Config()
 	cfg.Replacement = repl
 	cfg.PrefetchNext = *prefetch

@@ -209,6 +209,7 @@ func cmdProfile(args []string) {
 	top := fs.Int("top", 15, "number of hottest functions to print")
 	common := startCommon(fs, args)
 	defer common.MustClose()
+	checkCount("top", *top)
 	b := mustBench(*name, *scale)
 
 	w, _, err := profile.Profile(b.Prog, profile.Config{
@@ -586,6 +587,9 @@ func cmdRun(args []string) {
 	defer common.MustClose()
 	checkGeometry(cf, nil)
 	requireFlag("ir", *irPath)
+	if *maxSteps == 0 {
+		cliutil.ExitUsage("impact", fmt.Errorf("invalid value 0 for flag -maxsteps: must be > 0"))
+	}
 	var seeds []uint64
 	for _, s := range strings.Split(*seedsArg, ",") {
 		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)

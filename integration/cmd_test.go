@@ -318,6 +318,14 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			"impact: invalid value -1 for flag -top-funcs: must be >= 0"},
 		{"search negative budget", "impact", []string{"search", "-bench", "wc", "-scale", "0.02", "-budget", "-5"},
 			"impact: invalid value -5 for flag -budget: must be >= 0"},
+		{"profile negative top", "impact", []string{"profile", "-bench", "wc", "-scale", "0.02", "-top", "-1"},
+			"impact: invalid value -1 for flag -top: must be >= 0"},
+		// A latency below zero is no timing model, and a zero step cap
+		// is the interpreter's own 2^40: neither is what the flag says.
+		{"icsim negative latency", "icsim", []string{"-trace", "no-such.itr", "-latency", "-5"},
+			"icsim: invalid value -5 for flag -latency: must be >= 0"},
+		{"run zero maxsteps", "impact", []string{"run", "-ir", "no-such.ir", "-maxsteps", "0"},
+			"impact: invalid value 0 for flag -maxsteps: must be > 0"},
 		// Flags with a fixed set of values and required flags are
 		// checked right after parsing too, before any benchmark is
 		// built or file opened.
