@@ -17,14 +17,27 @@
 // The files must come from the same scale and benchtime — ns/op at
 // different trace scales are not comparable — so a mismatch fails
 // immediately.
+//
+// With -ab it compares two builds run alternately on one host instead
+// (scripts/bench.sh -ab writes the inputs):
+//
+//	go run ./scripts/benchcmp -ab BASE1 HEAD1 BASE2 HEAD2 ...
+//
+// Each (BASE, HEAD) pair is one round of raw `go test -bench` output
+// from the two test binaries. Per benchmark it prints the median ns/op
+// of each side, their ratio (head/base) and the number of rounds HEAD
+// was faster in. It applies no fail rule.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // results mirrors the JSON written by scripts/bench.sh.
@@ -54,7 +67,14 @@ func main() {
 	newPath := flag.String("new", "", "fresh bench JSON (required)")
 	warnPct := flag.Float64("warn", 10, "warn at this ns/op regression percentage")
 	failPct := flag.Float64("fail", 25, "fail (non-zero exit) at this ns/op regression percentage")
+	ab := flag.Bool("ab", false, "compare rounds of raw go test -bench output given as BASE HEAD file pairs")
 	flag.Parse()
+	if *ab {
+		if err := abCompare(flag.Args()); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	if *basePath == "" || *newPath == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -120,6 +140,93 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchcmp: ok")
+}
+
+// abCompare prints the -ab summary of (base, head) round pairs.
+func abCompare(paths []string) error {
+	if len(paths) == 0 || len(paths)%2 != 0 {
+		return fmt.Errorf("-ab wants BASE HEAD file pairs, got %d files", len(paths))
+	}
+	rounds := len(paths) / 2
+	base, head := map[string][]float64{}, map[string][]float64{}
+	wins := map[string]int{}
+	for r := 0; r < rounds; r++ {
+		b, err := readRaw(paths[2*r])
+		if err != nil {
+			return err
+		}
+		h, err := readRaw(paths[2*r+1])
+		if err != nil {
+			return err
+		}
+		for name, bv := range b {
+			hv, ok := h[name]
+			if !ok {
+				continue
+			}
+			base[name] = append(base[name], bv)
+			head[name] = append(head[name], hv)
+			if hv < bv {
+				wins[name]++
+			}
+		}
+	}
+	if len(base) == 0 {
+		return fmt.Errorf("-ab: no benchmark ran on both sides")
+	}
+	var names []string
+	for name := range base {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Printf("benchcmp -ab: %d rounds, median ns/op\n", rounds)
+	fmt.Printf("  %-28s %14s %14s %8s %6s\n", "benchmark", "base", "head", "head/base", "wins")
+	for _, name := range names {
+		mb, mh := median(base[name]), median(head[name])
+		fmt.Printf("  %-28s %14.0f %14.0f %8.3f %3d/%d\n", name, mb, mh, mh/mb, wins[name], len(base[name]))
+	}
+	return nil
+}
+
+// readRaw reads the ns/op of every benchmark line of one raw
+// `go test -bench` output, keyed by name without the Benchmark prefix
+// and the -GOMAXPROCS suffix. A benchmark listed twice keeps its last
+// value.
+func readRaw(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	out := map[string]float64{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || fields[3] != "ns/op" {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %q: %w", path, sc.Text(), err)
+		}
+		name := strings.TrimPrefix(fields[0], "Benchmark")
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		out[name] = v
+	}
+	return out, sc.Err()
+}
+
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	if n := len(s); n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 func fatal(err error) {
