@@ -32,8 +32,12 @@
 // geometry (pages a power of two >= 64 bytes, frames >= 0), or the
 // command exits 2 before preparing anything. The -analyze
 // page-pressure summary is fixed at 4KB pages and 8 frames whatever
-// the flags say. The observability flags are shared by all commands;
-// see docs/OBSERVABILITY.md.
+// the flags say. -workers N sets GOMAXPROCS, the worker count of every
+// parallel pool — suite preparation, the sweep engine's trace passes
+// and the search portfolio; zero keeps the default, one runs each pool
+// on one worker, and the output is identical at every count. The
+// observability flags are shared by all commands; see
+// docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -66,7 +70,7 @@ func main() {
 	report := flag.Bool("report", false, "also print each benchmark's per-stage locality ledger")
 	checkMode := flag.String("check", "off", "pipeline verification mode: off, warn, or strict")
 	pageFlags := cliutil.AddPagingFlags(flag.CommandLine)
-	workers := cliutil.AddWorkersFlag(flag.CommandLine)
+	cliutil.AddWorkersFlag(flag.CommandLine)
 	common := cliutil.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := pageFlags.Check(); err != nil {
@@ -79,7 +83,6 @@ func main() {
 	if err := common.Start("icexp"); err != nil {
 		fatal(err)
 	}
-	experiments.Configure(experiments.EngineConfig{Workers: *workers})
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "preparing benchmark suite (scale %.2f)...\n", *scale)
@@ -285,7 +288,7 @@ func main() {
 			geom := cache.Config{SizeBytes: 512, BlockBytes: 64, Assoc: 1}
 			pcfg := pageFlags.Config()
 			rows, err := experiments.SearchCompare(suite, geom, search.Config{
-				Seed: 1, Workers: *workers, Obs: common.Registry, Paging: &pcfg,
+				Seed: 1, Obs: common.Registry, Paging: &pcfg,
 			})
 			if err != nil {
 				return "", err

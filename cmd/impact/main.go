@@ -30,8 +30,10 @@
 //	    [-restarts N] [-workers N] [cache flags]
 //	    Run the conflict-driven layout search against the greedy
 //	    pipeline and print the simulator-priced comparison (see
-//	    docs/SEARCH.md). -workers races restarts on a portfolio of
-//	    incremental analyzers; the result is identical at any count.
+//	    docs/SEARCH.md). -budget is the total candidate evaluations
+//	    across all climbs (> 0). The climbs race on a portfolio of
+//	    incremental analyzers; the result is identical at any
+//	    -workers count.
 //
 //	impact check -bench <name> [-all] [-scale 1.0] [-strategy ...]
 //	    Run the pipeline with the internal/check verifier enabled and
@@ -48,6 +50,11 @@
 //	    optimized layout against the natural baseline. -report adds
 //	    the per-stage locality ledger. Add -trace-out to capture the
 //	    run's execution timeline.
+//
+// -workers N, on search, simulate and run, sets GOMAXPROCS, the worker
+// count of every parallel pool: suite preparation, the sweep engine's
+// trace passes and the search portfolio. Zero keeps the default, and
+// one runs each pool on one worker.
 //
 // Every subcommand checks its flags right after parsing: a missing
 // required flag, an unknown -bench, -strategy or -layout, a malformed
@@ -384,7 +391,7 @@ func cmdSimulate(args []string) {
 	layoutSel := fs.String("layout", "both", "layouts to simulate: both, opt, or nat")
 	usePaging := fs.Bool("paging", false, "also run the LRU demand-paging simulator on each layout")
 	pf := cliutil.AddPagingFlags(fs)
-	workers := cliutil.AddWorkersFlag(fs)
+	cliutil.AddWorkersFlag(fs)
 	common := startCommon(fs, args)
 	defer common.MustClose()
 	checkGeometry(cf, pf)
@@ -418,7 +425,6 @@ func cmdSimulate(args []string) {
 	// into stack passes where the organisation permits, and concurrent
 	// layouts simulate on the worker pool.
 	eng := experiments.NewEngine()
-	eng.Configure(experiments.EngineConfig{Workers: *workers})
 	eng.AttachObs(common.Registry)
 	type laid struct {
 		label string
@@ -582,7 +588,7 @@ func cmdRun(args []string) {
 	maxSteps := fs.Uint64("maxsteps", 50_000_000, "per-run instruction cap")
 	report := fs.Bool("report", false, "print the per-stage locality ledger")
 	cf := cliutil.AddCacheFlags(fs)
-	workers := cliutil.AddWorkersFlag(fs)
+	cliutil.AddWorkersFlag(fs)
 	common := startCommon(fs, args)
 	defer common.MustClose()
 	checkGeometry(cf, nil)
@@ -644,7 +650,6 @@ func cmdRun(args []string) {
 	// (sweep-worker-N) in the -trace-out timeline.
 	ccfg := cf.Config()
 	eng := experiments.NewEngine()
-	eng.Configure(experiments.EngineConfig{Workers: *workers})
 	eng.AttachObs(common.Registry)
 	stats, err := eng.Batch([]experiments.SimRequest{
 		{Trace: optTr, Config: ccfg},

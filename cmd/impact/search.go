@@ -27,9 +27,9 @@ func cmdSearch(args []string) {
 	scale := cliutil.AddScaleFlag(fs)
 	bench := fs.String("bench", "", "restrict to one benchmark (default: whole suite)")
 	seed := fs.Uint64("seed", 1, "search RNG seed")
-	budget := fs.Int("budget", search.DefaultBudget, "evaluation budget per restart")
+	budget := fs.Int("budget", search.DefaultBudget, "total candidate evaluations across all climbs")
 	restarts := fs.Int("restarts", search.DefaultRestarts, "independent restarts")
-	workers := cliutil.AddWorkersFlag(fs)
+	cliutil.AddWorkersFlag(fs)
 	cf := cliutil.AddCacheFlags(fs)
 	usePaging := fs.Bool("paging", false, "add the page-fault term to the search objective (ranked after the miss bound)")
 	pf := cliutil.AddPagingFlags(fs)
@@ -37,8 +37,10 @@ func cmdSearch(args []string) {
 	defer common.MustClose()
 	checkGeometry(cf, pf)
 	checkCount("budget", *budget)
+	if *budget == 0 {
+		cliutil.ExitUsage("impact", fmt.Errorf("invalid value 0 for flag -budget: must be > 0"))
+	}
 	checkBench(*bench)
-	experiments.Configure(experiments.EngineConfig{Workers: *workers})
 	ccfg := cf.Config()
 
 	start := time.Now()
@@ -61,7 +63,7 @@ func cmdSearch(args []string) {
 
 	scfg := search.Config{
 		Seed: *seed, Budget: *budget, Restarts: *restarts,
-		Workers: *workers, Obs: common.Registry,
+		Obs: common.Registry,
 	}
 	var pcfg *paging.Config
 	if *usePaging {

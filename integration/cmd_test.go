@@ -304,6 +304,25 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			"icsim: invalid cache geometry (-size 1000 -block 64 -assoc 1)"},
 		{"icsim bad frames", "icsim", []string{"-trace", "no-such.itr", "-paging", "-frames", "-3"},
 			"icsim: invalid paging geometry (-page-bytes 4096 -frames -3)"},
+		// Sizes past 1<<31 bytes overflow the simulator's and the
+		// analyzer's uint32 geometry: rejected, not a divide-by-zero
+		// panic or an allocation that exhausts memory.
+		{"simulate terabyte size", "impact", []string{"simulate", "-bench", "grep", "-size", "1099511627776"},
+			"impact: invalid cache geometry (-size 1099511627776 -block 64 -assoc 1): cache: size 1099511627776 exceeds 2147483648 bytes"},
+		{"simulate 16GB size", "impact", []string{"simulate", "-bench", "grep", "-size", "17179869184"},
+			"impact: invalid cache geometry (-size 17179869184 -block 64 -assoc 1): cache: size 17179869184 exceeds 2147483648 bytes"},
+		{"icsim terabyte size", "icsim", []string{"-trace", "no-such.itr", "-size", "1099511627776"},
+			"icsim: invalid cache geometry (-size 1099511627776 -block 64 -assoc 1)"},
+		{"icsim terabyte sweep entry", "icsim", []string{"-trace", "no-such.itr", "-sizes", "512,1099511627776"},
+			"icsim: invalid cache geometry (-sizes entry 1099511627776 -block 64 -assoc 1)"},
+		{"analyze terabyte size", "impact", []string{"analyze", "-bench", "grep", "-size", "1099511627776"},
+			"impact: invalid cache geometry (-size 1099511627776 -block 64 -assoc 1)"},
+		{"analyze pages 4GB page", "impact", []string{"analyze", "-bench", "grep", "-pages", "-page-bytes", "4294967296"},
+			"impact: invalid paging geometry (-page-bytes 4294967296 -frames 8): paging: page size 4294967296 exceeds 2147483648 bytes"},
+		{"search paging 4GB page", "impact", []string{"search", "-bench", "grep", "-paging", "-page-bytes", "4294967296"},
+			"impact: invalid paging geometry (-page-bytes 4294967296 -frames 8)"},
+		{"icexp search 4GB page", "icexp", []string{"-tables", "none", "-search", "-page-bytes", "4294967296"},
+			"icexp: invalid paging geometry (-page-bytes 4294967296 -frames 8)"},
 		// Report sizes and the search budget are counts: a negative one
 		// is a usage error, not a panic or a silently empty run.
 		{"analyze negative top sets", "impact", []string{"analyze", "-bench", "wc", "-scale", "0.02", "-top-sets", "-1"},
@@ -318,6 +337,8 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			"impact: invalid value -1 for flag -top-funcs: must be >= 0"},
 		{"search negative budget", "impact", []string{"search", "-bench", "wc", "-scale", "0.02", "-budget", "-5"},
 			"impact: invalid value -5 for flag -budget: must be >= 0"},
+		{"search zero budget", "impact", []string{"search", "-bench", "wc", "-scale", "0.02", "-budget", "0"},
+			"impact: invalid value 0 for flag -budget: must be > 0"},
 		{"profile negative top", "impact", []string{"profile", "-bench", "wc", "-scale", "0.02", "-top", "-1"},
 			"impact: invalid value -1 for flag -top: must be >= 0"},
 		// A latency below zero is no timing model, and a zero step cap

@@ -67,12 +67,13 @@ func TestImpactRunTraceOutAndReport(t *testing.T) {
 	tracePath := filepath.Join(dir, "t.json")
 	runTool(t, "impact", "dump", "-bench", "cmp", "-scale", "0.1", "-o", irPath)
 	out := runTool(t, "impact", "run", "-ir", irPath, "-seeds", "1,2",
-		"-trace-out", tracePath, "-report")
+		"-trace-out", tracePath, "-report", "-workers", "2")
 
 	lanes, timed := loadTrace(t, tracePath)
 
-	// The two layout simulations run on the engine's worker pool, so
-	// the timeline must carry at least two sweep-worker lanes.
+	// The two layout simulations run on the engine's worker pool, two
+	// workers wide, so the timeline must carry at least two
+	// sweep-worker lanes.
 	var sweepLanes int
 	for _, name := range lanes {
 		if strings.HasPrefix(name, "sweep-worker-") {
@@ -147,10 +148,10 @@ func TestImpactRunTraceOutAndReport(t *testing.T) {
 
 // TestIcexpReportAndTraceOut checks the suite-level surface: icexp
 // -report prints one ledger per benchmark and the timeline shows the
-// prepare workers as parallel lanes.
+// prepare workers (two at -workers 2) as parallel lanes.
 func TestIcexpReportAndTraceOut(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "t.json")
-	out := runTool(t, "icexp", "-scale", "0.02", "-tables", "5", "-report", "-trace-out", tracePath)
+	out := runTool(t, "icexp", "-scale", "0.02", "-tables", "5", "-report", "-trace-out", tracePath, "-workers", "2")
 
 	if got := strings.Count(out, "Per-stage locality ledger"); got != 10 {
 		t.Errorf("%d benchmark ledgers printed, want 10", got)

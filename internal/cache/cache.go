@@ -35,7 +35,8 @@ const WordBytes = memtrace.WordBytes
 
 // Config describes a cache organisation.
 type Config struct {
-	// SizeBytes is the data store capacity. Must be a power of two.
+	// SizeBytes is the data store capacity. Must be a power of two no
+	// larger than 1<<31.
 	SizeBytes int
 	// BlockBytes is the cache block (line) size. Must be a power of
 	// two, at least WordBytes, at most 256 (64 words), and divide
@@ -111,11 +112,19 @@ type TimingConfig struct {
 	CriticalWordFirst bool
 }
 
+// maxBytes is the largest cache size Validate accepts: the largest
+// power of two a uint32 holds, the width of the simulator's and the
+// analyzer's line and set arithmetic.
+const maxBytes int64 = 1 << 31
+
 // Validate checks cfg and returns a descriptive error if it is not a
 // simulatable organisation.
 func (cfg Config) Validate() error {
 	if cfg.SizeBytes <= 0 || cfg.SizeBytes&(cfg.SizeBytes-1) != 0 {
 		return fmt.Errorf("cache: size %d is not a positive power of two", cfg.SizeBytes)
+	}
+	if int64(cfg.SizeBytes) > maxBytes {
+		return fmt.Errorf("cache: size %d exceeds %d bytes", cfg.SizeBytes, maxBytes)
 	}
 	if cfg.BlockBytes < WordBytes || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		return fmt.Errorf("cache: block size %d is not a power of two >= %d", cfg.BlockBytes, WordBytes)

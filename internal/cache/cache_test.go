@@ -31,6 +31,8 @@ func TestValidate(t *testing.T) {
 	}{
 		{"zero size", Config{SizeBytes: 0, BlockBytes: 16}, "not a positive power of two"},
 		{"size not a power of two", Config{SizeBytes: 1000, BlockBytes: 16}, "not a positive power of two"},
+		{"size over 1<<31", Config{SizeBytes: 1 << 32, BlockBytes: 64, Assoc: 1}, "size 4294967296 exceeds 2147483648 bytes"},
+		{"terabyte size", Config{SizeBytes: 1 << 40, BlockBytes: 64, Assoc: 1}, "size 1099511627776 exceeds 2147483648 bytes"},
 		{"block not a power of two", Config{SizeBytes: 1024, BlockBytes: 3}, "is not a power of two >= 4"},
 		{"block over 64 words", Config{SizeBytes: 1024, BlockBytes: 512}, "exceeds 256 bytes"},
 		{"block over 64 words and size", Config{SizeBytes: 1024, BlockBytes: 2048}, "exceeds 256 bytes"},

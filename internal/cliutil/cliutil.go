@@ -166,18 +166,19 @@ func (c *Common) MustClose() {
 	}
 }
 
-// AddWorkersFlag registers the shared -workers flag: the parallelism
-// cap for the measurement engine's trace-pass pool and the portfolio
-// search. Zero means GOMAXPROCS; one forces the exact serial code
-// paths. Results are identical for every value — the flag only trades
+// AddWorkersFlag registers the shared -workers flag: the worker count
+// of every parallel pool the command runs — suite preparation, the
+// measurement engine's trace passes and the portfolio search. A
+// positive count sets GOMAXPROCS when the flag is parsed, and every
+// pool sizes itself from GOMAXPROCS; zero keeps the runtime's default.
+// Results are identical for every value — the flag only trades
 // wall-clock time. A negative count is rejected at parse time.
-func AddWorkersFlag(fs *flag.FlagSet) *int {
-	var n int
-	fs.Var((*workersValue)(&n), "workers", "worker `count` for parallel measurement and search (0 = GOMAXPROCS, 1 = serial)")
-	return &n
+func AddWorkersFlag(fs *flag.FlagSet) {
+	fs.Var(new(workersValue), "workers", "worker `count` for preparation, measurement and search; a positive count sets GOMAXPROCS (0 = GOMAXPROCS, 1 = serial)")
 }
 
-// workersValue is the -workers flag: a non-negative int.
+// workersValue is the -workers flag: a non-negative int, applied to
+// GOMAXPROCS when positive.
 type workersValue int
 
 func (w *workersValue) String() string { return strconv.Itoa(int(*w)) }
@@ -189,6 +190,9 @@ func (w *workersValue) Set(s string) error {
 	}
 	if n < 0 {
 		return errors.New("worker count must be >= 0 (0 = GOMAXPROCS, 1 = serial)")
+	}
+	if n > 0 {
+		runtime.GOMAXPROCS(n)
 	}
 	*w = workersValue(n)
 	return nil

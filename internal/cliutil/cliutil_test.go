@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,31 +119,39 @@ func TestGeometryCheck(t *testing.T) {
 	}
 }
 
-// TestWorkersFlag pins the -workers contract: zero and positive counts
-// parse, and a negative or non-numeric count is rejected at parse time
-// with an error that names the flag.
+// TestWorkersFlag pins the -workers contract: a positive count sets
+// GOMAXPROCS when the flag is parsed, zero leaves it alone, and a
+// negative or non-numeric count is rejected at parse time with an
+// error that names the flag and leaves GOMAXPROCS alone.
 func TestWorkersFlag(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	tests := []struct {
 		name    string
 		args    []string
-		want    int
-		wantErr string // "" means the parse succeeds
+		want    int // GOMAXPROCS after parsing
+		wantErr string
 	}{
-		{"default", nil, 0, ""},
+		{"default", nil, procs, ""},
+		{"zero", []string{"-workers", "0"}, procs, ""},
 		{"serial", []string{"-workers", "1"}, 1, ""},
 		{"four", []string{"-workers=4"}, 4, ""},
-		{"negative", []string{"-workers", "-3"}, 0, `invalid value "-3" for flag -workers: worker count must be >= 0`},
-		{"not a number", []string{"-workers", "many"}, 0, `invalid value "many" for flag -workers`},
+		{"negative", []string{"-workers", "-3"}, procs, `invalid value "-3" for flag -workers: worker count must be >= 0`},
+		{"not a number", []string{"-workers", "many"}, procs, `invalid value "many" for flag -workers`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			n := AddWorkersFlag(fs)
+			AddWorkersFlag(fs)
 			err := fs.Parse(tt.args)
+			if got := runtime.GOMAXPROCS(0); got != tt.want {
+				t.Errorf("parse %v: GOMAXPROCS = %d, want %d", tt.args, got, tt.want)
+			}
 			if tt.wantErr == "" {
-				if err != nil || *n != tt.want {
-					t.Fatalf("parse %v = %d, %v; want %d", tt.args, *n, err, tt.want)
+				if err != nil {
+					t.Fatalf("parse %v: %v", tt.args, err)
 				}
 				return
 			}

@@ -15,7 +15,6 @@ package experiments
 import (
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +28,7 @@ import (
 	"impact/internal/memtrace"
 	"impact/internal/obs"
 	"impact/internal/paging"
+	"impact/internal/pool"
 	"impact/internal/profile"
 	"impact/internal/workload"
 )
@@ -256,67 +256,41 @@ func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Sui
 	}
 	items := make([]*Prepared, len(benchmarks))
 	errs := make([]error, len(benchmarks))
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		// Two workers even on one core: preparation interleaves
-		// harmlessly and the timeline keeps its parallel structure.
-		workers = 2
-	}
-	if workers > len(benchmarks) {
-		workers = len(benchmarks)
-	}
+	workers := pool.Workers(0, len(benchmarks))
 	//lint:walltime progress reporting only; results are clock-free
 	start := time.Now()
 	var busyNS atomic.Int64
 	var done atomic.Int64
 	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	// A fixed channel-fed pool rather than goroutine-per-benchmark:
-	// each worker owns one timeline lane ("prepare-worker-N"), so the
+	// Each worker owns one timeline lane ("prepare-worker-N"), so the
 	// trace shows benchmark preparation as parallel rows.
-	type job struct {
-		i int
-		b *workload.Benchmark
+	lanes := make([]obs.Lane, workers)
+	for w := range lanes {
+		lanes[w] = opts.Obs.NewLane(fmt.Sprintf("prepare-worker-%d", w))
 	}
-	jobs := make(chan job)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			lane := opts.Obs.NewLane(fmt.Sprintf("prepare-worker-%d", wkr))
-			for j := range jobs {
-				i, b := j.i, j.b
-				sp := opts.Obs.SpanOn(lane, "prepare/benchmark")
-				sp.SetAttr("benchmark", b.Name())
-				//lint:walltime progress reporting only; results are clock-free
-				bStart := time.Now()
-				items[i], errs[i] = prepareOne(b, opts, lane)
-				elapsed := time.Since(bStart)
-				sp.End()
-				busyNS.Add(int64(elapsed))
-				n := int(done.Add(1))
-				opts.Obs.Histogram("prepare.benchmark").Observe(elapsed)
-				opts.Obs.Gauge("prepare." + b.Name() + ".seconds").Set(elapsed.Seconds())
-				opts.logger().Debug("benchmark prepared",
-					"benchmark", b.Name(), "elapsed", elapsed, "done", n, "total", len(benchmarks))
-				if opts.Progress != nil {
-					progressMu.Lock()
-					opts.Progress(Progress{Done: n, Total: len(benchmarks), Benchmark: b.Name(), Elapsed: elapsed})
-					progressMu.Unlock()
-				}
-			}
-		}(wkr)
-	}
-	for i, b := range benchmarks {
-		jobs <- job{i: i, b: b}
-	}
-	close(jobs)
-	wg.Wait()
-	wall := time.Since(start)
-	if n := len(benchmarks); n > 0 && wall > 0 {
-		if n < workers {
-			workers = n
+	pool.Run(workers, len(benchmarks), func(w, i int) {
+		b := benchmarks[i]
+		sp := opts.Obs.SpanOn(lanes[w], "prepare/benchmark")
+		sp.SetAttr("benchmark", b.Name())
+		//lint:walltime progress reporting only; results are clock-free
+		bStart := time.Now()
+		items[i], errs[i] = prepareOne(b, opts, lanes[w])
+		elapsed := time.Since(bStart)
+		sp.End()
+		busyNS.Add(int64(elapsed))
+		n := int(done.Add(1))
+		opts.Obs.Histogram("prepare.benchmark").Observe(elapsed)
+		opts.Obs.Gauge("prepare." + b.Name() + ".seconds").Set(elapsed.Seconds())
+		opts.logger().Debug("benchmark prepared",
+			"benchmark", b.Name(), "elapsed", elapsed, "done", n, "total", len(benchmarks))
+		if opts.Progress != nil {
+			progressMu.Lock()
+			opts.Progress(Progress{Done: n, Total: len(benchmarks), Benchmark: b.Name(), Elapsed: elapsed})
+			progressMu.Unlock()
 		}
+	})
+	wall := time.Since(start)
+	if len(benchmarks) > 0 && wall > 0 {
 		util := float64(busyNS.Load()) / (wall.Seconds() * 1e9 * float64(workers))
 		opts.Obs.Gauge("prepare.worker_utilization").Set(util)
 		opts.Obs.Gauge("prepare.wall_seconds").Set(wall.Seconds())

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -10,6 +9,7 @@ import (
 	"impact/internal/cache/sweep"
 	"impact/internal/memtrace"
 	"impact/internal/obs"
+	"impact/internal/pool"
 )
 
 // The sweep engine is the single entry point for every cache
@@ -29,9 +29,10 @@ import (
 //     stack passes and one broadcast replay. Every pass of every plan
 //     is one work unit.
 //
-// Work units run on a bounded worker pool. Every derived statistic is
-// bit-identical to sequential cache.Simulate — the differential tests
-// in sweep_test.go and internal/cache/sweep pin this.
+// Work units run on the worker pool (internal/pool). Every derived
+// statistic is bit-identical to sequential cache.Simulate — the
+// differential tests in sweep_test.go and internal/cache/sweep pin
+// this.
 
 // SimRequest names one measurement: a trace replayed into a cache
 // organisation.
@@ -128,53 +129,13 @@ type sweepObs struct {
 // not usable; use NewEngine. Engines are safe for concurrent use.
 type Engine struct {
 	mu   sync.Mutex
-	cfg  EngineConfig
 	memo map[simKey]cache.Stats
 	obs  atomic.Pointer[sweepObs]
 }
 
-// EngineConfig tunes the engine's parallelism. The zero value of every
-// field means "keep the current setting" — the package default at
-// construction, or whatever a previous Configure chose.
-type EngineConfig struct {
-	// Workers caps the measurement pool: the number of concurrent
-	// trace passes. Zero means GOMAXPROCS; one forces strictly serial
-	// measurement.
-	Workers int
-}
-
-// NewEngine returns an empty engine tuned by the package defaults.
+// NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{memo: make(map[simKey]cache.Stats)}
-}
-
-// Configure overrides the engine's tuning for subsequent batches; zero
-// fields keep their current values.
-func (e *Engine) Configure(cfg EngineConfig) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cfg.Workers != 0 {
-		e.cfg.Workers = cfg.Workers
-	}
-}
-
-// Configure applies cfg to the shared engine backing the package-level
-// experiment entry points.
-func Configure(cfg EngineConfig) { sharedEngine.Configure(cfg) }
-
-// tuning resolves the effective worker count for one batch. explicit
-// reports whether the count was configured rather than derived from
-// GOMAXPROCS — an explicit 1 suppresses even the unit pool's two-lane
-// floor.
-func (e *Engine) tuning() (workers int, explicit bool) {
-	e.mu.Lock()
-	workers = e.cfg.Workers
-	e.mu.Unlock()
-	explicit = workers > 0
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers, explicit
 }
 
 // sharedEngine backs every measurement in this package, so results are
@@ -300,15 +261,7 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, explicit := e.tuning()
-	// The unit pool keeps its historical two-lane floor (trace passes
-	// interleave harmlessly and the timeline stays legible on one core)
-	// unless the caller explicitly asked for serial measurement.
-	unitPool := pool
-	if !explicit && unitPool < 2 {
-		unitPool = 2
-	}
-	runUnits(o, unitPool, units)
+	runUnits(o, units)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -344,20 +297,28 @@ func plan(plans []*tracePlan) ([]workUnit, error) {
 	return units, nil
 }
 
-// runUnits replays each unit's trace into its pass on a worker pool
-// bounded by pool. Each worker owns one timeline lane
-// ("sweep-worker-N", stable across batches because tracer lanes dedupe
-// by name), and every unit runs under a "sweep/task" span on that lane
-// carrying its kind and size — the concurrency structure of a sweep is
-// legible straight off the timeline. pool == 1 (an explicit Workers: 1
-// or a GOMAXPROCS=1 host) runs strictly serial: no goroutines at all.
-func runUnits(o *sweepObs, pool int, units []workUnit) {
-	run := func(lane obs.Lane, u workUnit) {
+// runUnits replays each unit's trace into its pass on the worker pool
+// (internal/pool), one worker per CPU. Each worker owns one timeline
+// lane ("sweep-worker-N", stable across batches because tracer lanes
+// dedupe by name), and every unit runs under a "sweep/task" span on
+// that lane carrying its kind and size — the concurrency structure of
+// a sweep is legible straight off the timeline.
+func runUnits(o *sweepObs, units []workUnit) {
+	workers := pool.Workers(0, len(units))
+	var lanes []obs.Lane
+	if o != nil {
+		lanes = make([]obs.Lane, workers)
+		for w := range lanes {
+			lanes[w] = o.reg.NewLane(fmt.Sprintf("sweep-worker-%d", w))
+		}
+	}
+	pool.Run(workers, len(units), func(w, i int) {
+		u := units[i]
 		if o == nil {
 			u.tr.Replay(u.pass)
 			return
 		}
-		sp := o.reg.SpanOn(lane, "sweep/task")
+		sp := o.reg.SpanOn(lanes[w], "sweep/task")
 		if u.pass.Stack() {
 			sp.SetAttr("kind", "stack")
 			o.stackDerived.Add(uint64(u.pass.Orgs()))
@@ -369,35 +330,5 @@ func runUnits(o *sweepObs, pool int, units []workUnit) {
 		u.tr.Replay(u.pass)
 		o.tracePasses.Inc()
 		sp.End()
-	}
-	if pool == 1 {
-		var lane obs.Lane
-		if o != nil {
-			lane = o.reg.NewLane("sweep-worker-0")
-		}
-		for _, u := range units {
-			run(lane, u)
-		}
-		return
-	}
-	workers := min(pool, len(units))
-	// Static round-robin assignment rather than a shared queue: units
-	// are few and coarse (whole trace passes), so balance barely
-	// suffers, and every worker is guaranteed a share — the timeline
-	// shows real parallel structure instead of one greedy lane.
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			var lane obs.Lane
-			if o != nil {
-				lane = o.reg.NewLane(fmt.Sprintf("sweep-worker-%d", wkr))
-			}
-			for i := wkr; i < len(units); i += workers {
-				run(lane, units[i])
-			}
-		}(wkr)
-	}
-	wg.Wait()
+	})
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"testing"
 
 	"impact/internal/cache"
@@ -151,47 +150,5 @@ func TestFingerprintDistinguishesTraces(t *testing.T) {
 	clone := &memtrace.Trace{Runs: append([]memtrace.Run(nil), a.Runs...), Instrs: a.Instrs}
 	if fingerprint(a) != fingerprint(clone) {
 		t.Error("value-identical traces disagree")
-	}
-}
-
-// TestEngineWorkersSerial pins that Workers: 1 measures strictly
-// serially with unchanged results.
-func TestEngineWorkersSerial(t *testing.T) {
-	e := NewEngine()
-	e.Configure(EngineConfig{Workers: 1})
-	reg := obs.NewRegistry()
-	e.AttachObs(reg)
-	tr := sweepTestTrace(9, 1200)
-	reqs := []SimRequest{
-		{tr, cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}},
-		{tr, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 2}},
-		{tr, cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1, SectorBytes: 8}},
-	}
-	got, err := e.Batch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rq := range reqs {
-		want, _ := cache.Simulate(rq.Config, rq.Trace)
-		if got[i] != want {
-			t.Errorf("req %d: serial engine %+v, sequential %+v", i, got[i], want)
-		}
-	}
-}
-
-// TestEngineTuningLayers pins the worker-count layers: the GOMAXPROCS
-// default, Configure on top, and a zero field keeping the layer below.
-func TestEngineTuningLayers(t *testing.T) {
-	e := NewEngine()
-	if w, explicit := e.tuning(); explicit || w != runtime.GOMAXPROCS(0) {
-		t.Errorf("default: got workers=%d explicit=%v, want GOMAXPROCS and implicit", w, explicit)
-	}
-	e.Configure(EngineConfig{Workers: 5})
-	if w, explicit := e.tuning(); !explicit || w != 5 {
-		t.Errorf("configure: got workers=%d explicit=%v, want 5 and explicit", w, explicit)
-	}
-	e.Configure(EngineConfig{})
-	if w, _ := e.tuning(); w != 5 {
-		t.Errorf("zero config: got workers=%d, want 5 kept", w)
 	}
 }

@@ -32,17 +32,26 @@ import (
 
 // Config describes a paging configuration.
 type Config struct {
-	// PageBytes is the page size; must be a power of two >= 64.
+	// PageBytes is the page size; must be a power of two from 64 to
+	// 1<<31.
 	PageBytes int
 	// Frames is the number of resident page frames; 0 means unbounded
 	// memory (only cold faults occur).
 	Frames int
 }
 
+// maxPageBytes is the largest page size Validate accepts: the largest
+// power of two a uint32 holds, the width of the page analysis's
+// geometry arithmetic.
+const maxPageBytes int64 = 1 << 31
+
 // Validate checks the configuration.
 func (cfg Config) Validate() error {
 	if cfg.PageBytes < 64 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
 		return fmt.Errorf("paging: page size %d is not a power of two >= 64", cfg.PageBytes)
+	}
+	if int64(cfg.PageBytes) > maxPageBytes {
+		return fmt.Errorf("paging: page size %d exceeds %d bytes", cfg.PageBytes, maxPageBytes)
 	}
 	if cfg.Frames < 0 {
 		return fmt.Errorf("paging: negative frame count %d", cfg.Frames)

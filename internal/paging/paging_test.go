@@ -23,10 +23,12 @@ func TestValidate(t *testing.T) {
 		{"negative page size", Config{PageBytes: -64}, "page size -64 is not a power of two >= 64"},
 		{"page size not a power of two", Config{PageBytes: 100}, "page size 100 is not a power of two >= 64"},
 		{"page size below 64", Config{PageBytes: 32}, "page size 32 is not a power of two >= 64"},
+		{"page size over 1<<31", Config{PageBytes: 1 << 32}, "page size 4294967296 exceeds 2147483648 bytes"},
 		{"negative frames", Config{PageBytes: 4096, Frames: -1}, "negative frame count -1"},
 		{"4KB pages, 8 frames", Config{PageBytes: 4096, Frames: 8}, ""},
 		{"smallest page, unbounded", Config{PageBytes: 64}, ""},
 		{"1MB page, one frame", Config{PageBytes: 1 << 20, Frames: 1}, ""},
+		{"largest page", Config{PageBytes: 1 << 31, Frames: 1}, ""},
 	}
 	tr := &memtrace.Trace{Runs: []memtrace.Run{run(0, 64)}, Instrs: 16}
 	for _, tt := range tests {

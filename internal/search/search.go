@@ -23,16 +23,16 @@
 // of (input, seed, climb index) — it starts from the input order (the
 // k-th climb kicked by the k-th seeded RNG stream), carries a fixed
 // evaluation allowance, and never reads another climb's state. That
-// makes the climbs embarrassingly parallel: with Workers > 1 each
-// worker owns a cloned analysis.Incremental engine and races climbs
-// round-robin, and the final reduction — best lexicographic objective,
-// ties to the lowest climb index — picks the same winner regardless of
-// scheduling. Workers only changes wall-clock time, never the result.
+// makes the climbs embarrassingly parallel: each worker of the pool
+// (internal/pool) owns an analysis.Incremental engine — the input
+// engine or a clone — and runs climbs round-robin, and the final
+// reduction — best lexicographic objective, ties to the lowest climb
+// index — picks the same winner regardless of scheduling. Workers only
+// changes wall-clock time, never the result.
 package search
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -44,6 +44,7 @@ import (
 	"impact/internal/layout"
 	"impact/internal/obs"
 	"impact/internal/paging"
+	"impact/internal/pool"
 	"impact/internal/profile"
 	"impact/internal/xrand"
 )
@@ -84,16 +85,17 @@ type Config struct {
 	// distinct move sequences.
 	Seed uint64
 	// Budget caps candidate evaluations (incremental re-analyses)
-	// across all restarts. Zero means DefaultBudget.
+	// across all climbs. Zero means DefaultBudget.
 	Budget int
 	// Restarts is the number of random restarts after the first
-	// climb; the budget is split evenly across climbs. Zero means
-	// DefaultRestarts; negative means none.
+	// climb; the budget is split evenly across climbs, and a budget
+	// smaller than the climb count cuts the restarts to fit it. Zero
+	// means DefaultRestarts; negative means none.
 	Restarts int
 	// Workers bounds the portfolio workers racing the climbs. Zero
-	// means GOMAXPROCS; one forces the exact serial code path (no
-	// goroutines, no engine clones). The worker count is always capped
-	// at the climb count, and the result is identical for every value.
+	// means GOMAXPROCS (which the commands' -workers flag sets). The
+	// worker count is always capped at the climb count, and the result
+	// is identical for every value.
 	Workers int
 	// CheckpointEvery invokes Checkpoint after every n-th accepted
 	// improvement. Zero means DefaultCheckpointEvery; negative
@@ -102,8 +104,8 @@ type Config struct {
 	// Checkpoint, when non-nil, receives the incumbent layout at
 	// checkpoints and returns its ground-truth miss count (callers
 	// typically run cache.Simulate over the evaluation trace). A nil
-	// callback disables checkpoints. With Workers > 1 calls are
-	// serialized under a mutex but their arrival order depends on
+	// callback disables checkpoints. Calls are serialized under a
+	// mutex, but with several workers their arrival order depends on
 	// scheduling; the recorded Result.Checkpoints are always in
 	// deterministic climb order.
 	Checkpoint func(*layout.Layout) (uint64, error)
@@ -327,96 +329,62 @@ func Optimize(in Input, cfg Config) (*Result, error) {
 
 	// Split the budget into fixed per-climb allowances. The split is a
 	// pure function of the config — never of scheduling — so every
-	// climb's trajectory is reproducible in isolation. The last climb
-	// absorbs the rounding remainder.
-	climbs := cfg.Restarts + 1
+	// climb's trajectory is reproducible in isolation. Every climb gets
+	// at least one evaluation, so there are never more climbs than the
+	// budget, and the last climb absorbs the rounding remainder.
+	climbs := min(cfg.Restarts+1, cfg.Budget)
 	base := cfg.Budget / climbs
-	if base < 1 {
-		base = 1
-	}
 	p := &portfolio{in: in, cfg: cfg, n: n, baseLay: baseLay, initObj: initObj,
 		alloc:  make([]int, climbs),
 		offset: make([]int, climbs),
 	}
-	total := 0
 	for k := range p.alloc {
 		p.alloc[k] = base
-		p.offset[k] = total
-		total += base
+		p.offset[k] = k * base
 	}
-	if last := cfg.Budget - (climbs-1)*base; last > base {
-		p.alloc[climbs-1] = last
-	}
+	p.alloc[climbs-1] = cfg.Budget - (climbs-1)*base
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > climbs {
-		workers = climbs
-	}
+	workers := pool.Workers(cfg.Workers, climbs)
 	reg.Gauge("search.parallel_workers").Set(float64(workers))
-
-	results := make([]*climbResult, climbs)
-	if workers < 2 {
-		// Exact serial path: one engine, no goroutines, no clones, and
-		// the raw checkpoint callback.
-		p.ckpt = cfg.Checkpoint
-		for k := range results {
-			cr, err := p.climb(k, inc, pages)
-			if err != nil {
-				return nil, fmt.Errorf("search: climb %d: %w", k, err)
-			}
-			results[k] = cr
-		}
-	} else {
+	if cfg.Checkpoint != nil {
 		var mu sync.Mutex
-		if cfg.Checkpoint != nil {
-			p.ckpt = func(lay *layout.Layout) (uint64, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				return cfg.Checkpoint(lay)
-			}
+		p.ckpt = func(lay *layout.Layout) (uint64, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			return cfg.Checkpoint(lay)
 		}
-		// Clone every extra engine before any worker starts moving the
-		// base engine; worker w then races climbs w, w+W, w+2W, ... —
-		// a static assignment, so which worker ran a climb can never
-		// change what the climb computes.
-		engines := make([]*analysis.Incremental, workers)
-		engines[0] = inc
-		pageEngines := make([]*analysis.PageEngine, workers)
-		pageEngines[0] = pages
-		for w := 1; w < workers; w++ {
+	}
+	// Worker 0 climbs on the input engine; every other worker gets a
+	// clone taken before any climb starts moving it. Worker w then runs
+	// climbs w, w+W, w+2W, ... — a static assignment, so which worker
+	// ran a climb can never change what the climb computes.
+	engines := make([]*analysis.Incremental, workers)
+	pageEngines := make([]*analysis.PageEngine, workers)
+	for w := range engines {
+		engines[w], pageEngines[w] = inc, pages
+		if w > 0 {
 			engines[w] = inc.Clone()
 			if pages != nil {
 				pageEngines[w] = pages.Clone()
 			}
 		}
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lane := reg.NewLane(fmt.Sprintf("search-worker-%d", w))
-			engines[w].SetLane(lane)
-			wg.Add(1)
-			go func(w int, eng *analysis.Incremental, pe *analysis.PageEngine, lane obs.Lane) {
-				defer wg.Done()
-				span := reg.SpanOn(lane, "search/worker")
-				defer span.End()
-				for k := w; k < climbs; k += workers {
-					cr, err := p.climb(k, eng, pe)
-					if err != nil {
-						errs[w] = fmt.Errorf("search: climb %d: %w", k, err)
-						return
-					}
-					results[k] = cr
-				}
-			}(w, engines[w], pageEngines[w], lane)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+	}
+	results := make([]*climbResult, climbs)
+	errs := make([]error, climbs)
+	pool.Run(workers, workers, func(w, _ int) {
+		lane := reg.NewLane(fmt.Sprintf("search-worker-%d", w))
+		engines[w].SetLane(lane)
+		span := reg.SpanOn(lane, "search/worker")
+		defer span.End()
+		for k := w; k < climbs; k += workers {
+			if results[k], errs[k] = p.climb(k, engines[w], pageEngines[w]); errs[k] != nil {
+				return
 			}
+		}
+	})
+	for k, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("search: climb %d: %w", k, err)
 		}
 	}
 

@@ -131,6 +131,20 @@ func TestOptimizeNeverWorse(t *testing.T) {
 	}
 }
 
+// TestOptimizeBudgetCapsClimbs: Budget caps evaluations across all
+// climbs, so a budget smaller than the climb count cuts the restarts
+// instead of giving every climb one evaluation anyway.
+func TestOptimizeBudgetCapsClimbs(t *testing.T) {
+	_, in := prepared(t, 3)
+	res, err := search.Optimize(in, search.Config{Cache: tightGeom, Seed: 1, Budget: 4, Restarts: 10})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if res.Evals != 4 || res.Restarts != 3 {
+		t.Errorf("Budget 4, Restarts 10: Evals %d, Restarts %d; want 4 and 3", res.Evals, res.Restarts)
+	}
+}
+
 // TestOptimizeCheckpoints: the ground-truth callback fires once per
 // CheckpointEvery accepted moves, in eval order, with the incumbent
 // layout.
