@@ -2,7 +2,10 @@
 // interactively for one benchmark: the instruction count of every
 // basic block is scaled uniformly — simulating architectures with
 // denser or sparser instruction encodings — the placement pipeline
-// re-runs, and the 2KB/64B partial-loading cache is measured.
+// re-runs, and the 2KB/64B partial-loading cache is measured. The
+// program is profiled once, and each scale's profile is derived from
+// that one wherever the derivation is provably exact
+// (core.Profiled.Scale).
 //
 // The paper's conclusion, which this example lets you check directly:
 // "the cache performance is rather stable" across encodings, because
@@ -21,7 +24,6 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/core"
-	"impact/internal/ir"
 	"impact/internal/texttable"
 	"impact/internal/workload"
 )
@@ -36,17 +38,22 @@ func main() {
 		log.Fatalf("unknown benchmark %q", *bench)
 	}
 
+	cfg := core.DefaultConfig(b.ProfileSeeds...)
+	cfg.Interp = b.InterpConfig()
+	prof, err := core.Profile(b.Prog, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	t := texttable.New(
 		fmt.Sprintf("code scaling on %s (2KB/64B direct-mapped, partial loading)", b.Name()),
 		"scale", "static code", "miss", "traffic", "avg.fetch")
 	for _, factor := range []float64{0.5, 0.7, 1.0, 1.1, 1.5} {
-		prog := b.Prog
-		if factor != 1.0 {
-			prog = ir.ScaleCode(b.Prog, factor)
+		scaled, err := prof.Scale(factor)
+		if err != nil {
+			log.Fatal(err)
 		}
-		cfg := core.DefaultConfig(b.ProfileSeeds...)
-		cfg.Interp = b.InterpConfig()
-		res, err := core.Optimize(prog, cfg)
+		res, err := core.Place(scaled, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		t.Row(fmt.Sprintf("%.1f", factor), texttable.KB(prog.Bytes()),
+		t.Row(fmt.Sprintf("%.1f", factor), texttable.KB(scaled.Input.Bytes()),
 			texttable.Pct3(st.MissRatio()), texttable.Pct(st.TrafficRatio()),
 			fmt.Sprintf("%.1f", st.AvgFetchWords()))
 	}

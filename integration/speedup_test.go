@@ -29,18 +29,24 @@ var tightSpeedupGeom = cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1}
 // docs/PERFORMANCE.md (2 cores, 2 workers).
 const minSearchSpeedup = 1.4
 
-// bestOf times f several times and keeps the fastest run, shedding
+// interleavedBest times serial and parallel three times each, in the
+// order S, P, P, S, S, P, so a slow stretch of a shared host falls on
+// both sides alike, and keeps each side's fastest run, shedding
 // scheduler noise the way benchcmp's min-of-N does.
-func bestOf(n int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
+func interleavedBest(serial, parallel func()) (s, p time.Duration) {
+	s, p = time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for _, isSerial := range []bool{true, false, false, true, true, false} {
+		f, best := parallel, &p
+		if isSerial {
+			f, best = serial, &s
+		}
 		start := time.Now()
 		f()
-		if d := time.Since(start); d < best {
-			best = d
+		if d := time.Since(start); d < *best {
+			*best = d
 		}
 	}
-	return best
+	return s, p
 }
 
 func TestParallelSpeedup(t *testing.T) {
@@ -72,12 +78,11 @@ func TestParallelSpeedup(t *testing.T) {
 	serialCfg.Workers = 1
 	parallelCfg := cfg
 	parallelCfg.Workers = workers
-	serial := bestOf(3, func() {
+	serial, parallel := interleavedBest(func() {
 		if _, err := search.Optimize(in, serialCfg); err != nil {
 			t.Fatal(err)
 		}
-	})
-	parallel := bestOf(3, func() {
+	}, func() {
 		if _, err := search.Optimize(in, parallelCfg); err != nil {
 			t.Fatal(err)
 		}

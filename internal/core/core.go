@@ -173,6 +173,12 @@ type Profiled struct {
 	ProfileSeeds []uint64
 	Interp       interp.Config
 	Inline       inline.Config
+
+	// origRuns and inlinedRuns are the per-run results of the sessions
+	// that measured OrigWeights and Weights, one per profiling seed;
+	// Scale derives a code-scaled profile from them. A value Scale
+	// derived, or one built by hand, has none.
+	origRuns, inlinedRuns []interp.Result
 }
 
 // ErrProfileMismatch is wrapped by the error Place returns when its
@@ -334,7 +340,7 @@ func (r *run) profile(p *ir.Program) (*Profiled, error) {
 	// Step 1: execution profiling.
 	sp := r.pipe.Span("profile")
 	var err error
-	pr.OrigWeights, _, err = profile.Profile(p, profCfg)
+	pr.OrigWeights, pr.origRuns, err = profile.Profile(p, profCfg)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling input program: %w", err)
@@ -354,7 +360,7 @@ func (r *run) profile(p *ir.Program) (*Profiled, error) {
 		// Re-profile the transformed program with the same inputs;
 		// IMPACT-I instead propagates weights through the transform,
 		// which is equivalent but harder to verify (see DESIGN.md).
-		pr.Weights, _, err = profile.Profile(pr.Inlined, profCfg)
+		pr.Weights, pr.inlinedRuns, err = profile.Profile(pr.Inlined, profCfg)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)

@@ -66,7 +66,7 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 
 		//lint:maprange results land in the traces map; rendering iterates LayoutStrategies
 		for name, st := range partialStrategies {
-			_, tr, err := p.deriveOptimize("layout:"+name, pipelineConfig(b, st))
+			_, tr, err := p.deriveOptimize("layout:"+name, p.variantConfig(st))
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
 			}
@@ -197,14 +197,13 @@ func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	var out []AblationMinProbRow
 	for _, p := range s.Items {
-		b := p.Bench
 		row := AblationMinProbRow{
 			Name:      p.Name(),
 			Miss:      make(map[float64]float64),
 			Desirable: make(map[float64]float64),
 		}
 		for _, mp := range MinProbValues {
-			ccfg := pipelineConfig(b, core.FullStrategy())
+			ccfg := p.variantConfig(core.FullStrategy())
 			var res *core.Result
 			var tr *memtrace.Trace
 			var err error
@@ -258,8 +257,6 @@ func RenderAblationMinProb(rows []AblationMinProbRow) string {
 func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	for _, p := range s.Items {
-		b := p.Bench
-
 		// With DFS: the prepared full-pipeline trace.
 		st, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
 		if err != nil {
@@ -268,7 +265,7 @@ func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 		withDFS += st.MissRatio()
 
 		// Without DFS: full pipeline minus the global order.
-		ccfg := pipelineConfig(b, core.Strategy{Inline: true, TraceLayout: true, SplitCold: true})
+		ccfg := p.variantConfig(core.Strategy{Inline: true, TraceLayout: true, SplitCold: true})
 		_, tr, err := p.deriveOptimize("global:no-dfs", ccfg)
 		if err != nil {
 			return 0, 0, err
@@ -360,13 +357,12 @@ func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	var out []AblationGlobalAlgoRow
 	for _, p := range s.Items {
-		b := p.Bench
 		dfs, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
 		if err != nil {
 			return nil, err
 		}
 
-		ccfg := pipelineConfig(b, core.FullStrategy())
+		ccfg := p.variantConfig(core.FullStrategy())
 		ccfg.Strategy.PettisHansen = true
 		_, tr, err := p.deriveOptimize("globalalgo:ph", ccfg)
 		if err != nil {

@@ -168,6 +168,15 @@ func pipelineConfig(b *workload.Benchmark, st core.Strategy) core.Config {
 	return cfg
 }
 
+// variantConfig is the pipeline configuration of a variant of p with
+// strategy st: the prepared run's, verified under the suite's check
+// mode as the prepared run is.
+func (p *Prepared) variantConfig(st core.Strategy) core.Config {
+	cfg := pipelineConfig(p.Bench, st)
+	cfg.Check = p.mode
+	return cfg
+}
+
 // Name returns the benchmark name.
 func (p *Prepared) Name() string { return p.Bench.Name() }
 

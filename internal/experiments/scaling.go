@@ -5,7 +5,6 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/core"
-	"impact/internal/ir"
 	"impact/internal/memtrace"
 	"impact/internal/texttable"
 )
@@ -22,7 +21,7 @@ type Table9Row struct {
 
 // Table9 reproduces the code scaling experiment: every basic block's
 // instruction count is scaled uniformly (simulating denser or sparser
-// instruction encodings), the whole placement pipeline re-runs on the
+// instruction encodings), the placement pipeline re-runs on the
 // scaled program, and the 2KB/64B partial-loading cache is measured.
 func Table9(s *Suite) ([]Table9Row, error) {
 	var out []Table9Row
@@ -41,11 +40,13 @@ func Table9(s *Suite) ([]Table9Row, error) {
 }
 
 // scaleResult runs the full pipeline and the 2KB/64B partial-loading
-// measurement on a code-scaled copy of the benchmark. Pipeline re-runs
-// and evaluation traces are memoized per (benchmark, factor); factor
-// 1.0 is the prepared state itself, trace included — re-deriving it
-// would replay the whole evaluation interpreter for an identical
-// trace.
+// measurement on a code-scaled copy of the benchmark: the prepared
+// profile scaled (core.Profiled.Scale, which interprets the scaled
+// program only when it cannot derive its profile exactly), placed
+// and traced. Placements and evaluation traces are memoized per
+// (benchmark, factor); factor 1.0 is the prepared state itself, trace
+// included — re-deriving it would replay the whole evaluation
+// interpreter for an identical trace.
 func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
 	b := p.Bench
 	var tr *memtrace.Trace
@@ -54,8 +55,11 @@ func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
 	} else {
 		var err error
 		_, tr, err = p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
-			scaled := ir.ScaleCode(b.Prog, factor)
-			res, err := core.Optimize(scaled, pipelineConfig(b, core.FullStrategy()))
+			prof, err := p.Profile.Scale(factor)
+			if err != nil {
+				return nil, nil, err
+			}
+			res, err := core.Place(prof, p.variantConfig(core.FullStrategy()))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -97,3 +97,53 @@ func TestBoundChecksVerifyEveryAnalysis(t *testing.T) {
 		t.Errorf("corrupted page analysis under strict: err = %v, want a hot working set violation", err)
 	}
 }
+
+// TestVariantsVerifyUnderSuiteMode: every pipeline variant, Table 9's
+// code-scaled programs and the A1, A3, A4 and A6 placements alike, is
+// verified under the suite's check mode. Under check.Strict each
+// placed variant carries its verifier report, so Table 9's scaled
+// profiles, derived or measured, pass the weight-flow and inline
+// analyzers; under check.Off none is verified.
+func TestVariantsVerifyUnderSuiteMode(t *testing.T) {
+	for _, mode := range []check.Mode{check.Strict, check.Off} {
+		s, err := PrepareBenchmarksWith([]*workload.Benchmark{
+			workload.ByName("wc", 0.05), workload.ByName("yacc", 0.05),
+		}, Options{Check: mode})
+		if err != nil {
+			t.Fatalf("prepare under %s: %v", mode, err)
+		}
+		if _, err := Table9(s); err != nil {
+			t.Fatalf("Table 9 under %s: %v", mode, err)
+		}
+		if _, err := AblationLayout(s); err != nil {
+			t.Fatalf("A1 under %s: %v", mode, err)
+		}
+		if _, err := AblationMinProb(s); err != nil {
+			t.Fatalf("A3 under %s: %v", mode, err)
+		}
+		if _, _, err := AblationGlobal(s); err != nil {
+			t.Fatalf("A4 under %s: %v", mode, err)
+		}
+		if _, err := AblationGlobalAlgo(s); err != nil {
+			t.Fatalf("A6 under %s: %v", mode, err)
+		}
+		for _, p := range s.Items {
+			var placed []string
+			for name, e := range p.derived.m {
+				if e.v.res == nil {
+					continue // A1's random layout places nothing
+				}
+				placed = append(placed, name)
+				if verified := e.v.res.Checks != nil; verified != (mode != check.Off) {
+					t.Errorf("%s/%s under %s: verified %t", p.Name(), name, mode, verified)
+				}
+			}
+			sort.Strings(placed)
+			// Three code scales, three partial A1 pipelines, four A3
+			// thresholds, A4 and A6.
+			if len(placed) != 12 {
+				t.Errorf("%s under %s: %d placed variants %v, want 12", p.Name(), mode, len(placed), placed)
+			}
+		}
+	}
+}

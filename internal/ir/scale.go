@@ -14,10 +14,10 @@ import "math"
 // preserved exactly so the program's control behaviour — and therefore
 // its dynamic block trace — is unchanged; only the code footprint
 // changes, exactly as a denser or sparser instruction encoding would
-// behave.
+// behave. factor must be a finite number above zero.
 func ScaleCode(p *Program, factor float64) *Program {
-	if factor <= 0 {
-		panic("ir: ScaleCode with non-positive factor")
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		panic("ir: ScaleCode with a factor that is not a finite number above zero")
 	}
 	np := Clone(p)
 	for _, f := range np.Funcs {

@@ -103,6 +103,21 @@ func TestScalePanicsOnNonPositive(t *testing.T) {
 	ScaleCode(scaleFixture(t), 0)
 }
 
+// TestScalePanicsOnNonFinite: NaN and +Inf are rejected like a
+// non-positive factor, not rounded into a garbage block length.
+func TestScalePanicsOnNonFinite(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScaleCode(p, %v) did not panic", f)
+				}
+			}()
+			ScaleCode(scaleFixture(t), f)
+		}()
+	}
+}
+
 func TestScaleDoesNotMutateOriginal(t *testing.T) {
 	p := scaleFixture(t)
 	before := p.Bytes()
