@@ -15,7 +15,8 @@
 // must be a finite number above zero. -tables selects the paper's
 // tables (1-9) to produce, or none; anything else is a usage error.
 // -check enables the internal/check pipeline verifier during suite
-// preparation and on every static analysis -analyze builds (see
+// preparation (and E5's, under -extensions) and on every static
+// analysis -analyze builds (see
 // docs/VERIFICATION.md); strict mode fails on any invariant
 // violation, and a mode other than off, warn or strict exits 2. -analyze runs the static cache-behavior
 // analyzer (see docs/ANALYSIS.md) over every benchmark and geometry
@@ -86,16 +87,17 @@ func main() {
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "preparing benchmark suite (scale %.2f)...\n", *scale)
-	suite, err := experiments.PrepareWith(*scale, experiments.Options{
-		Obs:    common.Registry,
-		Log:    slog.Default(),
-		Check:  mode,
-		Ledger: *report,
-		Progress: func(p experiments.Progress) {
-			fmt.Fprintf(os.Stderr, "  [%2d/%d] %-10s prepared in %v\n",
-				p.Done, p.Total, p.Benchmark, p.Elapsed.Round(time.Millisecond))
-		},
-	})
+	// E5 prepares its own benchmarks under the same registry, logger
+	// and verification mode; only the suite reports progress and
+	// keeps ledgers.
+	prepOpts := experiments.Options{Obs: common.Registry, Log: slog.Default(), Check: mode}
+	suiteOpts := prepOpts
+	suiteOpts.Ledger = *report
+	suiteOpts.Progress = func(p experiments.Progress) {
+		fmt.Fprintf(os.Stderr, "  [%2d/%d] %-10s prepared in %v\n",
+			p.Done, p.Total, p.Benchmark, p.Elapsed.Round(time.Millisecond))
+	}
+	suite, err := experiments.PrepareWith(*scale, suiteOpts)
 	if err != nil {
 		fatal(err)
 	}
@@ -245,7 +247,7 @@ func main() {
 			return experiments.RenderExtHierarchy(e), nil
 		})
 		emit("ext-extended", func() (string, error) {
-			e, err := experiments.ExtExtendedSuite(*scale)
+			e, err := experiments.ExtExtendedSuite(*scale, prepOpts)
 			if err != nil {
 				return "", err
 			}

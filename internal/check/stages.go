@@ -7,12 +7,16 @@ import (
 	"impact/internal/profile"
 )
 
-// inlineAnalyzer checks that inline expansion only moved code. The
-// dynamic invariants hold because core re-profiles the transformed
-// program with the same inputs: eliminated calls must account exactly
+// inlineAnalyzer checks that inline expansion only moved code. Its
+// dynamic invariants compare the input program's profile with the
+// transformed program's, which core derives from step 1's calling-
+// context counts (interpreting the transformed program with the same
+// inputs only when it cannot prove the derivation exact), so they
+// referee that derivation too: eliminated calls must account exactly
 // for the dynamic-instruction delta (each expansion deletes one call
 // instruction and turns the matching return into a jump), and the
-// profiled non-control work is conserved instruction for instruction.
+// non-control work, weighted by the transformed program's block
+// counts, is conserved instruction for instruction.
 func inlineAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "inline",

@@ -8,7 +8,7 @@
 //	Step 5  Global layout              (internal/core/globallayout)
 //
 // Optimize runs the steps and produces the transformed program, its
-// re-measured profile, and a memory layout in which sequential and
+// profile, and a memory layout in which sequential and
 // spatial localities are maximised and cache mapping conflicts
 // minimised. Each step can be disabled independently (Strategy) for
 // the ablation experiments. Optimize is Profile (steps 1-2, the only
@@ -116,7 +116,7 @@ type Result struct {
 	Prog *ir.Program
 	// Layout maps Prog's blocks to memory addresses.
 	Layout *layout.Layout
-	// Weights is the profile of Prog (re-measured after inlining).
+	// Weights is the profile of Prog on the profiling inputs.
 	Weights *profile.Weights
 	// OrigWeights is the profile of the input program.
 	OrigWeights *profile.Weights
@@ -160,8 +160,8 @@ type Profiled struct {
 	// Input is the program as given and OrigWeights its profile.
 	Input       *ir.Program
 	OrigWeights *profile.Weights
-	// Inlined is Input after step 2 and Weights its re-measured
-	// profile; both are nil when profiling ran without inlining.
+	// Inlined is Input after step 2 and Weights its profile on the
+	// same inputs; both are nil when profiling ran without inlining.
 	Inlined *ir.Program
 	Weights *profile.Weights
 	// InlineReport describes step 2 (zero value without inlining).
@@ -337,10 +337,17 @@ func (r *run) profile(p *ir.Program) (*Profiled, error) {
 	pr := &Profiled{Input: p, ProfileSeeds: slices.Clone(cfg.ProfileSeeds), Interp: cfg.Interp, Inline: cfg.Inline}
 	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
 
-	// Step 1: execution profiling.
+	// Step 1: execution profiling. When step 2 runs, the session
+	// counts per calling context as well, so that step 2 can derive the
+	// inlined program's profile instead of interpreting it.
 	sp := r.pipe.Span("profile")
+	var ctxs *interp.Contexts
 	var err error
-	pr.OrigWeights, pr.origRuns, err = profile.Profile(p, profCfg)
+	if cfg.Strategy.Inline {
+		pr.OrigWeights, pr.origRuns, ctxs, err = profile.ProfileContexts(p, profCfg, contextLimit(p, cfg.Inline))
+	} else {
+		pr.OrigWeights, pr.origRuns, err = profile.Profile(p, profCfg)
+	}
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling input program: %w", err)
@@ -357,10 +364,12 @@ func (r *run) profile(p *ir.Program) (*Profiled, error) {
 			sp.End()
 			return nil, fmt.Errorf("core: inline expansion: %w", err)
 		}
-		// Re-profile the transformed program with the same inputs;
-		// IMPACT-I instead propagates weights through the transform,
-		// which is equivalent but harder to verify (see DESIGN.md).
-		pr.Weights, pr.inlinedRuns, err = profile.Profile(pr.Inlined, profCfg)
+		// Profile the transformed program with the same inputs. Like
+		// IMPACT-I, which propagates weights through the transform,
+		// reprofile derives them, exactly, from step 1's context
+		// counts; it interprets the inlined program only when it
+		// cannot prove the derivation exact (see reprofile.go).
+		pr.Weights, pr.inlinedRuns, err = pr.reprofile(ctxs, profCfg)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)
@@ -399,7 +408,7 @@ func (r *run) acceptInline(pr *Profiled) error {
 	}
 	// After inlining the program still has its natural layout; the
 	// ledger row prices the code growth and the locality of the
-	// re-measured profile before any reordering. When inlining is
+	// inlined program's profile before any reordering. When inlining is
 	// disabled the row repeats "input" (zero delta).
 	if r.led != nil {
 		r.led.capture("inline", layout.Natural(prog), w)

@@ -10,9 +10,10 @@
 // to a static code growth budget, a callee size cap, and a recursion
 // guard, until no candidate remains. Weights for call sites created by
 // cloning a callee body are estimated by scaling the callee's internal
-// site weights with the inlined site's weight; the pipeline re-profiles
-// the transformed program afterwards, so these estimates only steer
-// the greedy order, never the final measurements.
+// site weights with the inlined site's weight; the pipeline derives
+// the transformed program's exact profile afterwards (internal/core),
+// so these estimates only steer the greedy order, never the final
+// measurements.
 package inline
 
 import (
@@ -74,8 +75,8 @@ type Report struct {
 	BytesAfter   int
 	SitesInlined int
 	// CallsBefore is the profiled dynamic call count of the input
-	// program; dynamic calls after inlining are measured by
-	// re-profiling (see internal/core).
+	// program; dynamic calls after inlining are in the transformed
+	// program's profile (see internal/core).
 	CallsBefore uint64
 	// Expansions records every inlined site in expansion order.
 	Expansions []Expansion
@@ -146,7 +147,7 @@ func Expand(p *ir.Program, w *profile.Weights, cfg Config) (*ir.Program, Report,
 		switch {
 		case calleeFn.NoInline, // system-call boundary
 			callee == caller,
-			np.Reaches(callee, caller): // would create self-inlining
+			np.Reaches(callee, caller): // would create self-inlining; a cycle below the caller still unrolls into it
 			skipped[best] = true
 			continue
 		case cfg.MaxCalleeBytes > 0 && calleeFn.Bytes() > cfg.MaxCalleeBytes:

@@ -1,6 +1,9 @@
 package inline
 
 import (
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -570,5 +573,38 @@ func TestInlineWeightPropagationCap(t *testing.T) {
 	}
 	if err := ir.Validate(np); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpandUnrollsCycle pins expansion along a call-graph cycle. The
+// fixture's main loops calling a, and a and b call each other. Expand
+// refuses a callee that reaches the receiving function, not a callee
+// on a cycle: neither a nor b reaches main, so the cycle unrolls into
+// main, each clone's call expanded in turn, until the sites grow too
+// cold. Profiles of the inlined program therefore need exact calling
+// contexts: main's clones of a sit at depths 1, 3 and 5.
+func TestExpandUnrollsCycle(t *testing.T) {
+	src, err := os.ReadFile("../testdata/cycle.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ir.Decode(strings.NewReader(string(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := Expand(p, profiled(t, p), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Expansion
+	for i, block := range []ir.BlockID{1, 6, 10, 14, 18, 22} {
+		base := 4 + 4*ir.BlockID(i)
+		want = append(want, Expansion{
+			Site:   ir.CallSite{Func: 3, Block: block, Instr: 1},
+			Callee: ir.FuncID(i % 2), CloneBase: base, CloneBlocks: 3, Tail: base + 3,
+		})
+	}
+	if !reflect.DeepEqual(rep.Expansions, want) {
+		t.Errorf("expansions:\n got %+v\nwant %+v", rep.Expansions, want)
 	}
 }

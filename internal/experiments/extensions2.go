@@ -81,9 +81,15 @@ type ExtendedRow struct {
 // ExtExtendedSuite runs the full pipeline on the extension benchmarks
 // and measures the 2KB/64B direct-mapped design point against the
 // natural baseline. The scale applies to the extension's dynamic
-// trace lengths.
-func ExtExtendedSuite(scale float64) ([]ExtendedRow, error) {
-	suite, err := prepareBenchmarks(workload.ExtendedSuite(scale))
+// trace lengths. The benchmarks are prepared under opts when given
+// (PrepareBenchmarksWith), so that they are verified and observed like
+// the suite's.
+func ExtExtendedSuite(scale float64, opts ...Options) ([]ExtendedRow, error) {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	suite, err := PrepareBenchmarksWith(workload.ExtendedSuite(scale), o)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 	"impact/internal/memtrace"
 )
 
-// FuzzEngine runs arbitrary IR text through the run loop twice, once
-// counting and once tracing, under a small step cap. Both runs must
-// agree on the Result, the traced words must equal the executed
+// FuzzEngine runs arbitrary IR text through the run loop three times,
+// counting, counting in context and tracing, under a small step cap.
+// All runs must agree on the Result, the contexts must sum to the
+// plain counts, the traced words must equal the executed
 // instructions, and a completed run's counts must balance: blocks
 // weighted by their lengths sum to Instrs, each non-exit block's arcs
 // sum to its entries, and the call counts sum to Calls. The only error
@@ -51,6 +53,17 @@ func FuzzEngine(f *testing.F) {
 		if res != tres {
 			t.Fatalf("counting run %+v, tracing run %+v", res, tres)
 		}
+		x := e.NewContexts(fuzzLimit(p, int(jitter)))
+		xres, xerr := x.Count(seed, cfg)
+		if (cerr == nil) != (xerr == nil) || (cerr != nil && cerr.Error() != xerr.Error()) {
+			t.Fatalf("counting run error %v, context run error %v", cerr, xerr)
+		}
+		if res != xres {
+			t.Fatalf("counting run %+v, context run %+v", res, xres)
+		}
+		if xerr == nil && !reflect.DeepEqual(x.Sum(), c) {
+			t.Fatalf("contexts sum to %+v, counting run counted %+v", x.Sum(), c)
+		}
 		if rc.Instrs != res.Instrs {
 			t.Fatalf("traced %d words, executed %d instructions", rc.Instrs, res.Instrs)
 		}
@@ -84,4 +97,19 @@ func FuzzEngine(f *testing.F) {
 			t.Fatalf("block counts x lengths = %d, Instrs = %d", instrs, res.Instrs)
 		}
 	})
+}
+
+// fuzzLimit prices every function at its byte size less one
+// instruction, as inline expansion's growth does, under a budget of
+// budget instructions' worth of bytes: the fuzz input decides how deep
+// contexts nest.
+func fuzzLimit(p *ir.Program, budget int) ContextLimit {
+	l := ContextLimit{Cost: make([]int, len(p.Funcs)), Budget: budget * ir.InstrBytes}
+	for f, fn := range p.Funcs {
+		l.Cost[f] = fn.Bytes() - ir.InstrBytes
+		if fn.NoInline {
+			l.Cost[f] = -1
+		}
+	}
+	return l
 }

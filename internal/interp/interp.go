@@ -9,14 +9,17 @@
 //
 // NewEngine compiles a program once into flat tables — one record per
 // block, a flat call list and a flat successor array, all in program
-// order — and a single run loop walks them. The loop has two
+// order — and a single run loop walks them. The loop has three
 // consumers, and the paper's instrumented binary and traced binary are
-// one program executing identically under both:
+// one program executing identically under all of them:
 //
 //   - Count adds execution counts to dense per-block, per-arc and
 //     per-call slices (Counts); internal/profile folds them into the
 //     IMPACT-I profile (node and arc weights of the call graph and
 //     control graphs).
+//   - Contexts.Count adds the same counts per calling context
+//     (Contexts), from which internal/core derives the profile of the
+//     inline-expanded program.
 //   - Trace emits one instruction fetch run per executed segment of a
 //     block, addressed from a per-block address table;
 //     internal/layout's dynamic-trace generator feeds the cache
@@ -121,6 +124,9 @@ type frame struct {
 	instr int32
 	// call is the flat index of blk's next call instruction.
 	call int32
+	// ctx is the activation's context in a Contexts table (counting
+	// in context only).
+	ctx int32
 }
 
 // Engine executes one program. NewEngine compiles the program into
@@ -210,7 +216,7 @@ func (e *Engine) Count(seed uint64, cfg Config, c *Counts) (Result, error) {
 		return Result{}, fmt.Errorf("interp: counts shaped for %d blocks, %d arcs, %d calls; program has %d, %d, %d",
 			len(c.Blocks), len(c.Arcs), len(c.Calls), len(e.blocks), len(e.succ), len(e.calls))
 	}
-	return e.run(seed, cfg, c, nil, nil)
+	return e.run(seed, cfg, c, nil, nil, nil)
 }
 
 // Trace executes the program with the given seed as its "input",
@@ -223,12 +229,13 @@ func (e *Engine) Trace(seed uint64, cfg Config, addr []uint32, sink memtrace.Sin
 	if len(addr) != len(e.blocks) {
 		return Result{}, fmt.Errorf("interp: address table covers %d blocks, program has %d", len(addr), len(e.blocks))
 	}
-	return e.run(seed, cfg, nil, addr, sink)
+	return e.run(seed, cfg, nil, nil, addr, sink)
 }
 
 // run is the engine's one run loop. It counts into c when c is
-// non-nil and traces into sink when sink is non-nil.
-func (e *Engine) run(seed uint64, cfg Config, c *Counts, addr []uint32, sink memtrace.Sink) (Result, error) {
+// non-nil, counts in context into x when x is non-nil, and traces into
+// sink when sink is non-nil.
+func (e *Engine) run(seed uint64, cfg Config, c *Counts, x *Contexts, addr []uint32, sink memtrace.Sink) (Result, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -245,8 +252,19 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, addr []uint32, sink mem
 	blocks, calls, succ := e.blocks, e.calls, e.succ
 	stack := make([]frame, 0, 64)
 	fr := frame{blk: e.entry, call: blocks[e.entry].calls}
+	// cb, ca and cc count the executing activation's block entries,
+	// arcs and calls by flat index: the session's Counts, or its
+	// context's counts in x.
+	var cb, ca, cc []uint64
 	if c != nil {
-		c.Blocks[fr.blk]++
+		cb, ca, cc = c.Blocks, c.Arcs, c.Calls
+	}
+	if x != nil {
+		fr.ctx = x.root(e.prog.Entry)
+		cb, ca, cc = x.counts(fr.ctx)
+	}
+	if cb != nil {
+		cb[fr.blk]++
 	}
 	for {
 		b := &blocks[fr.blk]
@@ -267,21 +285,26 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, addr []uint32, sink mem
 		}
 		if isCall {
 			res.Calls++
-			if c != nil {
-				c.Calls[fr.call]++
+			if cc != nil {
+				cc[fr.call]++
 			}
 			if len(stack)+1 >= cfg.MaxDepth {
 				return res, fmt.Errorf("%w (depth %d at %s calling %s)", ErrDepthExceeded,
 					len(stack)+1, e.prog.Funcs[e.funcOf(fr.blk)].Name, e.prog.Funcs[e.funcOf(cl.entry)].Name)
 			}
+			at := fr.call
 			fr.instr, fr.call = hi, fr.call+1
 			stack = append(stack, fr)
-			fr = frame{blk: cl.entry, call: blocks[cl.entry].calls}
+			fr = frame{blk: cl.entry, call: blocks[cl.entry].calls, ctx: fr.ctx}
+			if x != nil {
+				fr.ctx = x.enter(fr.ctx, at, cl.entry)
+				cb, ca, cc = x.counts(fr.ctx)
+			}
 			if res.Instrs >= cfg.MaxSteps {
 				return res, nil
 			}
-			if c != nil {
-				c.Blocks[fr.blk]++
+			if cb != nil {
+				cb[fr.blk]++
 			}
 			continue
 		}
@@ -294,6 +317,9 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, addr []uint32, sink mem
 			}
 			fr = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			if x != nil {
+				cb, ca, cc = x.counts(fr.ctx)
+			}
 			if res.Instrs >= cfg.MaxSteps {
 				return res, nil
 			}
@@ -314,15 +340,15 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, addr []uint32, sink mem
 			}
 		}
 		res.Branches++
-		if c != nil {
-			c.Arcs[j]++
+		if ca != nil {
+			ca[j]++
 		}
-		fr = frame{blk: succ[j], call: blocks[succ[j]].calls}
+		fr = frame{blk: succ[j], call: blocks[succ[j]].calls, ctx: fr.ctx}
 		if res.Instrs >= cfg.MaxSteps {
 			return res, nil
 		}
-		if c != nil {
-			c.Blocks[fr.blk]++
+		if cb != nil {
+			cb[fr.blk]++
 		}
 	}
 }

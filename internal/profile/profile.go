@@ -189,21 +189,56 @@ type Config struct {
 // profiler inserts into the instrumented program — and the session
 // folds them into the weights once, after its last run.
 func Profile(p *ir.Program, cfg Config) (*Weights, []interp.Result, error) {
-	if len(cfg.Seeds) == 0 {
-		return nil, nil, fmt.Errorf("profile: no seeds given")
-	}
 	eng := interp.NewEngine(p)
 	counts := eng.NewCounts()
-	w := NewWeights(p)
+	results, err := session(cfg, func(seed uint64) (interp.Result, error) {
+		return eng.Count(seed, cfg.Interp, counts)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return Weigh(p, counts, results), results, nil
+}
+
+// ProfileContexts is Profile counting every run per calling context
+// under limit (interp.Contexts): it returns the weights and results
+// Profile returns, and the context counts they were summed from.
+func ProfileContexts(p *ir.Program, cfg Config, limit interp.ContextLimit) (*Weights, []interp.Result, *interp.Contexts, error) {
+	x := interp.NewEngine(p).NewContexts(limit)
+	results, err := session(cfg, func(seed uint64) (interp.Result, error) {
+		return x.Count(seed, cfg.Interp)
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return Weigh(p, x.Sum(), results), results, x, nil
+}
+
+// session runs count once per seed, recording each run's metrics.
+func session(cfg Config, count func(seed uint64) (interp.Result, error)) ([]interp.Result, error) {
+	if len(cfg.Seeds) == 0 {
+		return nil, fmt.Errorf("profile: no seeds given")
+	}
 	results := make([]interp.Result, 0, len(cfg.Seeds))
 	for _, seed := range cfg.Seeds {
 		//lint:walltime per-run timing metric only; weights are clock-free
 		start := time.Now()
-		res, err := eng.Count(seed, cfg.Interp, counts)
+		res, err := count(seed)
 		if err != nil {
-			return nil, nil, fmt.Errorf("profile: seed %d: %w", seed, err)
+			return nil, fmt.Errorf("profile: seed %d: %w", seed, err)
 		}
 		interp.Record(cfg.Obs, res, time.Since(start))
+		results = append(results, res)
+	}
+	return results, nil
+}
+
+// Weigh returns the weights of program p for a session whose runs
+// returned results and counted c: what Profile returns when its runs
+// count c.
+func Weigh(p *ir.Program, c *interp.Counts, results []interp.Result) *Weights {
+	w := NewWeights(p)
+	for _, res := range results {
 		w.DynInstrs += res.Instrs
 		w.DynBranches += res.Branches
 		w.DynCalls += res.Calls
@@ -211,11 +246,10 @@ func Profile(p *ir.Program, cfg Config) (*Weights, []interp.Result, error) {
 		if !res.Completed {
 			w.Capped++
 		}
-		results = append(results, res)
 	}
-	w.Runs = len(cfg.Seeds)
-	w.fold(p, counts)
-	return w, results, nil
+	w.Runs = len(results)
+	w.fold(p, c)
+	return w
 }
 
 // fold adds a session's counts to w. Blocks and arcs add up in
