@@ -129,7 +129,7 @@ func (p *Pass) Run(r memtrace.Run) {
 // geometry passes checkGeometry.
 func (p *Pass) start() {
 	if p.Stack() {
-		p.stack = newStackPass(p.block, p.sets)
+		p.stack, _ = NewStackPass(p.block, p.sets)
 		return
 	}
 	p.replay, _ = cache.NewSinkSimulator(p.cfgs...)

@@ -26,6 +26,11 @@
 // one replay. The experiments engine, icsim and impact simulate all
 // measure through a Plan. The measured speedups are in
 // docs/PERFORMANCE.md.
+//
+// internal/paging counts page faults with a one-set StackPass whose
+// block is the page (NewStackPass, MissesAt, Cold), so a pass's block
+// may be as large as 1<<31 bytes; NewPlan, which validates every
+// cache.Config, only builds passes at cache block sizes.
 package sweep
 
 import (
@@ -84,10 +89,10 @@ type StackPass struct {
 // lookup (the scan depth is the stack distance itself, so traces with
 // locality — the only ones worth simulating — keep it shallow).
 func Run(tr *memtrace.Trace, blockBytes, numSets int) (*StackPass, error) {
-	if err := checkGeometry(blockBytes, numSets); err != nil {
+	p, err := NewStackPass(blockBytes, numSets)
+	if err != nil {
 		return nil, err
 	}
-	p := newStackPass(blockBytes, numSets)
 	tr.Replay(p)
 	return p, nil
 }
@@ -101,11 +106,15 @@ func ShardRun(tr *memtrace.Trace, blockBytes, numSets, workers int, reg *obs.Reg
 }
 
 // checkGeometry returns why a stack-pass geometry is invalid, or nil.
-// The geometry of every valid cache.Config passes.
+// A block is a power of two from one word to 1<<31 bytes, paging's
+// largest page: only the address width bounds it, since a pass keeps
+// none of the per-word valid bits whose uint64 caps cache.Config's
+// blocks. The geometry of every valid cache.Config and paging.Config
+// passes.
 func checkGeometry(blockBytes, numSets int) error {
-	if blockBytes < memtrace.WordBytes || blockBytes&(blockBytes-1) != 0 || blockBytes > 64*memtrace.WordBytes {
+	if blockBytes < memtrace.WordBytes || blockBytes&(blockBytes-1) != 0 || blockBytes > 1<<31 {
 		return fmt.Errorf("sweep: block size %d is not a power of two in [%d, %d]",
-			blockBytes, memtrace.WordBytes, 64*memtrace.WordBytes)
+			blockBytes, memtrace.WordBytes, 1<<31)
 	}
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		return fmt.Errorf("sweep: set count %d is not a positive power of two", numSets)
@@ -113,14 +122,17 @@ func checkGeometry(blockBytes, numSets int) error {
 	return nil
 }
 
-// newStackPass returns an empty pass over a geometry checkGeometry
-// accepts.
-func newStackPass(blockBytes, numSets int) *StackPass {
+// NewStackPass returns an empty pass at the given block size and set
+// count, or checkGeometry's error.
+func NewStackPass(blockBytes, numSets int) (*StackPass, error) {
+	if err := checkGeometry(blockBytes, numSets); err != nil {
+		return nil, err
+	}
 	return &StackPass{
 		blockWords: uint32(blockBytes / memtrace.WordBytes),
 		sets:       uint32(numSets),
 		stacks:     make([][]uint32, numSets),
-	}
+	}, nil
 }
 
 // Run accumulates one canonical run into the pass.
@@ -198,10 +210,14 @@ func (p *StackPass) addInf(lo int, v int64) {
 // Accesses returns the number of instruction fetches observed.
 func (p *StackPass) Accesses() uint64 { return p.accesses }
 
-// missesAt returns the exact miss count of a whole-block LRU cache
+// Cold returns the number of first-touch lookups: the distinct blocks
+// observed, which miss at every associativity.
+func (p *StackPass) Cold() uint64 { return p.cold }
+
+// MissesAt returns the exact miss count of a whole-block LRU cache
 // with the pass's set count and the given associativity: the cold
 // lookups plus every lookup whose stack distance exceeded assoc.
-func (p *StackPass) missesAt(assoc int) uint64 {
+func (p *StackPass) MissesAt(assoc int) uint64 {
 	m := p.cold
 	for d := assoc; d < len(p.hist); d++ {
 		m += p.hist[d]
@@ -252,7 +268,7 @@ func (p *StackPass) Stats(cfg cache.Config) (cache.Stats, error) {
 // derive is Stats for a covered cfg.
 func (p *StackPass) derive(cfg cache.Config) cache.Stats {
 	assoc := (cfg.SizeBytes / cfg.BlockBytes) / int(p.sets)
-	misses := p.missesAt(assoc)
+	misses := p.MissesAt(assoc)
 	return cache.Stats{
 		Accesses:  p.accesses,
 		Misses:    misses,

@@ -120,8 +120,8 @@ func TestStackHandCrafted(t *testing.T) {
 		assoc int
 		want  uint64
 	}{{1, 6}, {2, 5}, {3, 3}, {4, 3}} {
-		if got := p.missesAt(tc.assoc); got != tc.want {
-			t.Errorf("missesAt(%d) = %d, want %d", tc.assoc, got, tc.want)
+		if got := p.MissesAt(tc.assoc); got != tc.want {
+			t.Errorf("MissesAt(%d) = %d, want %d", tc.assoc, got, tc.want)
 		}
 	}
 	if p.Accesses() != 24 {
@@ -206,11 +206,13 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 	}{
 		{"zero block", 0, 1, "block size 0 is not a power of two"},
 		{"block not a power of two", 3, 1, "block size 3 is not a power of two"},
-		{"block over 64 words", 512, 1, "block size 512 is not a power of two"},
+		{"block over 2GB", 1 << 32, 1, "block size 4294967296 is not a power of two in [4, 2147483648]"},
 		{"zero sets", 64, 0, "set count 0 is not a positive power of two"},
 		{"negative sets", 64, -4, "set count -4 is not a positive power of two"},
 		{"sets not a power of two", 64, 3, "set count 3 is not a positive power of two"},
 		{"valid", 64, 32, ""},
+		{"page-sized block", 4096, 1, ""},
+		{"largest block", 1 << 31, 1, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -21,7 +21,10 @@ func TestStreamPassMatchesBatch(t *testing.T) {
 		}
 
 		// Direct streaming of canonical runs.
-		s := newStackPass(geom.block, geom.sets)
+		s, err := NewStackPass(geom.block, geom.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range tr.Runs {
 			s.Run(r)
 		}
@@ -30,7 +33,10 @@ func TestStreamPassMatchesBatch(t *testing.T) {
 		// Streaming through a Merger fed deliberately fragmented runs:
 		// split every canonical run into word-sized pieces. The Merger
 		// must reassemble the canonical sequence.
-		s2 := newStackPass(geom.block, geom.sets)
+		s2, err := NewStackPass(geom.block, geom.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := memtrace.NewMerger(s2)
 		for _, r := range tr.Runs {
 			for off := uint32(0); off < r.Bytes; off += memtrace.WordBytes {
@@ -80,7 +86,10 @@ func comparePass(t *testing.T, label string, got, want *StackPass) {
 // allocates nothing.
 func TestStreamPassZeroAlloc(t *testing.T) {
 	tr := genTrace(43, 2000)
-	s := newStackPass(64, 8)
+	s, err := NewStackPass(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr.Replay(s) // warm: grows stacks and histogram
 	avg := testing.AllocsPerRun(10, func() {
 		tr.Replay(s)

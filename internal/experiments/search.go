@@ -7,6 +7,7 @@ import (
 	"impact/internal/check"
 	"impact/internal/core/traceselect"
 	"impact/internal/layout"
+	"impact/internal/memtrace"
 	"impact/internal/paging"
 	"impact/internal/search"
 	"impact/internal/texttable"
@@ -61,21 +62,37 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 			return nil, err
 		}
 
-		simulate := func(lay *layout.Layout) (uint64, error) {
+		// price streams lay's evaluation run once into the cache
+		// simulator and, when paged, into a paging simulator beside it.
+		price := func(lay *layout.Layout, paged bool) (misses, faults uint64, err error) {
 			sim, err := cache.NewSinkSimulator(geom)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
-			if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sim); err != nil {
-				return 0, err
+			var sink memtrace.Sink = sim
+			var pager *paging.Simulator
+			if paged {
+				if pager, err = paging.NewSimulator(*cfg.Paging); err != nil {
+					return 0, 0, err
+				}
+				sink = memtrace.Tee(sim, pager)
 			}
-			return sim.Stats()[0].Misses, nil
+			if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sink); err != nil {
+				return 0, 0, err
+			}
+			if pager != nil {
+				faults = pager.Stats().Faults
+			}
+			return sim.Stats()[0].Misses, faults, nil
 		}
 
 		scfg := cfg
 		scfg.Cache = geom
 		if scfg.Checkpoint == nil {
-			scfg.Checkpoint = simulate
+			scfg.Checkpoint = func(lay *layout.Layout) (uint64, error) {
+				m, _, err := price(lay, false)
+				return m, err
+			}
 		}
 		res, err := search.Optimize(search.Input{
 			Prog: p.Opt.Prog, Weights: w,
@@ -109,20 +126,8 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 		}
 		row.GreedyMiss = float64(greedySt.Misses) / float64(greedySt.Accesses)
 		searchMisses := greedySt.Misses
-		adopted := false
-		if res.Improved {
-			m, err := simulate(res.Layout)
-			if err != nil {
-				return nil, fmt.Errorf("%s: simulating searched layout: %w", p.Name(), err)
-			}
-			// The simulator has the last word: adopt the searched
-			// layout only when it measures no worse than greedy.
-			if m <= greedySt.Misses {
-				searchMisses = m
-				adopted = true
-			}
-		}
-		if cfg.Paging != nil {
+		paged := cfg.Paging != nil
+		if paged {
 			// Price both layouts' paging behaviour too. The climbs'
 			// adoption decision stays cache-first (the lexicographic
 			// objective's order); only the page-refined variant below
@@ -133,23 +138,20 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 			}
 			row.GreedyFaults = gp.Faults
 			row.SearchFaults = gp.Faults
-			faultsOf := func(lay *layout.Layout) (uint64, error) {
-				sim, err := paging.NewSimulator(*cfg.Paging)
-				if err != nil {
-					return 0, err
-				}
-				if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sim); err != nil {
-					return 0, err
-				}
-				return sim.Stats().Faults, nil
+		}
+		if res.Improved {
+			m, f, err := price(res.Layout, paged)
+			if err != nil {
+				return nil, fmt.Errorf("%s: simulating searched layout: %w", p.Name(), err)
 			}
-			if adopted {
-				f, err := faultsOf(res.Layout)
-				if err != nil {
-					return nil, fmt.Errorf("%s: paging searched layout: %w", p.Name(), err)
-				}
+			// The simulator has the last word: adopt the searched
+			// layout only when it measures no worse than greedy.
+			if m <= greedySt.Misses {
+				searchMisses = m
 				row.SearchFaults = f
 			}
+		}
+		if paged {
 			// The page-refined variant packed the executed footprint
 			// into fewer static pages for a sliver of static cache
 			// headroom. Adopt it only when the simulator confirms the
@@ -168,13 +170,9 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 				if err := rep.Err(); err != nil {
 					return nil, fmt.Errorf("%s: page-refined layout failed verification: %w", p.Name(), err)
 				}
-				m, err := simulate(ref.Layout)
+				m, f, err := price(ref.Layout, true)
 				if err != nil {
 					return nil, fmt.Errorf("%s: simulating page-refined layout: %w", p.Name(), err)
-				}
-				f, err := faultsOf(ref.Layout)
-				if err != nil {
-					return nil, fmt.Errorf("%s: paging page-refined layout: %w", p.Name(), err)
 				}
 				if m <= greedySt.Misses && f < row.SearchFaults {
 					searchMisses = m

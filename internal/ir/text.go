@@ -90,11 +90,16 @@ func encodeInstrs(bw *bufio.Writer, instrs []Instr) {
 // ErrBadText reports a malformed textual IR input.
 var ErrBadText = errors.New("ir: malformed textual IR")
 
+// maxTextInstrs is the most instructions a decoded program may hold:
+// its code, end address included, must fit layouts' 32-bit addresses.
+const maxTextInstrs = (1<<32 - 1) / InstrBytes
+
 type decoder struct {
 	prog      *Program
 	curFunc   *Function
 	entrySeen bool
 	line      int
+	decoded   int // instructions decoded so far
 }
 
 func (d *decoder) errf(format string, args ...any) error {
@@ -273,6 +278,10 @@ func (d *decoder) instrs(tokens []string) error {
 		default:
 			return d.errf("unknown instruction %q", tok)
 		}
+		if count > maxTextInstrs-d.decoded {
+			return d.errf("%q takes the program over %d instructions, the most a 32-bit address space holds", tok, maxTextInstrs)
+		}
+		d.decoded += count
 		for i := 0; i < count; i++ {
 			b.Instrs = append(b.Instrs, in)
 		}

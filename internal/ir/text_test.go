@@ -128,6 +128,7 @@ func TestDecodeErrors(t *testing.T) {
 		"instrs after arcs":  "program entry=0\nfunc 0 f\nblock 0 entry\n jump\n -> 0 1\n alu\n",
 		"fails validation":   "program entry=0\nfunc 0 f\nblock 0 entry\n alu\n", // no ret
 		"dangling call":      "program entry=0\nfunc 0 f\nblock 0 entry\n call:7\n ret\n",
+		"code past 4GB":      "program entry=0\nfunc 0 f\nblock 0 entry\n alu*2000000000\n ret\n",
 	}
 	for name, src := range cases {
 		if _, err := Decode(strings.NewReader(src)); err == nil {

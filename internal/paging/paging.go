@@ -19,6 +19,20 @@
 //     distinct pages referenced per window of W instruction fetches
 //     (tumbling windows; a partial final window counts).
 //
+// Simulator is a page-granular Mattson stack pass (a one-set
+// sweep.StackPass): LRU over F frames is a one-set, F-way LRU cache
+// whose block is the page, so the faults are the pass's misses at
+// associativity F (its cold lookups when F is 0) and the pages touched
+// are its cold lookups. Runs follow the cache simulator's conventions
+// (memtrace.Run.WordRange): a run shorter than a word touches nothing,
+// and one past the 32-bit top counts only its words below the top.
+//
+// Cost: a page reused after D other distinct pages costs an O(D) stack
+// scan, where a map of resident frames costs O(1) per hit and O(F) per
+// fault. The stack pass wins on the suite's traces (at most 498
+// distinct pages, even at 64B pages) and loses on cyclic sweeps over
+// thousands of pages; docs/PERFORMANCE.md has the measurements.
+//
 // The static twin of Simulate is internal/analysis.AnalyzePages, which
 // brackets the fault count of any run the profile covers without
 // replaying a trace.
@@ -27,6 +41,7 @@ package paging
 import (
 	"fmt"
 
+	"impact/internal/cache/sweep"
 	"impact/internal/memtrace"
 )
 
@@ -108,23 +123,14 @@ func pageRange(r memtrace.Run, shift uint) (first, last uint32) {
 	return r.Addr >> shift, uint32(end >> shift)
 }
 
-// pageEntry is one resident page's LRU state.
-type pageEntry struct {
-	stamp uint64
-}
-
 // Simulator is a streaming demand-paging simulator with LRU
 // replacement. It implements memtrace.Sink, so a trace can stream
 // through it run by run (optionally teed next to other sinks with
-// memtrace.Tee) in constant memory; Stats reads the running totals at
-// any point.
+// memtrace.Tee) in constant memory per distinct page; Stats reads the
+// running totals at any point.
 type Simulator struct {
-	cfg      Config
-	resident map[uint32]*pageEntry
-	touched  map[uint32]bool
-	clock    uint64
-	shift    uint
-	stats    Stats
+	cfg  Config
+	pass *sweep.StackPass
 }
 
 // NewSimulator returns a streaming simulator for the given geometry.
@@ -132,58 +138,20 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Simulator{
-		cfg:      cfg,
-		resident: make(map[uint32]*pageEntry),
-		touched:  make(map[uint32]bool),
-		shift:    pageShift(cfg.PageBytes),
-	}, nil
+	pass, _ := sweep.NewStackPass(cfg.PageBytes, 1) // a valid page size is a valid block
+	return &Simulator{cfg: cfg, pass: pass}, nil
 }
 
 // Run feeds one fetch run into the simulator (memtrace.Sink).
-func (s *Simulator) Run(r memtrace.Run) {
-	if r.Bytes == 0 {
-		return
-	}
-	s.stats.Accesses += uint64(r.Words())
-	first, last := pageRange(r, s.shift)
-	for p := first; ; p++ {
-		s.clock++
-		s.touched[p] = true
-		if e, ok := s.resident[p]; ok {
-			e.stamp = s.clock
-		} else {
-			s.stats.Faults++
-			if s.cfg.Frames > 0 && len(s.resident) >= s.cfg.Frames {
-				s.evict()
-			}
-			s.resident[p] = &pageEntry{stamp: s.clock}
-		}
-		if p == last {
-			break
-		}
-	}
-}
-
-// evict removes the least recently used resident page.
-func (s *Simulator) evict() {
-	var victim uint32
-	var oldest uint64 = ^uint64(0)
-	//lint:maprange stamps are unique (one clock tick per touch), so the minimum is unique
-	for p, e := range s.resident {
-		if e.stamp < oldest {
-			oldest = e.stamp
-			victim = p
-		}
-	}
-	delete(s.resident, victim)
-}
+func (s *Simulator) Run(r memtrace.Run) { s.pass.Run(r) }
 
 // Stats returns the running totals.
 func (s *Simulator) Stats() Stats {
-	st := s.stats
-	st.PagesTouched = len(s.touched)
-	return st
+	faults := s.pass.Cold() // unbounded frames: cold faults only
+	if s.cfg.Frames > 0 {
+		faults = s.pass.MissesAt(s.cfg.Frames)
+	}
+	return Stats{Accesses: s.pass.Accesses(), Faults: faults, PagesTouched: int(s.pass.Cold())}
 }
 
 // Simulate runs demand paging with LRU replacement over tr (the batch
@@ -193,9 +161,7 @@ func Simulate(cfg Config, tr *memtrace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	for _, r := range tr.Runs {
-		sim.Run(r)
-	}
+	tr.Replay(sim)
 	return sim.Stats(), nil
 }
 
@@ -206,8 +172,8 @@ func Simulate(cfg Config, tr *memtrace.Trace) (Stats, error) {
 // the trace's page footprint is the working set; only an empty trace
 // returns 0.
 func WorkingSet(tr *memtrace.Trace, pageBytes int, windowInstrs uint64) (float64, error) {
-	if pageBytes < 64 || pageBytes&(pageBytes-1) != 0 {
-		return 0, fmt.Errorf("paging: page size %d is not a power of two >= 64", pageBytes)
+	if err := (Config{PageBytes: pageBytes}).Validate(); err != nil {
+		return 0, err
 	}
 	if windowInstrs == 0 {
 		return 0, fmt.Errorf("paging: zero window")

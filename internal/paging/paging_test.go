@@ -257,6 +257,9 @@ func TestWorkingSetValidation(t *testing.T) {
 	if _, err := WorkingSet(&tr, 100, 10); err == nil {
 		t.Fatal("bad page size accepted")
 	}
+	if _, err := WorkingSet(&tr, 1<<32, 10); err == nil || !strings.Contains(err.Error(), "exceeds 2147483648 bytes") {
+		t.Fatalf("page size over 1<<31: %v, want Validate's error", err)
+	}
 	if _, err := WorkingSet(&tr, 4096, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
