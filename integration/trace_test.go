@@ -102,7 +102,7 @@ func TestImpactRunTraceOutAndReport(t *testing.T) {
 			sawPipeline = true
 		case "sweep/task":
 			taskLanes[ev.Tid] = true
-			if k := ev.Args["kind"]; k != "replay" && k != "stack" {
+			if k := ev.Args["kind"]; k != "stack" && k != "forest" && k != "replay" {
 				t.Errorf("sweep/task kind = %q", k)
 			}
 		}

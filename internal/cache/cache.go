@@ -20,11 +20,15 @@
 //
 // The simulator consumes traces in sequential-run form (see
 // internal/memtrace) and is exact: it observes the same per-word
-// access stream a flat per-instruction simulator would.
+// access stream a flat per-instruction simulator would. Simulate runs
+// one Cache per organisation and SinkSimulator several from one run
+// stream; Forest measures many direct-mapped whole-block sizes in one
+// walk, with statistics equal to Simulate's.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"impact/internal/memtrace"
 	"impact/internal/xrand"
@@ -297,9 +301,12 @@ type Cache struct {
 	clock      uint64
 	stats      Stats
 	// dm aliases the sets' backing array when the organisation is
-	// direct-mapped with whole-block fill, enabling a fast path that
-	// skips the way scan and LRU bookkeeping (see accessGroupDM).
+	// direct-mapped with whole-block fill, so Run takes runDM, which
+	// skips the way scan and the replacement bookkeeping.
 	dm []line
+	// blockShift, setShift and setMask decompose a word address by
+	// shift and mask for runDM: block and set counts are powers of two.
+	blockShift, setShift, setMask uint32
 
 	// exec-run tracking (avg.exec) and timing
 	execOpen  bool
@@ -341,6 +348,9 @@ func newCache(cfg Config) (*Cache, error) {
 		numSets:    uint32(blocks / assoc),
 		blockWords: uint32(cfg.BlockBytes / WordBytes),
 	}
+	c.blockShift = uint32(bits.TrailingZeros32(c.blockWords))
+	c.setShift = uint32(bits.TrailingZeros32(c.numSets))
+	c.setMask = c.numSets - 1
 	if c.blockWords == 64 {
 		c.fullMask = ^uint64(0)
 	} else {
@@ -469,19 +479,19 @@ func (c *Cache) Run(r memtrace.Run) {
 	}
 	c.stats.Accesses += uint64(w1 - w0)
 
-	for w := w0; w < w1; {
-		mb := w / c.blockWords // memory block index
-		// Words of this run that fall in memory block mb: [w, gEnd).
-		gEnd := (mb + 1) * c.blockWords
-		if gEnd > w1 {
-			gEnd = w1
-		}
-		if c.dm != nil {
-			c.accessGroupDM(mb, w, w0)
-		} else {
+	if c.dm != nil {
+		c.runDM(w0, w1)
+	} else {
+		for w := w0; w < w1; {
+			mb := w / c.blockWords // memory block index
+			// Words of this run that fall in memory block mb: [w, gEnd).
+			gEnd := (mb + 1) * c.blockWords
+			if gEnd > w1 {
+				gEnd = w1
+			}
 			c.accessGroup(mb, w, gEnd, w0)
+			w = gEnd
 		}
-		w = gEnd
 	}
 
 	// End of sequential run: a taken branch closes any open exec run.
@@ -512,30 +522,38 @@ func (c *Cache) prefetch(mb uint32) {
 	c.emitFetch(mb*c.blockWords, c.blockWords)
 }
 
-// accessGroupDM is the direct-mapped whole-block fast path: one line
-// per set, so there is no way scan, no victim choice, and no
-// replacement bookkeeping — a hit is two compares. It must stay
-// statistically identical to accessGroup for the same organisation
-// (the differential tests in cache_test.go and internal/cache/sweep
-// pin this); the LRU/FIFO stamp updates are skipped because a
-// single-way set never consults them.
-func (c *Cache) accessGroupDM(mb, gw0, runW0 uint32) {
-	ln := &c.dm[mb%c.numSets]
-	tag := mb / c.numSets
-	if ln.mask != 0 && ln.tag == tag {
-		if ln.pref {
-			ln.pref = false
-			c.stats.PrefetchUsed++
+// runDM simulates the fetches of words [w0, w1), one run, in a
+// direct-mapped cache with whole-block fill: one line per set, so
+// there is no way scan, no victim choice and no replacement
+// bookkeeping, and a hit only settles a prefetched line. Plain, timed,
+// prefetching and hierarchy first-level direct-mapped caches all take
+// this loop. It must stay statistically identical to accessGroup for
+// the same organisation (the differential tests in reference_test.go
+// and internal/cache/sweep pin this); the LRU/FIFO stamps are skipped
+// because a single-way set never consults them.
+func (c *Cache) runDM(w0, w1 uint32) {
+	last := (w1 - 1) >> c.blockShift
+	for mb := w0 >> c.blockShift; mb <= last; mb++ {
+		ln := &c.dm[mb&c.setMask]
+		tag := mb >> c.setShift
+		if ln.mask != 0 && ln.tag == tag {
+			if ln.pref {
+				ln.pref = false
+				c.stats.PrefetchUsed++
+			}
+			continue
 		}
-		return
-	}
-	ln.tag = tag
-	ln.mask = c.fullMask
-	ln.pref = false
-	c.miss(uint64(gw0-runW0), c.blockWords, gw0%c.blockWords)
-	c.emitFetch(mb*c.blockWords, c.blockWords)
-	if c.cfg.PrefetchNext {
-		c.prefetch(mb + 1)
+		ln.tag = tag
+		ln.mask = c.fullMask
+		ln.pref = false
+		// The run enters its first block at w0, every later one at the
+		// block head.
+		gw0 := max(mb<<c.blockShift, w0)
+		c.miss(uint64(gw0-w0), c.blockWords, gw0&(c.blockWords-1))
+		c.emitFetch(mb<<c.blockShift, c.blockWords)
+		if c.cfg.PrefetchNext {
+			c.prefetch(mb + 1)
+		}
 	}
 }
 

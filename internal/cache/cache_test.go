@@ -573,9 +573,8 @@ func TestShardSimulateMatchesSimulate(t *testing.T) {
 }
 
 // TestDirectMappedFastPathTiming pins the direct-mapped fast path's
-// timing integration: a timed DM config flows through the same
-// accessGroupDM code, so its stats minus stalls must equal the untimed
-// run exactly.
+// timing integration: a timed DM config flows through the same runDM
+// loop, so its stats minus stalls must equal the untimed run exactly.
 func TestDirectMappedFastPathTiming(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		tr := randomTrace(seed, 600)

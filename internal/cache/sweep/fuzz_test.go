@@ -26,10 +26,15 @@ func decodeTrace(data []byte) *memtrace.Trace {
 // fuzzConfigs is the organisation matrix every fuzz input is checked
 // against, planned as one Plan: stack groups (two fully associative
 // sizes plus a duplicate, two associativities of one 8-set geometry),
-// a lone 16-way cache that stacks, and replay-only shapes — lone
-// direct-mapped and 4-way caches, FIFO, sectoring, partial loading,
-// prefetch and timing.
+// a lone 16-way cache that stacks, a forest of two trees (a lone
+// 64-byte-block direct-mapped cache and a 32-byte-block size family),
+// and replay-only shapes — a lone 4-way cache, FIFO, sectoring,
+// partial loading, prefetch and timing.
 var fuzzConfigs = []cache.Config{
+	{SizeBytes: 512, BlockBytes: 32, Assoc: 1},
+	{SizeBytes: 2048, BlockBytes: 32, Assoc: 1},
+	{SizeBytes: 128, BlockBytes: 32, Assoc: 1},
+	{SizeBytes: 8192, BlockBytes: 32, Assoc: 1},
 	{SizeBytes: 512, BlockBytes: 16, Assoc: 0},
 	{SizeBytes: 2048, BlockBytes: 64, Assoc: 0},
 	{SizeBytes: 1024, BlockBytes: 64, Assoc: 0},
@@ -104,4 +109,21 @@ func FuzzDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFuzzConfigsPlanEveryKind keeps FuzzDifferential's reach: its
+// matrix must plan stack passes, the forest and the replay, so the
+// fuzzer exercises all three.
+func TestFuzzConfigsPlanEveryKind(t *testing.T) {
+	pl, err := NewPlan(fuzzConfigs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orgs := make(map[string]int)
+	for _, p := range pl.Passes() {
+		orgs[p.Kind()] += p.Orgs()
+	}
+	if orgs["stack"] == 0 || orgs["forest"] < 2 || orgs["replay"] == 0 {
+		t.Errorf("fuzzConfigs plan %v organisations per pass kind; want stack, replay and a forest of two or more", orgs)
+	}
 }

@@ -11,11 +11,13 @@ import (
 
 // planRow is one planner case: organisations and the passes NewPlan
 // must make, as the input positions each stack pass serves (in pass
-// order) and the positions the broadcast replay serves.
+// order), the positions the forest serves and the positions the
+// broadcast replay serves.
 type planRow struct {
 	name    string
 	cfgs    []cache.Config
 	stacks  [][]int
+	forest  []int
 	replay  []int
 	wantErr string // "" means the plan is built
 }
@@ -31,23 +33,47 @@ func sizeSweep(tmpl cache.Config, sizes ...int) []cache.Config {
 }
 
 // checkPasses fails the test unless pl's passes serve exactly the
-// row's stack groups and replay positions.
+// row's stack groups, forest positions and replay positions, in the
+// order stack passes, forest, replay, with at most one forest and one
+// replay.
 func checkPasses(t *testing.T, pl *Plan, tt planRow) {
 	t.Helper()
 	var stacks [][]int
-	var replay []int
+	var forest, replay []int
+	var kinds []string
 	for _, p := range pl.Passes() {
 		if p.Orgs() != len(p.at) {
 			t.Errorf("Orgs = %d, serves %v", p.Orgs(), p.at)
 		}
-		if p.Stack() {
+		if p.Stack() != (p.Kind() == "stack") {
+			t.Errorf("Stack() = %v for a %s pass", p.Stack(), p.Kind())
+		}
+		kinds = append(kinds, p.Kind())
+		switch p.Kind() {
+		case "stack":
 			stacks = append(stacks, p.at)
-		} else {
+		case "forest":
+			forest = append(forest, p.at...)
+		case "replay":
 			replay = append(replay, p.at...)
+		default:
+			t.Errorf("unknown pass kind %q", p.Kind())
 		}
 	}
-	if !reflect.DeepEqual(stacks, tt.stacks) || !reflect.DeepEqual(replay, tt.replay) {
-		t.Errorf("stack passes %v, replay %v; want %v, %v", stacks, replay, tt.stacks, tt.replay)
+	var wantKinds []string
+	for range tt.stacks {
+		wantKinds = append(wantKinds, "stack")
+	}
+	if len(tt.forest) > 0 {
+		wantKinds = append(wantKinds, "forest")
+	}
+	if len(tt.replay) > 0 {
+		wantKinds = append(wantKinds, "replay")
+	}
+	if !reflect.DeepEqual(stacks, tt.stacks) || !reflect.DeepEqual(forest, tt.forest) ||
+		!reflect.DeepEqual(replay, tt.replay) || !reflect.DeepEqual(kinds, wantKinds) {
+		t.Errorf("passes %v: stack %v, forest %v, replay %v; want %v, %v, %v",
+			kinds, stacks, forest, replay, tt.stacks, tt.forest, tt.replay)
 	}
 }
 
@@ -95,7 +121,9 @@ func runPlanRows(t *testing.T, tr *memtrace.Trace, rows []planRow) {
 
 // TestPlan pins the planner's partition of mixed organisations: which
 // share a stack pass, that a lone cache of 8 ways or fewer replays
-// while a wider one stacks, and that an invalid organisation is
+// while a wider one stacks, that the direct-mapped whole-block
+// organisations no stack pass takes share the forest while a timed or
+// prefetching one replays, and that an invalid organisation is
 // rejected with its Validate error. Every result must equal
 // cache.Simulate.
 func TestPlan(t *testing.T) {
@@ -103,9 +131,21 @@ func TestPlan(t *testing.T) {
 		{name: "lone 8-way replays",
 			cfgs:   []cache.Config{{SizeBytes: 2048, BlockBytes: 64, Assoc: 8}},
 			replay: []int{0}},
-		{name: "lone direct-mapped replays",
+		{name: "lone direct-mapped takes the forest",
 			cfgs:   []cache.Config{{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}},
-			replay: []int{0}},
+			forest: []int{0}},
+		{name: "one-block fully associative takes the forest",
+			cfgs:   []cache.Config{{SizeBytes: 64, BlockBytes: 64, Assoc: 0}},
+			forest: []int{0}},
+		{name: "timed and prefetching direct-mapped replay beside the forest",
+			cfgs: []cache.Config{
+				{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PrefetchNext: true},
+				{SizeBytes: 1024, BlockBytes: 16, Assoc: 1},
+				{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, Timing: &cache.TimingConfig{InitialLatency: 8}},
+				{SizeBytes: 512, BlockBytes: 64, Assoc: 1, Replacement: cache.RandomRepl},
+				{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 16},
+			},
+			forest: []int{1, 3}, replay: []int{0, 2, 4}},
 		{name: "lone fully associative 32-way stacks",
 			cfgs:   []cache.Config{{SizeBytes: 2048, BlockBytes: 64, Assoc: 0}},
 			stacks: [][]int{{0}}},
@@ -115,7 +155,7 @@ func TestPlan(t *testing.T) {
 				{SizeBytes: 2048, BlockBytes: 64, Assoc: 4},
 				{SizeBytes: 4096, BlockBytes: 64, Assoc: 8},
 			},
-			stacks: [][]int{{1, 2}}, replay: []int{0}},
+			stacks: [][]int{{1, 2}}, forest: []int{0}},
 		{name: "direct-mapped FIFO stacks with its LRU twin",
 			cfgs: []cache.Config{
 				{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, Replacement: cache.FIFO},
@@ -132,7 +172,7 @@ func TestPlan(t *testing.T) {
 				{SizeBytes: 1024, BlockBytes: 32, Assoc: 0},
 				{SizeBytes: 1024, BlockBytes: 32, Assoc: 2, Replacement: cache.FIFO},
 			},
-			stacks: [][]int{{1, 4, 5}, {3}}, replay: []int{0, 2, 6}},
+			stacks: [][]int{{1, 4, 5}, {3}}, forest: []int{2}, replay: []int{0, 6}},
 		{name: "invalid associativity",
 			cfgs:    []cache.Config{{SizeBytes: 2048, BlockBytes: 64, Assoc: 3}},
 			wantErr: "cache: associativity 3 incompatible with 32 blocks"},
@@ -144,10 +184,13 @@ func TestPlan(t *testing.T) {
 
 // TestSweepSizes plans one template at several sizes, the shape icsim
 // -sizes and impact simulate -sizes measure: a fully associative sweep
-// shares one stack pass, a 16-way sweep stacks each size alone, and
-// every sweep whose set count varies with size, or whose fill a stack
-// pass cannot model, replays. Every result must equal cache.Simulate;
-// the empty sweep plans nothing and an invalid size is rejected.
+// shares one stack pass, a 16-way sweep stacks each size alone, a
+// direct-mapped sweep shares the forest (but for a duplicated size,
+// whose two organisations are a stack group), and every other sweep
+// whose set count varies with size, or whose fill neither a stack pass
+// nor the forest can model, replays. Every result must equal
+// cache.Simulate; the empty sweep plans nothing and an invalid size is
+// rejected.
 func TestSweepSizes(t *testing.T) {
 	sizes := []int{512, 1024, 2048, 4096, 8192}
 	all := []int{0, 1, 2, 3, 4}
@@ -157,6 +200,12 @@ func TestSweepSizes(t *testing.T) {
 			stacks: [][]int{all}},
 		{name: "direct-mapped",
 			cfgs:   sizeSweep(cache.Config{BlockBytes: 64, Assoc: 1}, sizes...),
+			forest: all},
+		{name: "direct-mapped duplicate stacks, the rest take the forest",
+			cfgs:   sizeSweep(cache.Config{BlockBytes: 16, Assoc: 1}, 4096, 512, 4096, 16),
+			stacks: [][]int{{0, 2}}, forest: []int{1, 3}},
+		{name: "direct-mapped prefetching",
+			cfgs:   sizeSweep(cache.Config{BlockBytes: 64, Assoc: 1, PrefetchNext: true}, sizes...),
 			replay: all},
 		{name: "2-way",
 			cfgs:   sizeSweep(cache.Config{BlockBytes: 32, Assoc: 2}, sizes...),
@@ -185,7 +234,7 @@ func TestSweepSizes(t *testing.T) {
 // Reader and fed to one Plan, and every size must equal
 // cache.Simulate on the materialized trace. A stackable sweep walks
 // the stream in one stack pass; a direct-mapped one, whose set count
-// varies with size, only in the replay. An empty sweep fed the stream
+// varies with size, in the forest. An empty sweep fed the stream
 // reports no results.
 func TestSizeStream(t *testing.T) {
 	tr := genTrace(41, 2500)
@@ -202,7 +251,7 @@ func TestSizeStream(t *testing.T) {
 			stacks: [][]int{{0, 1, 2, 3, 4}}},
 		{name: "direct-mapped",
 			cfgs:   sizeSweep(cache.Config{BlockBytes: 64, Assoc: 1}, sizes...),
-			replay: []int{0, 1, 2, 3, 4}},
+			forest: []int{0, 1, 2, 3, 4}},
 		{name: "empty"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {

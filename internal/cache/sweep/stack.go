@@ -7,7 +7,7 @@
 // ablations revisit the 2KB/64B design point). A Plan pays the
 // trace-walk cost once per *family* of organisations instead of once
 // per organisation. It is the one place that decides how an
-// organisation is measured; every pass is one of two kinds:
+// organisation is measured; every pass is one of three kinds:
 //
 //   - a StackPass is Mattson's LRU stack algorithm (Mattson, Gecsei,
 //     Slutz, Traiger, "Evaluation techniques for storage hierarchies",
@@ -17,15 +17,23 @@
 //     associativity, and therefore every capacity — are read off
 //     directly. With one set it is the classic fully associative size
 //     sweep of Table 1.
+//   - the forest (cache.Forest) is Hill and Smith's forest simulation
+//     of direct-mapped caches ("Evaluating Associativity in CPU
+//     Caches", IEEE Trans. Computers, 1989): a direct-mapped cache
+//     holds a subset of every larger one with the same block size, so
+//     one probe chain per block, smallest size first, measures every
+//     size of every block size in one walk. Table 1's direct-mapped
+//     sizes are one forest per trace.
 //   - the broadcast replay (cache.SinkSimulator) fans every run out to
 //     one cache per remaining organisation.
 //
 // NewPlan groups the organisations a stack pass can derive by (block
 // size, set count). A group of two or more, or a lone organisation
-// wider than 8 ways, becomes one stack pass; everything else shares
-// one replay. The experiments engine, icsim and impact simulate all
-// measure through a Plan. The measured speedups are in
-// docs/PERFORMANCE.md.
+// wider than 8 ways, becomes one stack pass; the direct-mapped
+// whole-block organisations without prefetch or timing that no stack
+// pass takes share one forest; everything else shares one replay. The
+// experiments engine, icsim and impact simulate all measure through a
+// Plan. The measured speedups are in docs/PERFORMANCE.md.
 //
 // internal/paging counts page faults with a one-set StackPass whose
 // block is the page (NewStackPass, MissesAt, Cold), so a pass's block

@@ -26,8 +26,8 @@ import (
 //     identical trace value.
 //  2. Misses are grouped by trace, and each trace's organisations go
 //     to the sweep planner (sweep.NewPlan), which decides between
-//     stack passes and one broadcast replay. Every pass of every plan
-//     is one work unit.
+//     stack passes, one direct-mapped forest and one broadcast
+//     replay. Every pass of every plan is one work unit.
 //
 // Work units run on the worker pool (internal/pool). Every derived
 // statistic is bit-identical to sequential cache.Simulate — the
@@ -170,7 +170,8 @@ func (e *Engine) Simulate(cfg cache.Config, tr *memtrace.Trace) (cache.Stats, er
 }
 
 // workUnit is one pass of a trace's plan: a stack pass deriving
-// several organisations or the broadcast replay of the rest.
+// several organisations, the forest of its direct-mapped ones or the
+// broadcast replay of the rest.
 type workUnit struct {
 	tr   *memtrace.Trace
 	pass *sweep.Pass
@@ -319,11 +320,9 @@ func runUnits(o *sweepObs, units []workUnit) {
 			return
 		}
 		sp := o.reg.SpanOn(lanes[w], "sweep/task")
+		sp.SetAttr("kind", u.pass.Kind())
 		if u.pass.Stack() {
-			sp.SetAttr("kind", "stack")
 			o.stackDerived.Add(uint64(u.pass.Orgs()))
-		} else {
-			sp.SetAttr("kind", "replay")
 		}
 		sp.SetAttrInt("orgs", int64(u.pass.Orgs()))
 		sp.SetAttrInt("trace_runs", int64(len(u.tr.Runs)))

@@ -47,7 +47,7 @@ type Table1Cell struct {
 // Table1 reproduces the design-target comparison. All measurements go
 // through one engine batch: the fully associative size sweeps collapse
 // into one LRU stack pass per (benchmark, block size), and the
-// direct-mapped points share one broadcast replay per benchmark.
+// direct-mapped points share one forest pass per benchmark.
 func Table1(s *Suite) ([]Table1Cell, error) {
 	var reqs []SimRequest
 	for _, cs := range smith.CacheSizes {

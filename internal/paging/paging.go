@@ -111,18 +111,6 @@ func pageShift(pageBytes int) uint {
 	return s
 }
 
-// pageRange returns the first and last page a run touches. The
-// arithmetic is done in uint64 and the end saturates at the top of the
-// 32-bit address space, so a run overflowing it still touches its last
-// page instead of wrapping to page 0 (mirroring memtrace.Run.WordRange).
-func pageRange(r memtrace.Run, shift uint) (first, last uint32) {
-	end := uint64(r.Addr) + uint64(r.Bytes) - 1
-	if end > 1<<32-1 {
-		end = 1<<32 - 1
-	}
-	return r.Addr >> shift, uint32(end >> shift)
-}
-
 // Simulator is a streaming demand-paging simulator with LRU
 // replacement. It implements memtrace.Sink, so a trace can stream
 // through it run by run (optionally teed next to other sinks with
@@ -178,7 +166,9 @@ func WorkingSet(tr *memtrace.Trace, pageBytes int, windowInstrs uint64) (float64
 	if windowInstrs == 0 {
 		return 0, fmt.Errorf("paging: zero window")
 	}
-	shift := pageShift(pageBytes)
+	// A word's page is its word address shifted by this; pages hold
+	// at least 16 words.
+	wordShift := pageShift(pageBytes) - 2
 
 	window := make(map[uint32]bool)
 	var inWindow uint64
@@ -193,27 +183,16 @@ func WorkingSet(tr *memtrace.Trace, pageBytes int, windowInstrs uint64) (float64
 	}
 
 	for _, r := range tr.Runs {
-		if r.Bytes == 0 {
-			continue
-		}
-		words := uint64(r.Words())
-		// Split the run across window boundaries.
-		addr := r.Addr
-		for words > 0 {
-			take := windowInstrs - inWindow
-			if take > words {
-				take = words
-			}
-			first, last := pageRange(memtrace.Run{Addr: addr, Bytes: uint32(take * 4)}, shift)
-			for p := first; ; p++ {
+		// Split the run's words, saturated at the 32-bit top as
+		// Simulate counts them, across window boundaries.
+		w0, w1 := r.WordRange()
+		for w := w0; w < w1; {
+			take := uint32(min(uint64(w1-w), windowInstrs-inWindow))
+			for p := w >> wordShift; p <= (w+take-1)>>wordShift; p++ {
 				window[p] = true
-				if p == last {
-					break
-				}
 			}
-			addr += uint32(take * 4)
-			words -= take
-			inWindow += take
+			w += take
+			inWindow += uint64(take)
 			if inWindow == windowInstrs {
 				flush()
 			}

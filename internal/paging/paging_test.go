@@ -198,6 +198,34 @@ func TestWorkingSetPartialFinalWindow(t *testing.T) {
 	}
 }
 
+// TestWorkingSetSaturatesAtTop pins WorkingSet to Simulate's
+// convention for a run past the 32-bit top: its words saturate there
+// (memtrace.Run.WordRange) instead of wrapping to page 0. The trace's
+// 1,536 fetches make one full 1,024-fetch window, holding pages 1 and
+// 0xFFFFF, and a partial tail that the average excludes; a window
+// longer than the trace holds its footprint, Simulate's two pages.
+func TestWorkingSetSaturatesAtTop(t *testing.T) {
+	var tr memtrace.Trace
+	tr.Runs = []memtrace.Run{run(0x1000, 0x800), run(0xFFFFF000, 0x2000)}
+	st, err := Simulate(Config{PageBytes: 4096}, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Accesses != 1536 || st.PagesTouched != 2 {
+		t.Fatalf("Simulate = %+v, want 1536 accesses on 2 pages", st)
+	}
+	ws, err := WorkingSet(&tr, 4096, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws != 2 {
+		t.Fatalf("working set = %v, want 2 (pages 1 and 0xFFFFF in one window)", ws)
+	}
+	if ws, err = WorkingSet(&tr, 4096, 1<<20); err != nil || ws != float64(st.PagesTouched) {
+		t.Fatalf("working set of sub-window trace = %v, %v, want the footprint %d", ws, err, st.PagesTouched)
+	}
+}
+
 func TestUnboundedFrames(t *testing.T) {
 	// Frames 0: nothing is ever evicted, so every fault is cold and
 	// Faults == PagesTouched no matter how the trace revisits pages.

@@ -66,6 +66,18 @@ func (s *refPager) Run(r memtrace.Run) {
 	}
 }
 
+// pageRange returns the first and last page a run touches. The
+// arithmetic is done in uint64 and the end saturates at the top of the
+// 32-bit address space, so a run overflowing it still touches its last
+// page instead of wrapping to page 0 (mirroring memtrace.Run.WordRange).
+func pageRange(r memtrace.Run, shift uint) (first, last uint32) {
+	end := uint64(r.Addr) + uint64(r.Bytes) - 1
+	if end > 1<<32-1 {
+		end = 1<<32 - 1
+	}
+	return r.Addr >> shift, uint32(end >> shift)
+}
+
 // evict removes the least recently used resident page. Stamps are
 // unique (one clock tick per touch), so the minimum is unique and map
 // order cannot change the victim.
