@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -499,6 +501,59 @@ func TestRunOverflowSaturates(t *testing.T) {
 	c.Run(run(0xFFFFFFFC, 4))
 	if got := c.Stats().Accesses; got != 5 {
 		t.Fatalf("Accesses = %d, want 5", got)
+	}
+}
+
+// TestRunsMergeWithoutWrapping: every merging sink keeps apart a run
+// ending at the 32-bit top and a run at address 0, and two runs whose
+// joined length would not fit in 32 bits, so a Writer's file reads
+// back and the cache sees every word of the wrapping pair.
+func TestRunsMergeWithoutWrapping(t *testing.T) {
+	for _, pair := range [][]memtrace.Run{
+		{run(0xFFFFFFF0, 16), run(0, 16)},
+		{run(0, 1<<31), run(1<<31, 1<<31)},
+	} {
+		var tr, merged, read memtrace.Trace
+		var buf memtrace.Buffer
+		var file bytes.Buffer
+		m := memtrace.NewMerger(&merged)
+		w := memtrace.NewWriter(&file)
+		for _, r := range pair {
+			tr.Run(r)
+			buf.Run(r)
+			m.Run(r)
+			w.Run(r)
+		}
+		m.Flush()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := memtrace.NewReader(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rd.Replay(&read); err != nil {
+			t.Fatalf("%v: reading the written trace: %v", pair, err)
+		}
+		want := uint64(pair[0].Words() + pair[1].Words())
+		for _, sink := range []struct {
+			name string
+			tr   *memtrace.Trace
+		}{{"Trace", &tr}, {"Buffer", buf.Seal()}, {"Merger", &merged}, {"Writer", &read}} {
+			if !slices.Equal(sink.tr.Runs, pair) || sink.tr.Instrs != want {
+				t.Errorf("%s: runs %v, %d instructions; want %v, %d", sink.name, sink.tr.Runs, sink.tr.Instrs, pair, want)
+			}
+		}
+	}
+	var tr memtrace.Trace
+	tr.Run(run(0xFFFFFFF0, 16))
+	tr.Run(run(0, 16))
+	s, err := Simulate(Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Accesses != 8 {
+		t.Errorf("Simulate counted %d accesses, want 8", s.Accesses)
 	}
 }
 

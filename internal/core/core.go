@@ -175,10 +175,12 @@ type Profiled struct {
 	Inline       inline.Config
 
 	// origRuns and inlinedRuns are the per-run results of the sessions
-	// that measured OrigWeights and Weights, one per profiling seed;
-	// Scale derives a code-scaled profile from them. A value Scale
-	// derived, or one built by hand, has none.
+	// that measured OrigWeights and Weights, one per profiling seed,
+	// and contexts holds step 1's counts per calling context and per
+	// run, read-only once step 1 ends. Step 2 and Scale derive their
+	// profiles from them. A value built by hand has none.
 	origRuns, inlinedRuns []interp.Result
+	contexts              *interp.Contexts
 }
 
 // ErrProfileMismatch is wrapped by the error Place returns when its
@@ -337,17 +339,13 @@ func (r *run) profile(p *ir.Program) (*Profiled, error) {
 	pr := &Profiled{Input: p, ProfileSeeds: slices.Clone(cfg.ProfileSeeds), Interp: cfg.Interp, Inline: cfg.Inline}
 	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
 
-	// Step 1: execution profiling. When step 2 runs, the session
-	// counts per calling context as well, so that step 2 can derive the
-	// inlined program's profile instead of interpreting it.
+	// Step 1: execution profiling. The session counts per calling
+	// context as well, so that step 2 and Scale can derive the profiles
+	// of the inlined and code-scaled programs instead of interpreting
+	// them.
 	sp := r.pipe.Span("profile")
-	var ctxs *interp.Contexts
 	var err error
-	if cfg.Strategy.Inline {
-		pr.OrigWeights, pr.origRuns, ctxs, err = profile.ProfileContexts(p, profCfg, contextLimit(p, cfg.Inline))
-	} else {
-		pr.OrigWeights, pr.origRuns, err = profile.Profile(p, profCfg)
-	}
+	pr.OrigWeights, pr.origRuns, pr.contexts, err = profile.ProfileContexts(p, profCfg, contextLimit(p, cfg.Inline))
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling input program: %w", err)
@@ -355,31 +353,37 @@ func (r *run) profile(p *ir.Program) (*Profiled, error) {
 	if err := r.acceptInput(pr); err != nil {
 		return nil, err
 	}
+	if err := r.inline(pr, profCfg); err != nil {
+		return nil, err
+	}
+	return pr, nil
+}
 
-	// Step 2: function inline expansion.
-	if cfg.Strategy.Inline {
-		sp = r.pipe.Span("inline")
-		pr.Inlined, pr.InlineReport, err = inline.Expand(p, pr.OrigWeights, cfg.Inline)
+// inline runs step 2 on pr, whose step 1 has run, when the strategy
+// inlines, re-profiling under profCfg, and verifies it and records its
+// ledger row either way.
+func (r *run) inline(pr *Profiled, profCfg profile.Config) error {
+	if r.cfg.Strategy.Inline {
+		sp := r.pipe.Span("inline")
+		var err error
+		pr.Inlined, pr.InlineReport, err = inline.Expand(pr.Input, pr.OrigWeights, r.cfg.Inline)
 		if err != nil {
 			sp.End()
-			return nil, fmt.Errorf("core: inline expansion: %w", err)
+			return fmt.Errorf("core: inline expansion: %w", err)
 		}
 		// Profile the transformed program with the same inputs. Like
 		// IMPACT-I, which propagates weights through the transform,
 		// reprofile derives them, exactly, from step 1's context
 		// counts; it interprets the inlined program only when it
 		// cannot prove the derivation exact (see reprofile.go).
-		pr.Weights, pr.inlinedRuns, err = pr.reprofile(ctxs, profCfg)
+		pr.Weights, pr.inlinedRuns, err = pr.reprofile(pr.contexts, profCfg)
 		sp.End()
 		if err != nil {
-			return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)
+			return fmt.Errorf("core: re-profiling inlined program: %w", err)
 		}
-		cfg.Obs.Counter("pipeline.inline.sites_inlined").Add(uint64(pr.InlineReport.SitesInlined))
+		r.cfg.Obs.Counter("pipeline.inline.sites_inlined").Add(uint64(pr.InlineReport.SitesInlined))
 	}
-	if err := r.acceptInline(pr); err != nil {
-		return nil, err
-	}
-	return pr, nil
+	return r.acceptInline(pr)
 }
 
 // acceptInput verifies the profiled input program and records the

@@ -197,8 +197,10 @@ func TestEvalTraceConsistent(t *testing.T) {
 	if tr.Instrs != runRes.Instrs {
 		t.Fatalf("trace instrs %d != run instrs %d", tr.Instrs, runRes.Instrs)
 	}
-	if tr.MaxAddr() > res.Layout.Total {
-		t.Fatalf("trace touches %d beyond layout end %d", tr.MaxAddr(), res.Layout.Total)
+	for _, r := range tr.Runs {
+		if end := uint64(r.Addr) + uint64(r.Bytes); end > uint64(res.Layout.Total) {
+			t.Fatalf("trace touches %d beyond layout end %d", end, res.Layout.Total)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
-	"impact/internal/core/inline"
 	"impact/internal/interp"
 	"impact/internal/ir"
 	"impact/internal/workload"
@@ -40,19 +40,33 @@ func sameProfile(a, b *Profiled) string {
 	return ""
 }
 
+// scaleDerived reports what Scale derived of got, the value it
+// returned for pr: step 1, from pr's context counts, and step 2, from
+// the same counts (trivially, when pr does not inline).
+func scaleDerived(pr, got *Profiled) (step1, step2 bool) {
+	if got.contexts != pr.contexts {
+		return false, false
+	}
+	if got.Inlined == nil {
+		return true, true
+	}
+	_, _, ok := deriveInlined(got, got.contexts)
+	return true, ok
+}
+
 // checkScale scales pr by factor and checks the result against
 // profiling the scaled program afresh: every exported field, and
 // Place's layout under cfg. It reports whether the scaled value was
-// derived rather than measured.
+// derived without interpreting.
 func checkScale(t *testing.T, pr *Profiled, factor float64, cfg Config) bool {
 	t.Helper()
-	q := ir.ScaleCode(pr.Input, factor)
-	_, derived := pr.derive(q)
 	got, err := pr.Scale(factor)
 	if err != nil {
 		t.Fatalf("Scale(%g): %v", factor, err)
 	}
-	want, err := Profile(q, cfg)
+	step1, step2 := scaleDerived(pr, got)
+	derived := step1 && step2
+	want, err := Profile(ir.ScaleCode(pr.Input, factor), cfg)
 	if err != nil {
 		t.Fatalf("Profile at %g: %v", factor, err)
 	}
@@ -80,7 +94,7 @@ func checkScale(t *testing.T, pr *Profiled, factor float64, cfg Config) bool {
 // of the scaled program and place identically. The derived counts are
 // pinned so that a change which quietly stops deriving fails here.
 func TestScaleMatchesProfile(t *testing.T) {
-	derivedWant := map[uint64]int{0: 36, 1: 38}
+	derivedWant := map[uint64]int{0: 36, 1: 39}
 	for _, seed := range []uint64{0, 1} {
 		derived := 0
 		for _, b := range workload.Suite(0.08) {
@@ -111,7 +125,9 @@ func TestScaleMatchesProfile(t *testing.T) {
 }
 
 // TestScaleFallsBack: each case Scale cannot prove exact is measured
-// instead, and still returns what profiling the scaled program does.
+// instead, each case only exact run lengths and context counts prove is
+// derived, and every one returns what profiling the scaled program
+// does.
 func TestScaleFallsBack(t *testing.T) {
 	profileOf := func(t *testing.T, p *ir.Program, cfg Config) *Profiled {
 		t.Helper()
@@ -127,13 +143,15 @@ func TestScaleFallsBack(t *testing.T) {
 		name   string
 		build  func(t *testing.T) (*Profiled, Config)
 		factor float64
+		// step1 and step2 are whether Scale derives each step.
+		step1, step2 bool
 	}{
 		{
 			name: "prepared run capped",
 			build: func(t *testing.T) (*Profiled, Config) {
 				// Every block halves at 0.5, so a capped run's
-				// scaled length bound falls below the guard: only
-				// its Completed flag shows that it did not finish.
+				// scaled length falls below the guard: only its
+				// Completed flag shows that it did not finish.
 				cfg := base
 				cfg.Interp.MaxSteps = 300
 				pr := profileOf(t, halvingLoopProgram(), cfg)
@@ -147,19 +165,25 @@ func TestScaleFallsBack(t *testing.T) {
 		{
 			name: "guard within reach of the scaled runs",
 			build: func(t *testing.T) (*Profiled, Config) {
+				// The guard is the longest scaled run's length, so
+				// that run stops at the guard as it would end.
 				p := testProgram(t)
-				free := profileOf(t, p, base)
+				free := profileOf(t, ir.ScaleCode(p, 1.1), base)
 				var longest uint64
 				for _, r := range slices.Concat(free.origRuns, free.inlinedRuns) {
 					longest = max(longest, r.Instrs)
 				}
 				cfg := base
-				cfg.Interp.MaxSteps = longest + 1
+				cfg.Interp.MaxSteps = longest
 				pr := profileOf(t, p, cfg)
 				if pr.OrigWeights.Capped != 0 || pr.Weights.Capped != 0 {
-					t.Fatal("a profiling run hit a guard above the longest run")
+					t.Fatal("a profiling run hit the guard before scaling")
 				}
-				if _, ok := pr.derive(ir.ScaleCode(p, 0.5)); !ok {
+				shrunk, err := pr.Scale(0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if step1, step2 := scaleDerived(pr, shrunk); !step1 || !step2 {
 					t.Fatal("shrinking code could not derive under the same guard")
 				}
 				return pr, cfg
@@ -169,21 +193,17 @@ func TestScaleFallsBack(t *testing.T) {
 		{
 			name: "expansions differ",
 			build: func(t *testing.T) (*Profiled, Config) {
-				pr := profileOf(t, bigCalleeProgram(), base)
+				pr := profileOf(t, bigCalleeProgram(1000), base)
 				if pr.InlineReport.SitesInlined != 1 {
 					t.Fatalf("%d sites inlined at scale 1, want the big callee's", pr.InlineReport.SitesInlined)
 				}
-				q := ir.ScaleCode(pr.Input, 1.1)
-				w, ok := rescale(pr.Input, q, pr.OrigWeights, pr.origRuns, interp.DefaultMaxSteps)
-				if !ok {
-					t.Fatal("the scaled program's step-1 profile could not derive")
-				}
-				if _, rep, err := inline.Expand(q, w, pr.Inline); err != nil || rep.SitesInlined != 0 {
-					t.Fatalf("the scaled big callee was inlined (%v); the expansions do not differ", err)
+				if n := profileOf(t, ir.ScaleCode(pr.Input, 1.1), base).InlineReport.SitesInlined; n != 0 {
+					t.Fatalf("%d sites inlined at scale 1.1; the expansions do not differ", n)
 				}
 				return pr, base
 			},
 			factor: 1.1,
+			step1:  true, step2: true,
 		},
 		{
 			name: "executed empty block grows",
@@ -196,6 +216,7 @@ func TestScaleFallsBack(t *testing.T) {
 				return pr, base
 			},
 			factor: 1.1,
+			step1:  true, step2: true,
 		},
 		{
 			name: "no run records",
@@ -209,55 +230,39 @@ func TestScaleFallsBack(t *testing.T) {
 			},
 			factor: 0.7,
 		},
+		{
+			// The big callee is over the callee cap at scale 1, so
+			// step 1 counts its activations in its root context
+			// alone; at 0.9 it is inlined, and the scaled expansion
+			// needs the context step 1 did not count.
+			name: "callee fits only when scaled",
+			build: func(t *testing.T) (*Profiled, Config) {
+				pr := profileOf(t, bigCalleeProgram(1100), base)
+				if pr.InlineReport.SitesInlined != 0 {
+					t.Fatalf("%d sites inlined at scale 1, want none", pr.InlineReport.SitesInlined)
+				}
+				if n := profileOf(t, ir.ScaleCode(pr.Input, 0.9), base).InlineReport.SitesInlined; n != 1 {
+					t.Fatalf("%d sites inlined at scale 0.9, want the big callee's", n)
+				}
+				return pr, base
+			},
+			factor: 0.9,
+			step1:  true,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			pr, cfg := tt.build(t)
-			if checkScale(t, pr, tt.factor, cfg) {
-				t.Errorf("Scale(%g) derived a profile it cannot prove exact", tt.factor)
+			checkScale(t, pr, tt.factor, cfg)
+			got, err := pr.Scale(tt.factor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step1, step2 := scaleDerived(pr, got); step1 != tt.step1 || step2 != tt.step2 {
+				t.Errorf("Scale(%g) derived step 1 %t and step 2 %t, want %t and %t",
+					tt.factor, step1, step2, tt.step1, tt.step2)
 			}
 		})
-	}
-}
-
-// TestRescaleNeedsTheSameSkeleton: rescale derives nothing for a
-// program that differs from the profiled one in more than block
-// lengths — in anything the interpreter reads.
-func TestRescaleNeedsTheSameSkeleton(t *testing.T) {
-	pr, err := Profile(testProgram(t), DefaultConfig(seeds(2)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pr.Input
-	main := p.Entry
-	phase := func(q *ir.Program) *ir.Block { return q.Funcs[main].Blocks[1] }
-	for _, tt := range []struct {
-		name string
-		edit func(q *ir.Program)
-	}{
-		{"unedited", func(*ir.Program) {}},
-		{"other entry function", func(q *ir.Program) { q.Entry = 0 }},
-		{"other entry block", func(q *ir.Program) { q.Funcs[main].Entry = 1 }},
-		{"extra block", func(q *ir.Program) {
-			f := q.Funcs[main]
-			f.Blocks = append(f.Blocks, &ir.Block{ID: ir.BlockID(len(f.Blocks))})
-		}},
-		{"other arc probability", func(q *ir.Program) { phase(q).Out[0].Prob = 0.5 }},
-		{"extra call", func(q *ir.Program) {
-			b := phase(q)
-			b.Instrs = slices.Insert(b.Instrs, len(b.Instrs)-1, ir.Instr{Op: ir.OpCall, Callee: 0})
-		}},
-		{"other callee", func(q *ir.Program) {
-			b := phase(q)
-			b.Instrs[b.CallSites()[0]].Callee = 2
-		}},
-	} {
-		q := ir.Clone(p)
-		tt.edit(q)
-		_, ok := rescale(p, q, pr.OrigWeights, pr.origRuns, interp.DefaultMaxSteps)
-		if want := tt.name == "unedited"; ok != want {
-			t.Errorf("%s: rescale derived %t, want %t", tt.name, ok, want)
-		}
 	}
 }
 
@@ -278,14 +283,15 @@ func halvingLoopProgram() *ir.Program {
 }
 
 // bigCalleeProgram builds a program whose one hot call goes to a
-// 1,000-instruction callee: 4,000 bytes fit inline.DefaultConfig's
-// 4,096-byte callee cap, and 4,400 at code scale 1.1 do not. A dead
-// function keeps the 35% growth budget above the callee's size.
-func bigCalleeProgram() *ir.Program {
+// callee of n instructions. inline.DefaultConfig caps a callee at
+// 4,096 bytes: 1,000 instructions fit it and do not at code scale
+// 1.1, and 1,100 do not fit it and do at 0.9. A dead function keeps
+// the 35% growth budget above the callee's size.
+func bigCalleeProgram(n int) *ir.Program {
 	pb := ir.NewProgramBuilder()
 	big := pb.NewFunc("big")
 	bb := big.NewBlock()
-	big.Fill(bb, 999)
+	big.Fill(bb, n-1)
 	big.Ret(bb)
 
 	dead := pb.NewFunc("dead")
@@ -307,9 +313,9 @@ func bigCalleeProgram() *ir.Program {
 
 // callsOnlyLoopProgram builds a program whose hot loop block holds
 // five calls and its branch and no other instruction. Inlining its
-// first call leaves an empty head block, while code scale 1.1 rounds
-// the loop block up by one filler instruction that lands in that head:
-// no length ratio bounds the scaled block.
+// first call leaves an empty head block, and code scale 1.1 rounds the
+// loop block up by one filler instruction that lands in that head: an
+// executed block grows from nothing.
 func callsOnlyLoopProgram() *ir.Program {
 	pb := ir.NewProgramBuilder()
 	leaf := pb.NewFunc("leaf")
@@ -359,4 +365,58 @@ func TestScaleWithoutInlining(t *testing.T) {
 			t.Errorf("Scale(%g) of a completed, unguarded profile was measured", f)
 		}
 	}
+}
+
+// TestScaleDerivedValue: a derived value keeps its runs and context
+// counts, so scaling it again derives too.
+func TestScaleDerivedValue(t *testing.T) {
+	cfg := DefaultConfig(seeds(3)...)
+	pr, err := Profile(testProgram(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := pr.Scale(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step1, step2 := scaleDerived(pr, half); !step1 || !step2 {
+		t.Fatal("Scale(0.5) was measured")
+	}
+	if !checkScale(t, half, 1.7, cfg) {
+		t.Error("scaling a derived value again was measured")
+	}
+}
+
+// TestScaleConcurrent: Scale only reads the profiled value and its
+// context counts, so concurrent calls on one value each return what a
+// serial call does.
+func TestScaleConcurrent(t *testing.T) {
+	pr, err := Profile(testProgram(t), DefaultConfig(seeds(3)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Profiled, len(table9Scales))
+	for i, f := range table9Scales {
+		if want[i], err = pr.Scale(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, f := range table9Scales {
+				got, err := pr.Scale(f)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d := sameProfile(got, want[i]); d != "" {
+					t.Errorf("Scale(%g): %s differs from the serial call's", f, d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

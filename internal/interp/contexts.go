@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"impact/internal/ir"
@@ -42,9 +44,10 @@ const nestedScale = 8
 //
 // Contexts are created when first entered, and each keeps a child
 // table indexed by its function's call instructions, so a counting run
-// looks up one slot per call. The table also keeps every run's call
-// counts (RunCalls). Build one with Engine.NewContexts and count into
-// it with Count; it is not safe for concurrent runs.
+// looks up one slot per call. The table also keeps every run's block
+// and call counts (RunInstrs, RunCalls). Build one with
+// Engine.NewContexts and count into it with Count, which is not safe
+// for concurrent runs; once counting ends, the table is only read.
 type Contexts struct {
 	e     *Engine
 	limit ContextLimit
@@ -63,8 +66,9 @@ type Contexts struct {
 	// subslice, as a run counts into Counts.
 	blocks, arcs, calls []uint64
 	kids                []int32
-	// runs[r] is a copy of calls after run r.
-	runs [][]uint64
+	// runBlocks[r] and runCalls[r] are copies of blocks and calls
+	// after run r.
+	runBlocks, runCalls [][]uint64
 	// room is how many more counters nested contexts may take.
 	room int
 }
@@ -115,7 +119,8 @@ func (x *Contexts) Count(seed uint64, cfg Config) (Result, error) {
 	}
 	res, err := x.e.run(seed, cfg, nil, x, nil, nil)
 	if err == nil {
-		x.runs = append(x.runs, slices.Clone(x.calls))
+		x.runBlocks = append(x.runBlocks, slices.Clone(x.blocks))
+		x.runCalls = append(x.runCalls, slices.Clone(x.calls))
 	}
 	return res, err
 }
@@ -209,12 +214,47 @@ func (x *Contexts) Child(n, call int) (child int, nested bool) {
 // executed context n's call instruction number call.
 func (x *Contexts) RunCalls(r, n, call int) uint64 {
 	c := x.nodes[n]
-	slot := int(c.c+x.fc[c.fn]) + call
+	return runCount(x.runCalls, r, int(c.c+x.fc[c.fn])+call)
+}
+
+// RunInstrs returns, for each run in Count order, its block entries
+// weighted by q's block lengths, saturating at math.MaxUint64. q must
+// have the table's functions and blocks; only block lengths may
+// differ. A completed run executes the whole block on every entry, so
+// on the table's own program this is the run's Instrs, and on q it is
+// the Instrs of a run of q that enters the same blocks.
+func (x *Contexts) RunInstrs(q *ir.Program) []uint64 {
+	lens := make([]uint64, 0, len(x.e.blocks))
+	for _, fn := range q.Funcs {
+		for _, b := range fn.Blocks {
+			lens = append(lens, uint64(len(b.Instrs)))
+		}
+	}
+	out := make([]uint64, len(x.runBlocks))
+runs:
+	for r := range out {
+		for _, c := range x.nodes {
+			for b := x.fb[c.fn]; b < x.fb[c.fn+1]; b++ {
+				hi, lo := bits.Mul64(runCount(x.runBlocks, r, int(c.b+b)), lens[b])
+				var carry uint64
+				if out[r], carry = bits.Add64(out[r], lo, 0); hi|carry != 0 {
+					out[r] = math.MaxUint64
+					continue runs
+				}
+			}
+		}
+	}
+	return out
+}
+
+// runCount returns what run r added to counter slot, given copies of
+// the counters after each run.
+func runCount(runs [][]uint64, r, slot int) uint64 {
 	at := func(r int) uint64 {
-		if r < 0 || slot >= len(x.runs[r]) {
+		if r < 0 || slot >= len(runs[r]) {
 			return 0
 		}
-		return x.runs[r][slot]
+		return runs[r][slot]
 	}
 	return at(r) - at(r-1)
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -116,5 +117,54 @@ func TestContextsBoundedByProgram(t *testing.T) {
 	if res.Calls < uint64(10*len(tab.nodes)) || held > (nestedScale+1)*prog {
 		t.Errorf("%d calls made %d contexts holding %d counters; want far fewer contexts than calls and at most %d counters",
 			res.Calls, len(tab.nodes), held, (nestedScale+1)*prog)
+	}
+}
+
+// TestContextsRunInstrs: a completed run's block entries weighted by
+// another program's block lengths are what that program executes on
+// the same seed, when it differs only in block lengths; a count past
+// 64 bits saturates instead of wrapping below the step guard.
+func TestContextsRunInstrs(t *testing.T) {
+	pb := ir.NewProgramBuilder()
+	leaf := pb.NewFunc("leaf")
+	main := pb.NewFunc("main")
+	lb := leaf.NewBlock()
+	leaf.Fill(lb, 2)
+	leaf.Ret(lb)
+	loop := main.NewBlock()
+	done := main.NewBlock()
+	main.Fill(loop, 3)
+	main.Call(loop, leaf.ID())
+	main.Branch(loop, ir.Arc{To: loop, Prob: 0.9}, ir.Arc{To: done, Prob: 0.1})
+	main.Ret(done)
+	pb.SetEntry(main.ID())
+	p := pb.Build()
+
+	x := NewEngine(p).NewContexts(ContextLimit{Cost: []int{4, 4}, Budget: 4})
+	seeds := []uint64{1, 2}
+	var want, wantScaled []uint64
+	q := ir.ScaleCode(p, 1.7)
+	for _, seed := range seeds {
+		res, err := x.Count(seed, Config{})
+		if err != nil || !res.Completed {
+			t.Fatalf("seed %d: %+v, %v", seed, res, err)
+		}
+		scaled, err := NewEngine(q).Count(seed, Config{}, NewEngine(q).NewCounts())
+		if err != nil || !scaled.Completed {
+			t.Fatalf("seed %d on the scaled program: %+v, %v", seed, scaled, err)
+		}
+		want, wantScaled = append(want, res.Instrs), append(wantScaled, scaled.Instrs)
+	}
+	if got := x.RunInstrs(p); !reflect.DeepEqual(got, want) {
+		t.Errorf("RunInstrs on the counted program %v, runs executed %v", got, want)
+	}
+	if got := x.RunInstrs(q); !reflect.DeepEqual(got, wantScaled) {
+		t.Errorf("RunInstrs on the scaled program %v, its runs executed %v", got, wantScaled)
+	}
+	// Run 1 entered main's loop block 2^63 more times.
+	slot := int(x.nodes[x.Root(main.ID())].b + x.fb[main.ID()])
+	x.runBlocks[1][slot] += 1 << 63
+	if got := x.RunInstrs(p); got[0] != want[0] || got[1] != math.MaxUint64 {
+		t.Errorf("RunInstrs past 64 bits %v, want [%d %d]", got, want[0], uint64(math.MaxUint64))
 	}
 }

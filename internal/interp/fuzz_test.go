@@ -15,10 +15,11 @@ import (
 // All runs must agree on the Result, the contexts must sum to the
 // plain counts, the traced words must equal the executed
 // instructions, and a completed run's counts must balance: blocks
-// weighted by their lengths sum to Instrs, each non-exit block's arcs
-// sum to its entries, and the call counts sum to Calls. The only error
-// a valid program may produce is ErrDepthExceeded — recursion must
-// stop there, never panic.
+// weighted by their lengths sum to Instrs, as the context table's
+// RunInstrs does, each non-exit block's arcs sum to its entries, and
+// the call counts sum to Calls. The only error a valid program may
+// produce is ErrDepthExceeded — recursion must stop there, never
+// panic.
 func FuzzEngine(f *testing.F) {
 	// Unbounded mutual recursion.
 	f.Add("program entry=0\nfunc 0 a\nblock 0 entry\n alu call:1 ret\nfunc 1 b\nblock 0 entry\n call:0 ret\n", uint64(1), uint8(0))
@@ -95,6 +96,9 @@ func FuzzEngine(f *testing.F) {
 		}
 		if instrs != res.Instrs {
 			t.Fatalf("block counts x lengths = %d, Instrs = %d", instrs, res.Instrs)
+		}
+		if got := x.RunInstrs(p); len(got) != 1 || got[0] != res.Instrs {
+			t.Fatalf("context table's run lengths %v, Instrs = %d", got, res.Instrs)
 		}
 	})
 }

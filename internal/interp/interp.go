@@ -18,8 +18,8 @@
 //     IMPACT-I profile (node and arc weights of the call graph and
 //     control graphs).
 //   - Contexts.Count adds the same counts per calling context
-//     (Contexts), from which internal/core derives the profile of the
-//     inline-expanded program.
+//     (Contexts), from which internal/core derives the profiles of the
+//     inline-expanded and code-scaled programs.
 //   - Trace emits one instruction fetch run per executed segment of a
 //     block, addressed from a per-block address table;
 //     internal/layout's dynamic-trace generator feeds the cache

@@ -21,6 +21,10 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("ITR2"))
 	f.Add([]byte("ITR1junk"))
 	f.Add([]byte{'I', 'T', 'R', '2', 0x80, 0x80, 0x80})
+	// A run ending at the 32-bit top, then a run at address 0.
+	f.Add([]byte("ITR2\xe0\xff\xff\xff\x1f\x10\xff\xff\xff\xff\x1f\x10"))
+	// Two contiguous runs whose joined length needs 33 bits.
+	f.Add([]byte("ITR2\x00\x80\x80\x80\x80\x08\x00\x80\x80\x80\x80\x08"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := readTrace(bytes.NewReader(data))

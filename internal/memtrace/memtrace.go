@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 )
 
 // WordBytes is the instruction fetch granularity (one instruction).
@@ -49,6 +50,21 @@ func (r Run) WordRange() (w0, w1 uint32) {
 	return w0, uint32(end / WordBytes)
 }
 
+// join returns prev extended by r, and whether r continues prev: it
+// starts where prev ends, and the joined length fits in 32 bits. Both
+// are computed in 64 bits, so a run that ends at the top of the
+// address space is never continued by one at address 0, and a joined
+// run never wraps to a short one. Every sink that merges runs merges
+// by this rule.
+func join(prev, r Run) (Run, bool) {
+	end := uint64(prev.Addr) + uint64(prev.Bytes)
+	n := uint64(prev.Bytes) + uint64(r.Bytes)
+	if end != uint64(r.Addr) || n > math.MaxUint32 {
+		return prev, false
+	}
+	return Run{Addr: prev.Addr, Bytes: uint32(n)}, true
+}
+
 // Sink consumes a stream of runs.
 type Sink interface {
 	Run(r Run)
@@ -70,24 +86,12 @@ func (t *Trace) Run(r Run) {
 	}
 	t.Instrs += uint64(r.Words())
 	if n := len(t.Runs); n > 0 {
-		last := &t.Runs[n-1]
-		if last.Addr+last.Bytes == r.Addr {
-			last.Bytes += r.Bytes
+		if m, ok := join(t.Runs[n-1], r); ok {
+			t.Runs[n-1] = m
 			return
 		}
 	}
 	t.Runs = append(t.Runs, r)
-}
-
-// MaxAddr returns one past the highest byte address touched.
-func (t *Trace) MaxAddr() uint32 {
-	var max uint32
-	for _, r := range t.Runs {
-		if end := r.Addr + r.Bytes; end > max {
-			max = end
-		}
-	}
-	return max
 }
 
 // AvgRunWords returns the mean sequential run length in words — a
@@ -149,8 +153,8 @@ func (wr *Writer) Run(r Run) {
 		wr.pending = r
 		return
 	}
-	if wr.pending.Addr+wr.pending.Bytes == r.Addr {
-		wr.pending.Bytes += r.Bytes
+	if m, ok := join(wr.pending, r); ok {
+		wr.pending = m
 		return
 	}
 	wr.flushPending()

@@ -45,15 +45,6 @@ func TestTraceDoesNotMergeBackwardJump(t *testing.T) {
 	}
 }
 
-func TestMaxAddr(t *testing.T) {
-	var tr Trace
-	tr.Run(Run{Addr: 100, Bytes: 4})
-	tr.Run(Run{Addr: 0, Bytes: 8})
-	if got := tr.MaxAddr(); got != 104 {
-		t.Fatalf("MaxAddr = %d, want 104", got)
-	}
-}
-
 func TestAvgRunWords(t *testing.T) {
 	var tr Trace
 	if tr.AvgRunWords() != 0 {

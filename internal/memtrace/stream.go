@@ -42,8 +42,8 @@ func (m *Merger) Run(r Run) {
 		m.pending = r
 		return
 	}
-	if m.pending.Addr+m.pending.Bytes == r.Addr {
-		m.pending.Bytes += r.Bytes
+	if joined, ok := join(m.pending, r); ok {
+		m.pending = joined
 		return
 	}
 	m.sink.Run(m.pending)
@@ -188,9 +188,8 @@ func (b *Buffer) Run(r Run) {
 	b.instrs += uint64(r.Words())
 	if b.runs > 0 {
 		tail := b.chunks[len(b.chunks)-1]
-		last := &tail[len(tail)-1]
-		if last.Addr+last.Bytes == r.Addr {
-			last.Bytes += r.Bytes
+		if m, ok := join(tail[len(tail)-1], r); ok {
+			tail[len(tail)-1] = m
 			return
 		}
 	}
