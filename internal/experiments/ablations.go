@@ -48,41 +48,44 @@ type AblationLayoutRow struct {
 // only their evaluation traces are interpreted.
 func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []AblationLayoutRow
-	for _, p := range s.Items {
-		b := p.Bench
+	return measureRows(s, func(p *Prepared) (AblationLayoutRow, []SimRequest, error) {
 		row := AblationLayoutRow{Name: p.Name(), Miss: make(map[string]float64)}
+		var reqs []SimRequest
+		for _, name := range LayoutStrategies {
+			tr, err := layoutTrace(p, name)
+			if err != nil {
+				return row, nil, err
+			}
+			reqs = append(reqs, SimRequest{tr, cfg2k})
+		}
+		return row, reqs, nil
+	}, func(r *AblationLayoutRow, st []cache.Stats) {
+		for i, name := range LayoutStrategies {
+			r.Miss[name] = st[i].MissRatio()
+		}
+	})
+}
 
-		traces := map[string]*memtrace.Trace{"natural": p.NatTrace, "full": p.OptTrace}
-
-		_, rndTr, err := p.deriveTrace("layout:random", func() (*core.Result, *memtrace.Trace, error) {
+// layoutTrace returns p's evaluation trace under the A1 arm name.
+func layoutTrace(p *Prepared, name string) (*memtrace.Trace, error) {
+	b := p.Bench
+	switch name {
+	case "natural":
+		return p.NatTrace, nil
+	case "full":
+		return p.OptTrace, nil
+	case "random":
+		_, tr, err := p.deriveTrace("layout:random", func() (*core.Result, *memtrace.Trace, error) {
 			tr, _, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
 			return nil, tr, err
 		})
-		if err != nil {
-			return nil, err
-		}
-		traces["random"] = rndTr
-
-		//lint:maprange results land in the traces map; rendering iterates LayoutStrategies
-		for name, st := range partialStrategies {
-			_, tr, err := p.deriveOptimize("layout:"+name, p.variantConfig(st))
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
-			}
-			traces[name] = tr
-		}
-
-		for _, name := range LayoutStrategies {
-			st2k, err := sharedEngine.Simulate(cfg2k, traces[name])
-			if err != nil {
-				return nil, err
-			}
-			row.Miss[name] = st2k.MissRatio()
-		}
-		out = append(out, row)
+		return tr, err
 	}
-	return out, nil
+	_, tr, err := p.deriveOptimize("layout:"+name, p.variantConfig(partialStrategies[name]))
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
+	}
+	return tr, nil
 }
 
 // RenderAblationLayout formats A1.
@@ -118,33 +121,23 @@ type AblationAssocRow struct {
 // AblationAssoc sweeps associativity at 2KB/64B over both layouts,
 // batched into one engine pass over the suite.
 func AblationAssoc(s *Suite) ([]AblationAssocRow, error) {
-	var reqs []SimRequest
-	for _, p := range s.Items {
+	return measureRows(s, func(p *Prepared) (AblationAssocRow, []SimRequest, error) {
+		var reqs []SimRequest
 		for _, a := range Associativities {
 			cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: a}
 			reqs = append(reqs, SimRequest{p.OptTrace, cfg}, SimRequest{p.NatTrace, cfg})
 		}
-	}
-	stats, err := sharedEngine.Batch(reqs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationAssocRow
-	i := 0
-	for _, p := range s.Items {
-		row := AblationAssocRow{
+		return AblationAssocRow{
 			Name:      p.Name(),
 			Optimized: make(map[int]float64),
 			Natural:   make(map[int]float64),
+		}, reqs, nil
+	}, func(r *AblationAssocRow, st []cache.Stats) {
+		for i, a := range Associativities {
+			r.Optimized[a] = st[2*i].MissRatio()
+			r.Natural[a] = st[2*i+1].MissRatio()
 		}
-		for _, a := range Associativities {
-			row.Optimized[a] = stats[i].MissRatio()
-			row.Natural[a] = stats[i+1].MissRatio()
-			i += 2
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	})
 }
 
 // RenderAblationAssoc formats A2.
@@ -195,39 +188,35 @@ type AblationMinProbRow struct {
 // threshold.
 func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []AblationMinProbRow
-	for _, p := range s.Items {
+	return measureRows(s, func(p *Prepared) (AblationMinProbRow, []SimRequest, error) {
 		row := AblationMinProbRow{
 			Name:      p.Name(),
 			Miss:      make(map[float64]float64),
 			Desirable: make(map[float64]float64),
 		}
+		var reqs []SimRequest
 		for _, mp := range MinProbValues {
 			ccfg := p.variantConfig(core.FullStrategy())
-			var res *core.Result
-			var tr *memtrace.Trace
-			var err error
-			if mp == ccfg.MinProb {
-				// The paper's threshold is the pipeline default, so the
-				// prepared result is this very variant.
-				res, tr = p.Opt, p.OptTrace
-			} else {
+			// The paper's threshold is the pipeline default, so there
+			// the prepared result is this very variant.
+			res, tr := p.Opt, p.OptTrace
+			if mp != ccfg.MinProb {
 				ccfg.MinProb = mp
+				var err error
 				res, tr, err = p.deriveOptimize(fmt.Sprintf("minprob:%g", mp), ccfg)
 				if err != nil {
-					return nil, err
+					return row, nil, err
 				}
 			}
-			st, err := sharedEngine.Simulate(cfg2k, tr)
-			if err != nil {
-				return nil, err
-			}
-			row.Miss[mp] = st.MissRatio()
 			row.Desirable[mp] = res.TraceStats.DesirableFrac()
+			reqs = append(reqs, SimRequest{tr, cfg2k})
 		}
-		out = append(out, row)
-	}
-	return out, nil
+		return row, reqs, nil
+	}, func(r *AblationMinProbRow, st []cache.Stats) {
+		for i, mp := range MinProbValues {
+			r.Miss[mp] = st[i].MissRatio()
+		}
+	})
 }
 
 // RenderAblationMinProb formats A3.
@@ -256,25 +245,21 @@ func RenderAblationMinProb(rows []AblationMinProbRow) string {
 //lint:testapi BenchmarkAblationGlobalLayout (bench_test.go) times it; icexp does not run A4
 func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	for _, p := range s.Items {
-		// With DFS: the prepared full-pipeline trace.
-		st, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
-		if err != nil {
-			return 0, 0, err
-		}
-		withDFS += st.MissRatio()
-
+	stats, err := measureSection(s, func(p *Prepared) ([]SimRequest, error) {
 		// Without DFS: full pipeline minus the global order.
 		ccfg := p.variantConfig(core.Strategy{Inline: true, TraceLayout: true, SplitCold: true})
 		_, tr, err := p.deriveOptimize("global:no-dfs", ccfg)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		st, err = sharedEngine.Simulate(cfg2k, tr)
-		if err != nil {
-			return 0, 0, err
-		}
-		withoutDFS += st.MissRatio()
+		return []SimRequest{{p.OptTrace, cfg2k}, {tr, cfg2k}}, nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, st := range stats {
+		withDFS += st[0].MissRatio()
+		withoutDFS += st[1].MissRatio()
 	}
 	n := float64(len(s.Items))
 	return withDFS / n, withoutDFS / n, nil
@@ -298,28 +283,18 @@ type AblationReplacementRow struct {
 // AblationReplacement sweeps the replacement policy in one engine
 // batch (the three policies share a broadcast replay per benchmark).
 func AblationReplacement(s *Suite) ([]AblationReplacementRow, error) {
-	var reqs []SimRequest
-	for _, p := range s.Items {
+	return measureRows(s, func(p *Prepared) (AblationReplacementRow, []SimRequest, error) {
+		var reqs []SimRequest
 		for _, rep := range ReplacementPolicies {
 			reqs = append(reqs, SimRequest{p.OptTrace,
 				cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 4, Replacement: rep}})
 		}
-	}
-	stats, err := sharedEngine.Batch(reqs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationReplacementRow
-	i := 0
-	for _, p := range s.Items {
-		row := AblationReplacementRow{Name: p.Name(), Miss: make(map[cache.Replacement]float64)}
-		for _, rep := range ReplacementPolicies {
-			row.Miss[rep] = stats[i].MissRatio()
-			i++
+		return AblationReplacementRow{Name: p.Name(), Miss: make(map[cache.Replacement]float64)}, reqs, nil
+	}, func(r *AblationReplacementRow, st []cache.Stats) {
+		for i, rep := range ReplacementPolicies {
+			r.Miss[rep] = st[i].MissRatio()
 		}
-		out = append(out, row)
-	}
-	return out, nil
+	})
 }
 
 // RenderAblationReplacement formats A5.
@@ -355,30 +330,18 @@ type AblationGlobalAlgoRow struct {
 // AblationGlobalAlgo compares the two historical global orderings.
 func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []AblationGlobalAlgoRow
-	for _, p := range s.Items {
-		dfs, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
-		if err != nil {
-			return nil, err
-		}
-
+	return measureRows(s, func(p *Prepared) (AblationGlobalAlgoRow, []SimRequest, error) {
 		ccfg := p.variantConfig(core.FullStrategy())
 		ccfg.Strategy.PettisHansen = true
 		_, tr, err := p.deriveOptimize("globalalgo:ph", ccfg)
 		if err != nil {
-			return nil, err
+			return AblationGlobalAlgoRow{}, nil, err
 		}
-		ph, err := sharedEngine.Simulate(cfg2k, tr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationGlobalAlgoRow{
-			Name:    p.Name(),
-			DFSMiss: dfs.MissRatio(),
-			PHMiss:  ph.MissRatio(),
-		})
-	}
-	return out, nil
+		return AblationGlobalAlgoRow{Name: p.Name()}, []SimRequest{{p.OptTrace, cfg2k}, {tr, cfg2k}}, nil
+	}, func(r *AblationGlobalAlgoRow, st []cache.Stats) {
+		r.DFSMiss = st[0].MissRatio()
+		r.PHMiss = st[1].MissRatio()
+	})
 }
 
 // RenderAblationGlobalAlgo formats A6.

@@ -88,38 +88,33 @@ func (r BoundRow) OK() bool {
 // paper optimizes for) and pairs the static bounds with the simulated
 // miss count of the same evaluation run.
 func BoundCheck(s *Suite) ([]BoundRow, error) {
-	var reqs []SimRequest
-	for _, cs := range smith.CacheSizes {
-		for _, bs := range smith.BlockSizes {
-			for _, p := range s.Items {
-				reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1}})
-			}
+	geoms := smithGeometries()
+	stats, err := measureSection(s, func(p *Prepared) ([]SimRequest, error) {
+		reqs := make([]SimRequest, len(geoms))
+		for k, g := range geoms {
+			reqs[k] = SimRequest{p.OptTrace, g}
 		}
-	}
-	stats, err := sharedEngine.Batch(reqs)
+		return reqs, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	var rows []BoundRow
-	i := 0
-	for _, cs := range smith.CacheSizes {
-		for _, bs := range smith.BlockSizes {
-			for _, p := range s.Items {
-				res, err := p.Analyze(cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1})
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", p.Name(), err)
-				}
-				rows = append(rows, BoundRow{
-					Name:       p.Name(),
-					CacheBytes: cs, BlockBytes: bs,
-					Lower:    res.Bounds.Lower,
-					Measured: stats[i].Misses,
-					Upper:    res.Bounds.Upper,
-					Accesses: res.Bounds.Accesses,
-					Exact:    res.Bounds.Exact,
-				})
-				i++
+	for k, g := range geoms {
+		for i, p := range s.Items {
+			res, err := p.Analyze(g)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", p.Name(), err)
 			}
+			rows = append(rows, BoundRow{
+				Name:       p.Name(),
+				CacheBytes: g.SizeBytes, BlockBytes: g.BlockBytes,
+				Lower:    res.Bounds.Lower,
+				Measured: stats[i][k].Misses,
+				Upper:    res.Bounds.Upper,
+				Accesses: res.Bounds.Accesses,
+				Exact:    res.Bounds.Exact,
+			})
 		}
 	}
 	return rows, nil

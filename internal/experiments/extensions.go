@@ -32,13 +32,8 @@ const ExtTimingLatency = 8
 
 // ExtTiming measures effective access time across block sizes.
 func ExtTiming(s *Suite) ([]TimingRow, error) {
-	var out []TimingRow
-	for _, p := range s.Items {
-		row := TimingRow{
-			Name:         p.Name(),
-			ForwardEAT:   make(map[int]float64),
-			NoForwardEAT: make(map[int]float64),
-		}
+	return measureRows(s, func(p *Prepared) (TimingRow, []SimRequest, error) {
+		var reqs []SimRequest
 		for _, bs := range Table7BlockSizes {
 			fwd := cache.Config{
 				SizeBytes: 2048, BlockBytes: bs, Assoc: 1,
@@ -46,20 +41,19 @@ func ExtTiming(s *Suite) ([]TimingRow, error) {
 			}
 			nofwd := fwd
 			nofwd.Timing = &cache.TimingConfig{InitialLatency: ExtTimingLatency}
-			sf, err := measure(p, fwd, true)
-			if err != nil {
-				return nil, err
-			}
-			sn, err := measure(p, nofwd, true)
-			if err != nil {
-				return nil, err
-			}
-			row.ForwardEAT[bs] = sf.EffectiveAccessTime()
-			row.NoForwardEAT[bs] = sn.EffectiveAccessTime()
+			reqs = append(reqs, SimRequest{p.OptTrace, fwd}, SimRequest{p.OptTrace, nofwd})
 		}
-		out = append(out, row)
-	}
-	return out, nil
+		return TimingRow{
+			Name:         p.Name(),
+			ForwardEAT:   make(map[int]float64),
+			NoForwardEAT: make(map[int]float64),
+		}, reqs, nil
+	}, func(r *TimingRow, st []cache.Stats) {
+		for i, bs := range Table7BlockSizes {
+			r.ForwardEAT[bs] = st[2*i].EffectiveAccessTime()
+			r.NoForwardEAT[bs] = st[2*i+1].EffectiveAccessTime()
+		}
+	})
 }
 
 // RenderExtTiming formats E1.
@@ -190,29 +184,14 @@ func ExtPrefetch(s *Suite) ([]PrefetchRow, error) {
 	base := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	pf := base
 	pf.PrefetchNext = true
-	var out []PrefetchRow
-	for _, p := range s.Items {
-		sp, err := measure(p, base, true)
-		if err != nil {
-			return nil, err
-		}
-		sf, err := measure(p, pf, true)
-		if err != nil {
-			return nil, err
-		}
-		sn, err := measure(p, pf, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PrefetchRow{
-			Name:        p.Name(),
-			Plain:       CacheResult{Miss: sp.MissRatio(), Traffic: sp.TrafficRatio()},
-			Prefetch:    CacheResult{Miss: sf.MissRatio(), Traffic: sf.TrafficRatio()},
-			Accuracy:    sf.PrefetchAccuracy(),
-			NatAccuracy: sn.PrefetchAccuracy(),
-		})
-	}
-	return out, nil
+	return measureRows(s, func(p *Prepared) (PrefetchRow, []SimRequest, error) {
+		return PrefetchRow{Name: p.Name()}, []SimRequest{{p.OptTrace, base}, {p.OptTrace, pf}, {p.NatTrace, pf}}, nil
+	}, func(r *PrefetchRow, st []cache.Stats) {
+		r.Plain = cacheResult(st[0])
+		r.Prefetch = cacheResult(st[1])
+		r.Accuracy = st[1].PrefetchAccuracy()
+		r.NatAccuracy = st[2].PrefetchAccuracy()
+	})
 }
 
 // RenderExtPrefetch formats E3.

@@ -94,25 +94,14 @@ func ExtExtendedSuite(scale float64, opts ...Options) ([]ExtendedRow, error) {
 		return nil, err
 	}
 	cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []ExtendedRow
-	for _, p := range suite.Items {
-		so, err := measure(p, cfg, true)
-		if err != nil {
-			return nil, err
-		}
-		sn, err := measure(p, cfg, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ExtendedRow{
-			Name:        p.Name(),
-			StaticBytes: p.Opt.TotalBytes,
-			OptMiss:     so.MissRatio(),
-			NatMiss:     sn.MissRatio(),
-			OptTraffic:  so.TrafficRatio(),
-		})
-	}
-	return out, nil
+	return measureRows(suite, func(p *Prepared) (ExtendedRow, []SimRequest, error) {
+		return ExtendedRow{Name: p.Name(), StaticBytes: p.Opt.TotalBytes},
+			[]SimRequest{{p.OptTrace, cfg}, {p.NatTrace, cfg}}, nil
+	}, func(r *ExtendedRow, st []cache.Stats) {
+		r.OptMiss = st[0].MissRatio()
+		r.NatMiss = st[1].MissRatio()
+		r.OptTraffic = st[0].TrafficRatio()
+	})
 }
 
 // RenderExtExtendedSuite formats E5.

@@ -183,6 +183,9 @@ func (p *Prepared) Name() string { return p.Bench.Name() }
 // Suite is the prepared experiment state for all benchmarks.
 type Suite struct {
 	Items []*Prepared
+	// reg is the suite's Options.Obs: the sections record their
+	// per-program builds to it (see measureRows).
+	reg *obs.Registry
 }
 
 // Progress describes one benchmark finishing preparation.
@@ -309,7 +312,7 @@ func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Sui
 			return nil, fmt.Errorf("experiments: %s: %w", benchmarks[i].Name(), err)
 		}
 	}
-	return &Suite{Items: items}, nil
+	return &Suite{Items: items, reg: opts.Obs}, nil
 }
 
 func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, error) {

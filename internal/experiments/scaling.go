@@ -24,62 +24,54 @@ type Table9Row struct {
 // instruction encodings), the placement pipeline re-runs on the
 // scaled program, and the 2KB/64B partial-loading cache is measured.
 func Table9(s *Suite) ([]Table9Row, error) {
-	var out []Table9Row
-	for _, p := range s.Items {
+	cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}
+	return measureRows(s, func(p *Prepared) (Table9Row, []SimRequest, error) {
 		row := Table9Row{Name: p.Name(), Results: make(map[float64]CacheResult)}
+		var reqs []SimRequest
 		for _, factor := range Table9Scales {
-			res, err := scaleResult(p, factor)
+			tr, err := scaledTrace(p, factor)
 			if err != nil {
-				return nil, fmt.Errorf("%s at scale %v: %w", p.Name(), factor, err)
+				return row, nil, fmt.Errorf("%s at scale %v: %w", p.Name(), factor, err)
 			}
-			row.Results[factor] = res
+			reqs = append(reqs, SimRequest{tr, cfg})
 		}
-		out = append(out, row)
-	}
-	return out, nil
+		return row, reqs, nil
+	}, func(r *Table9Row, st []cache.Stats) {
+		for i, factor := range Table9Scales {
+			r.Results[factor] = cacheResult(st[i])
+		}
+	})
 }
 
-// scaleResult runs the full pipeline and the 2KB/64B partial-loading
-// measurement on a code-scaled copy of the benchmark: the prepared
-// profile scaled (core.Profiled.Scale, which interprets the scaled
-// program only when it cannot derive its profile exactly), placed
-// and traced. Placements and evaluation traces are memoized per
-// (benchmark, factor); factor 1.0 is the prepared state itself, trace
-// included — re-deriving it would replay the whole evaluation
-// interpreter for an identical trace.
-func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
-	b := p.Bench
-	var tr *memtrace.Trace
+// scaledTrace runs the full pipeline on a code-scaled copy of the
+// benchmark and returns its evaluation trace: the prepared profile
+// scaled (core.Profiled.Scale, which interprets the scaled program
+// only when it cannot derive its profile exactly), placed and traced.
+// Placements and evaluation traces are memoized per (benchmark,
+// factor); factor 1.0 is the prepared state itself, trace included —
+// re-deriving it would replay the whole evaluation interpreter for an
+// identical trace.
+func scaledTrace(p *Prepared, factor float64) (*memtrace.Trace, error) {
 	if factor == 1.0 {
-		tr = p.OptTrace
-	} else {
-		var err error
-		_, tr, err = p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
-			prof, err := p.Profile.Scale(factor)
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := core.Place(prof, p.variantConfig(core.FullStrategy()))
-			if err != nil {
-				return nil, nil, err
-			}
-			tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
-			if err != nil {
-				return nil, nil, err
-			}
-			return res, tr, nil
-		})
+		return p.OptTrace, nil
+	}
+	b := p.Bench
+	_, tr, err := p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
+		prof, err := p.Profile.Scale(factor)
 		if err != nil {
-			return CacheResult{}, err
+			return nil, nil, err
 		}
-	}
-	st, err := sharedEngine.Simulate(cache.Config{
-		SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true,
-	}, tr)
-	if err != nil {
-		return CacheResult{}, err
-	}
-	return CacheResult{Miss: st.MissRatio(), Traffic: st.TrafficRatio()}, nil
+		res, err := core.Place(prof, p.variantConfig(core.FullStrategy()))
+		if err != nil {
+			return nil, nil, err
+		}
+		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, tr, nil
+	})
+	return tr, err
 }
 
 // RenderTable9 formats Table 9.

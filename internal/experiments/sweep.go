@@ -160,7 +160,9 @@ func (e *Engine) AttachObs(r *obs.Registry) {
 	})
 }
 
-// Simulate measures one (trace, organisation) pair through the memo.
+// Simulate measures one (trace, organisation) pair through the memo:
+// a lone request. The sections submit all their requests in one Batch
+// (see measureSection).
 func (e *Engine) Simulate(cfg cache.Config, tr *memtrace.Trace) (cache.Stats, error) {
 	out, err := e.Batch([]SimRequest{{Trace: tr, Config: cfg}})
 	if err != nil {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"impact/internal/cache"
+	"impact/internal/obs"
+	"impact/internal/pool"
 	"impact/internal/smith"
 	"impact/internal/texttable"
 )
@@ -14,15 +17,89 @@ type CacheResult struct {
 	Traffic float64
 }
 
-// measure replays a prepared trace into a cache configuration through
-// the shared sweep engine, so repeated measurements of the same
-// (trace, organisation) pair are served from the memo.
-func measure(p *Prepared, cfg cache.Config, optimized bool) (cache.Stats, error) {
-	tr := p.OptTrace
-	if !optimized {
-		tr = p.NatTrace
+// cacheResult is st's miss and traffic ratios.
+func cacheResult(st cache.Stats) CacheResult {
+	return CacheResult{Miss: st.MissRatio(), Traffic: st.TrafficRatio()}
+}
+
+// measureRows is the one measurement path of the sections. It runs
+// build for every program of s on the worker pool (internal/pool),
+// each under a build/benchmark span on its worker's build-worker-N
+// lane: build derives whatever variants the section measures, begins
+// the program's row and lists its requests. Then it measures every
+// program's requests in one engine batch, and fill completes each row
+// from its statistics, in the order its build listed the requests. It
+// returns the first failing build's error, in program order.
+// Prepared.deriveTrace holds one lock per benchmark, so builds run in
+// parallel across programs only.
+func measureRows[R any](s *Suite, build func(p *Prepared) (R, []SimRequest, error), fill func(row *R, st []cache.Stats)) ([]R, error) {
+	rows := make([]R, len(s.Items))
+	reqs := make([][]SimRequest, len(s.Items))
+	errs := make([]error, len(s.Items))
+	workers := pool.Workers(0, len(s.Items))
+	lanes := make([]obs.Lane, workers)
+	for w := range lanes {
+		lanes[w] = s.reg.NewLane(fmt.Sprintf("build-worker-%d", w))
 	}
-	return sharedEngine.Simulate(cfg, tr)
+	pool.Run(workers, len(s.Items), func(w, i int) {
+		p := s.Items[i]
+		sp := s.reg.SpanOn(lanes[w], "build/benchmark")
+		sp.SetAttr("benchmark", p.Name())
+		rows[i], reqs[i], errs[i] = build(p)
+		sp.End()
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	stats, err := measureAll(reqs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		fill(&rows[i], stats[i])
+	}
+	return rows, nil
+}
+
+// measureSection is measureRows for a section that combines programs:
+// each program's row is its statistics, in request order.
+func measureSection(s *Suite, build func(p *Prepared) ([]SimRequest, error)) ([][]cache.Stats, error) {
+	return measureRows(s, func(p *Prepared) ([]cache.Stats, []SimRequest, error) {
+		reqs, err := build(p)
+		return nil, reqs, err
+	}, func(row *[]cache.Stats, st []cache.Stats) { *row = st })
+}
+
+// measureAll flattens every program's requests into one batch of the
+// shared engine and splits the statistics back per program. It is the
+// seam between the sections and the engine: a test swaps it for
+// per-request cache.Simulate to referee the engine's shortcuts.
+var measureAll = func(reqs [][]SimRequest) ([][]cache.Stats, error) {
+	var flat []SimRequest
+	for _, r := range reqs {
+		flat = append(flat, r...)
+	}
+	stats, err := sharedEngine.Batch(flat)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]cache.Stats, len(reqs))
+	for i, r := range reqs {
+		out[i], stats = stats[:len(r):len(r)], stats[len(r):]
+	}
+	return out, nil
+}
+
+// smithGeometries are Table 1's direct-mapped organisations, cache
+// size major.
+func smithGeometries() []cache.Config {
+	var out []cache.Config
+	for _, cs := range smith.CacheSizes {
+		for _, bs := range smith.BlockSizes {
+			out = append(out, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1})
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -49,36 +126,31 @@ type Table1Cell struct {
 // into one LRU stack pass per (benchmark, block size), and the
 // direct-mapped points share one forest pass per benchmark.
 func Table1(s *Suite) ([]Table1Cell, error) {
-	var reqs []SimRequest
-	for _, cs := range smith.CacheSizes {
-		for _, bs := range smith.BlockSizes {
-			for _, p := range s.Items {
-				reqs = append(reqs,
-					SimRequest{p.NatTrace, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 0}},
-					SimRequest{p.OptTrace, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1}})
-			}
+	geoms := smithGeometries()
+	stats, err := measureSection(s, func(p *Prepared) ([]SimRequest, error) {
+		var reqs []SimRequest
+		for _, dm := range geoms {
+			fa := dm
+			fa.Assoc = 0
+			reqs = append(reqs, SimRequest{p.NatTrace, fa}, SimRequest{p.OptTrace, dm})
 		}
-	}
-	stats, err := sharedEngine.Batch(reqs)
+		return reqs, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var out []Table1Cell
-	i := 0
-	for _, cs := range smith.CacheSizes {
-		for _, bs := range smith.BlockSizes {
-			target, _ := smith.MissRatio(cs, bs)
-			cell := Table1Cell{CacheBytes: cs, BlockBytes: bs, Smith: target}
-			var fa, dm float64
-			for range s.Items {
-				fa += stats[i].MissRatio()
-				dm += stats[i+1].MissRatio()
-				i += 2
-			}
-			n := float64(len(s.Items))
-			cell.NaturalFA = fa / n
-			cell.OptimizedDM = dm / n
-			out = append(out, cell)
+	out := make([]Table1Cell, len(geoms))
+	for k, g := range geoms {
+		var fa, dm float64
+		for _, st := range stats {
+			fa += st[2*k].MissRatio()
+			dm += st[2*k+1].MissRatio()
+		}
+		n := float64(len(s.Items))
+		target, _ := smith.MissRatio(g.SizeBytes, g.BlockBytes)
+		out[k] = Table1Cell{
+			CacheBytes: g.SizeBytes, BlockBytes: g.BlockBytes, Smith: target,
+			NaturalFA: fa / n, OptimizedDM: dm / n,
 		}
 	}
 	return out, nil
@@ -273,29 +345,19 @@ type Table6Row struct {
 
 // Table6 sweeps cache size at a fixed 64-byte block size over the
 // optimized layout. One engine batch: the direct-mapped sizes share a
-// single broadcast replay per benchmark.
+// single forest pass per benchmark.
 func Table6(s *Suite) ([]Table6Row, error) {
-	var reqs []SimRequest
-	for _, p := range s.Items {
+	return measureRows(s, func(p *Prepared) (Table6Row, []SimRequest, error) {
+		var reqs []SimRequest
 		for _, cs := range Table6CacheSizes {
 			reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: cs, BlockBytes: 64, Assoc: 1}})
 		}
-	}
-	stats, err := sharedEngine.Batch(reqs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table6Row
-	i := 0
-	for _, p := range s.Items {
-		row := Table6Row{Name: p.Name(), Results: make(map[int]CacheResult)}
-		for _, cs := range Table6CacheSizes {
-			row.Results[cs] = CacheResult{Miss: stats[i].MissRatio(), Traffic: stats[i].TrafficRatio()}
-			i++
+		return Table6Row{Name: p.Name(), Results: make(map[int]CacheResult)}, reqs, nil
+	}, func(r *Table6Row, st []cache.Stats) {
+		for i, cs := range Table6CacheSizes {
+			r.Results[cs] = cacheResult(st[i])
 		}
-		out = append(out, row)
-	}
-	return out, nil
+	})
 }
 
 // RenderTable6 formats Table 6.
@@ -341,29 +403,19 @@ type Table7Row struct {
 }
 
 // Table7 sweeps block size at a fixed 2048-byte cache over the
-// optimized layout, batched into one broadcast replay per benchmark.
+// optimized layout, batched into one forest pass per benchmark.
 func Table7(s *Suite) ([]Table7Row, error) {
-	var reqs []SimRequest
-	for _, p := range s.Items {
+	return measureRows(s, func(p *Prepared) (Table7Row, []SimRequest, error) {
+		var reqs []SimRequest
 		for _, bs := range Table7BlockSizes {
 			reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: bs, Assoc: 1}})
 		}
-	}
-	stats, err := sharedEngine.Batch(reqs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table7Row
-	i := 0
-	for _, p := range s.Items {
-		row := Table7Row{Name: p.Name(), Results: make(map[int]CacheResult)}
-		for _, bs := range Table7BlockSizes {
-			row.Results[bs] = CacheResult{Miss: stats[i].MissRatio(), Traffic: stats[i].TrafficRatio()}
-			i++
+		return Table7Row{Name: p.Name(), Results: make(map[int]CacheResult)}, reqs, nil
+	}, func(r *Table7Row, st []cache.Stats) {
+		for i, bs := range Table7BlockSizes {
+			r.Results[bs] = cacheResult(st[i])
 		}
-		out = append(out, row)
-	}
-	return out, nil
+	})
 }
 
 // RenderTable7 formats Table 7.
@@ -399,28 +451,17 @@ type Table8Row struct {
 // Table8 measures sectoring and partial loading, batched so both
 // organisations share one broadcast replay per benchmark.
 func Table8(s *Suite) ([]Table8Row, error) {
-	var reqs []SimRequest
-	for _, p := range s.Items {
-		reqs = append(reqs,
-			SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 8}},
-			SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}})
-	}
-	stats, err := sharedEngine.Batch(reqs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table8Row
-	for i, p := range s.Items {
-		sec, par := stats[2*i], stats[2*i+1]
-		out = append(out, Table8Row{
-			Name:         p.Name(),
-			Sector:       CacheResult{Miss: sec.MissRatio(), Traffic: sec.TrafficRatio()},
-			Partial:      CacheResult{Miss: par.MissRatio(), Traffic: par.TrafficRatio()},
-			PartialFetch: par.AvgFetchWords(),
-			PartialExec:  par.AvgExecWords(),
-		})
-	}
-	return out, nil
+	return measureRows(s, func(p *Prepared) (Table8Row, []SimRequest, error) {
+		return Table8Row{Name: p.Name()}, []SimRequest{
+			{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 8}},
+			{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}},
+		}, nil
+	}, func(r *Table8Row, st []cache.Stats) {
+		r.Sector = cacheResult(st[0])
+		r.Partial = cacheResult(st[1])
+		r.PartialFetch = st[1].AvgFetchWords()
+		r.PartialExec = st[1].AvgExecWords()
+	})
 }
 
 // RenderTable8 formats Table 8.

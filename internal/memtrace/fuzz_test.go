@@ -2,11 +2,13 @@ package memtrace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
-// FuzzRead checks that the binary trace parser never panics and that
-// any trace it accepts round-trips through the writer unchanged.
+// FuzzRead checks that the binary trace parser never panics, that any
+// trace it accepts holds every word of the runs the file encodes, and
+// that it round-trips through the writer unchanged.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid trace.
 	var buf bytes.Buffer
@@ -30,6 +32,26 @@ func FuzzRead(f *testing.F) {
 		tr, err := readTrace(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// A reader that dropped runs would pass the round trip below
+		// by dropping them again, so count the raw runs' words too.
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("accepted trace rejected on a second read: %v", err)
+		}
+		var words uint64
+		for {
+			r, err := rd.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("accepted trace has a bad raw run: %v", err)
+			}
+			words += uint64(r.Words())
+		}
+		if tr.Instrs != words {
+			t.Fatalf("accepted trace holds %d instructions, its raw runs %d words", tr.Instrs, words)
 		}
 		var out bytes.Buffer
 		wr := NewWriter(&out)

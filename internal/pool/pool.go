@@ -1,8 +1,9 @@
 // Package pool runs independent work items on a fixed set of worker
 // goroutines. It is the one worker pool of the repository: suite
-// preparation, the sweep engine's trace passes and the search
-// portfolio's climbs all run on it, with one worker count, GOMAXPROCS,
-// which the commands' -workers flag sets.
+// preparation, the experiment sections' per-program builds, the sweep
+// engine's trace passes and the search portfolio's climbs all run on
+// it, with one worker count, GOMAXPROCS, which the commands' -workers
+// flag sets.
 package pool
 
 import (
