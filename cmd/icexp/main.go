@@ -28,12 +28,13 @@
 // against the greedy pipeline at the Table-1 512B direct-mapped
 // geometry, with the page-fault term of the combined objective at the
 // -page-bytes/-frames geometry, and prints the simulator-priced
-// comparison (see docs/SEARCH.md). -page-bytes and -frames also set
-// the E2 extension's paging geometry; they must describe a valid
-// geometry (pages a power of two >= 64 bytes, frames >= 0), or the
-// command exits 2 before preparing anything. The -analyze
-// page-pressure summary is fixed at 4KB pages and 8 frames whatever
-// the flags say. -workers N sets GOMAXPROCS, the worker count of every
+// comparison (see docs/SEARCH.md). -page-bytes and -frames set only
+// that page term; they must describe a valid geometry (pages a power
+// of two >= 64 bytes, frames >= 0), or the command exits 2 before
+// preparing anything. The E2 extension's paging geometry is fixed at
+// 1KB pages with unbounded frames (experiments.ExtPagingConfig), and
+// the -analyze page-pressure summary at 4KB pages and 8 frames,
+// whatever the flags say. -workers N sets GOMAXPROCS, the worker count of every
 // parallel pool — suite preparation, the sweep engine's trace passes
 // and the search portfolio; zero keeps the default, one runs each pool
 // on one worker, and the output is identical at every count. The
@@ -226,11 +227,12 @@ func main() {
 			return experiments.RenderExtTiming(e), nil
 		})
 		emit("ext-paging", func() (string, error) {
-			e, err := experiments.ExtPaging(suite, pageFlags.Config())
+			cfg := experiments.ExtPagingConfig()
+			e, err := experiments.ExtPaging(suite, cfg)
 			if err != nil {
 				return "", err
 			}
-			return experiments.RenderExtPaging(pageFlags.Config(), e), nil
+			return experiments.RenderExtPaging(cfg, e), nil
 		})
 		emit("ext-prefetch", func() (string, error) {
 			e, err := experiments.ExtPrefetch(suite)
@@ -270,7 +272,7 @@ func main() {
 					return "", err
 				}
 			}
-			return experiments.RenderBoundCheck(suite, rows), nil
+			return experiments.RenderBoundCheck(rows), nil
 		})
 		emit("analyze-pages", func() (string, error) {
 			rows, err := experiments.PageBoundCheck(suite)
@@ -282,7 +284,7 @@ func main() {
 					return "", err
 				}
 			}
-			return experiments.RenderPageBoundCheck(suite, rows), nil
+			return experiments.RenderPageBoundCheck(rows), nil
 		})
 	}
 	if *searchFlag {

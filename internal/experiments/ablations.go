@@ -7,6 +7,7 @@ import (
 	"impact/internal/core"
 	"impact/internal/layout"
 	"impact/internal/memtrace"
+	"impact/internal/obs"
 	"impact/internal/texttable"
 )
 
@@ -48,11 +49,11 @@ type AblationLayoutRow struct {
 // only their evaluation traces are interpreted.
 func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	return measureRows(s, func(p *Prepared) (AblationLayoutRow, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, lane obs.Lane) (AblationLayoutRow, []SimRequest, error) {
 		row := AblationLayoutRow{Name: p.Name(), Miss: make(map[string]float64)}
 		var reqs []SimRequest
 		for _, name := range LayoutStrategies {
-			tr, err := layoutTrace(p, name)
+			tr, err := layoutTrace(p, name, lane)
 			if err != nil {
 				return row, nil, err
 			}
@@ -66,8 +67,9 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 	})
 }
 
-// layoutTrace returns p's evaluation trace under the A1 arm name.
-func layoutTrace(p *Prepared, name string) (*memtrace.Trace, error) {
+// layoutTrace returns p's evaluation trace under the A1 arm name,
+// placing a partial pipeline on lane.
+func layoutTrace(p *Prepared, name string, lane obs.Lane) (*memtrace.Trace, error) {
 	b := p.Bench
 	switch name {
 	case "natural":
@@ -75,13 +77,10 @@ func layoutTrace(p *Prepared, name string) (*memtrace.Trace, error) {
 	case "full":
 		return p.OptTrace, nil
 	case "random":
-		_, tr, err := p.deriveTrace("layout:random", func() (*core.Result, *memtrace.Trace, error) {
-			tr, _, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
-			return nil, tr, err
-		})
+		tr, _, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
 		return tr, err
 	}
-	_, tr, err := p.deriveOptimize("layout:"+name, p.variantConfig(partialStrategies[name]))
+	_, tr, err := p.deriveOptimize(p.variantConfig(partialStrategies[name], lane))
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
 	}
@@ -121,7 +120,7 @@ type AblationAssocRow struct {
 // AblationAssoc sweeps associativity at 2KB/64B over both layouts,
 // batched into one engine pass over the suite.
 func AblationAssoc(s *Suite) ([]AblationAssocRow, error) {
-	return measureRows(s, func(p *Prepared) (AblationAssocRow, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (AblationAssocRow, []SimRequest, error) {
 		var reqs []SimRequest
 		for _, a := range Associativities {
 			cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: a}
@@ -188,7 +187,7 @@ type AblationMinProbRow struct {
 // threshold.
 func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	return measureRows(s, func(p *Prepared) (AblationMinProbRow, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, lane obs.Lane) (AblationMinProbRow, []SimRequest, error) {
 		row := AblationMinProbRow{
 			Name:      p.Name(),
 			Miss:      make(map[float64]float64),
@@ -196,14 +195,14 @@ func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 		}
 		var reqs []SimRequest
 		for _, mp := range MinProbValues {
-			ccfg := p.variantConfig(core.FullStrategy())
+			ccfg := p.variantConfig(core.FullStrategy(), lane)
 			// The paper's threshold is the pipeline default, so there
 			// the prepared result is this very variant.
 			res, tr := p.Opt, p.OptTrace
 			if mp != ccfg.MinProb {
 				ccfg.MinProb = mp
 				var err error
-				res, tr, err = p.deriveOptimize(fmt.Sprintf("minprob:%g", mp), ccfg)
+				res, tr, err = p.deriveOptimize(ccfg)
 				if err != nil {
 					return row, nil, err
 				}
@@ -245,10 +244,10 @@ func RenderAblationMinProb(rows []AblationMinProbRow) string {
 //lint:testapi BenchmarkAblationGlobalLayout (bench_test.go) times it; icexp does not run A4
 func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	stats, err := measureSection(s, func(p *Prepared) ([]SimRequest, error) {
+	stats, err := measureSection(s, func(p *Prepared, lane obs.Lane) ([]SimRequest, error) {
 		// Without DFS: full pipeline minus the global order.
-		ccfg := p.variantConfig(core.Strategy{Inline: true, TraceLayout: true, SplitCold: true})
-		_, tr, err := p.deriveOptimize("global:no-dfs", ccfg)
+		ccfg := p.variantConfig(core.Strategy{Inline: true, TraceLayout: true, SplitCold: true}, lane)
+		_, tr, err := p.deriveOptimize(ccfg)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +282,7 @@ type AblationReplacementRow struct {
 // AblationReplacement sweeps the replacement policy in one engine
 // batch (the three policies share a broadcast replay per benchmark).
 func AblationReplacement(s *Suite) ([]AblationReplacementRow, error) {
-	return measureRows(s, func(p *Prepared) (AblationReplacementRow, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (AblationReplacementRow, []SimRequest, error) {
 		var reqs []SimRequest
 		for _, rep := range ReplacementPolicies {
 			reqs = append(reqs, SimRequest{p.OptTrace,
@@ -330,10 +329,10 @@ type AblationGlobalAlgoRow struct {
 // AblationGlobalAlgo compares the two historical global orderings.
 func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	return measureRows(s, func(p *Prepared) (AblationGlobalAlgoRow, []SimRequest, error) {
-		ccfg := p.variantConfig(core.FullStrategy())
+	return measureRows(s, func(p *Prepared, lane obs.Lane) (AblationGlobalAlgoRow, []SimRequest, error) {
+		ccfg := p.variantConfig(core.FullStrategy(), lane)
 		ccfg.Strategy.PettisHansen = true
-		_, tr, err := p.deriveOptimize("globalalgo:ph", ccfg)
+		_, tr, err := p.deriveOptimize(ccfg)
 		if err != nil {
 			return AblationGlobalAlgoRow{}, nil, err
 		}

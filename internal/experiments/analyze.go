@@ -8,6 +8,7 @@ import (
 	"impact/internal/check"
 	"impact/internal/interp"
 	"impact/internal/ir"
+	"impact/internal/obs"
 	"impact/internal/profile"
 	"impact/internal/smith"
 	"impact/internal/texttable"
@@ -38,27 +39,25 @@ func (p *Prepared) EvalWeights() (*profile.Weights, error) {
 	return p.evalW, p.evalWErr
 }
 
-// Analyze returns the memoized static cache-behavior analysis of the
-// optimized layout under cfg, built from the evaluation-run weights and
-// verified by the bounds analyzer under the suite's check mode.
+// Analyze returns the static cache-behavior analysis of the optimized
+// layout under cfg, built from the evaluation-run weights and verified
+// by the bounds analyzer under the suite's check mode.
 func (p *Prepared) Analyze(cfg cache.Config) (*analysis.Result, error) {
 	w, err := p.EvalWeights()
 	if err != nil {
 		return nil, err
 	}
-	return p.analyzed.get(cfg, func() (*analysis.Result, error) {
-		res, err := analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
-		if err != nil {
-			return nil, err
-		}
-		if err := p.verify(&check.Unit{
-			Stage: check.StageAnalysis, Prog: p.Opt.Prog, Weights: w,
-			Layout: p.Opt.Layout, Analysis: res,
-		}); err != nil {
-			return nil, err
-		}
-		return res, nil
-	})
+	res, err := analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
+	if err != nil {
+		return nil, err
+	}
+	if err := p.verify(&check.Unit{
+		Stage: check.StageAnalysis, Prog: p.Opt.Prog, Weights: w,
+		Layout: p.Opt.Layout, Analysis: res,
+	}); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // BoundRow is one benchmark x geometry bound-vs-measurement
@@ -75,6 +74,8 @@ type BoundRow struct {
 	// always are here — the weights come from the evaluation run —
 	// unless the run hit the interpreter step cap).
 	Exact bool
+	// Analysis is the static analysis the bounds came from.
+	Analysis *analysis.Result
 }
 
 // OK reports whether the row honours the bracket invariant (vacuously
@@ -89,7 +90,7 @@ func (r BoundRow) OK() bool {
 // miss count of the same evaluation run.
 func BoundCheck(s *Suite) ([]BoundRow, error) {
 	geoms := smithGeometries()
-	stats, err := measureSection(s, func(p *Prepared) ([]SimRequest, error) {
+	stats, err := measureSection(s, func(p *Prepared, _ obs.Lane) ([]SimRequest, error) {
 		reqs := make([]SimRequest, len(geoms))
 		for k, g := range geoms {
 			reqs[k] = SimRequest{p.OptTrace, g}
@@ -114,6 +115,7 @@ func BoundCheck(s *Suite) ([]BoundRow, error) {
 				Upper:    res.Bounds.Upper,
 				Accesses: res.Bounds.Accesses,
 				Exact:    res.Bounds.Exact,
+				Analysis: res,
 			})
 		}
 	}
@@ -143,7 +145,7 @@ func BoundErr(rows []BoundRow) error {
 // RenderBoundCheck formats the bound check: a per-geometry aggregate
 // of the bracket, then a per-benchmark layout-quality summary at the
 // paper's default geometry.
-func RenderBoundCheck(s *Suite, rows []BoundRow) string {
+func RenderBoundCheck(rows []BoundRow) string {
 	t := texttable.New("Static must/may miss bounds vs. simulated misses (optimized layout, direct-mapped)",
 		"cache", "block", "lower", "measured", "upper", "in bounds")
 	for _, cs := range smith.CacheSizes {
@@ -172,19 +174,12 @@ func RenderBoundCheck(s *Suite, rows []BoundRow) string {
 	const defSize, defBlock = 2048, 64
 	q := texttable.New(fmt.Sprintf("Per-benchmark static layout quality (%dB cache, %dB blocks)", defSize, defBlock),
 		"benchmark", "fall-thru", "ext-TSP", "AH", "FM", "AM", "NC", "lower", "measured", "upper", "conflict")
-	for _, p := range s.Items {
-		res, err := p.Analyze(cache.Config{SizeBytes: defSize, BlockBytes: defBlock, Assoc: 1})
-		if err != nil {
-			q.Row(p.Name(), "error: "+err.Error())
+	for _, r := range rows {
+		if r.CacheBytes != defSize || r.BlockBytes != defBlock {
 			continue
 		}
+		res := r.Analysis
 		b := res.Bounds
-		var measured uint64
-		for _, r := range rows {
-			if r.Name == p.Name() && r.CacheBytes == defSize && r.BlockBytes == defBlock {
-				measured = r.Measured
-			}
-		}
 		classPct := func(c analysis.Class) string {
 			if b.WeightedLineRefs == 0 {
 				return texttable.Pct(0)
@@ -197,12 +192,12 @@ func RenderBoundCheck(s *Suite, rows []BoundRow) string {
 			}
 			return texttable.Pct3(float64(misses) / float64(b.Accesses))
 		}
-		q.Row(p.Name(),
+		q.Row(r.Name,
 			texttable.Pct(res.Score.FallThroughRatio()),
 			fmt.Sprintf("%.3f", res.Score.ExtTSP),
 			classPct(analysis.ClassAlwaysHit), classPct(analysis.ClassFirstMiss),
 			classPct(analysis.ClassAlwaysMiss), classPct(analysis.ClassUnclassified),
-			ratio(b.Lower), ratio(measured), ratio(b.Upper),
+			ratio(b.Lower), ratio(r.Measured), ratio(b.Upper),
 			texttable.Mega(res.Conflicts.TotalExcess))
 	}
 	return out + "\n" + q.String()

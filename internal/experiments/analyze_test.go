@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 	for _, p := range s.Items[:3] {
 		b := p.Bench
 		for _, sc := range strategies {
-			res, tr, err := p.deriveOptimize("layout:"+sc.name, pipelineConfig(b, sc.st))
+			res, tr, err := p.deriveOptimize(pipelineConfig(b, sc.st))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name(), sc.name, err)
 			}
@@ -126,35 +127,27 @@ func TestOptimizedLayoutScoresBetter(t *testing.T) {
 	}
 }
 
+// TestRenderBoundCheck renders the bound check from its rows alone:
+// each row keeps the analysis its bounds came from, and that analysis
+// deeply equals a second Analyze of its program at its geometry.
 func TestRenderBoundCheck(t *testing.T) {
 	s := testSuite(t)
 	rows, err := BoundCheck(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderBoundCheck(s, rows)
+	out := RenderBoundCheck(rows)
 	for _, want := range []string{"must/may", "in bounds", "ext-TSP", s.Items[0].Name()} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestAnalyzeMemoized: repeated Analyze calls for one geometry must
-// return the identical result object.
-func TestAnalyzeMemoized(t *testing.T) {
-	s := testSuite(t)
-	p := s.Items[0]
-	geom := cache.Config{SizeBytes: 1024, BlockBytes: 32, Assoc: 1}
-	a, err := p.Analyze(geom)
+	r := rows[0]
+	again, err := s.byName(r.Name).Analyze(cache.Config{SizeBytes: r.CacheBytes, BlockBytes: r.BlockBytes, Assoc: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Analyze(geom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("Analyze not memoized: distinct results for one geometry")
+	if !reflect.DeepEqual(r.Analysis, again) {
+		t.Errorf("%s %dB/%dB: the row's analysis differs from a second Analyze", r.Name, r.CacheBytes, r.BlockBytes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"impact/internal/cache"
+	"impact/internal/obs"
 	"impact/internal/paging"
 	"impact/internal/texttable"
 )
@@ -32,7 +33,7 @@ const ExtTimingLatency = 8
 
 // ExtTiming measures effective access time across block sizes.
 func ExtTiming(s *Suite) ([]TimingRow, error) {
-	return measureRows(s, func(p *Prepared) (TimingRow, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (TimingRow, []SimRequest, error) {
 		var reqs []SimRequest
 		for _, bs := range Table7BlockSizes {
 			fwd := cache.Config{
@@ -91,8 +92,9 @@ const ExtPagingPageBytes = 1024
 // ExtPagingWindow is the working-set window in instruction fetches.
 const ExtPagingWindow = 100_000
 
-// ExtPagingConfig is the default E2 paging geometry: ExtPagingPageBytes
-// pages with unbounded main memory, so faults are all cold.
+// ExtPagingConfig is the E2 paging geometry icexp prints:
+// ExtPagingPageBytes pages with unbounded main memory, so faults are
+// all cold.
 func ExtPagingConfig() paging.Config {
 	return paging.Config{PageBytes: ExtPagingPageBytes}
 }
@@ -184,7 +186,7 @@ func ExtPrefetch(s *Suite) ([]PrefetchRow, error) {
 	base := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	pf := base
 	pf.PrefetchNext = true
-	return measureRows(s, func(p *Prepared) (PrefetchRow, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (PrefetchRow, []SimRequest, error) {
 		return PrefetchRow{Name: p.Name()}, []SimRequest{{p.OptTrace, base}, {p.OptTrace, pf}, {p.NatTrace, pf}}, nil
 	}, func(r *PrefetchRow, st []cache.Stats) {
 		r.Plain = cacheResult(st[0])

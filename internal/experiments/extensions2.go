@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"impact/internal/cache"
+	"impact/internal/obs"
 	"impact/internal/texttable"
 	"impact/internal/workload"
 )
@@ -94,7 +95,7 @@ func ExtExtendedSuite(scale float64, opts ...Options) ([]ExtendedRow, error) {
 		return nil, err
 	}
 	cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	return measureRows(suite, func(p *Prepared) (ExtendedRow, []SimRequest, error) {
+	return measureRows(suite, func(p *Prepared, _ obs.Lane) (ExtendedRow, []SimRequest, error) {
 		return ExtendedRow{Name: p.Name(), StaticBytes: p.Opt.TotalBytes},
 			[]SimRequest{{p.OptTrace, cfg}, {p.NatTrace, cfg}}, nil
 	}, func(r *ExtendedRow, st []cache.Stats) {

@@ -16,27 +16,25 @@ import (
 // check's pagebounds analyzer, which needs no trace and runs on every
 // analysis AnalyzePages builds).
 
-// AnalyzePages returns the memoized static page-level analysis of the
-// optimized layout under cfg, built from the evaluation-run weights and
-// verified by the pagebounds analyzer under the suite's check mode.
+// AnalyzePages returns the static page-level analysis of the optimized
+// layout under cfg, built from the evaluation-run weights and verified
+// by the pagebounds analyzer under the suite's check mode.
 func (p *Prepared) AnalyzePages(cfg paging.Config) (*analysis.PageResult, error) {
 	w, err := p.EvalWeights()
 	if err != nil {
 		return nil, err
 	}
-	return p.pages.get(cfg, func() (*analysis.PageResult, error) {
-		res, err := analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
-		if err != nil {
-			return nil, err
-		}
-		if err := p.verify(&check.Unit{
-			Stage: check.StagePaging, Prog: p.Opt.Prog, Weights: w,
-			Layout: p.Opt.Layout, Pages: res,
-		}); err != nil {
-			return nil, err
-		}
-		return res, nil
-	})
+	res, err := analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
+	if err != nil {
+		return nil, err
+	}
+	if err := p.verify(&check.Unit{
+		Stage: check.StagePaging, Prog: p.Opt.Prog, Weights: w,
+		Layout: p.Opt.Layout, Pages: res,
+	}); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // PageBoundSizes and PageBoundFrames are the paging geometries
@@ -65,6 +63,8 @@ type PageBoundRow struct {
 	// Exact reports that the bounds are guarantees for this run (they
 	// always are here unless the run hit the interpreter step cap).
 	Exact bool
+	// Analysis is the static analysis the bounds came from.
+	Analysis *analysis.PageResult
 }
 
 // OK reports whether the row honours the bracket and footprint
@@ -116,6 +116,7 @@ func PageBoundCheck(s *Suite) ([]PageBoundRow, error) {
 					MeasuredPages: st.PagesTouched,
 					WS:            ws[p.Name()],
 					Exact:         res.Bounds.Exact,
+					Analysis:      res,
 				})
 			}
 		}
@@ -147,7 +148,7 @@ func PageBoundErr(rows []PageBoundRow) error {
 // RenderPageBoundCheck formats the page bound check: a per-geometry
 // aggregate of the bracket, then a per-benchmark page-pressure summary
 // at the default 4KB / 8-frame geometry.
-func RenderPageBoundCheck(s *Suite, rows []PageBoundRow) string {
+func RenderPageBoundCheck(rows []PageBoundRow) string {
 	t := texttable.New("Static page-fault bounds vs. simulated faults (optimized layout, LRU demand paging)",
 		"page", "frames", "lower", "measured", "upper", "in bounds")
 	for _, ps := range PageBoundSizes {
@@ -180,27 +181,17 @@ func RenderPageBoundCheck(s *Suite, rows []PageBoundRow) string {
 	def := paging.Config{PageBytes: 4096, Frames: 8}
 	q := texttable.New(fmt.Sprintf("Per-benchmark page pressure (%s)", def),
 		"benchmark", "code pg", "exec pg", "hot pg", "waste", "thrash", "pairs", "lower", "measured", "upper", "WS")
-	for _, p := range s.Items {
-		res, err := p.AnalyzePages(def)
-		if err != nil {
-			q.Row(p.Name(), "error: "+err.Error())
+	for _, r := range rows {
+		if r.PageBytes != def.PageBytes || r.Frames != def.Frames {
 			continue
 		}
-		var measured uint64
-		var ws float64
-		for _, r := range rows {
-			if r.Name == p.Name() && r.PageBytes == def.PageBytes && r.Frames == def.Frames {
-				measured = r.Measured
-				ws = r.WS
-			}
-		}
-		rep := res.Report
-		q.Row(p.Name(),
+		rep := r.Analysis.Report
+		q.Row(r.Name,
 			rep.CodePages, rep.ExecPages, rep.HotPages,
 			fmt.Sprintf("%dB", rep.WasteBytes),
 			rep.ThrashScopes, len(rep.Pairs),
-			texttable.Mega(res.Bounds.Lower), texttable.Mega(measured), texttable.Mega(res.Bounds.Upper),
-			fmt.Sprintf("%.1f", ws))
+			texttable.Mega(r.Lower), texttable.Mega(r.Measured), texttable.Mega(r.Upper),
+			fmt.Sprintf("%.1f", r.WS))
 	}
 	return out + "\n" + q.String()
 }

@@ -47,7 +47,7 @@ func TestPageBoundCheckBracketsSimulator(t *testing.T) {
 	if err := PageBoundErr(rows); err != nil {
 		t.Fatalf("PageBoundErr: %v", err)
 	}
-	out := RenderPageBoundCheck(s, rows)
+	out := RenderPageBoundCheck(rows)
 	for _, want := range []string{"page", "frames", "in bounds", "thrash", "4096B pages"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

@@ -19,15 +19,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"impact/internal/analysis"
-	"impact/internal/cache"
 	"impact/internal/check"
 	"impact/internal/core"
 	"impact/internal/interp"
 	"impact/internal/layout"
 	"impact/internal/memtrace"
 	"impact/internal/obs"
-	"impact/internal/paging"
 	"impact/internal/pool"
 	"impact/internal/profile"
 	"impact/internal/workload"
@@ -53,76 +50,17 @@ type Prepared struct {
 	OptRun interp.Result
 	NatRun interp.Result
 
-	// derived memoizes pipeline-variant outputs (ablation strategies,
-	// MIN_PROB sweeps, code scaling) keyed by variant name. The
-	// pipeline is deterministic, so a variant's result and evaluation
-	// trace never change across re-runs; caching them turns repeated
-	// table generation from pipeline-bound into a map lookup. Its one
-	// lock serializes every variant of this benchmark, lookups and
-	// builds alike.
-	derived memo[string, derivedVariant]
-
 	// evalW memoizes the evaluation-run profile of the optimized
 	// program (see EvalWeights).
 	evalWOnce sync.Once
 	evalW     *profile.Weights
 	evalWErr  error
 
-	// analyzed memoizes static analyses per cache geometry (see
-	// Analyze), and pages static page-level analyses per paging
-	// geometry (see AnalyzePages).
-	analyzed memo[cache.Config, *analysis.Result]
-	pages    memo[paging.Config, *analysis.PageResult]
-
 	// mode and reg are the suite's Options.Check and Options.Obs: every
-	// analysis built above is verified under them (see verify).
+	// analysis of p is verified under them (see verify), and every
+	// variant placed under them (see variantConfig).
 	mode check.Mode
 	reg  *obs.Registry
-}
-
-// memo caches one build per key, errors included: every build here is
-// deterministic, so one that failed once would fail identically. The
-// lock is held across the build, so concurrent callers of one key wait
-// rather than build twice, and callers of other keys wait too.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]memoEntry[V]
-}
-
-type memoEntry[V any] struct {
-	v   V
-	err error
-}
-
-// get returns the memoized build of k, running build on first use.
-func (m *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.m[k]
-	if !ok {
-		e.v, e.err = build()
-		if m.m == nil {
-			m.m = make(map[K]memoEntry[V])
-		}
-		m.m[k] = e
-	}
-	return e.v, e.err
-}
-
-// derivedVariant is one memoized pipeline re-run.
-type derivedVariant struct {
-	res *core.Result
-	tr  *memtrace.Trace
-}
-
-// deriveTrace returns the memoized (pipeline result, evaluation trace)
-// for the named variant, building it on first use (see memo).
-func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memtrace.Trace, error)) (*core.Result, *memtrace.Trace, error) {
-	v, err := p.derived.get(variant, func() (derivedVariant, error) {
-		res, tr, err := build()
-		return derivedVariant{res, tr}, err
-	})
-	return v.res, v.tr, err
 }
 
 // verify runs the analyzers of u's stage under the suite's check mode:
@@ -139,23 +77,21 @@ func (p *Prepared) verify(u *check.Unit) error {
 	return nil
 }
 
-// deriveOptimize is deriveTrace for the common shape: place the
-// prepared profile under a tweaked config, then trace the evaluation
-// run. No profiling input is interpreted again; a config that asks for
-// another profile (other seeds, interp or inline configuration) is an
-// error from core.Place, never a silent reuse.
-func (p *Prepared) deriveOptimize(variant string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
-	return p.deriveTrace(variant, func() (*core.Result, *memtrace.Trace, error) {
-		res, err := core.Place(p.Profile, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, tr, nil
-	})
+// deriveOptimize places the prepared profile under a tweaked config,
+// then traces the evaluation run. No profiling input is interpreted
+// again; a config that asks for another profile (other seeds, interp
+// or inline configuration) is an error from core.Place, never a
+// silent reuse.
+func (p *Prepared) deriveOptimize(cfg core.Config) (*core.Result, *memtrace.Trace, error) {
+	res, err := core.Place(p.Profile, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tr, nil
 }
 
 // pipelineConfig is the paper's pipeline configuration for benchmark b
@@ -170,10 +106,13 @@ func pipelineConfig(b *workload.Benchmark, st core.Strategy) core.Config {
 
 // variantConfig is the pipeline configuration of a variant of p with
 // strategy st: the prepared run's, verified under the suite's check
-// mode as the prepared run is.
-func (p *Prepared) variantConfig(st core.Strategy) core.Config {
+// mode as the prepared run is, and recorded to the suite's registry on
+// lane, the building worker's.
+func (p *Prepared) variantConfig(st core.Strategy, lane obs.Lane) core.Config {
 	cfg := pipelineConfig(p.Bench, st)
 	cfg.Check = p.mode
+	cfg.Obs = p.reg
+	cfg.Lane = lane
 	return cfg
 }
 

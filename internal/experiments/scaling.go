@@ -6,6 +6,7 @@ import (
 	"impact/internal/cache"
 	"impact/internal/core"
 	"impact/internal/memtrace"
+	"impact/internal/obs"
 	"impact/internal/texttable"
 )
 
@@ -25,11 +26,11 @@ type Table9Row struct {
 // scaled program, and the 2KB/64B partial-loading cache is measured.
 func Table9(s *Suite) ([]Table9Row, error) {
 	cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}
-	return measureRows(s, func(p *Prepared) (Table9Row, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, lane obs.Lane) (Table9Row, []SimRequest, error) {
 		row := Table9Row{Name: p.Name(), Results: make(map[float64]CacheResult)}
 		var reqs []SimRequest
 		for _, factor := range Table9Scales {
-			tr, err := scaledTrace(p, factor)
+			tr, err := scaledTrace(p, factor, lane)
 			if err != nil {
 				return row, nil, fmt.Errorf("%s at scale %v: %w", p.Name(), factor, err)
 			}
@@ -46,31 +47,23 @@ func Table9(s *Suite) ([]Table9Row, error) {
 // scaledTrace runs the full pipeline on a code-scaled copy of the
 // benchmark and returns its evaluation trace: the prepared profile
 // scaled (core.Profiled.Scale, which interprets the scaled program
-// only when it cannot derive its profile exactly), placed and traced.
-// Placements and evaluation traces are memoized per (benchmark,
-// factor); factor 1.0 is the prepared state itself, trace included —
+// only when it cannot derive its profile exactly), placed on lane and
+// traced. Factor 1.0 is the prepared state itself, trace included —
 // re-deriving it would replay the whole evaluation interpreter for an
 // identical trace.
-func scaledTrace(p *Prepared, factor float64) (*memtrace.Trace, error) {
+func scaledTrace(p *Prepared, factor float64, lane obs.Lane) (*memtrace.Trace, error) {
 	if factor == 1.0 {
 		return p.OptTrace, nil
 	}
-	b := p.Bench
-	_, tr, err := p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
-		prof, err := p.Profile.Scale(factor)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := core.Place(prof, p.variantConfig(core.FullStrategy()))
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, tr, nil
-	})
+	prof, err := p.Profile.Scale(factor)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.Place(prof, p.variantConfig(core.FullStrategy(), lane))
+	if err != nil {
+		return nil, err
+	}
+	tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
 	return tr, err
 }
 

@@ -71,7 +71,7 @@ func TestSectionsMatchPerRequestSimulate(t *testing.T) {
 		{"A6", section(s, AblationGlobalAlgo, RenderAblationGlobalAlgo)},
 		{"E1", section(s, ExtTiming, RenderExtTiming)},
 		{"E3", section(s, ExtPrefetch, RenderExtPrefetch)},
-		{"bound check", section(s, BoundCheck, func(rows []BoundRow) string { return RenderBoundCheck(s, rows) })},
+		{"bound check", section(s, BoundCheck, RenderBoundCheck)},
 	}
 	spans := func(name string) uint64 { return reg.Snapshot().Spans[name].Count }
 	engine := make([]string, len(sections))

@@ -25,14 +25,13 @@ func cacheResult(st cache.Stats) CacheResult {
 // measureRows is the one measurement path of the sections. It runs
 // build for every program of s on the worker pool (internal/pool),
 // each under a build/benchmark span on its worker's build-worker-N
-// lane: build derives whatever variants the section measures, begins
+// lane, which build is handed: build derives whatever variants the
+// section measures, recording their pipeline runs on that lane, begins
 // the program's row and lists its requests. Then it measures every
 // program's requests in one engine batch, and fill completes each row
 // from its statistics, in the order its build listed the requests. It
 // returns the first failing build's error, in program order.
-// Prepared.deriveTrace holds one lock per benchmark, so builds run in
-// parallel across programs only.
-func measureRows[R any](s *Suite, build func(p *Prepared) (R, []SimRequest, error), fill func(row *R, st []cache.Stats)) ([]R, error) {
+func measureRows[R any](s *Suite, build func(p *Prepared, lane obs.Lane) (R, []SimRequest, error), fill func(row *R, st []cache.Stats)) ([]R, error) {
 	rows := make([]R, len(s.Items))
 	reqs := make([][]SimRequest, len(s.Items))
 	errs := make([]error, len(s.Items))
@@ -45,7 +44,7 @@ func measureRows[R any](s *Suite, build func(p *Prepared) (R, []SimRequest, erro
 		p := s.Items[i]
 		sp := s.reg.SpanOn(lanes[w], "build/benchmark")
 		sp.SetAttr("benchmark", p.Name())
-		rows[i], reqs[i], errs[i] = build(p)
+		rows[i], reqs[i], errs[i] = build(p, lanes[w])
 		sp.End()
 	})
 	if err := cmp.Or(errs...); err != nil {
@@ -63,9 +62,9 @@ func measureRows[R any](s *Suite, build func(p *Prepared) (R, []SimRequest, erro
 
 // measureSection is measureRows for a section that combines programs:
 // each program's row is its statistics, in request order.
-func measureSection(s *Suite, build func(p *Prepared) ([]SimRequest, error)) ([][]cache.Stats, error) {
-	return measureRows(s, func(p *Prepared) ([]cache.Stats, []SimRequest, error) {
-		reqs, err := build(p)
+func measureSection(s *Suite, build func(p *Prepared, lane obs.Lane) ([]SimRequest, error)) ([][]cache.Stats, error) {
+	return measureRows(s, func(p *Prepared, lane obs.Lane) ([]cache.Stats, []SimRequest, error) {
+		reqs, err := build(p, lane)
 		return nil, reqs, err
 	}, func(row *[]cache.Stats, st []cache.Stats) { *row = st })
 }
@@ -127,7 +126,7 @@ type Table1Cell struct {
 // direct-mapped points share one forest pass per benchmark.
 func Table1(s *Suite) ([]Table1Cell, error) {
 	geoms := smithGeometries()
-	stats, err := measureSection(s, func(p *Prepared) ([]SimRequest, error) {
+	stats, err := measureSection(s, func(p *Prepared, _ obs.Lane) ([]SimRequest, error) {
 		var reqs []SimRequest
 		for _, dm := range geoms {
 			fa := dm
@@ -347,7 +346,7 @@ type Table6Row struct {
 // optimized layout. One engine batch: the direct-mapped sizes share a
 // single forest pass per benchmark.
 func Table6(s *Suite) ([]Table6Row, error) {
-	return measureRows(s, func(p *Prepared) (Table6Row, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (Table6Row, []SimRequest, error) {
 		var reqs []SimRequest
 		for _, cs := range Table6CacheSizes {
 			reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: cs, BlockBytes: 64, Assoc: 1}})
@@ -405,7 +404,7 @@ type Table7Row struct {
 // Table7 sweeps block size at a fixed 2048-byte cache over the
 // optimized layout, batched into one forest pass per benchmark.
 func Table7(s *Suite) ([]Table7Row, error) {
-	return measureRows(s, func(p *Prepared) (Table7Row, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (Table7Row, []SimRequest, error) {
 		var reqs []SimRequest
 		for _, bs := range Table7BlockSizes {
 			reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: bs, Assoc: 1}})
@@ -451,7 +450,7 @@ type Table8Row struct {
 // Table8 measures sectoring and partial loading, batched so both
 // organisations share one broadcast replay per benchmark.
 func Table8(s *Suite) ([]Table8Row, error) {
-	return measureRows(s, func(p *Prepared) (Table8Row, []SimRequest, error) {
+	return measureRows(s, func(p *Prepared, _ obs.Lane) (Table8Row, []SimRequest, error) {
 		return Table8Row{Name: p.Name()}, []SimRequest{
 			{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 8}},
 			{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}},

@@ -100,50 +100,50 @@ func TestBoundChecksVerifyEveryAnalysis(t *testing.T) {
 
 // TestVariantsVerifyUnderSuiteMode: every pipeline variant, Table 9's
 // code-scaled programs and the A1, A3, A4 and A6 placements alike, is
-// verified under the suite's check mode. Under check.Strict each
-// placed variant carries its verifier report, so Table 9's scaled
-// profiles, derived or measured, pass the weight-flow and inline
-// analyzers; under check.Off none is verified.
+// placed under the suite's check mode and recorded to the suite's
+// registry. Each section call adds one pipeline run per variant, and
+// under check.Strict verifies each one, so Table 9's scaled profiles,
+// derived or measured, pass the weight-flow and inline analyzers;
+// under check.Off none is verified.
 func TestVariantsVerifyUnderSuiteMode(t *testing.T) {
+	t.Cleanup(func() { sharedEngine.AttachObs(nil) })
+	sections := []struct {
+		name string
+		run  func(*Suite) error
+		// variants is the section's pipeline runs per program: three
+		// code scales, three partial A1 pipelines, four A3
+		// thresholds, A4 and A6.
+		variants uint64
+	}{
+		{"Table 9", func(s *Suite) error { _, err := Table9(s); return err }, 3},
+		{"A1", func(s *Suite) error { _, err := AblationLayout(s); return err }, 3},
+		{"A3", func(s *Suite) error { _, err := AblationMinProb(s); return err }, 4},
+		{"A4", func(s *Suite) error { _, _, err := AblationGlobal(s); return err }, 1},
+		{"A6", func(s *Suite) error { _, err := AblationGlobalAlgo(s); return err }, 1},
+	}
 	for _, mode := range []check.Mode{check.Strict, check.Off} {
+		reg := obs.NewRegistry()
 		s, err := PrepareBenchmarksWith([]*workload.Benchmark{
 			workload.ByName("wc", 0.05), workload.ByName("yacc", 0.05),
-		}, Options{Check: mode})
+		}, Options{Check: mode, Obs: reg})
 		if err != nil {
 			t.Fatalf("prepare under %s: %v", mode, err)
 		}
-		if _, err := Table9(s); err != nil {
-			t.Fatalf("Table 9 under %s: %v", mode, err)
-		}
-		if _, err := AblationLayout(s); err != nil {
-			t.Fatalf("A1 under %s: %v", mode, err)
-		}
-		if _, err := AblationMinProb(s); err != nil {
-			t.Fatalf("A3 under %s: %v", mode, err)
-		}
-		if _, _, err := AblationGlobal(s); err != nil {
-			t.Fatalf("A4 under %s: %v", mode, err)
-		}
-		if _, err := AblationGlobalAlgo(s); err != nil {
-			t.Fatalf("A6 under %s: %v", mode, err)
-		}
-		for _, p := range s.Items {
-			var placed []string
-			for name, e := range p.derived.m {
-				if e.v.res == nil {
-					continue // A1's random layout places nothing
-				}
-				placed = append(placed, name)
-				if verified := e.v.res.Checks != nil; verified != (mode != check.Off) {
-					t.Errorf("%s/%s under %s: verified %t", p.Name(), name, mode, verified)
-				}
+		counter := func(name string) uint64 { return reg.Counter(name).Value() }
+		for _, sec := range sections {
+			runs, units := counter("pipeline.runs"), counter("check.units")
+			if err := sec.run(s); err != nil {
+				t.Fatalf("%s under %s: %v", sec.name, mode, err)
 			}
-			sort.Strings(placed)
-			// Three code scales, three partial A1 pipelines, four A3
-			// thresholds, A4 and A6.
-			if len(placed) != 12 {
-				t.Errorf("%s under %s: %d placed variants %v, want 12", p.Name(), mode, len(placed), placed)
+			if got, want := counter("pipeline.runs")-runs, sec.variants*uint64(len(s.Items)); got != want {
+				t.Errorf("%s under %s: %d pipeline runs, want %d", sec.name, mode, got, want)
 			}
+			if verified := counter("check.units") > units; verified != (mode != check.Off) {
+				t.Errorf("%s under %s: variants verified %t", sec.name, mode, verified)
+			}
+		}
+		if mode == check.Off && counter("check.units") != 0 {
+			t.Errorf("off: check.units = %d, want 0", counter("check.units"))
 		}
 	}
 }

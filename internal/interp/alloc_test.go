@@ -34,10 +34,10 @@ func loopCallProgram(t *testing.T) *ir.Program {
 }
 
 // TestRunAllocsConstant pins the run loop's allocation model: a run
-// allocates a fixed number of times — its call stack, plus the
-// cumulative-probability slice when its seed is new — and nothing per
-// executed block, call or segment. A run twice as long allocates no
-// more, whether it counts or traces.
+// allocates a fixed number of times — its cumulative-probability slice
+// (the call stack stays on the goroutine's stack to depth 64) — and
+// nothing per executed block, call or segment. A run twice as long
+// allocates no more, whether it counts or traces.
 func TestRunAllocsConstant(t *testing.T) {
 	p := loopCallProgram(t)
 	e := NewEngine(p)
@@ -67,7 +67,7 @@ func TestRunAllocsConstant(t *testing.T) {
 				t.Errorf("allocations grow with run length: %v (20k instrs) -> %v (40k instrs)", short, long)
 			}
 			if short > 1 {
-				t.Errorf("a repeat run allocates %v times, want at most 1 (its call stack)", short)
+				t.Errorf("a repeat run allocates %v times, want at most 1 (its probability slice)", short)
 			}
 		})
 	}

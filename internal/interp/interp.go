@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"impact/internal/ir"
 	"impact/internal/memtrace"
@@ -130,9 +129,9 @@ type frame struct {
 }
 
 // Engine executes one program. NewEngine compiles the program into
-// flat tables once and each run caches its jittered arc probabilities,
-// so constructing one Engine and running it many times with different
-// seeds is cheap. An Engine is safe for concurrent runs.
+// flat tables once, and each run builds its jittered arc probabilities
+// from them, so constructing one Engine and running it many times with
+// different seeds is cheap. An Engine is safe for concurrent runs.
 type Engine struct {
 	prog *ir.Program
 	// funcs[f] is the flat index of function f's block 0; funcs has
@@ -146,20 +145,6 @@ type Engine struct {
 	// behavioural probability, both in program order.
 	succ  []int32
 	probs []float64
-	// probsCache holds the cumulative arc probabilities of the most
-	// recent run. Re-running the same seed — tracing the same "input"
-	// under a second layout, or re-deriving a memoized trace — skips
-	// the whole-program table rebuild. Lock-free: entries are
-	// immutable once published.
-	probsCache atomic.Pointer[probsEntry]
-}
-
-// probsEntry is one cached cumulative-probability slice, keyed by the
-// derived probability seed and the jitter amplitude.
-type probsEntry struct {
-	seed   uint64
-	jitter float64
-	cum    []float64
 }
 
 // NewEngine compiles p into the engine's flat tables. The program must
@@ -246,7 +231,7 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, x *Contexts, addr []uin
 		return Result{}, fmt.Errorf("interp: ProbJitter %v outside [0, 1)", cfg.ProbJitter)
 	}
 	rng := xrand.New(xrand.Seed(seed, 0x45c0))
-	cum := e.cumProbs(xrand.Seed(seed, 0x11f7), cfg.ProbJitter)
+	cum := e.jitteredProbs(xrand.Seed(seed, 0x11f7), cfg.ProbJitter)
 
 	var res Result
 	blocks, calls, succ := e.blocks, e.calls, e.succ
@@ -356,17 +341,6 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, x *Contexts, addr []uin
 // funcOf returns the function owning flat block blk.
 func (e *Engine) funcOf(blk int32) ir.FuncID {
 	return ir.FuncID(sort.Search(len(e.funcs)-1, func(f int) bool { return e.funcs[f+1] > blk }))
-}
-
-// cumProbs returns the cumulative arc probabilities for one run,
-// reusing the cached slice when the seed and jitter match.
-func (e *Engine) cumProbs(seed uint64, jitter float64) []float64 {
-	if c := e.probsCache.Load(); c != nil && c.seed == seed && c.jitter == jitter {
-		return c.cum
-	}
-	cum := e.jitteredProbs(seed, jitter)
-	e.probsCache.Store(&probsEntry{seed: seed, jitter: jitter, cum: cum})
-	return cum
 }
 
 // jitteredProbs builds a run's cumulative arc probabilities: for each

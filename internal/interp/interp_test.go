@@ -3,6 +3,7 @@ package interp
 import (
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 
 	"impact/internal/ir"
@@ -201,6 +202,42 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if r1 != r2 {
 		t.Fatalf("same seed diverged: %+v vs %+v", r1, r2)
 	}
+}
+
+// TestEngineConcurrentRuns drives one engine from many goroutines
+// (mixed seeds, each re-run many times) under the race detector and
+// checks every run equals a fresh engine's run of its seed.
+func TestEngineConcurrentRuns(t *testing.T) {
+	p := loopProgram(t, 0.6)
+	e := NewEngine(p)
+	cfg := Config{MaxSteps: 1000, ProbJitter: 0.2}
+	want := map[uint64]Result{}
+	for seed := uint64(0); seed < 4; seed++ {
+		r, err := count(NewEngine(p), seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = r
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				seed := uint64((g + i) % 4)
+				r, err := count(e, seed, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if r != want[seed] {
+					t.Errorf("seed %d: %+v, want %+v", seed, r, want[seed])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {

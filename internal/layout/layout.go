@@ -10,15 +10,16 @@
 //
 // Trace and Stream bridge the execution engine to the cache simulator:
 // the engine runs from the layout's per-block address table and emits
-// each executed segment of a block as one sequential fetch run.
-// Running the same program under two layouts yields two different
+// each executed segment of a block as one sequential fetch run. Each
+// call compiles its own engine (interp.NewEngine), which costs about a
+// hundredth of a suite program's evaluation trace. Running the same
+// program under two layouts yields two different
 // address traces — which is precisely how instruction placement
 // affects cache behaviour.
 package layout
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"impact/internal/interp"
 	"impact/internal/ir"
@@ -152,30 +153,6 @@ func Random(p *ir.Program, seed uint64) *Layout {
 	return l
 }
 
-// engineFor returns an execution engine for p, reusing the most
-// recently built one when the program matches. Tracing the same
-// program under several layouts (optimized vs natural, or derived
-// pipeline variants) re-runs the engine instead of re-compiling its
-// flat tables, and — together with the engine's own
-// jittered-probability cache — makes repeat runs of one seed cheap.
-// Engines are immutable after construction, so sharing one across
-// goroutines is safe; the cache itself is a single lock-free entry.
-func engineFor(p *ir.Program) *interp.Engine {
-	if e := engines.Load(); e != nil && e.prog == p {
-		return e.eng
-	}
-	eng := interp.NewEngine(p)
-	engines.Store(&engineEntry{prog: p, eng: eng})
-	return eng
-}
-
-type engineEntry struct {
-	prog *ir.Program
-	eng  *interp.Engine
-}
-
-var engines atomic.Pointer[engineEntry]
-
 // Stream runs the program once with the given seed under layout lay,
 // feeding the fetch trace to sink as canonical runs (zero-length runs
 // dropped, contiguous runs merged — the exact sequence replaying a
@@ -184,7 +161,7 @@ var engines atomic.Pointer[engineEntry]
 // simulators (cache.SinkSimulator, sweep.Plan).
 func Stream(lay *Layout, seed uint64, cfg interp.Config, sink memtrace.Sink) (interp.Result, error) {
 	m := memtrace.NewMerger(sink)
-	res, err := engineFor(lay.Program()).Trace(seed, cfg, lay.addr, m)
+	res, err := interp.NewEngine(lay.Program()).Trace(seed, cfg, lay.addr, m)
 	if err != nil {
 		return res, err
 	}
@@ -198,7 +175,7 @@ func Stream(lay *Layout, seed uint64, cfg interp.Config, sink memtrace.Sink) (in
 // building a multi-million-run trace never re-copies it.
 func Trace(lay *Layout, seed uint64, cfg interp.Config) (*memtrace.Trace, interp.Result, error) {
 	var buf memtrace.Buffer
-	res, err := engineFor(lay.Program()).Trace(seed, cfg, lay.addr, &buf)
+	res, err := interp.NewEngine(lay.Program()).Trace(seed, cfg, lay.addr, &buf)
 	if err != nil {
 		return nil, res, err
 	}

@@ -102,21 +102,3 @@ func TestStreamCappedRun(t *testing.T) {
 			len(got.Runs), got.Instrs, len(want.Runs), want.Instrs)
 	}
 }
-
-// TestEngineReuse pins the engine cache: tracing the same program
-// repeatedly (any layout) reuses one engine.
-func TestEngineReuse(t *testing.T) {
-	p := branchy(t)
-	e1 := engineFor(p)
-	if e2 := engineFor(p); e2 != e1 {
-		t.Error("second engineFor call rebuilt the engine")
-	}
-	q := branchy(t)
-	e3 := engineFor(q)
-	if e3 == e1 {
-		t.Error("different program shares an engine")
-	}
-	if e4 := engineFor(q); e4 != e3 {
-		t.Error("engine cache did not update to the new program")
-	}
-}

@@ -33,10 +33,9 @@
 #                       memoized steady state shows up after the cold
 #                       first iteration). The benchmarks of Table 9 and
 #                       A1, A3, A4 and A6 build their pipeline variants
-#                       in the first iteration only and time memo
-#                       lookups after it (at scale 0.05 Table 9 reads
-#                       about 100 ms/op at 1x, 2 ms/op at 3x), so -ab
-#                       cannot referee a change to those builds.
+#                       in every iteration (at scale 0.05 Table 9 reads
+#                       107-124 ms/op at 1x, 94-117 ms/op at 3x), so -ab
+#                       can referee a change to those builds.
 #   OUT                 output file (default BENCH_PR6.json)
 #   WARN_PCT            -compare warning threshold (default 10)
 #   FAIL_PCT            -compare failure threshold (default 25)
