@@ -30,11 +30,11 @@
 // -page-bytes/-frames geometry, and prints the simulator-priced
 // comparison (see docs/SEARCH.md). -page-bytes and -frames set only
 // that page term; they must describe a valid geometry (pages a power
-// of two >= 64 bytes, frames >= 0), or the command exits 2 before
-// preparing anything. The E2 extension's paging geometry is fixed at
-// 1KB pages with unbounded frames (experiments.ExtPagingConfig), and
-// the -analyze page-pressure summary at 4KB pages and 8 frames,
-// whatever the flags say. -workers N sets GOMAXPROCS, the worker count of every
+// of two >= 64 bytes, frames >= 0), and either set without -search is
+// a usage error, so the command exits 2 before preparing anything. The
+// E2 extension's paging geometry is fixed at 1KB pages with unbounded
+// frames (experiments.ExtPagingConfig), and the -analyze page-pressure
+// summary at 4KB pages and 8 frames. -workers N sets GOMAXPROCS, the worker count of every
 // parallel pool — suite preparation, the sweep engine's trace passes
 // and the search portfolio; zero keeps the default, one runs each pool
 // on one worker, and the output is identical at every count. The
@@ -77,6 +77,13 @@ func main() {
 	flag.Parse()
 	if err := pageFlags.Check(); err != nil {
 		cliutil.ExitUsage("icexp", err)
+	}
+	if !*searchFlag {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "page-bytes" || f.Name == "frames" {
+				cliutil.ExitUsage("icexp", fmt.Errorf("-%s without -search: -page-bytes and -frames set only -search's page term", f.Name))
+			}
+		})
 	}
 	mode, err := check.ParseMode(*checkMode)
 	if err != nil {

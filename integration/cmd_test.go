@@ -290,6 +290,10 @@ func TestCommandsRejectGarbageFlags(t *testing.T) {
 			"icexp: invalid paging geometry (-page-bytes 100 -frames 8): paging: page size 100 is not a power of two >= 64"},
 		{"icexp extensions bad page size", "icexp", []string{"-scale", "0.02", "-tables", "none", "-extensions", "-page-bytes", "100"},
 			"icexp: invalid paging geometry (-page-bytes 100 -frames 8)"},
+		// A valid page geometry without -search moves nothing, so it
+		// is refused rather than ignored.
+		{"icexp page flags without search", "icexp", []string{"-scale", "0.05", "-tables", "none", "-extensions", "-page-bytes", "4096", "-frames", "8"},
+			"icexp: -frames without -search: -page-bytes and -frames set only -search's page term"},
 		{"simulate negative assoc", "impact", []string{"simulate", "-bench", "grep", "-assoc", "-2"},
 			"impact: invalid cache geometry (-size 2048 -block 64 -assoc -2): cache: associativity -2 incompatible with 32 blocks"},
 		{"simulate bad sweep entry", "impact", []string{"simulate", "-bench", "grep", "-sizes", "512,1000"},

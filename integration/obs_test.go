@@ -23,15 +23,10 @@ func toolCmd(t *testing.T, name string, args ...string) *exec.Cmd {
 // metricsSnapshot mirrors the obs JSON schema (docs/OBSERVABILITY.md)
 // closely enough to validate it from the outside, as a consumer would.
 type metricsSnapshot struct {
-	Schema     string             `json:"schema"`
-	Counters   map[string]uint64  `json:"counters"`
-	Gauges     map[string]float64 `json:"gauges"`
-	Histograms map[string]struct {
-		Count  uint64 `json:"count"`
-		SumNS  int64  `json:"sum_ns"`
-		MeanNS int64  `json:"mean_ns"`
-	} `json:"histograms"`
-	Spans map[string]struct {
+	Schema   string             `json:"schema"`
+	Counters map[string]uint64  `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
+	Spans    map[string]struct {
 		Count   uint64 `json:"count"`
 		TotalNS int64  `json:"total_ns"`
 	} `json:"spans"`
@@ -49,8 +44,8 @@ func TestIcexpMetricsOut(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("metrics JSON does not parse: %v\n%.400s", err, data)
 	}
-	if m.Schema != "impact.metrics/v1" {
-		t.Errorf("schema = %q, want impact.metrics/v1", m.Schema)
+	if m.Schema != "impact.metrics/v2" {
+		t.Errorf("schema = %q, want impact.metrics/v2", m.Schema)
 	}
 
 	// All five pipeline stages must report durations.
@@ -78,8 +73,8 @@ func TestIcexpMetricsOut(t *testing.T) {
 	if u := m.Gauges["prepare.worker_utilization"]; u <= 0 || u > 1 {
 		t.Errorf("prepare.worker_utilization = %v, want in (0, 1]", u)
 	}
-	if h := m.Histograms["prepare.benchmark"]; h.Count != 10 || h.SumNS <= 0 {
-		t.Errorf("prepare.benchmark histogram = %+v, want 10 observations", h)
+	if sp := m.Spans["prepare/benchmark"]; sp.Count != 10 || sp.TotalNS <= 0 {
+		t.Errorf("prepare/benchmark span = %+v, want 10 entries and a positive total", sp)
 	}
 
 	// Table 6 replays traces into caches, so simulator counters are live.

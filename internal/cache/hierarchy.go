@@ -55,20 +55,6 @@ func (h *Hierarchy) Reset() {
 	h.L2.Reset()
 }
 
-// GlobalMissRatio returns L2 misses per L1 instruction access — the
-// fraction of fetches that reach main memory.
-func (h *Hierarchy) GlobalMissRatio() float64 {
-	acc := h.L1.Stats().Accesses
-	if acc == 0 {
-		return 0
-	}
-	return float64(h.L2.Stats().Misses) / float64(acc)
-}
-
-// LocalL2MissRatio returns L2 misses per L2 access (each access being
-// one word of an L1 fill).
-func (h *Hierarchy) LocalL2MissRatio() float64 { return h.L2.Stats().MissRatio() }
-
 // SimulateHierarchy replays a trace through a fresh two-level
 // hierarchy and returns the per-level statistics.
 func SimulateHierarchy(l1, l2 Config, tr *memtrace.Trace) (Stats, Stats, error) {

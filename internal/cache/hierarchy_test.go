@@ -81,19 +81,6 @@ func TestHierarchyL2FiltersTraffic(t *testing.T) {
 	}
 }
 
-func TestHierarchyGlobalMissRatio(t *testing.T) {
-	h := mustHierarchy(t,
-		Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
-		Config{SizeBytes: 8192, BlockBytes: 64, Assoc: 2})
-	if h.GlobalMissRatio() != 0 || h.LocalL2MissRatio() != 0 {
-		t.Fatal("empty hierarchy has non-zero ratios")
-	}
-	h.Run(memtrace.Run{Addr: 0, Bytes: 64})
-	if got := h.GlobalMissRatio(); got != 1.0/16 {
-		t.Fatalf("global miss ratio = %v, want 1/16", got)
-	}
-}
-
 func TestHierarchyReset(t *testing.T) {
 	h := mustHierarchy(t,
 		Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},

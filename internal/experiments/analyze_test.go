@@ -76,7 +76,7 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: analyze: %v", p.Name(), sc.name, err)
 			}
-			st, err := sharedEngine.Simulate(geom, tr)
+			st, err := NewEngine().Simulate(geom, tr)
 			if err != nil {
 				t.Fatalf("%s/%s: simulate: %v", p.Name(), sc.name, err)
 			}

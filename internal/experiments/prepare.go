@@ -46,9 +46,6 @@ type Prepared struct {
 	// program under the natural declaration-order layout — the
 	// conventional-compiler baseline.
 	NatTrace *memtrace.Trace
-	// OptRun / NatRun are the evaluation execution summaries.
-	OptRun interp.Result
-	NatRun interp.Result
 
 	// evalW memoizes the evaluation-run profile of the optimized
 	// program (see EvalWeights).
@@ -123,8 +120,24 @@ func (p *Prepared) Name() string { return p.Bench.Name() }
 type Suite struct {
 	Items []*Prepared
 	// reg is the suite's Options.Obs: the sections record their
-	// per-program builds to it (see measureRows).
+	// per-program builds and measurements to it (see measureRows).
 	reg *obs.Registry
+
+	// eng measures every section of the suite (see engine).
+	engOnce sync.Once
+	eng     *Engine
+}
+
+// engine returns the suite's sweep engine, created on first use and
+// attached to the suite's registry. Its memo lives as long as the
+// suite: the sections of one suite share measurements, and no other
+// suite sees them or records to the suite's registry.
+func (s *Suite) engine() *Engine {
+	s.engOnce.Do(func() {
+		s.eng = NewEngine()
+		s.eng.AttachObs(s.reg)
+	})
+	return s.eng
 }
 
 // Progress describes one benchmark finishing preparation.
@@ -142,8 +155,8 @@ type Progress struct {
 type Options struct {
 	// Obs, when non-nil, receives pipeline spans and counters from
 	// every benchmark plus per-benchmark prepare times
-	// (prepare.<name>.seconds gauges, the prepare.benchmark histogram)
-	// and the prepare.worker_utilization gauge.
+	// (prepare.<name>.seconds gauges, the prepare/benchmark span) and
+	// the prepare.worker_utilization gauge.
 	Obs *obs.Registry
 	// Log, when non-nil, receives per-benchmark debug lines and
 	// capped-run warnings. Nil discards.
@@ -202,9 +215,6 @@ func prepareBenchmarks(benchmarks []*workload.Benchmark) (*Suite, error) {
 // parallel across CPUs, reporting per-benchmark progress and metrics
 // through opts.
 func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Suite, error) {
-	if opts.Obs != nil {
-		sharedEngine.AttachObs(opts.Obs)
-	}
 	items := make([]*Prepared, len(benchmarks))
 	errs := make([]error, len(benchmarks))
 	workers := pool.Workers(0, len(benchmarks))
@@ -230,7 +240,6 @@ func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Sui
 		sp.End()
 		busyNS.Add(int64(elapsed))
 		n := int(done.Add(1))
-		opts.Obs.Histogram("prepare.benchmark").Observe(elapsed)
 		opts.Obs.Gauge("prepare." + b.Name() + ".seconds").Set(elapsed.Seconds())
 		opts.logger().Debug("benchmark prepared",
 			"benchmark", b.Name(), "elapsed", elapsed, "done", n, "total", len(benchmarks))
@@ -308,8 +317,6 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 		Opt:      res,
 		OptTrace: optTr,
 		NatTrace: natTr,
-		OptRun:   optRun,
-		NatRun:   natRun,
 		mode:     opts.Check,
 		reg:      opts.Obs,
 	}, nil

@@ -21,8 +21,9 @@ func section[R any](s *Suite, f func(*Suite) (R, error), render func(R) string) 
 }
 
 // simulateEach is the naive measureAll: every request through
-// cache.Simulate, one at a time, in program order.
-func simulateEach(reqs [][]SimRequest) ([][]cache.Stats, error) {
+// cache.Simulate, one at a time, in program order, bypassing the
+// suite's engine.
+func simulateEach(_ *Engine, reqs [][]SimRequest) ([][]cache.Stats, error) {
 	out := make([][]cache.Stats, len(reqs))
 	for i, prog := range reqs {
 		for _, rq := range prog {
@@ -45,7 +46,6 @@ func simulateEach(reqs [][]SimRequest) ([][]cache.Stats, error) {
 // its own twelve programs.
 func TestSectionsMatchPerRequestSimulate(t *testing.T) {
 	reg := obs.NewRegistry()
-	t.Cleanup(func() { sharedEngine.AttachObs(nil) })
 	s, err := PrepareBenchmarksWith(workload.Suite(0.05)[:3], Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -142,8 +142,12 @@ func TestTablesStreamDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res != p.NatRun {
-			t.Errorf("%s: streamed run %+v, prepared run %+v", p.Name(), res, p.NatRun)
+		_, natRun, err := layout.Trace(lay, p.Bench.EvalSeed, p.Bench.EvalConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != natRun {
+			t.Errorf("%s: streamed run %+v, traced run %+v", p.Name(), res, natRun)
 		}
 		for i, st := range sim.Stats() {
 			if st != natWant[i] {

@@ -15,15 +15,15 @@ import (
 // The sweep engine is the single entry point for every cache
 // measurement the experiments make. It exists because the tables
 // overlap massively — the same (trace, organisation) pair is measured
-// by several tables, the same trace is swept across many organisations,
-// and benchmark harnesses regenerate identical tables repeatedly — so
-// the engine deduplicates at two levels:
+// by several tables, and the same trace is swept across many
+// organisations — so the engine deduplicates at two levels:
 //
 //  1. Results are memoized under a content-addressed key (trace
 //     fingerprint + canonical organisation), so a measurement is paid
-//     for once per process no matter how many tables ask for it, even
-//     when a deterministic pipeline re-run produced a fresh but
-//     identical trace value.
+//     for once per engine no matter how many tables ask for it, even
+//     when a pipeline variant produced a fresh but identical trace
+//     value. Each Suite owns one engine (Suite.engine), so its memo
+//     lives as long as the suite.
 //  2. Misses are grouped by trace, and each trace's organisations go
 //     to the sweep planner (sweep.NewPlan), which decides between
 //     stack passes, one direct-mapped forest and one broadcast
@@ -137,11 +137,6 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{memo: make(map[simKey]cache.Stats)}
 }
-
-// sharedEngine backs every measurement in this package, so results are
-// shared across tables, ablations, and repeated invocations within a
-// process.
-var sharedEngine = NewEngine()
 
 // AttachObs routes engine metrics to r (counters sweep.sims_run,
 // sweep.sims_memoized, sweep.stack_pass_sizes, sweep.trace_passes and

@@ -6,6 +6,7 @@ import (
 	"impact/internal/cache"
 	"impact/internal/memtrace"
 	"impact/internal/obs"
+	"impact/internal/workload"
 	"impact/internal/xrand"
 )
 
@@ -150,5 +151,49 @@ func TestFingerprintDistinguishesTraces(t *testing.T) {
 	clone := &memtrace.Trace{Runs: append([]memtrace.Run(nil), a.Runs...), Instrs: a.Instrs}
 	if fingerprint(a) != fingerprint(clone) {
 		t.Error("value-identical traces disagree")
+	}
+}
+
+// TestEachSuiteMeasuresIntoItsOwnRegistry: every suite measures
+// through its own engine, attached to its own registry. Preparing the
+// same programs again, with or without a registry, neither moves an
+// earlier suite's sweep counters nor serves the new suite from the
+// earlier suite's memo.
+func TestEachSuiteMeasuresIntoItsOwnRegistry(t *testing.T) {
+	table6 := func(opts Options) {
+		t.Helper()
+		s, err := PrepareBenchmarksWith(workload.Suite(0.05)[:3], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Table6(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counter := func(r *obs.Registry, name string) uint64 { return r.Counter(name).Value() }
+	sims := uint64(3 * len(Table6CacheSizes))
+
+	a := obs.NewRegistry()
+	table6(Options{Obs: a})
+	run, memo := counter(a, "sweep.sims_run"), counter(a, "sweep.sims_memoized")
+	if run != sims || memo != 0 {
+		t.Fatalf("first suite: %d simulations run, %d memoized, want %d and 0", run, memo, sims)
+	}
+
+	table6(Options{})
+	if got := counter(a, "sweep.sims_run"); got != run {
+		t.Errorf("a suite without a registry moved the first suite's sweep.sims_run from %d to %d", run, got)
+	}
+	if got := counter(a, "sweep.sims_memoized"); got != memo {
+		t.Errorf("a suite without a registry moved the first suite's sweep.sims_memoized from %d to %d", memo, got)
+	}
+
+	b := obs.NewRegistry()
+	table6(Options{Obs: b})
+	if got := counter(b, "sweep.sims_run"); got != sims {
+		t.Errorf("third suite: %d simulations run, want %d", got, sims)
+	}
+	if got := counter(b, "sweep.sims_memoized"); got != 0 {
+		t.Errorf("third suite: %d simulations served from another suite's memo", got)
 	}
 }

@@ -50,7 +50,7 @@ func measureRows[R any](s *Suite, build func(p *Prepared, lane obs.Lane) (R, []S
 	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
-	stats, err := measureAll(reqs)
+	stats, err := measureAll(s.engine(), reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -69,16 +69,16 @@ func measureSection(s *Suite, build func(p *Prepared, lane obs.Lane) ([]SimReque
 	}, func(row *[]cache.Stats, st []cache.Stats) { *row = st })
 }
 
-// measureAll flattens every program's requests into one batch of the
-// shared engine and splits the statistics back per program. It is the
-// seam between the sections and the engine: a test swaps it for
+// measureAll flattens every program's requests into one batch of e,
+// the suite's engine, and splits the statistics back per program. It
+// is the seam between the sections and the engine: a test swaps it for
 // per-request cache.Simulate to referee the engine's shortcuts.
-var measureAll = func(reqs [][]SimRequest) ([][]cache.Stats, error) {
+var measureAll = func(e *Engine, reqs [][]SimRequest) ([][]cache.Stats, error) {
 	var flat []SimRequest
 	for _, r := range reqs {
 		flat = append(flat, r...)
 	}
-	stats, err := sharedEngine.Batch(flat)
+	stats, err := e.Batch(flat)
 	if err != nil {
 		return nil, err
 	}

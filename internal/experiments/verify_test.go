@@ -19,7 +19,6 @@ import (
 // goes through them and passes; under check.Off none does. A
 // corrupted result sent through the same hook fails under Strict.
 func TestBoundChecksVerifyEveryAnalysis(t *testing.T) {
-	t.Cleanup(func() { sharedEngine.AttachObs(nil) })
 	prepare := func(mode check.Mode) (*Suite, *obs.Registry) {
 		t.Helper()
 		reg := obs.NewRegistry()
@@ -106,7 +105,6 @@ func TestBoundChecksVerifyEveryAnalysis(t *testing.T) {
 // derived or measured, pass the weight-flow and inline analyzers;
 // under check.Off none is verified.
 func TestVariantsVerifyUnderSuiteMode(t *testing.T) {
-	t.Cleanup(func() { sharedEngine.AttachObs(nil) })
 	sections := []struct {
 		name string
 		run  func(*Suite) error

@@ -193,19 +193,6 @@ func (p *Program) Callee(s CallSite) FuncID {
 	return p.Funcs[s.Func].Blocks[s.Block].Instrs[s.Instr].Callee
 }
 
-// CallSitesOf returns every call site in function f, in block then
-// instruction order.
-func (p *Program) CallSitesOf(f FuncID) []CallSite {
-	var sites []CallSite
-	fn := p.Funcs[f]
-	for _, b := range fn.Blocks {
-		for _, i := range b.CallSites() {
-			sites = append(sites, CallSite{Func: f, Block: b.ID, Instr: int32(i)})
-		}
-	}
-	return sites
-}
-
 // StaticCallGraph returns, for each function, the set of distinct
 // callees (static call graph adjacency). The result is indexed by
 // FuncID.

@@ -91,22 +91,6 @@ func TestPreds(t *testing.T) {
 	}
 }
 
-func TestCallSites(t *testing.T) {
-	p := buildCallPair(t)
-	sites := p.CallSitesOf(1)
-	if len(sites) != 2 {
-		t.Fatalf("got %d call sites, want 2", len(sites))
-	}
-	for _, s := range sites {
-		if p.Callee(s) != 0 {
-			t.Fatalf("callee = %d, want 0", p.Callee(s))
-		}
-	}
-	if sites[0].Instr >= sites[1].Instr {
-		t.Fatal("call sites not in instruction order")
-	}
-}
-
 func TestStaticCallGraph(t *testing.T) {
 	p := buildCallPair(t)
 	adj := p.StaticCallGraph()

@@ -201,21 +201,6 @@ func (b *Buffer) Run(r Run) {
 	b.runs++
 }
 
-// Len returns the number of canonical runs buffered so far.
-func (b *Buffer) Len() int { return b.runs }
-
-// Instrs returns the instruction fetches buffered so far.
-func (b *Buffer) Instrs() uint64 { return b.instrs }
-
-// Replay feeds every buffered run to sink.
-func (b *Buffer) Replay(sink Sink) {
-	for _, ch := range b.chunks {
-		for _, r := range ch {
-			sink.Run(r)
-		}
-	}
-}
-
 // Seal converts the buffer into a Trace with one exact-size
 // allocation. The buffer is reset and can be reused.
 func (b *Buffer) Seal() *Trace {

@@ -10,17 +10,16 @@ import (
 )
 
 // Schema identifies the metrics JSON layout; bump on breaking change.
-const Schema = "impact.metrics/v1"
+const Schema = "impact.metrics/v2"
 
 // Snapshot is a point-in-time copy of a registry's contents. Field
 // maps serialise with sorted keys (encoding/json sorts map keys), so
 // the JSON form is deterministic for a given set of values.
 type Snapshot struct {
-	Schema     string                    `json:"schema"`
-	Counters   map[string]uint64         `json:"counters"`
-	Gauges     map[string]float64        `json:"gauges"`
-	Histograms map[string]HistogramStats `json:"histograms"`
-	Spans      map[string]SpanStats      `json:"spans"`
+	Schema   string               `json:"schema"`
+	Counters map[string]uint64    `json:"counters"`
+	Gauges   map[string]float64   `json:"gauges"`
+	Spans    map[string]SpanStats `json:"spans"`
 }
 
 // Snapshot copies the registry's current values. Safe to call while
@@ -28,11 +27,10 @@ type Snapshot struct {
 // snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Schema:     Schema,
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramStats{},
-		Spans:      map[string]SpanStats{},
+		Schema:   Schema,
+		Counters: map[string]uint64{},
+		Gauges:   map[string]float64{},
+		Spans:    map[string]SpanStats{},
 	}
 	if r == nil {
 		return s
@@ -48,11 +46,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	//lint:maprange map-to-map copy
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	spans := make(map[string]*spanNode, len(r.spans))
 	//lint:maprange map-to-map copy
 	for k, v := range r.spans {
@@ -67,10 +60,6 @@ func (r *Registry) Snapshot() Snapshot {
 	//lint:maprange map-to-map copy
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
-	}
-	//lint:maprange map-to-map copy
-	for k, v := range hists {
-		s.Histograms[k] = v.stats()
 	}
 	//lint:maprange map-to-map copy
 	for k, v := range spans {
@@ -91,8 +80,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // WriteText writes a human-readable report: the span tree indented by
-// depth, then counters, gauges, and histogram summaries, each sorted
-// by name.
+// depth, then counters and gauges, each sorted by name.
 func (r *Registry) WriteText(w io.Writer) error {
 	s := r.Snapshot()
 	var b strings.Builder
@@ -122,19 +110,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		b.WriteString("gauges:\n")
 		for _, k := range sortedKeys(s.Gauges) {
 			fmt.Fprintf(&b, "  %-36s %g\n", k, s.Gauges[k])
-		}
-	}
-	if len(s.Histograms) > 0 {
-		b.WriteString("histograms:\n")
-		for _, k := range sortedKeys(s.Histograms) {
-			h := s.Histograms[k]
-			fmt.Fprintf(&b, "  %-36s n=%d mean=%v p50=%v p95=%v p99=%v max=%v\n",
-				k, h.Count,
-				time.Duration(h.MeanNS).Round(time.Microsecond),
-				time.Duration(h.P50NS).Round(time.Microsecond),
-				time.Duration(h.P95NS).Round(time.Microsecond),
-				time.Duration(h.P99NS).Round(time.Microsecond),
-				time.Duration(h.MaxNS).Round(time.Microsecond))
 		}
 	}
 	_, err := io.WriteString(w, b.String())

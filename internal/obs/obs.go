@@ -1,7 +1,8 @@
 // Package obs provides the reproduction's observability primitives:
-// lock-free counters and gauges, duration histograms, and hierarchical
-// stage spans, all collected in a Registry and exportable as
-// human-readable text or deterministic machine-readable JSON.
+// lock-free counters and gauges and hierarchical stage spans, all
+// collected in a Registry and exportable as human-readable text or
+// deterministic machine-readable JSON, plus a Tracer that records each
+// span as a timeline event.
 //
 // The design constraints come from where the instruments sit. The
 // cache simulator and the execution engine are the measurement
@@ -10,14 +11,14 @@
 // nothing there when disabled and almost nothing when enabled:
 //
 //   - Every method is nil-safe. A nil *Registry hands out nil
-//     *Counter/*Gauge/*Histogram/*Span handles, and every operation on
-//     a nil handle is a single branch — the disabled configuration
-//     compiles down to no-ops, so library code can instrument
-//     unconditionally.
-//   - Handle operations (Counter.Add, Gauge.Set, Histogram.Observe,
-//     Span.End) are lock-free atomics and never allocate. Only
-//     registration (Registry.Counter etc.) takes a lock; hot paths
-//     resolve their handles once, up front.
+//     *Counter/*Gauge/*Span handles, and every operation on a nil
+//     handle is a single branch — the disabled configuration compiles
+//     down to no-ops, so library code can instrument unconditionally.
+//   - Handle operations (Counter.Add, Gauge.Set, Span.End) are
+//     lock-free atomics and never allocate. Only registration
+//     (Registry.Counter etc.) takes a lock; hot paths resolve their
+//     handles once, up front. With a tracer attached, Span.End also
+//     takes the tracer's lock to record its timeline event.
 //   - Spans with the same path merge: ten goroutines each running the
 //     pipeline produce one "pipeline/inline" node accumulating ten
 //     durations, which is what per-stage accounting wants.
@@ -80,7 +81,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	spans    map[string]*spanNode
 
 	// tracer, when non-nil, receives a timeline event from every span
@@ -93,7 +93,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		spans:    make(map[string]*spanNode),
 	}
 }
@@ -128,22 +127,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named duration histogram, creating it on
-// first use. Returns nil (a valid no-op handle) when r is nil.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram()
-		r.hists[name] = h
-	}
-	return h
 }
 
 // AttachTracer routes timeline events from every span started after

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -31,44 +30,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 	if got := r.Counter("bulk").Value(); got != goroutines*perG {
 		t.Errorf("bulk = %d, want %d", got, goroutines*perG)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	r := NewRegistry()
-	const goroutines, perG = 8, 5_000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			h := r.Histogram("lat")
-			for i := 0; i < perG; i++ {
-				h.Observe(time.Duration(g*perG+i+1) * time.Nanosecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := r.Histogram("lat").stats()
-	if st.Count != goroutines*perG {
-		t.Fatalf("count = %d, want %d", st.Count, goroutines*perG)
-	}
-	n := int64(goroutines * perG)
-	if want := n * (n + 1) / 2; st.SumNS != want {
-		t.Errorf("sum = %d, want %d", st.SumNS, want)
-	}
-	if st.MinNS != 1 || st.MaxNS != n {
-		t.Errorf("min/max = %d/%d, want 1/%d", st.MinNS, st.MaxNS, n)
-	}
-	var total uint64
-	for _, c := range st.Bucket {
-		total += c
-	}
-	if total != st.Count {
-		t.Errorf("bucket total = %d, want %d", total, st.Count)
-	}
-	if st.P50NS <= 0 || st.P50NS > st.P90NS || st.P90NS > st.P99NS {
-		t.Errorf("quantiles not monotone: p50=%d p90=%d p99=%d", st.P50NS, st.P90NS, st.P99NS)
 	}
 }
 
@@ -143,7 +104,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("x").Add(5)
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Histogram("z").Observe(time.Second)
 	sp := r.Span("a").Span("b")
 	if sp.End() != 0 {
 		t.Error("nil span End != 0")
@@ -155,7 +115,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Error("nil registry retained values")
 	}
 	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Spans) != 0 {
+	if len(s.Counters)+len(s.Gauges)+len(s.Spans) != 0 {
 		t.Error("nil registry snapshot not empty")
 	}
 	var buf bytes.Buffer
@@ -205,7 +165,7 @@ func TestJSONDeterministic(t *testing.T) {
 	if norm(a.String()) != norm(b.String()) {
 		t.Errorf("snapshots differ:\n%s\n---\n%s", a.String(), b.String())
 	}
-	if got := a.String(); !strings.Contains(got, "\"schema\": \"impact.metrics/v1\"") {
+	if got := a.String(); !strings.Contains(got, "\"schema\": \"impact.metrics/v2\"") {
 		t.Errorf("JSON missing schema marker:\n%s", got)
 	}
 	// Counters must appear in sorted key order in the raw bytes.
@@ -219,7 +179,6 @@ func TestWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cache.misses").Add(3)
 	r.Gauge("prepare.worker_utilization").Set(0.9)
-	r.Histogram("prepare.benchmark").Observe(2 * time.Millisecond)
 	sp := r.Span("pipeline")
 	c := sp.Span("profile")
 	c.End()
@@ -229,18 +188,9 @@ func TestWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"spans:", "pipeline", "profile", "cache.misses", "prepare.worker_utilization", "prepare.benchmark"} {
+	for _, want := range []string{"spans:", "pipeline", "profile", "cache.misses", "prepare.worker_utilization"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestBucketIndex(t *testing.T) {
-	cases := map[int64]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 1023: 9, 1024: 10, math.MaxInt64: numBuckets - 1}
-	for ns, want := range cases {
-		if got := bucketIndex(ns); got != want {
-			t.Errorf("bucketIndex(%d) = %d, want %d", ns, got, want)
 		}
 	}
 }

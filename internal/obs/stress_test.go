@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSpanDoubleEndIsNoOp pins the End guard: only the first End of a
@@ -98,49 +97,50 @@ func TestSpanMergeStress(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileSchema pins the JSON schema of the histogram
-// export: field names, the p50/p95/p99 quantile set, and the derived
-// values for a hand-computed distribution.
-func TestHistogramQuantileSchema(t *testing.T) {
-	h := newHistogram()
-	// 100 observations: 90 at 100ns (bucket 6: [64,128)), 9 at 1000ns
-	// (bucket 9: [512,1024)), 1 at 100µs (bucket 16: [65536,131072)).
-	for i := 0; i < 90; i++ {
-		h.Observe(100 * time.Nanosecond)
+// TestChromeTraceWhileTracing exports the trace over and over while
+// four goroutines emit instants on their own lanes into a small ring:
+// under -race no export may race an emit, every event is either kept
+// or counted dropped, and the final export parses.
+func TestChromeTraceWhileTracing(t *testing.T) {
+	const goroutines, perG = 4, 20_000
+	tr := NewTracer(64)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lane := tr.Lane(fmt.Sprintf("worker-%d", g))
+			for i := 0; i < perG; i++ {
+				tr.Emit(lane, "tick")
+			}
+		}(g)
 	}
-	for i := 0; i < 9; i++ {
-		h.Observe(1000 * time.Nanosecond)
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var buf strings.Builder
+	for exporting := true; exporting; {
+		select {
+		case <-done:
+			exporting = false
+		default:
+		}
+		buf.Reset()
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	h.Observe(100 * time.Microsecond)
-
-	st := h.stats()
-	if st.P50NS != 128 {
-		t.Errorf("p50 = %d, want 128 (upper bound of [64,128))", st.P50NS)
+	if got := uint64(len(tr.Events())) + tr.Dropped(); got != goroutines*perG {
+		t.Errorf("events + dropped = %d, want %d emitted", got, goroutines*perG)
 	}
-	if st.P90NS != 1024 || st.P95NS != 1024 {
-		t.Errorf("p90/p95 = %d/%d, want 1024/1024", st.P90NS, st.P95NS)
-	}
-	if st.P99NS != 131072 {
-		t.Errorf("p99 = %d, want 131072", st.P99NS)
-	}
-	if st.MinNS != 100 || st.MaxNS != 100000 || st.Count != 100 {
-		t.Errorf("min/max/count = %d/%d/%d", st.MinNS, st.MaxNS, st.Count)
-	}
-
-	// Pin the exported JSON field names and quantile values: external
-	// consumers (docs/OBSERVABILITY.md, integration tests, dashboards)
-	// key on these exact names.
-	data, err := json.Marshal(st)
-	if err != nil {
+	buf.Reset()
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`"count":100`, `"sum_ns":118000`, `"min_ns":100`, `"max_ns":100000`,
-		`"mean_ns":1180`, `"p50_ns":128`, `"p90_ns":1024`, `"p95_ns":1024`,
-		`"p99_ns":131072`, `"buckets":[`,
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("histogram JSON missing %s:\n%s", want, data)
-		}
+	var events []chromeEvent
+	if err := json.Unmarshal([]byte(buf.String()), &events); err != nil {
+		t.Fatalf("final trace is not valid JSON: %v", err)
 	}
 }

@@ -7,15 +7,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // This file is the flight-recorder tracing layer: timestamped begin/end
 // span events with lane (goroutine/worker) attribution and key/value
-// attributes, captured in sharded bounded ring buffers and exported as
-// Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) or
-// a deterministic text timeline.
+// attributes, captured in one bounded ring buffer and exported as
+// Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
 // The design constraints mirror the rest of obs:
 //
@@ -23,31 +21,26 @@ import (
 //     one atomic pointer load at span start and nothing at all on the
 //     hot paths below spans (the simulator's per-word loop carries no
 //     tracing hooks whatsoever — see internal/cache/alloc_test.go).
-//   - Lock-free hot path when enabled: emitting an event is one atomic
-//     add to claim a ring slot, a slot write, and an atomic publish.
-//     Only lane registration takes a lock, once per lane.
-//   - Bounded memory: each shard is a fixed-capacity ring; once a
-//     shard wraps, the oldest events are overwritten (flight-recorder
+//   - One lock when enabled: emitting an event writes one ring slot
+//     under the tracer's mutex, which also guards lane registration,
+//     so Events and WriteChromeTrace may run while spans still end.
+//     Events are emitted per span, never per simulated word.
+//   - Bounded memory: the ring has a fixed capacity; once it wraps,
+//     the oldest events of any lane are overwritten (flight-recorder
 //     semantics) and Dropped reports how many were lost.
 //
 // Events carry a Lane — a timeline row named after the goroutine or
 // worker that produced the event ("main", "sweep-worker-3",
-// "prepare-worker-0"). Events of one lane are routed to one shard, so
-// per-lane ordering (and therefore per-lane timestamp monotonicity)
-// is preserved by construction.
+// "prepare-worker-0"). Events sorts them by lane, then start time, so
+// each lane's timestamps are monotonic in every export.
 
 // TraceSchema identifies the Chrome trace-event JSON flavour emitted
 // by WriteChromeTrace (the "JSON Array Format" of the Trace Event
 // spec, which Perfetto and chrome://tracing both load).
 const TraceSchema = "impact.trace/v1"
 
-// DefaultTraceCapacity is the total event capacity of NewTracer(0),
-// split across shards.
+// DefaultTraceCapacity is the event capacity of NewTracer(0).
 const DefaultTraceCapacity = 1 << 16
-
-// traceShards is the number of ring shards. Lanes map to shards by
-// lane % traceShards, keeping each lane's events in claim order.
-const traceShards = 8
 
 // Lane identifies one timeline row. Lane 0 is always "main". The zero
 // value is therefore a valid lane everywhere, which is what nil-safe
@@ -81,36 +74,21 @@ type Event struct {
 	Attrs []Attr
 }
 
-// traceSlot is one ring entry. seq publishes the claim generation
-// (index+1): a reader accepts the slot only when seq matches the
-// generation it expects, so in-flight or overwritten slots are skipped
-// rather than torn.
-type traceSlot struct {
-	seq atomic.Uint64
-	ev  Event
-}
-
-// traceShard is one bounded ring. cur counts claims; slot i%cap holds
-// claim i. Padded to its own cache lines so concurrent lanes do not
-// false-share cursors.
-type traceShard struct {
-	cur   atomic.Uint64
-	_     [7]uint64
-	slots []traceSlot
-}
-
-// Tracer records events into sharded bounded rings. A nil *Tracer is
+// Tracer records events into one bounded ring. A nil *Tracer is
 // valid everywhere and records nothing. Tracers are safe for
 // concurrent use.
 type Tracer struct {
-	clock  func() int64 // nanoseconds since tracer start; monotonic
-	shards [traceShards]traceShard
+	clock func() int64 // nanoseconds since tracer start; monotonic
 
-	laneMu sync.Mutex
-	lanes  []string
+	// mu guards the lanes and the ring: ring[i%len(ring)] holds the
+	// i-th event emitted, and emitted counts every event ever emitted.
+	mu      sync.Mutex
+	lanes   []string
+	ring    []Event
+	emitted uint64
 }
 
-// NewTracer returns a tracer with the given total event capacity
+// NewTracer returns a tracer with the given event capacity
 // (DefaultTraceCapacity when capacity <= 0), timestamping events with
 // the real monotonic clock.
 func NewTracer(capacity int) *Tracer {
@@ -126,15 +104,7 @@ func newTracerWithClock(capacity int, clock func() int64) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	perShard := (capacity + traceShards - 1) / traceShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	t := &Tracer{clock: clock, lanes: []string{"main"}}
-	for i := range t.shards {
-		t.shards[i].slots = make([]traceSlot, perShard)
-	}
-	return t
+	return &Tracer{clock: clock, lanes: []string{"main"}, ring: make([]Event, capacity)}
 }
 
 // now returns the current tracer timestamp (0 on a nil tracer).
@@ -153,8 +123,8 @@ func (t *Tracer) Lane(name string) Lane {
 	if t == nil {
 		return 0
 	}
-	t.laneMu.Lock()
-	defer t.laneMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i, n := range t.lanes {
 		if n == name {
 			return Lane(i)
@@ -169,24 +139,23 @@ func (t *Tracer) LaneNames() []string {
 	if t == nil {
 		return nil
 	}
-	t.laneMu.Lock()
-	defer t.laneMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]string, len(t.lanes))
 	copy(out, t.lanes)
 	return out
 }
 
-// emit records one event. Lock-free: claim a slot, write it, publish.
+// emit records one event, overwriting the oldest once the ring is
+// full.
 func (t *Tracer) emit(ev Event) {
 	if t == nil {
 		return
 	}
-	sh := &t.shards[int(ev.Lane)%traceShards]
-	i := sh.cur.Add(1) - 1
-	slot := &sh.slots[i%uint64(len(sh.slots))]
-	slot.seq.Store(0) // unpublish while writing
-	slot.ev = ev
-	slot.seq.Store(i + 1)
+	t.mu.Lock()
+	t.ring[t.emitted%uint64(len(t.ring))] = ev
+	t.emitted++
+	t.mu.Unlock()
 }
 
 // Emit records an instant event on the given lane.
@@ -202,45 +171,27 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	var d uint64
-	for i := range t.shards {
-		sh := &t.shards[i]
-		if n, c := sh.cur.Load(), uint64(len(sh.slots)); n > c {
-			d += n - c
-		}
-	}
-	return d
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.emitted - min(t.emitted, uint64(len(t.ring)))
 }
 
-// Events snapshots every published event, sorted deterministically:
-// by lane, then start time, then duration (longer first, so enclosing
-// spans precede their children), then name. Call it after the traced
-// work has quiesced; slots being written concurrently are skipped.
+// Events snapshots every recorded event, sorted deterministically: by
+// lane, then start time, then duration (longer first, so enclosing
+// spans precede their children), then name. It may run while spans
+// still end; events emitted after the snapshot are not in it.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	var out []Event
-	for s := range t.shards {
-		sh := &t.shards[s]
-		n := sh.cur.Load()
-		c := uint64(len(sh.slots))
-		lo := uint64(0)
-		if n > c {
-			lo = n - c
-		}
-		for i := lo; i < n; i++ {
-			slot := &sh.slots[i%c]
-			if slot.seq.Load() != i+1 {
-				continue // in-flight or already overwritten
-			}
-			ev := slot.ev
-			if slot.seq.Load() != i+1 {
-				continue // torn by a wrap during the copy
-			}
-			out = append(out, ev)
-		}
+	t.mu.Lock()
+	c := uint64(len(t.ring))
+	lo := t.emitted - min(t.emitted, c)
+	out := make([]Event, 0, t.emitted-lo)
+	for i := lo; i < t.emitted; i++ {
+		out = append(out, t.ring[i%c])
 	}
+	t.mu.Unlock()
 	sort.SliceStable(out, func(a, b int) bool {
 		x, y := out[a], out[b]
 		if x.Lane != y.Lane {
@@ -314,46 +265,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		b.WriteString("}")
 	}
 	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteTimeline writes a deterministic human-readable timeline: one
-// section per lane (in lane order), one line per event (in start
-// order) with start, duration, name, and attributes.
-func (t *Tracer) WriteTimeline(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	events := t.Events()
-	names := t.LaneNames()
-	var b strings.Builder
-	fmt.Fprintf(&b, "timeline: %d events, %d lanes, %d dropped\n",
-		len(events), len(names), t.Dropped())
-	laneName := func(l Lane) string {
-		if int(l) < len(names) {
-			return names[l]
-		}
-		return fmt.Sprintf("lane-%d", l)
-	}
-	cur := Lane(-1)
-	for _, ev := range events {
-		if ev.Lane != cur {
-			cur = ev.Lane
-			fmt.Fprintf(&b, "lane %s:\n", laneName(cur))
-		}
-		fmt.Fprintf(&b, "  %12.3fµs", float64(ev.Start)/1e3)
-		if ev.Phase == 'X' {
-			fmt.Fprintf(&b, " %12.3fµs", float64(ev.Dur)/1e3)
-		} else {
-			fmt.Fprintf(&b, " %13s", "instant")
-		}
-		fmt.Fprintf(&b, "  %s", ev.Name)
-		for _, a := range ev.Attrs {
-			fmt.Fprintf(&b, " %s=%s", a.Key, a.Val)
-		}
-		b.WriteString("\n")
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -168,33 +167,15 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestTimelineText(t *testing.T) {
-	_, tr := buildFixtureTrace()
-	var buf bytes.Buffer
-	if err := tr.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"5 events", "3 lanes", "0 dropped",
-		"lane main:", "lane sweep-worker-0:", "lane sweep-worker-1:",
-		"pipeline/inline", "benchmark=wc", "sweep/task", "kind=stack", "instant",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("timeline missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTracerRingWrapDropsOldest(t *testing.T) {
-	tr := newTracerWithClock(traceShards*4, fakeClock(1)) // 4 slots per shard
+	tr := newTracerWithClock(4, fakeClock(1))
 	const emitted = 50
 	for i := 0; i < emitted; i++ {
 		tr.Emit(0, "e", Int64Attr("i", int64(i)))
 	}
 	events := tr.Events()
 	if len(events) != 4 {
-		t.Fatalf("got %d events after wrap, want 4 (shard capacity)", len(events))
+		t.Fatalf("got %d events after wrap, want 4 (ring capacity)", len(events))
 	}
 	// The survivors must be the newest four, in order.
 	for j, ev := range events {
@@ -221,9 +202,6 @@ func TestNilTracerAndDetachedRegistry(t *testing.T) {
 	var events []chromeEvent
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil || len(events) != 0 {
 		t.Errorf("nil tracer chrome output not an empty array: %q err=%v", buf.String(), err)
-	}
-	if err := tr.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
 	}
 
 	// A registry without a tracer records span stats but no events.

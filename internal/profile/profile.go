@@ -15,7 +15,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"impact/internal/interp"
@@ -104,37 +103,6 @@ func (w *Weights) SiteWeight(s ir.CallSite) uint64 { return w.Sites[s] }
 // PairWeight returns the call-graph arc weight from caller to callee.
 func (w *Weights) PairWeight(caller, callee ir.FuncID) uint64 {
 	return w.Pairs[CallPair{Caller: caller, Callee: callee}]
-}
-
-// SiteCount is a call site together with its measured weight.
-type SiteCount struct {
-	Site   ir.CallSite
-	Callee ir.FuncID
-	Count  uint64
-}
-
-// SitesByWeight returns all executed call sites of program p sorted by
-// descending weight (ties broken by site position for determinism).
-func (w *Weights) SitesByWeight(p *ir.Program) []SiteCount {
-	out := make([]SiteCount, 0, len(w.Sites))
-	//lint:maprange order restored by the sort below
-	for s, c := range w.Sites {
-		out = append(out, SiteCount{Site: s, Callee: p.Callee(s), Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		if a.Site.Func != b.Site.Func {
-			return a.Site.Func < b.Site.Func
-		}
-		if a.Site.Block != b.Site.Block {
-			return a.Site.Block < b.Site.Block
-		}
-		return a.Site.Instr < b.Site.Instr
-	})
-	return out
 }
 
 // EffectiveBytes returns the number of code bytes in blocks with

@@ -181,27 +181,6 @@ func TestEffectiveBytes(t *testing.T) {
 	}
 }
 
-func TestSitesByWeightSorted(t *testing.T) {
-	p, w := profileFixture(t, 1, 2, 3, 4, 5)
-	sites := w.SitesByWeight(p)
-	if len(sites) == 0 {
-		t.Fatal("no call sites recorded")
-	}
-	for i := 1; i < len(sites); i++ {
-		if sites[i].Count > sites[i-1].Count {
-			t.Fatal("sites not sorted by descending count")
-		}
-	}
-	// The loop call site to A should dominate (executed ~10x/run).
-	top := sites[0]
-	if top.Callee != 0 {
-		t.Fatalf("hottest site calls %d, want A (0)", top.Callee)
-	}
-	if top.Site.Block != 1 {
-		t.Fatalf("hottest site in block %d, want loop block 1", top.Site.Block)
-	}
-}
-
 func TestCheckShape(t *testing.T) {
 	p, w := profileFixture(t, 1)
 	if err := w.Check(p); err != nil {

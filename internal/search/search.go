@@ -69,18 +69,14 @@ type Config struct {
 	// lexicographically *after* the cache miss upper bound — the
 	// search trades page faults only among candidates equal on cache
 	// misses, so enabling it can never regress the cache objective.
-	// It also enables the page-refinement phase after the climbs (see
-	// PageBudget and Result.PageRefined).
+	// It also enables the page-refinement phase that runs once after
+	// the climbs on half of Budget (see Result.PageRefined): the refiner
+	// walks from the winning order — and, with that half split, from
+	// the input order too — accepting moves that pack the executed
+	// footprint into fewer pages while keeping the static cache-miss
+	// upper bound within the refinement cap (refineSlack above the
+	// worse of the input and winning bounds).
 	Paging *paging.Config
-	// PageBudget caps the candidate evaluations of the page-refinement
-	// phase that runs once after the climbs when Paging is set: the
-	// refiner walks from the winning order — and, with the budget
-	// split, from the input order too — accepting moves that pack the
-	// executed footprint into fewer pages while keeping the static
-	// cache-miss upper bound within the refinement cap (refineSlack
-	// above the worse of the input and winning bounds). Zero means
-	// half of Budget; negative disables refinement.
-	PageBudget int
 	// Seed drives the deterministic RNG; distinct seeds explore
 	// distinct move sequences.
 	Seed uint64
@@ -413,11 +409,7 @@ func Optimize(in Input, cfg Config) (*Result, error) {
 		reg.Counter("search.improved").Inc()
 	}
 	if cfg.Paging != nil {
-		pageBudget := cfg.PageBudget
-		if pageBudget == 0 {
-			pageBudget = cfg.Budget / 2
-		}
-		if pageBudget > 0 && res.Pages != nil && res.Pages.Upper > 1 {
+		if pageBudget := cfg.Budget / 2; pageBudget > 0 && res.Pages != nil && res.Pages.Upper > 1 {
 			// Refine from the winner and, when it differs, from the
 			// input (greedy) order too: the winner has the best static
 			// cache bound, but the greedy order is the basin the

@@ -425,16 +425,6 @@ func TestPageRefine(t *testing.T) {
 		t.Fatal("refinement found nothing on this workload")
 	}
 
-	// A negative PageBudget disables the phase outright.
-	off := cfg
-	off.PageBudget = -1
-	c, err := search.Optimize(in, off)
-	if err != nil {
-		t.Fatalf("Optimize(PageBudget=-1): %v", err)
-	}
-	if c.PageRefined != nil {
-		t.Fatalf("PageBudget=-1 still emitted a refined variant")
-	}
 }
 
 // TestOptimizeRejectsBadInput has one row per input rejection of

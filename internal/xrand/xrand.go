@@ -24,19 +24,9 @@ func New(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Derive returns a new RNG whose stream is a deterministic function of
-// the receiver's seed and the given stream labels, without consuming
-// any numbers from the receiver. It is used to give every benchmark,
-// run, and pass its own independent stream.
-func (r *RNG) Derive(labels ...uint64) *RNG {
-	s := r.state
-	for _, l := range labels {
-		s = mix(s ^ mix(l))
-	}
-	return &RNG{state: s}
-}
-
-// Seed returns a derived seed value without constructing an RNG.
+// Seed returns a seed that is a deterministic function of base and the
+// given stream labels, in order. It gives every benchmark, run and pass
+// its own independent stream.
 func Seed(base uint64, labels ...uint64) uint64 {
 	s := base
 	for _, l := range labels {
@@ -107,20 +97,6 @@ func (r *RNG) IntRange(lo, hi int) int {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Geometric returns the number of failures before the first success in
-// a Bernoulli process with success probability p, i.e. a sample from a
-// geometric distribution with mean (1-p)/p. p must be in (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric with p outside (0, 1]")
-	}
-	n := 0
-	for !r.Bool(p) {
-		n++
-	}
-	return n
 }
 
 // Shuffle pseudo-randomly permutes the order of n elements using the

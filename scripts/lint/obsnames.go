@@ -3,8 +3,8 @@ package main
 // Rule 6: the observability inventory. docs/OBSERVABILITY.md is the
 // reference for every metric and timeline lane a run can emit, so the
 // rule checks it against the code in both directions: every name the
-// code passes to Counter, Gauge, Histogram or NewLane must be listed,
-// and every listed name must be registered somewhere.
+// code passes to Counter, Gauge or NewLane must be listed, and every
+// listed name must be registered somewhere.
 //
 // Code side: non-test files under internal/, cmd/impact, cmd/icexp and
 // cmd/icsim. A name argument must be one of
@@ -66,10 +66,9 @@ const (
 // registrars maps the registry methods that take a name to the kind of
 // name they register.
 var registrars = map[string]obsKind{
-	"Counter":   kindMetric,
-	"Gauge":     kindMetric,
-	"Histogram": kindMetric,
-	"NewLane":   kindLane,
+	"Counter": kindMetric,
+	"Gauge":   kindMetric,
+	"NewLane": kindLane,
 }
 
 // obsName is one registered or documented name.

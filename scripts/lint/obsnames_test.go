@@ -16,7 +16,7 @@ func f(r R, name string, w int) {
 	r.Counter("a.runs")
 	r.Counter("check." + name + ".runs")
 	r.Gauge("a.level")
-	r.Histogram("a.latency")
+	r.Gauge("a.latency")
 	r.NewLane(fmt.Sprintf("a-worker-%d", w))
 	r.NewLane("a-worker-0")
 }
@@ -26,7 +26,7 @@ func f(r R, name string, w int) {
 const inventoryTable = "| name | meaning |\n|---|---|\n" +
 	"| `a.runs` / `check.<analyzer>.runs` | counters |\n" +
 	"| `a.level` | gauge |\n" +
-	"| `a.latency` | histogram |\n"
+	"| `a.latency` | gauge |\n"
 
 const laneTable = "| lane | owner |\n|---|---|\n" +
 	"| `main` | lane 0 |\n" +
