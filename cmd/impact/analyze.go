@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"impact/internal/analysis"
 	"impact/internal/cache"
 	"impact/internal/cliutil"
-	"impact/internal/memtrace"
+	"impact/internal/interp"
+	"impact/internal/layout"
 	"impact/internal/paging"
-	"impact/internal/profile"
 	"impact/internal/texttable"
 )
 
@@ -97,25 +98,15 @@ func cmdAnalyze(args []string) {
 
 	res := optimize(b, st, common.Registry)
 
-	// The weights come from the single evaluation run, so the bounds
-	// are guarantees for that run's trace — the same execution
-	// -measure simulates.
-	w, runs, err := profile.Profile(res.Prog, profile.Config{
-		Seeds:  []uint64{b.EvalSeed},
-		Interp: b.EvalConfig(),
-		Obs:    common.Registry,
-	})
+	// The weights are counted in the evaluation run whose trace
+	// -measure simulates at every geometry, so the bounds are
+	// guarantees for that trace.
+	start := time.Now()
+	tr, w, run, err := layout.TraceWeights(res.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		fatal(err)
 	}
-
-	// -measure simulates one evaluation trace at every geometry.
-	var tr *memtrace.Trace
-	if *measure {
-		if tr, _, err = res.EvalTrace(b.EvalSeed, b.EvalConfig()); err != nil {
-			fatal(err)
-		}
-	}
+	interp.Record(common.Registry, run, time.Since(start))
 
 	sizeList, err := cf.SizeList()
 	if err != nil {
@@ -162,7 +153,7 @@ func cmdAnalyze(args []string) {
 				fatal(err)
 			}
 			in := st.Misses >= ares.Bounds.Lower && st.Misses <= ares.Bounds.Upper
-			exact := ares.Bounds.Exact && runs[0].Completed
+			exact := ares.Bounds.Exact && run.Completed
 			jr.Measured = &measuredJSON{
 				Misses: st.Misses, Accesses: st.Accesses,
 				InBounds: in, Exact: exact,
@@ -202,7 +193,7 @@ func cmdAnalyze(args []string) {
 			}
 			in := st.Faults >= pres.Bounds.Lower && st.Faults <= pres.Bounds.Upper &&
 				st.PagesTouched == pres.Report.ExecPages
-			exact := pres.Bounds.Exact && runs[0].Completed
+			exact := pres.Bounds.Exact && run.Completed
 			pj.Measured = &pageMeasuredJSON{
 				Faults: st.Faults, Accesses: st.Accesses, PagesTouched: st.PagesTouched,
 				InBounds: in, Exact: exact,

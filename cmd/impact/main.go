@@ -404,21 +404,23 @@ func cmdSimulate(args []string) {
 	b := mustBench(*name, *scale)
 
 	cfg := cf.Config()
-	var optTr, natTr *memtrace.Trace
-	if wantOpt {
-		res := optimize(b, core.FullStrategy(), common.Registry)
-		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+	type laid struct {
+		label string
+		tr    *memtrace.Trace
+	}
+	var runs []laid
+	trace := func(label string, lay *layout.Layout) {
+		tr, _, err := layout.Trace(lay, b.EvalSeed, b.EvalConfig())
 		if err != nil {
 			fatal(err)
 		}
-		optTr = tr
+		runs = append(runs, laid{label, tr})
+	}
+	if wantOpt {
+		trace("optimized", optimize(b, core.FullStrategy(), common.Registry).Layout)
 	}
 	if wantNat {
-		tr, _, err := layout.Trace(layout.Natural(b.Prog), b.EvalSeed, b.EvalConfig())
-		if err != nil {
-			fatal(err)
-		}
-		natTr = tr
+		trace("natural", layout.Natural(b.Prog))
 	}
 
 	// The layouts measure through a sweep engine: size sweeps collapse
@@ -426,17 +428,6 @@ func cmdSimulate(args []string) {
 	// layouts simulate on the worker pool.
 	eng := experiments.NewEngine()
 	eng.AttachObs(common.Registry)
-	type laid struct {
-		label string
-		tr    *memtrace.Trace
-	}
-	var runs []laid
-	if wantOpt {
-		runs = append(runs, laid{"optimized", optTr})
-	}
-	if wantNat {
-		runs = append(runs, laid{"natural", natTr})
-	}
 
 	sizeList, err := cf.SizeList()
 	if err != nil {
@@ -476,17 +467,18 @@ func cmdSimulate(args []string) {
 			t.Row(row...)
 		}
 		fmt.Print(t.String())
-		return
+	} else {
+		t := texttable.New(fmt.Sprintf("%s on %s", b.Name(), cfg),
+			"layout", "miss", "traffic", "misses", "accesses")
+		for i, r := range runs {
+			st := stats[i]
+			t.Row(r.label, texttable.Pct3(st.MissRatio()), texttable.Pct(st.TrafficRatio()), st.Misses, st.Accesses)
+		}
+		fmt.Print(t.String())
 	}
 
-	t := texttable.New(fmt.Sprintf("%s on %s", b.Name(), cfg),
-		"layout", "miss", "traffic", "misses", "accesses")
-	for i, r := range runs {
-		st := stats[i]
-		t.Row(r.label, texttable.Pct3(st.MissRatio()), texttable.Pct(st.TrafficRatio()), st.Misses, st.Accesses)
-	}
-	fmt.Print(t.String())
-
+	// Paging does not depend on the cache size, so a size sweep
+	// prints the same paging table as one size does.
 	if *usePaging {
 		pcfg := pf.Config()
 		pt := texttable.New(fmt.Sprintf("%s paging (%s)", b.Name(), pcfg),
@@ -629,7 +621,7 @@ func cmdRun(args []string) {
 		texttable.KB(res.TotalBytes), res.InlineReport.SitesInlined,
 		texttable.KB(res.EffectiveBytes))
 
-	optTr, optRun, err := res.EvalTrace(*evalSeed, cfg.Interp)
+	optTr, optRun, err := layout.Trace(res.Layout, *evalSeed, cfg.Interp)
 	if err != nil {
 		fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"impact/internal/experiments"
 	"impact/internal/paging"
 	"impact/internal/search"
+	"impact/internal/workload"
 )
 
 // cmdSearch runs the conflict-driven layout search (internal/search)
@@ -44,21 +45,16 @@ func cmdSearch(args []string) {
 	ccfg := cf.Config()
 
 	start := time.Now()
-	suite, err := experiments.PrepareWith(*scale, experiments.Options{
+	benches := workload.Suite(*scale)
+	if *bench != "" {
+		benches = []*workload.Benchmark{workload.ByName(*bench, *scale)}
+	}
+	suite, err := experiments.PrepareBenchmarksWith(benches, experiments.Options{
 		Obs: common.Registry,
 		Log: slog.Default(),
 	})
 	if err != nil {
 		fatal(err)
-	}
-	if *bench != "" {
-		kept := suite.Items[:0]
-		for _, p := range suite.Items {
-			if p.Name() == *bench {
-				kept = append(kept, p)
-			}
-		}
-		suite.Items = kept
 	}
 
 	scfg := search.Config{

@@ -24,6 +24,7 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/core"
+	"impact/internal/layout"
 	"impact/internal/texttable"
 	"impact/internal/workload"
 )
@@ -57,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+		tr, _, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

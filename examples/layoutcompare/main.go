@@ -76,7 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+		tr, _, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	optTr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+	optTr, _, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

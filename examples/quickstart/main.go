@@ -94,7 +94,7 @@ func main() {
 	// Evaluate on a held-out input: trace the optimized program and
 	// the natural-layout baseline through a small direct-mapped cache.
 	const evalSeed = 99
-	optTr, _, err := res.EvalTrace(evalSeed, interp.Config{})
+	optTr, _, err := layout.Trace(res.Layout, evalSeed, interp.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

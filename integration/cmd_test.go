@@ -4,11 +4,13 @@ package integration
 // once into a temp dir and driven exactly as a user would drive them.
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,17 +147,35 @@ func TestSizeSweepsMatchSingleSize(t *testing.T) {
 		}
 	}
 
+	// simulate returns the rows of impact simulate's cache table and of
+	// its paging table.
+	simulate := func(args ...string) (rows, pages [][]string) {
+		out := runTool(t, "impact", append([]string{"simulate", "-bench", "cmp", "-scale", "0.05", "-paging"}, args...)...)
+		i := strings.Index(out, "cmp paging (")
+		if i < 0 {
+			return tableRows(out), nil
+		}
+		return tableRows(out[:i]), tableRows(out[i:])
+	}
 	sizes := []string{"512", "1024", "2048", "4096"}
-	sweep := tableRows(runTool(t, "impact", "simulate", "-bench", "cmp", "-scale", "0.05", "-sizes", strings.Join(sizes, ",")))
+	sweep, sweepPages := simulate("-sizes", strings.Join(sizes, ","))
 	if len(sweep) != len(sizes) {
 		t.Fatalf("impact simulate: %d rows for %d sizes", len(sweep), len(sizes))
 	}
+	// Paging does not depend on the cache size: a sweep prints the
+	// paging rows every single size prints.
+	if len(sweepPages) != 2 {
+		t.Fatalf("impact simulate -sizes -paging: paging rows %v, want one per layout", sweepPages)
+	}
 	for i, size := range sizes {
 		// Single-size rows: layout, miss, traffic, misses, accesses.
-		single := tableRows(runTool(t, "impact", "simulate", "-bench", "cmp", "-scale", "0.05", "-size", size))
+		single, singlePages := simulate("-size", size)
 		want := []string{size, single[0][1], single[0][2], single[1][1], single[1][2]}
 		if single[0][0] != "optimized" || single[1][0] != "natural" || strings.Join(sweep[i], " ") != strings.Join(want, " ") {
 			t.Errorf("impact simulate size %s: sweep row %v, single-size rows %v", size, sweep[i], single)
+		}
+		if !reflect.DeepEqual(singlePages, sweepPages) {
+			t.Errorf("impact simulate size %s: paging rows %v, sweep's %v", size, singlePages, sweepPages)
 		}
 	}
 }
@@ -238,6 +258,27 @@ func TestIcsimRejectsGarbageTrace(t *testing.T) {
 // TestImpactSearchRejectsNegativeWorkers: a negative -workers count
 // is a usage error naming the flag, not a silent GOMAXPROCS run or a
 // panic.
+// TestImpactSearchPreparesOneBenchmark: impact search -bench prepares
+// the benchmark it searches and no other.
+func TestImpactSearchPreparesOneBenchmark(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	out := runTool(t, "impact", "search", "-bench", "grep", "-scale", "0.05", "-budget", "8", "-metrics-out", path)
+	if !strings.Contains(out, "grep") {
+		t.Errorf("no grep row:\n%s", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m metricsSnapshot
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Spans["prepare/benchmark"].Count; got != 1 {
+		t.Errorf("prepare/benchmark entered %d times, want 1", got)
+	}
+}
+
 func TestImpactSearchRejectsNegativeWorkers(t *testing.T) {
 	cmd := exec.Command(filepath.Join(binaries(t), "impact"), "search", "-bench", "grep", "-workers", "-1")
 	out, err := cmd.CombinedOutput()

@@ -38,7 +38,7 @@ func optimizeBench(t *testing.T, b *workload.Benchmark) *core.Result {
 func TestTraceFileBoundary(t *testing.T) {
 	b := workload.ByName("yacc", testScale)
 	res := optimizeBench(t, b)
-	tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+	tr, _, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestTextualIRBoundary(t *testing.T) {
 			}
 		}
 	}
-	tr1, _, err := res1.EvalTrace(b.EvalSeed, b.EvalConfig())
+	tr1, _, err := layout.Trace(res1.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, _, err := res2.EvalTrace(b.EvalSeed, b.EvalConfig())
+	tr2, _, err := layout.Trace(res2.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTextualIRBoundary(t *testing.T) {
 func TestAllConsumersSeeTheSameAccessCount(t *testing.T) {
 	b := workload.ByName("tar", testScale)
 	res := optimizeBench(t, b)
-	tr, runRes, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+	tr, runRes, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestLayoutsCoverIdenticalCode(t *testing.T) {
 	b := workload.ByName("compress", testScale)
 	res := optimizeBench(t, b)
 
-	optTr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+	optTr, _, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestScaledPipelineEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+		tr, _, err := layout.Trace(res.Layout, b.EvalSeed, b.EvalConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

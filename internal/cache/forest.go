@@ -26,8 +26,9 @@ import (
 // canonical run sum to the run's words from its first miss there, so
 // the first miss at a level adds the run's remaining words to it.
 //
-// Runs must arrive in canonical form, as for SinkSimulator. The
-// statistics equal Simulate's on the same stream.
+// Runs must arrive in canonical form, as for SinkSimulator: the
+// execution engine, Trace.Replay, memtrace.Reader and memtrace.Merger
+// deliver it. The statistics equal Simulate's on the same stream.
 type Forest struct {
 	trees []forestTree
 	// at[i] is the tree and level measuring input organisation i.

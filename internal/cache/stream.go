@@ -7,15 +7,15 @@ import "impact/internal/memtrace"
 // cache per configuration, so the stream is walked once however many
 // organisations it feeds. It is the broadcast replay of the sweep
 // planner (internal/cache/sweep). A materialized trace replays into
-// it, and so does a trace generated on the fly (interp → layout.Stream
-// → memtrace.Merger) or decoded from a file (memtrace.Reader), which
-// is then simulated without ever being materialized.
+// it, and so does a trace generated on the fly (layout.Stream, whose
+// engine emits maximal runs) or decoded from a file (memtrace.Reader),
+// which is then simulated without ever being materialized.
 //
 // Runs must arrive in canonical form — zero-length runs dropped,
-// contiguous neighbours merged, exactly what Trace.Replay,
-// memtrace.Reader, or a memtrace.Merger deliver — because a run
-// boundary is a taken branch that closes an exec run; a fragmented
-// stream would change the avg.exec accounting.
+// contiguous neighbours merged, exactly what the execution engine,
+// Trace.Replay, memtrace.Reader, or a memtrace.Merger deliver —
+// because a run boundary is a taken branch that closes an exec run; a
+// fragmented stream would change the avg.exec accounting.
 type SinkSimulator struct {
 	caches   []*Cache
 	recorded bool

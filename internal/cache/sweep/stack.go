@@ -55,10 +55,10 @@ import (
 // Associativity A yields the cache of SizeBytes = sets * A * block.
 //
 // Runs MUST arrive in canonical form — zero-length runs dropped,
-// contiguous neighbours merged, exactly what Trace.Replay,
-// memtrace.Reader, or a memtrace.Merger deliver — because a run
-// boundary closes an exec run; splitting one canonical run in two
-// would change the avg.exec accounting.
+// contiguous neighbours merged, exactly what the execution engine,
+// Trace.Replay, memtrace.Reader, or a memtrace.Merger deliver —
+// because a run boundary closes an exec run; splitting one canonical
+// run in two would change the avg.exec accounting.
 //
 // The steady-state Run path performs no allocations: per-set stacks
 // and the distance histogram grow only while new blocks or new depths

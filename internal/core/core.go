@@ -30,7 +30,6 @@ import (
 	"impact/internal/interp"
 	"impact/internal/ir"
 	"impact/internal/layout"
-	"impact/internal/memtrace"
 	"impact/internal/obs"
 	"impact/internal/profile"
 	"impact/internal/search"
@@ -577,13 +576,6 @@ func naturalOrder(f *ir.Function, fw *profile.FuncWeights) funclayout.Order {
 	o.EffectiveBlocks = len(o.Blocks)
 	_ = fw
 	return o
-}
-
-// EvalTrace executes res.Prog with the given evaluation seed under
-// res.Layout and returns the instruction fetch trace — the paper's
-// "dynamic trace" taken with "a randomly selected input".
-func (res *Result) EvalTrace(seed uint64, cfg interp.Config) (*memtrace.Trace, interp.Result, error) {
-	return layout.Trace(res.Layout, seed, cfg)
 }
 
 // CallDecrease returns the fraction of dynamic calls eliminated by

@@ -187,7 +187,7 @@ func TestEvalTraceConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, runRes, err := res.EvalTrace(99, interp.Config{})
+	tr, runRes, err := layout.Trace(res.Layout, 99, interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,10 @@ import (
 	"impact/internal/analysis"
 	"impact/internal/cache"
 	"impact/internal/check"
-	"impact/internal/interp"
-	"impact/internal/ir"
 	"impact/internal/obs"
 	"impact/internal/profile"
 	"impact/internal/smith"
 	"impact/internal/texttable"
-	"impact/internal/workload"
 )
 
 // This file hosts the static-analysis side of the experiments: running
@@ -21,38 +18,25 @@ import (
 // differential invariant that cross-validates the analyzer, the layout
 // code, and the sweep engine against each other.
 
-// evalProfile profiles prog over b's single evaluation run — the
-// identical deterministic execution the evaluation trace records.
-func evalProfile(prog *ir.Program, b *workload.Benchmark) (*profile.Weights, []interp.Result, error) {
-	return profile.Profile(prog, profile.Config{Seeds: []uint64{b.EvalSeed}, Interp: b.EvalConfig()})
-}
-
 // EvalWeights returns the profile of the optimized program over the
-// single evaluation run — the exact execution OptTrace records
-// (arc choices depend only on seed, config, and program, not on the
-// observing sink). Analyses built from these weights have Exact
-// bounds: the simulator's misses on OptTrace must bracket.
+// single evaluation run, counted in the very run OptTrace records.
+// Analyses built from these weights have Exact bounds: the
+// simulator's misses on OptTrace must bracket. The error is always
+// nil; preparation has already traced and counted the run.
 func (p *Prepared) EvalWeights() (*profile.Weights, error) {
-	p.evalWOnce.Do(func() {
-		p.evalW, _, p.evalWErr = evalProfile(p.Opt.Prog, p.Bench)
-	})
-	return p.evalW, p.evalWErr
+	return p.evalW, nil
 }
 
 // Analyze returns the static cache-behavior analysis of the optimized
 // layout under cfg, built from the evaluation-run weights and verified
 // by the bounds analyzer under the suite's check mode.
 func (p *Prepared) Analyze(cfg cache.Config) (*analysis.Result, error) {
-	w, err := p.EvalWeights()
-	if err != nil {
-		return nil, err
-	}
-	res, err := analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
+	res, err := analysis.Analyze(p.Opt.Layout, p.evalW, analysis.Config{Cache: cfg})
 	if err != nil {
 		return nil, err
 	}
 	if err := p.verify(&check.Unit{
-		Stage: check.StageAnalysis, Prog: p.Opt.Prog, Weights: w,
+		Stage: check.StageAnalysis, Prog: p.Opt.Prog, Weights: p.evalW,
 		Layout: p.Opt.Layout, Analysis: res,
 	}); err != nil {
 		return nil, err

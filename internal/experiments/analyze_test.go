@@ -9,6 +9,7 @@ import (
 	"impact/internal/cache"
 	"impact/internal/core"
 	"impact/internal/layout"
+	"impact/internal/profile"
 	"impact/internal/smith"
 )
 
@@ -68,7 +69,7 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name(), sc.name, err)
 			}
-			w, runs, err := evalProfile(res.Prog, b)
+			w, runs, err := profile.Profile(res.Prog, profile.Config{Seeds: []uint64{b.EvalSeed}, Interp: b.EvalConfig()})
 			if err != nil {
 				t.Fatalf("%s/%s: profile: %v", p.Name(), sc.name, err)
 			}
@@ -94,6 +95,29 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 	}
 }
 
+// TestEvalWeightsCountTheTracedRun: the weights EvalWeights returns are
+// counted in the run OptTrace records, so they equal profiling the
+// optimized program over the evaluation seed, and they executed the
+// trace's instructions.
+func TestEvalWeightsCountTheTracedRun(t *testing.T) {
+	for _, p := range testSuite(t).Items {
+		got, err := p.EvalWeights()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := profile.Profile(p.Opt.Prog, profile.Config{Seeds: []uint64{p.Bench.EvalSeed}, Interp: p.Bench.EvalConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: EvalWeights differ from profiling the evaluation run", p.Name())
+		}
+		if got.DynInstrs != p.OptTrace.Instrs {
+			t.Errorf("%s: EvalWeights executed %d instructions, OptTrace holds %d", p.Name(), got.DynInstrs, p.OptTrace.Instrs)
+		}
+	}
+}
+
 // TestOptimizedLayoutScoresBetter: the full pipeline exists to improve
 // sequential locality, so its fall-through ratio and ext-TSP score
 // must beat the natural layout's on the suite average.
@@ -106,7 +130,7 @@ func TestOptimizedLayoutScoresBetter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, err := evalProfile(p.Bench.Prog, p.Bench)
+		w, _, err := profile.Profile(p.Bench.Prog, profile.Config{Seeds: []uint64{p.Bench.EvalSeed}, Interp: p.Bench.EvalConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}

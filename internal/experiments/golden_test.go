@@ -54,7 +54,7 @@ func TestAnalysisGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		natW, _, err := evalProfile(p.Bench.Prog, p.Bench)
+		natW, _, err := profile.Profile(p.Bench.Prog, profile.Config{Seeds: []uint64{p.Bench.EvalSeed}, Interp: p.Bench.EvalConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestIterationsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		natW, _, err := evalProfile(p.Bench.Prog, p.Bench)
+		natW, _, err := profile.Profile(p.Bench.Prog, profile.Config{Seeds: []uint64{p.Bench.EvalSeed}, Interp: p.Bench.EvalConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}

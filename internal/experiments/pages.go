@@ -20,16 +20,12 @@ import (
 // layout under cfg, built from the evaluation-run weights and verified
 // by the pagebounds analyzer under the suite's check mode.
 func (p *Prepared) AnalyzePages(cfg paging.Config) (*analysis.PageResult, error) {
-	w, err := p.EvalWeights()
-	if err != nil {
-		return nil, err
-	}
-	res, err := analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
+	res, err := analysis.AnalyzePages(p.Opt.Layout, p.evalW, analysis.PageConfig{Paging: cfg})
 	if err != nil {
 		return nil, err
 	}
 	if err := p.verify(&check.Unit{
-		Stage: check.StagePaging, Prog: p.Opt.Prog, Weights: w,
+		Stage: check.StagePaging, Prog: p.Opt.Prog, Weights: p.evalW,
 		Layout: p.Opt.Layout, Pages: res,
 	}); err != nil {
 		return nil, err

@@ -89,7 +89,7 @@ func TestPlacedVariantsMatchOptimize(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: optimize: %v", p.Name(), v.name, err)
 			}
-			freshTr, _, err := fresh.EvalTrace(b.EvalSeed, b.EvalConfig())
+			freshTr, _, err := layout.Trace(fresh.Layout, b.EvalSeed, b.EvalConfig())
 			if err != nil {
 				t.Fatalf("%s/%s: eval trace: %v", p.Name(), v.name, err)
 			}

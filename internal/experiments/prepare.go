@@ -47,11 +47,9 @@ type Prepared struct {
 	// conventional-compiler baseline.
 	NatTrace *memtrace.Trace
 
-	// evalW memoizes the evaluation-run profile of the optimized
-	// program (see EvalWeights).
-	evalWOnce sync.Once
-	evalW     *profile.Weights
-	evalWErr  error
+	// evalW is the optimized program's profile counted in the run
+	// OptTrace records (see EvalWeights).
+	evalW *profile.Weights
 
 	// mode and reg are the suite's Options.Check and Options.Obs: every
 	// analysis of p is verified under them (see verify), and every
@@ -84,7 +82,7 @@ func (p *Prepared) deriveOptimize(cfg core.Config) (*core.Result, *memtrace.Trac
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	tr, _, err := layout.Trace(res.Layout, p.Bench.EvalSeed, p.Bench.EvalConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -285,7 +283,7 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 	sp := opts.Obs.SpanOn(lane, "evaltrace")
 	//lint:walltime trace-timing metric only; results are clock-free
 	tStart := time.Now()
-	optTr, optRun, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
+	optTr, optW, optRun, err := layout.TraceWeights(res.Layout, b.EvalSeed, b.EvalConfig())
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -317,6 +315,7 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 		Opt:      res,
 		OptTrace: optTr,
 		NatTrace: natTr,
+		evalW:    optW,
 		mode:     opts.Check,
 		reg:      opts.Obs,
 	}, nil

@@ -5,6 +5,7 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/core"
+	"impact/internal/layout"
 	"impact/internal/memtrace"
 	"impact/internal/obs"
 	"impact/internal/texttable"
@@ -63,7 +64,7 @@ func scaledTrace(p *Prepared, factor float64, lane obs.Lane) (*memtrace.Trace, e
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	tr, _, err := layout.Trace(res.Layout, p.Bench.EvalSeed, p.Bench.EvalConfig())
 	return tr, err
 }
 

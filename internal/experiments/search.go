@@ -53,10 +53,6 @@ type SearchRow struct {
 func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow, error) {
 	rows := make([]SearchRow, 0, len(s.Items))
 	for _, p := range s.Items {
-		w, err := p.EvalWeights()
-		if err != nil {
-			return nil, err
-		}
 		greedySt, err := cache.Simulate(geom, p.OptTrace)
 		if err != nil {
 			return nil, err
@@ -95,7 +91,7 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 			}
 		}
 		res, err := search.Optimize(search.Input{
-			Prog: p.Opt.Prog, Weights: w,
+			Prog: p.Opt.Prog, Weights: p.evalW,
 			Orders: p.Opt.Orders, Global: p.Opt.GlobalOrder,
 			SplitCold: true,
 		}, scfg)

@@ -35,9 +35,10 @@ func loopCallProgram(t *testing.T) *ir.Program {
 
 // TestRunAllocsConstant pins the run loop's allocation model: a run
 // allocates a fixed number of times — its cumulative-probability slice
-// (the call stack stays on the goroutine's stack to depth 64) — and
-// nothing per executed block, call or segment. A run twice as long
-// allocates no more, whether it counts or traces.
+// (the call stack, to depth 64, and a traced run's merger stay on the
+// goroutine's stack) — and nothing per executed block, call or
+// segment. A run twice as long allocates no more, whether it counts or
+// traces.
 func TestRunAllocsConstant(t *testing.T) {
 	p := loopCallProgram(t)
 	e := NewEngine(p)
@@ -49,7 +50,7 @@ func TestRunAllocsConstant(t *testing.T) {
 		run  func(cfg Config) (Result, error)
 	}{
 		{"count", func(cfg Config) (Result, error) { return e.Count(7, cfg, c) }},
-		{"trace", func(cfg Config) (Result, error) { return e.Trace(7, cfg, addrs, &rc) }},
+		{"trace", func(cfg Config) (Result, error) { return e.Trace(7, cfg, addrs, &rc, nil) }},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {

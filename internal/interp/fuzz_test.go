@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"impact/internal/ir"
-	"impact/internal/memtrace"
 )
 
 // FuzzEngine runs arbitrary IR text through the run loop three times,
-// counting, counting in context and tracing, under a small step cap.
-// All runs must agree on the Result, the contexts must sum to the
-// plain counts, the traced words must equal the executed
-// instructions, and a completed run's counts must balance: blocks
-// weighted by their lengths sum to Instrs, as the context table's
-// RunInstrs does, each non-exit block's arcs sum to its entries, and
-// the call counts sum to Calls. The only error a valid program may
-// produce is ErrDepthExceeded — recursion must stop there, never
-// panic.
+// counting, counting in context and tracing while counting, under a
+// small step cap. All runs must agree on the Result, the contexts and
+// the traced run's counts must equal the plain counts, the trace must
+// be maximal — no run starts where the previous one ends unless
+// joining them would pass 32 bits — and its words must equal the
+// executed instructions, and a completed run's counts must balance:
+// blocks weighted by their lengths sum to Instrs, as the context
+// table's RunInstrs does, each non-exit block's arcs sum to its
+// entries, and the call counts sum to Calls. The only error a valid
+// program may produce is ErrDepthExceeded — recursion must stop
+// there, never panic.
 func FuzzEngine(f *testing.F) {
 	// Unbounded mutual recursion.
 	f.Add("program entry=0\nfunc 0 a\nblock 0 entry\n alu call:1 ret\nfunc 1 b\nblock 0 entry\n call:0 ret\n", uint64(1), uint8(0))
@@ -46,14 +47,19 @@ func FuzzEngine(f *testing.F) {
 		e := NewEngine(p)
 		c := e.NewCounts()
 		res, cerr := e.Count(seed, cfg, c)
-		var rc memtrace.RunCount
-		tres, terr := e.Trace(seed, cfg, naturalAddrs(p), &rc)
+		var rec runRecorder
+		tc := e.NewCounts()
+		tres, terr := e.Trace(seed, cfg, naturalAddrs(p), &rec, tc)
 		if (cerr == nil) != (terr == nil) || (cerr != nil && cerr.Error() != terr.Error()) {
 			t.Fatalf("counting run error %v, tracing run error %v", cerr, terr)
 		}
 		if res != tres {
 			t.Fatalf("counting run %+v, tracing run %+v", res, tres)
 		}
+		if !reflect.DeepEqual(tc, c) {
+			t.Fatalf("tracing run counted %+v, counting run %+v", tc, c)
+		}
+		checkMaximal(t, rec.runs, res.Instrs)
 		x := e.NewContexts(fuzzLimit(p, int(jitter)))
 		xres, xerr := x.Count(seed, cfg)
 		if (cerr == nil) != (xerr == nil) || (cerr != nil && cerr.Error() != xerr.Error()) {
@@ -64,9 +70,6 @@ func FuzzEngine(f *testing.F) {
 		}
 		if xerr == nil && !reflect.DeepEqual(x.Sum(), c) {
 			t.Fatalf("contexts sum to %+v, counting run counted %+v", x.Sum(), c)
-		}
-		if rc.Instrs != res.Instrs {
-			t.Fatalf("traced %d words, executed %d instructions", rc.Instrs, res.Instrs)
 		}
 		if cerr != nil {
 			if !errors.Is(cerr, ErrDepthExceeded) {

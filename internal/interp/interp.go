@@ -20,10 +20,10 @@
 //   - Contexts.Count adds the same counts per calling context
 //     (Contexts), from which internal/core derives the profiles of the
 //     inline-expanded and code-scaled programs.
-//   - Trace emits one instruction fetch run per executed segment of a
-//     block, addressed from a per-block address table;
-//     internal/layout's dynamic-trace generator feeds the cache
-//     simulator with it.
+//   - Trace emits the instruction fetch trace as maximal sequential
+//     runs, addressed from a per-block address table, and can count
+//     the same run as Count does; internal/layout's dynamic-trace
+//     generator feeds the cache simulator with it.
 package interp
 
 import (
@@ -197,30 +197,49 @@ var ErrDepthExceeded = errors.New("interp: call depth exceeded")
 // Count executes the program with the given seed as its "input",
 // adding its block, arc and call counts to c.
 func (e *Engine) Count(seed uint64, cfg Config, c *Counts) (Result, error) {
-	if len(c.Blocks) != len(e.blocks) || len(c.Arcs) != len(e.succ) || len(c.Calls) != len(e.calls) {
-		return Result{}, fmt.Errorf("interp: counts shaped for %d blocks, %d arcs, %d calls; program has %d, %d, %d",
-			len(c.Blocks), len(c.Arcs), len(c.Calls), len(e.blocks), len(e.succ), len(e.calls))
+	if err := e.checkCounts(c); err != nil {
+		return Result{}, err
 	}
 	return e.run(seed, cfg, c, nil, nil, nil)
 }
 
+// checkCounts reports counters shaped for another program.
+func (e *Engine) checkCounts(c *Counts) error {
+	if len(c.Blocks) != len(e.blocks) || len(c.Arcs) != len(e.succ) || len(c.Calls) != len(e.calls) {
+		return fmt.Errorf("interp: counts shaped for %d blocks, %d arcs, %d calls; program has %d, %d, %d",
+			len(c.Blocks), len(c.Arcs), len(c.Calls), len(e.blocks), len(e.succ), len(e.calls))
+	}
+	return nil
+}
+
 // Trace executes the program with the given seed as its "input",
-// feeding sink one fetch run per executed segment of a block: from
-// where execution enters or resumes in the block to its next call
-// instruction (inclusive) or its end. addr holds every block's byte
-// address in program order. Empty segments are skipped; contiguous
-// runs are not merged.
-func (e *Engine) Trace(seed uint64, cfg Config, addr []uint32, sink memtrace.Sink) (Result, error) {
+// feeding sink its fetch trace as maximal sequential runs: each
+// executed segment of a block — from where execution enters or
+// resumes in the block to its next call instruction (inclusive) or its
+// end — is one fetch run, addressed from addr, which holds every
+// block's byte address in program order, and a memtrace.Merger joins
+// the segments that continue one another. The last run reaches sink
+// before Trace returns, also when the run fails. When c is non-nil the
+// same run adds its block, arc and call counts to c, as Count does.
+func (e *Engine) Trace(seed uint64, cfg Config, addr []uint32, sink memtrace.Sink, c *Counts) (Result, error) {
 	if len(addr) != len(e.blocks) {
 		return Result{}, fmt.Errorf("interp: address table covers %d blocks, program has %d", len(addr), len(e.blocks))
 	}
-	return e.run(seed, cfg, nil, nil, addr, sink)
+	if c != nil {
+		if err := e.checkCounts(c); err != nil {
+			return Result{}, err
+		}
+	}
+	m := memtrace.NewMerger(sink)
+	res, err := e.run(seed, cfg, c, nil, addr, m)
+	m.Flush()
+	return res, err
 }
 
 // run is the engine's one run loop. It counts into c when c is
 // non-nil, counts in context into x when x is non-nil, and traces into
-// sink when sink is non-nil.
-func (e *Engine) run(seed uint64, cfg Config, c *Counts, x *Contexts, addr []uint32, sink memtrace.Sink) (Result, error) {
+// m when m is non-nil.
+func (e *Engine) run(seed uint64, cfg Config, c *Counts, x *Contexts, addr []uint32, m *memtrace.Merger) (Result, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -263,8 +282,8 @@ func (e *Engine) run(seed uint64, cfg Config, c *Counts, x *Contexts, addr []uin
 			hi = cl.instr + 1
 		}
 		if hi > lo {
-			if sink != nil {
-				sink.Run(memtrace.Run{Addr: addr[fr.blk] + uint32(lo)*ir.InstrBytes, Bytes: uint32(hi-lo) * ir.InstrBytes})
+			if m != nil {
+				m.Run(memtrace.Run{Addr: addr[fr.blk] + uint32(lo)*ir.InstrBytes, Bytes: uint32(hi-lo) * ir.InstrBytes})
 			}
 			res.Instrs += uint64(hi - lo)
 		}

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -35,8 +37,9 @@ func naturalAddrs(p *ir.Program) []uint32 {
 	return addrs
 }
 
-// countAndTrace runs p once counting and once tracing under its
-// natural addresses, and checks both runs agree.
+// countAndTrace runs p once counting and once tracing and counting
+// under its natural addresses, and checks both runs agree: the same
+// result, the same counts, and a maximal trace of the run.
 func countAndTrace(t *testing.T, p *ir.Program, seed uint64, cfg Config) (Result, *Counts, *runRecorder) {
 	t.Helper()
 	e := NewEngine(p)
@@ -46,17 +49,44 @@ func countAndTrace(t *testing.T, p *ir.Program, seed uint64, cfg Config) (Result
 		t.Fatal(err)
 	}
 	rec := &runRecorder{}
-	tres, err := e.Trace(seed, cfg, naturalAddrs(p), rec)
+	tc := e.NewCounts()
+	tres, err := e.Trace(seed, cfg, naturalAddrs(p), rec, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tres != res {
 		t.Fatalf("traced run %+v, counting run %+v", tres, res)
 	}
-	if rec.words != res.Instrs {
-		t.Fatalf("trace holds %d words, run executed %d instructions", rec.words, res.Instrs)
+	if !reflect.DeepEqual(tc, c) {
+		t.Fatalf("traced run counted %+v, counting run %+v", tc, c)
 	}
+	checkMaximal(t, rec.runs, res.Instrs)
 	return res, c, rec
+}
+
+// checkMaximal fails t unless runs is a maximal run sequence of an
+// execution of instrs instructions: no run is empty, no run starts
+// where the previous one ends unless joining the two would pass 32
+// bits, and the runs' words sum to instrs.
+func checkMaximal(t testing.TB, runs []memtrace.Run, instrs uint64) {
+	t.Helper()
+	var words uint64
+	for i, r := range runs {
+		if r.Bytes == 0 {
+			t.Fatalf("run %d is empty", i)
+		}
+		words += uint64(r.Words())
+		if i == 0 {
+			continue
+		}
+		prev := runs[i-1]
+		if uint64(prev.Addr)+uint64(prev.Bytes) == uint64(r.Addr) && uint64(prev.Bytes)+uint64(r.Bytes) <= math.MaxUint32 {
+			t.Fatalf("run %d %+v continues run %d %+v", i, r, i-1, prev)
+		}
+	}
+	if words != instrs {
+		t.Fatalf("runs hold %d words, run executed %d instructions", words, instrs)
+	}
 }
 
 // count runs e once into fresh counters.
@@ -135,8 +165,9 @@ func TestStraightLineEvents(t *testing.T) {
 	if rec.words != 5 {
 		t.Fatalf("trace holds %d words, want 5", rec.words)
 	}
-	// One segment per block: b0 [0,12), b1 [12,20).
-	want := []memtrace.Run{{Addr: 0, Bytes: 12}, {Addr: 12, Bytes: 8}}
+	// One segment per block, b0 [0,12) and b1 [12,20), contiguous
+	// under natural addresses: the sink sees one maximal run.
+	want := []memtrace.Run{{Addr: 0, Bytes: 20}}
 	if !slices.Equal(rec.runs, want) {
 		t.Fatalf("runs %v, want %v", rec.runs, want)
 	}
@@ -405,7 +436,43 @@ func TestShapeMismatch(t *testing.T) {
 	if _, err := e.Count(1, Config{}, other.NewCounts()); err == nil {
 		t.Error("Count accepted counters of another program")
 	}
-	if _, err := e.Trace(1, Config{}, []uint32{0}, &runRecorder{}); err == nil {
+	if _, err := e.Trace(1, Config{}, []uint32{0}, &runRecorder{}, nil); err == nil {
 		t.Error("Trace accepted a one-block address table for a two-block program")
+	}
+	if _, err := e.Trace(1, Config{}, naturalAddrs(callProgram(t)), &runRecorder{}, other.NewCounts()); err == nil {
+		t.Error("Trace accepted counters of another program")
+	}
+}
+
+// TestTraceRunsAreMaximal: Trace hands its sink maximal runs whose
+// words sum to the executed instructions, under natural addresses and
+// under a table that puts block 0 at the top of the address space and
+// its successor at address 0, where a run ending at the top must not
+// join one starting at 0.
+func TestTraceRunsAreMaximal(t *testing.T) {
+	for _, p := range []*ir.Program{straightLine(t), callProgram(t), loopProgram(t, 0.9), loopCallProgram(t)} {
+		nat := naturalAddrs(p)
+		top := make([]uint32, len(nat))
+		for i, a := range nat {
+			top[i] = a - uint32(p.Funcs[0].Blocks[0].Bytes())
+		}
+		for _, addrs := range [][]uint32{nat, top} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				rec := &runRecorder{}
+				res, err := NewEngine(p).Trace(seed, Config{MaxSteps: 5000, ProbJitter: 0.3}, addrs, rec, nil)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", p.EntryFunc().Name, seed, err)
+				}
+				checkMaximal(t, rec.runs, res.Instrs)
+			}
+		}
+	}
+	rec := &runRecorder{}
+	top := []uint32{0xFFFFFFF4, 0}
+	if _, err := NewEngine(straightLine(t)).Trace(1, Config{}, top, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := []memtrace.Run{{Addr: 0xFFFFFFF4, Bytes: 12}, {Addr: 0, Bytes: 8}}; !slices.Equal(rec.runs, want) {
+		t.Fatalf("runs %v, want %v", rec.runs, want)
 	}
 }

@@ -35,9 +35,10 @@ func endless(t *testing.T) *ir.Program {
 
 // TestTraceAllocsConstant pins the tracing path's allocation model:
 // Stream and Trace allocate a fixed number of times per run — the
-// compiled engine, the run's probability slice, Stream's merger,
-// Trace's buffer and sealed trace — and nothing per executed block or
-// fetch run, so a run twice as long allocates no more. Trace's traces stay within one
+// compiled engine, the run's probability slice, Trace's buffer and
+// sealed trace; the engine's merger stays on the stack — and nothing
+// per executed block or fetch run, so a run twice as long allocates no
+// more. Trace's traces stay within one
 // memtrace.Buffer chunk (4096 runs), the only storage that grows with
 // a materialized trace.
 func TestTraceAllocsConstant(t *testing.T) {

@@ -8,12 +8,14 @@
 // implicitly compares against: the natural layout (declaration order,
 // what a conventional compiler and linker emit) and a random layout.
 //
-// Trace and Stream bridge the execution engine to the cache simulator:
-// the engine runs from the layout's per-block address table and emits
-// each executed segment of a block as one sequential fetch run. Each
-// call compiles its own engine (interp.NewEngine), which costs about a
-// hundredth of a suite program's evaluation trace. Running the same
-// program under two layouts yields two different
+// Trace, TraceWeights and Stream bridge the execution engine to the
+// cache simulator: the engine runs from the layout's per-block address
+// table and emits the run's fetch trace as maximal sequential runs.
+// TraceWeights also counts the traced run, so the profile the static
+// analyzer reads and the trace the simulator replays come from one
+// execution. Each call compiles its own engine (interp.NewEngine),
+// which costs about a hundredth of a suite program's evaluation trace.
+// Running the same program under two layouts yields two different
 // address traces — which is precisely how instruction placement
 // affects cache behaviour.
 package layout
@@ -24,6 +26,7 @@ import (
 	"impact/internal/interp"
 	"impact/internal/ir"
 	"impact/internal/memtrace"
+	"impact/internal/profile"
 	"impact/internal/xrand"
 )
 
@@ -154,28 +157,41 @@ func Random(p *ir.Program, seed uint64) *Layout {
 }
 
 // Stream runs the program once with the given seed under layout lay,
-// feeding the fetch trace to sink as canonical runs (zero-length runs
-// dropped, contiguous runs merged — the exact sequence replaying a
-// materialized Trace would deliver) without materializing it. This is
-// the zero-copy path from the execution engine into the streaming
-// simulators (cache.SinkSimulator, sweep.Plan).
+// feeding the fetch trace to sink as the engine emits it — canonical
+// runs, the exact sequence replaying a materialized Trace would
+// deliver — without materializing it. This is the zero-copy path from
+// the execution engine into the streaming simulators
+// (cache.SinkSimulator, sweep.Plan).
 func Stream(lay *Layout, seed uint64, cfg interp.Config, sink memtrace.Sink) (interp.Result, error) {
-	m := memtrace.NewMerger(sink)
-	res, err := interp.NewEngine(lay.Program()).Trace(seed, cfg, lay.addr, m)
-	if err != nil {
-		return res, err
-	}
-	m.Flush()
-	return res, nil
+	return interp.NewEngine(lay.Program()).Trace(seed, cfg, lay.addr, sink, nil)
 }
 
-// Trace runs program p once with the given seed under layout lay and
-// returns the resulting fetch trace. The trace accumulates in a
+// Trace runs lay's program once with the given seed under layout lay
+// and returns the resulting fetch trace. The trace accumulates in a
 // chunked buffer and is sealed with one exact-size allocation, so
 // building a multi-million-run trace never re-copies it.
 func Trace(lay *Layout, seed uint64, cfg interp.Config) (*memtrace.Trace, interp.Result, error) {
+	return trace(interp.NewEngine(lay.Program()), lay, seed, cfg, nil)
+}
+
+// TraceWeights is Trace that also counts the traced run: it returns
+// the run's profile as well, the weights profile.Profile returns for
+// the one seed, without interpreting the program a second time.
+func TraceWeights(lay *Layout, seed uint64, cfg interp.Config) (*memtrace.Trace, *profile.Weights, interp.Result, error) {
+	e := interp.NewEngine(lay.Program())
+	c := e.NewCounts()
+	tr, res, err := trace(e, lay, seed, cfg, c)
+	if err != nil {
+		return nil, nil, res, err
+	}
+	return tr, profile.Weigh(lay.Program(), c, []interp.Result{res}), res, nil
+}
+
+// trace runs e, the engine of lay's program, once under lay into a
+// buffer, counting into c when c is non-nil.
+func trace(e *interp.Engine, lay *Layout, seed uint64, cfg interp.Config, c *interp.Counts) (*memtrace.Trace, interp.Result, error) {
 	var buf memtrace.Buffer
-	res, err := interp.NewEngine(lay.Program()).Trace(seed, cfg, lay.addr, &buf)
+	res, err := e.Trace(seed, cfg, lay.addr, &buf, c)
 	if err != nil {
 		return nil, res, err
 	}

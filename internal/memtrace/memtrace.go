@@ -12,6 +12,12 @@
 // per-instruction semantics (the cache simulator) iterate the words of
 // each run and observe the identical access stream, at a fraction of
 // the memory footprint of a flat address list.
+//
+// Runs are made maximal in one place per source: the execution engine
+// (interp.Engine.Trace) feeds its sink through a Merger, Reader
+// replays a file through one, and Trace.Run merges the runs of a trace
+// built by hand. Every other sink — Buffer, Writer, the simulators —
+// takes the runs it is given as they are.
 package memtrace
 
 import (
@@ -54,8 +60,8 @@ func (r Run) WordRange() (w0, w1 uint32) {
 // starts where prev ends, and the joined length fits in 32 bits. Both
 // are computed in 64 bits, so a run that ends at the top of the
 // address space is never continued by one at address 0, and a joined
-// run never wraps to a short one. Every sink that merges runs merges
-// by this rule.
+// run never wraps to a short one. Trace.Run and Merger merge by this
+// rule.
 func join(prev, r Run) (Run, bool) {
 	end := uint64(prev.Addr) + uint64(prev.Bytes)
 	n := uint64(prev.Bytes) + uint64(r.Bytes)
@@ -122,74 +128,43 @@ func (t *Trace) Replay(sink Sink) {
 
 var magic = [4]byte{'I', 'T', 'R', '2'}
 
-// Writer streams runs to an io.Writer in the binary trace format,
-// merging adjacent runs exactly like Trace does. Call Close to flush
-// the final pending run.
+// Writer streams runs to an io.Writer in the binary trace format. It
+// encodes each run as given and does not merge: a Reader replaying the
+// file merges contiguous runs. Call Close to flush the stream.
 type Writer struct {
 	w       *bufio.Writer
 	buf     [2 * binary.MaxVarintLen64]byte
-	started bool
-	pending Run
 	prevEnd int64
 	err     error
 }
 
 // NewWriter returns a trace writer. Call Close when done.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
+	wr := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
+	_, wr.err = wr.w.Write(magic[:])
+	return wr
 }
 
-// Run appends one run to the stream.
+// Run appends one run to the stream. A zero-length run, which the
+// format cannot hold, is dropped.
 func (wr *Writer) Run(r Run) {
 	if r.Bytes == 0 || wr.err != nil {
 		return
 	}
-	if !wr.started {
-		if _, err := wr.w.Write(magic[:]); err != nil {
-			wr.err = err
-			return
-		}
-		wr.started = true
-		wr.pending = r
-		return
-	}
-	if m, ok := join(wr.pending, r); ok {
-		wr.pending = m
-		return
-	}
-	wr.flushPending()
-	wr.pending = r
-}
-
-func (wr *Writer) flushPending() {
-	if wr.err != nil {
-		return
-	}
-	delta := int64(wr.pending.Addr) - wr.prevEnd
-	n := binary.PutVarint(wr.buf[:], delta)
-	n += binary.PutUvarint(wr.buf[n:], uint64(wr.pending.Bytes))
+	n := binary.PutVarint(wr.buf[:], int64(r.Addr)-wr.prevEnd)
+	n += binary.PutUvarint(wr.buf[n:], uint64(r.Bytes))
 	if _, err := wr.w.Write(wr.buf[:n]); err != nil {
 		wr.err = err
 		return
 	}
-	wr.prevEnd = int64(wr.pending.Addr) + int64(wr.pending.Bytes)
+	wr.prevEnd = int64(r.Addr) + int64(r.Bytes)
 }
 
-// Close writes any pending run and flushes. A trace with zero runs
-// still gets its magic header.
+// Close flushes the stream. A trace with zero runs still gets its
+// magic header.
 func (wr *Writer) Close() error {
 	if wr.err != nil {
 		return wr.err
-	}
-	if !wr.started {
-		if _, err := wr.w.Write(magic[:]); err != nil {
-			return err
-		}
-	} else {
-		wr.flushPending()
-		if wr.err != nil {
-			return wr.err
-		}
 	}
 	return wr.w.Flush()
 }

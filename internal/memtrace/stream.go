@@ -11,11 +11,11 @@ import (
 // consumers that handle a run stream incrementally, without ever
 // materializing a Trace. The canonical run sequence — the one Trace
 // stores and Replay delivers — drops zero-length runs and merges
-// address-contiguous neighbours; every streaming component here
-// reproduces exactly that sequence, so a sink cannot tell whether it
-// sits behind a materialized trace or a live stream. The differential
-// tests in internal/cache and internal/experiments pin this
-// bit-for-bit.
+// address-contiguous neighbours. The Merger makes it: the execution
+// engine feeds every sink through one, and Reader replays through one,
+// so a sink cannot tell whether it sits behind a materialized trace,
+// a live stream or a file. The differential tests in internal/cache
+// and internal/experiments pin this bit-for-bit.
 
 // Merger canonicalises a run stream exactly like Trace.Run does:
 // zero-length runs are dropped and a run contiguous with the previous
@@ -72,8 +72,9 @@ func (t teeSink) Run(r Run) {
 
 // RunCount is a Sink that counts the runs and instruction fetches it
 // observes — the streaming stand-in for len(Trace.Runs) and
-// Trace.Instrs when no trace is materialized. Place it behind a Merger
-// (or another canonical source such as Reader) to count canonical runs.
+// Trace.Instrs when no trace is materialized. Place it behind a
+// canonical source (the engine, a Merger or a Reader) to count
+// canonical runs.
 type RunCount struct {
 	Runs   int
 	Instrs uint64
@@ -171,28 +172,19 @@ const bufferChunkRuns = 4096
 // construction — and Seal converts to a Trace with a single
 // exact-size allocation.
 //
-// Buffer implements Sink with Trace.Run's canonicalisation (zero-length
-// runs dropped, contiguous runs merged), so sealing yields exactly the
-// Trace that feeding the same stream to Trace.Run would build.
+// Buffer stores the runs it is given and does not merge them: fed a
+// canonical stream (the engine's, or a Merger's), sealing yields
+// exactly the Trace that feeding the same stream to Trace.Run would
+// build.
 type Buffer struct {
 	chunks [][]Run
 	instrs uint64
 	runs   int
 }
 
-// Run appends one run, merging contiguous neighbours like Trace.Run.
+// Run appends one run.
 func (b *Buffer) Run(r Run) {
-	if r.Bytes == 0 {
-		return
-	}
 	b.instrs += uint64(r.Words())
-	if b.runs > 0 {
-		tail := b.chunks[len(b.chunks)-1]
-		if m, ok := join(tail[len(tail)-1], r); ok {
-			tail[len(tail)-1] = m
-			return
-		}
-	}
 	if n := len(b.chunks); n == 0 || len(b.chunks[n-1]) == bufferChunkRuns {
 		b.chunks = append(b.chunks, make([]Run, 0, bufferChunkRuns))
 	}

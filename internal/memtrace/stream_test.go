@@ -221,10 +221,14 @@ func TestBufferMatchesTrace(t *testing.T) {
 		runs := randomRuns(rng, n)
 		want := &Trace{}
 		var buf Buffer
+		// The buffer stores what it is given; the Merger in front of
+		// it makes the stream canonical.
+		m := NewMerger(&buf)
 		for _, r := range runs {
 			want.Run(r)
-			buf.Run(r)
+			m.Run(r)
 		}
+		m.Flush()
 		got := buf.Seal()
 		if got.Instrs != want.Instrs || len(got.Runs) != len(want.Runs) {
 			t.Fatalf("trial %d: sealed %d runs / %d instrs, want %d / %d",

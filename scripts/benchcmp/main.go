@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -70,7 +71,7 @@ func main() {
 	ab := flag.Bool("ab", false, "compare rounds of raw go test -bench output given as BASE HEAD file pairs")
 	flag.Parse()
 	if *ab {
-		if err := abCompare(flag.Args()); err != nil {
+		if err := abCompare(os.Stdout, flag.Args()); err != nil {
 			fatal(err)
 		}
 		return
@@ -142,8 +143,8 @@ func main() {
 	fmt.Println("benchcmp: ok")
 }
 
-// abCompare prints the -ab summary of (base, head) round pairs.
-func abCompare(paths []string) error {
+// abCompare writes the -ab summary of (base, head) round pairs to w.
+func abCompare(w io.Writer, paths []string) error {
 	if len(paths) == 0 || len(paths)%2 != 0 {
 		return fmt.Errorf("-ab wants BASE HEAD file pairs, got %d files", len(paths))
 	}
@@ -179,11 +180,11 @@ func abCompare(paths []string) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("benchcmp -ab: %d rounds, median ns/op\n", rounds)
-	fmt.Printf("  %-28s %14s %14s %8s %6s\n", "benchmark", "base", "head", "head/base", "wins")
+	fmt.Fprintf(w, "benchcmp -ab: %d rounds, median ns/op\n", rounds)
+	fmt.Fprintf(w, "  %-28s %14s %14s %8s %6s\n", "benchmark", "base", "head", "head/base", "wins")
 	for _, name := range names {
 		mb, mh := median(base[name]), median(head[name])
-		fmt.Printf("  %-28s %14.0f %14.0f %8.3f %3d/%d\n", name, mb, mh, mh/mb, wins[name], len(base[name]))
+		fmt.Fprintf(w, "  %-28s %14.0f %14.0f %8.3f %3d/%d\n", name, mb, mh, mh/mb, wins[name], len(base[name]))
 	}
 	return nil
 }
