@@ -111,166 +111,41 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "suite prepared in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	// emit runs one table/study under a timing span and prints it.
-	emit := func(name string, f func() (string, error)) {
-		sp := common.Registry.Span("tables/" + name)
-		out, err := f()
+	// emit runs one section under a timing span and prints it.
+	emit := func(sec experiments.Section) {
+		sp := common.Registry.Span("tables/" + sec.Name)
+		out, err := sec.Run(suite)
 		sp.End()
 		if err != nil {
 			fatal(err)
 		}
-		slog.Debug("section produced", "section", name)
+		slog.Debug("section produced", "section", sec.Name)
 		fmt.Println(out)
 	}
 
-	if want["1"] {
-		emit("table1", func() (string, error) {
-			cells, err := experiments.Table1(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTable1(cells), nil
-		})
-	}
-	if want["2"] {
-		emit("table2", func() (string, error) {
-			return experiments.RenderTable2(experiments.Table2(suite)), nil
-		})
-	}
-	if want["3"] {
-		emit("table3", func() (string, error) {
-			return experiments.RenderTable3(experiments.Table3(suite)), nil
-		})
-	}
-	if want["4"] {
-		emit("table4", func() (string, error) {
-			return experiments.RenderTable4(experiments.Table4(suite)), nil
-		})
-	}
-	if want["5"] {
-		emit("table5", func() (string, error) {
-			return experiments.RenderTable5(experiments.Table5(suite)), nil
-		})
-	}
-	if want["6"] {
-		emit("table6", func() (string, error) {
-			rows, err := experiments.Table6(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTable6(rows), nil
-		})
-	}
-	if want["7"] {
-		emit("table7", func() (string, error) {
-			rows, err := experiments.Table7(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTable7(rows), nil
-		})
-	}
-	if want["8"] {
-		emit("table8", func() (string, error) {
-			rows, err := experiments.Table8(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTable8(rows), nil
-		})
-	}
-	if want["9"] {
-		emit("table9", func() (string, error) {
-			rows, err := experiments.Table9(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTable9(rows), nil
-		})
+	for i, sec := range experiments.Tables {
+		if want[strconv.Itoa(i+1)] {
+			emit(sec)
+		}
 	}
 	if *ablations {
-		emit("ablation-layout", func() (string, error) {
-			a, err := experiments.AblationLayout(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderAblationLayout(a), nil
-		})
-		emit("ablation-assoc", func() (string, error) {
-			a, err := experiments.AblationAssoc(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderAblationAssoc(a), nil
-		})
-		emit("ablation-minprob", func() (string, error) {
-			a, err := experiments.AblationMinProb(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderAblationMinProb(a), nil
-		})
-		emit("ablation-replacement", func() (string, error) {
-			a, err := experiments.AblationReplacement(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderAblationReplacement(a), nil
-		})
-		emit("ablation-globalalgo", func() (string, error) {
-			a, err := experiments.AblationGlobalAlgo(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderAblationGlobalAlgo(a), nil
-		})
+		for _, sec := range experiments.Ablations {
+			emit(sec)
+		}
 	}
 	if *extensions {
-		emit("ext-timing", func() (string, error) {
-			e, err := experiments.ExtTiming(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderExtTiming(e), nil
-		})
-		emit("ext-paging", func() (string, error) {
-			cfg := experiments.ExtPagingConfig()
-			e, err := experiments.ExtPaging(suite, cfg)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderExtPaging(cfg, e), nil
-		})
-		emit("ext-prefetch", func() (string, error) {
-			e, err := experiments.ExtPrefetch(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderExtPrefetch(e), nil
-		})
-		emit("ext-hierarchy", func() (string, error) {
-			e, err := experiments.ExtHierarchy(suite)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderExtHierarchy(e), nil
-		})
-		emit("ext-extended", func() (string, error) {
-			e, err := experiments.ExtExtendedSuite(*scale, prepOpts)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderExtExtendedSuite(e), nil
-		})
+		for _, sec := range experiments.Extensions(*scale, prepOpts) {
+			emit(sec)
+		}
 	}
 	if *report {
-		emit("ledger", func() (string, error) {
-			return experiments.RenderLedgers(suite), nil
-		})
+		emit(experiments.Section{Name: "ledger", Run: func(s *experiments.Suite) (string, error) {
+			return experiments.RenderLedgers(s), nil
+		}})
 	}
 	if *analyze {
-		emit("analyze", func() (string, error) {
-			rows, err := experiments.BoundCheck(suite)
+		emit(experiments.Section{Name: "analyze", Run: func(s *experiments.Suite) (string, error) {
+			rows, err := experiments.BoundCheck(s)
 			if err != nil {
 				return "", err
 			}
@@ -280,9 +155,9 @@ func main() {
 				}
 			}
 			return experiments.RenderBoundCheck(rows), nil
-		})
-		emit("analyze-pages", func() (string, error) {
-			rows, err := experiments.PageBoundCheck(suite)
+		}})
+		emit(experiments.Section{Name: "analyze-pages", Run: func(s *experiments.Suite) (string, error) {
+			rows, err := experiments.PageBoundCheck(s)
 			if err != nil {
 				return "", err
 			}
@@ -292,20 +167,20 @@ func main() {
 				}
 			}
 			return experiments.RenderPageBoundCheck(rows), nil
-		})
+		}})
 	}
 	if *searchFlag {
-		emit("search", func() (string, error) {
+		emit(experiments.Section{Name: "search", Run: func(s *experiments.Suite) (string, error) {
 			geom := cache.Config{SizeBytes: 512, BlockBytes: 64, Assoc: 1}
 			pcfg := pageFlags.Config()
-			rows, err := experiments.SearchCompare(suite, geom, search.Config{
+			rows, err := experiments.SearchCompare(s, geom, search.Config{
 				Seed: 1, Obs: common.Registry, Paging: &pcfg,
 			})
 			if err != nil {
 				return "", err
 			}
 			return experiments.RenderSearchCompare(geom, &pcfg, rows), nil
-		})
+		}})
 	}
 	run := common.Registry.Counter("sweep.sims_run").Value()
 	memo := common.Registry.Counter("sweep.sims_memoized").Value()

@@ -410,11 +410,7 @@ func cmdSimulate(args []string) {
 	}
 	var runs []laid
 	trace := func(label string, lay *layout.Layout) {
-		tr, _, err := layout.Trace(lay, b.EvalSeed, b.EvalConfig())
-		if err != nil {
-			fatal(err)
-		}
-		runs = append(runs, laid{label, tr})
+		runs = append(runs, laid{label, evalTrace(common.Registry, label, lay, b.EvalSeed, b.EvalConfig())})
 	}
 	if wantOpt {
 		trace("optimized", optimize(b, core.FullStrategy(), common.Registry).Layout)
@@ -569,6 +565,23 @@ func cmdDump(args []string) {
 	}
 }
 
+// evalTrace traces the evaluation run of lay, the layout named label,
+// on seed under cfg. A run the instruction cap stopped is logged with
+// a structured warning, so scripted callers can detect a truncated
+// evaluation, and counted in interp.eval_capped.
+func evalTrace(reg *obs.Registry, label string, lay *layout.Layout, seed uint64, cfg interp.Config) *memtrace.Trace {
+	tr, run, err := layout.Trace(lay, seed, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if !run.Completed {
+		slog.Warn("evaluation run hit the instruction cap",
+			"layout", label, "cap", cfg.MaxSteps, "executed", run.Instrs)
+		reg.Counter("interp.eval_capped").Inc()
+	}
+	return tr
+}
+
 // cmdRun applies the pipeline to an external program: decode the IR,
 // profile it on the given seeds, place it, trace a held-out input,
 // and simulate both layouts.
@@ -621,21 +634,8 @@ func cmdRun(args []string) {
 		texttable.KB(res.TotalBytes), res.InlineReport.SitesInlined,
 		texttable.KB(res.EffectiveBytes))
 
-	optTr, optRun, err := layout.Trace(res.Layout, *evalSeed, cfg.Interp)
-	if err != nil {
-		fatal(err)
-	}
-	if !optRun.Completed {
-		// Structured so scripted callers can detect capped (and thus
-		// truncated) evaluations; also counted in the metrics output.
-		slog.Warn("evaluation run hit the instruction cap; raise -maxsteps",
-			"cap", cfg.Interp.MaxSteps, "executed", optRun.Instrs)
-		common.Registry.Counter("interp.eval_capped").Inc()
-	}
-	natTr, _, err := layout.Trace(layout.Natural(prog), *evalSeed, cfg.Interp)
-	if err != nil {
-		fatal(err)
-	}
+	optTr := evalTrace(common.Registry, "optimized", res.Layout, *evalSeed, cfg.Interp)
+	natTr := evalTrace(common.Registry, "natural", layout.Natural(prog), *evalSeed, cfg.Interp)
 
 	// Both layouts simulate through the sweep engine's worker pool, so
 	// they run concurrently and land on separate timeline lanes

@@ -111,10 +111,11 @@ func TestImpactRunCappedWarningIsStructured(t *testing.T) {
 	irPath := filepath.Join(dir, "prog.ir")
 	metrics := filepath.Join(dir, "m.json")
 	runTool(t, "impact", "dump", "-bench", "wc", "-scale", "0.05", "-o", irPath)
-	// A tiny step cap guarantees the evaluation run is truncated.
+	// A tiny step cap guarantees both evaluation runs are truncated.
 	out := runTool(t, "impact", "run", "-ir", irPath, "-seeds", "1,2", "-maxsteps", "2000",
 		"-metrics-out", metrics)
-	for _, want := range []string{"level=WARN", "instruction cap", "cap=2000", "executed="} {
+	for _, want := range []string{"level=WARN", "instruction cap", "cap=2000", "executed=",
+		"layout=optimized", "layout=natural"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("capped-run warning missing %q:\n%s", want, out)
 		}
@@ -127,8 +128,8 @@ func TestImpactRunCappedWarningIsStructured(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Counters["interp.eval_capped"] == 0 {
-		t.Errorf("interp.eval_capped counter not recorded:\n%s", data)
+	if n := m.Counters["interp.eval_capped"]; n != 2 {
+		t.Errorf("interp.eval_capped = %d, want 2 (both layouts):\n%s", n, data)
 	}
 }
 

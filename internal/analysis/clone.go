@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"impact/internal/ir"
-	"impact/internal/obs"
-)
+import "impact/internal/obs"
 
 // Cloning an Incremental.
 //
@@ -101,7 +98,6 @@ func (lin *linearState) clone() *linearState {
 		footSet:   append([]int32(nil), lin.footSet...),
 		fits:      make([][]bool, len(lin.fits)),
 		confSets:  append([]confSet(nil), lin.confSets...),
-		pairW:     make(map[[2]ir.FuncID]uint64, len(lin.pairW)),
 		edges:     lin.edges,
 		edgeFT:    append([]bool(nil), lin.edgeFT...),
 		edgeAcc:   append([]float64(nil), lin.edgeAcc...),
@@ -112,10 +108,6 @@ func (lin *linearState) clone() *linearState {
 	//lint:maprange map-to-map copy
 	for k, v := range lin.pool {
 		cp.pool[k] = v
-	}
-	//lint:maprange map-to-map copy
-	for k, v := range lin.pairW {
-		cp.pairW[k] = v
 	}
 	for s, row := range lin.fits {
 		cp.fits[s] = append([]bool(nil), row...)

@@ -220,38 +220,22 @@ func conflictSet(sg *supergraph, g geom, p *ir.Program, s uint32, regs []int32, 
 	return out
 }
 
-// applyPairs folds one overflowing set's per-function weights into the
-// pair accumulator with the given sign, removing keys that reach zero
-// (so the map always equals one built from scratch).
-func applyPairs(pairW map[[2]ir.FuncID]uint64, funcs []funcWeight, add bool) {
-	for i := 0; i < len(funcs); i++ {
-		for j := i + 1; j < len(funcs); j++ {
-			w := funcs[i].w
-			if funcs[j].w < w {
-				w = funcs[j].w
-			}
-			k := [2]ir.FuncID{funcs[i].f, funcs[j].f}
-			if add {
-				pairW[k] += w
-				continue
-			}
-			if v := pairW[k] - w; v != 0 {
-				pairW[k] = v
-			} else {
-				delete(pairW, k)
-			}
-		}
-	}
-}
-
-// assembleConflict builds the ranked report from per-set summaries and
-// the pair accumulator.
-func assembleConflict(sets []confSet, pairW map[[2]ir.FuncID]uint64, p *ir.Program, topSets, topLines, topPairs int) ConflictReport {
+// assembleConflict builds the ranked report from per-set summaries:
+// each pair of functions sharing an overflowing set weighs the lighter
+// of their weights there, summed over the sets.
+func assembleConflict(sets []confSet, p *ir.Program, topSets, topLines, topPairs int) ConflictReport {
 	rep := ConflictReport{}
 	var keep []SetPressure
+	pairW := map[[2]ir.FuncID]uint64{}
 	for s := range sets {
 		if sets[s].excess == 0 {
 			continue
+		}
+		funcs := sets[s].funcs
+		for i := range funcs {
+			for j := i + 1; j < len(funcs); j++ {
+				pairW[[2]ir.FuncID{funcs[i].f, funcs[j].f}] += min(funcs[i].w, funcs[j].w)
+			}
 		}
 		rep.TotalExcess += sets[s].excess
 		keep = append(keep, SetPressure{

@@ -25,8 +25,8 @@ import (
 //     min-capping of the pooled weights stays a cheap final pass in
 //     assemble.
 //   - conflict: one confSet per cache set (conflict.go), recomputed
-//     for the sets where any weighted region's bytes moved, with the
-//     function-pair accumulator maintained by exact uint64 deltas.
+//     for the sets where any weighted region's bytes moved; assemble
+//     folds the function pairs from the overflowing sets' summaries.
 //   - score: each profiled control transfer is a static edge whose
 //     fall-through flag and ext-TSP term change only when its source
 //     or target function's addresses changed. Cached terms are
@@ -112,9 +112,8 @@ type linearState struct {
 	footSet []int32 // len(scopes) * numSets
 	fits    [][]bool
 
-	// conflict: per-set summaries and the pair accumulator.
+	// conflict: per-set summaries.
 	confSets []confSet
-	pairW    map[[2]ir.FuncID]uint64
 
 	// score: static edges and their cached per-edge terms.
 	edges   []scoreEdge
@@ -166,7 +165,6 @@ func (inc *Incremental) buildLinear(lay *layout.Layout) *linearState {
 		pool:      map[uint64]poolCnt{},
 		cnt:       make([]int32, g.numLines),
 		setLines:  make([]uint32, g.numSets),
-		pairW:     map[[2]ir.FuncID]uint64{},
 	}
 
 	for ri := range sg.regions {
@@ -478,9 +476,8 @@ func (inc *Incremental) applyLinearDeltas(lay *layout.Layout, undo *undoState) {
 }
 
 // refreshConflicts recomputes the conflict summaries of the sets in
-// inc.confDirtySets from the weighted regions touching them, folding
-// the change into the pair accumulator; with a non-nil undo it records
-// the summaries it replaces.
+// inc.confDirtySets from the weighted regions touching them; with a
+// non-nil undo it records the summaries it replaces.
 func (inc *Incremental) refreshConflicts(lin *linearState, lay *layout.Layout, undo *undoState) {
 	sg := inc.sg
 	sets := inc.confDirtySets
@@ -492,10 +489,7 @@ func (inc *Incremental) refreshConflicts(lin *linearState, lay *layout.Layout, u
 	}, inc.numberSets(sets), len(sets))
 	for k, s := range sets {
 		old := lin.confSets[s]
-		nw := conflictSet(sg, inc.g, lay.Program(), s, buf[off[k]:off[k+1]], &lin.cs)
-		applyPairs(lin.pairW, old.funcs, false)
-		applyPairs(lin.pairW, nw.funcs, true)
-		lin.confSets[s] = nw
+		lin.confSets[s] = conflictSet(sg, inc.g, lay.Program(), s, buf[off[k]:off[k+1]], &lin.cs)
 		if undo != nil {
 			undo.confs = append(undo.confs, confUndo{s: s, old: old})
 		}
@@ -511,8 +505,6 @@ func (inc *Incremental) revertLinear(undo *undoState) {
 	}
 	for i := range undo.confs {
 		cu := &undo.confs[i]
-		applyPairs(lin.pairW, lin.confSets[cu.s].funcs, false)
-		applyPairs(lin.pairW, cu.old.funcs, true)
 		lin.confSets[cu.s] = cu.old
 	}
 	for i := range undo.contribs {
@@ -602,7 +594,7 @@ func (inc *Incremental) assemble(lay *layout.Layout, root *obs.Span) *Result {
 	}
 	res.Cache = cfg.Cache
 	res.Score = sumScore(lin.edges, lin.edgeFT, lin.edgeAcc)
-	res.Conflicts = assembleConflict(lin.confSets, lin.pairW, p, cfg.TopSets, cfg.TopLines, cfg.TopPairs)
+	res.Conflicts = assembleConflict(lin.confSets, p, cfg.TopSets, cfg.TopLines, cfg.TopPairs)
 
 	root.SetAttr("cache", cfg.Cache.String())
 	root.SetAttrInt("regions", int64(res.Regions))

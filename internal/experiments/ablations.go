@@ -68,19 +68,18 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 }
 
 // layoutTrace returns p's evaluation trace under the A1 arm name,
-// placing a partial pipeline on lane.
+// placing a partial pipeline and tracing on lane.
 func layoutTrace(p *Prepared, name string, lane obs.Lane) (*memtrace.Trace, error) {
-	b := p.Bench
 	switch name {
 	case "natural":
 		return p.NatTrace, nil
 	case "full":
 		return p.OptTrace, nil
 	case "random":
-		tr, _, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
+		tr, _, err := p.evalRun(layout.Random(p.Bench.Prog, 0xAB1), name, lane, nil, false)
 		return tr, err
 	}
-	_, tr, err := p.deriveOptimize(p.variantConfig(partialStrategies[name], lane))
+	_, tr, err := p.deriveOptimize(name, p.variantConfig(partialStrategies[name], lane))
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
 	}
@@ -202,7 +201,7 @@ func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 			if mp != ccfg.MinProb {
 				ccfg.MinProb = mp
 				var err error
-				res, tr, err = p.deriveOptimize(ccfg)
+				res, tr, err = p.deriveOptimize(fmt.Sprintf("min-prob %g", mp), ccfg)
 				if err != nil {
 					return row, nil, err
 				}
@@ -247,7 +246,7 @@ func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 	stats, err := measureSection(s, func(p *Prepared, lane obs.Lane) ([]SimRequest, error) {
 		// Without DFS: full pipeline minus the global order.
 		ccfg := p.variantConfig(core.Strategy{Inline: true, TraceLayout: true, SplitCold: true}, lane)
-		_, tr, err := p.deriveOptimize(ccfg)
+		_, tr, err := p.deriveOptimize("no-dfs", ccfg)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +331,7 @@ func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
 	return measureRows(s, func(p *Prepared, lane obs.Lane) (AblationGlobalAlgoRow, []SimRequest, error) {
 		ccfg := p.variantConfig(core.FullStrategy(), lane)
 		ccfg.Strategy.PettisHansen = true
-		_, tr, err := p.deriveOptimize(ccfg)
+		_, tr, err := p.deriveOptimize("pettis-hansen", ccfg)
 		if err != nil {
 			return AblationGlobalAlgoRow{}, nil, err
 		}

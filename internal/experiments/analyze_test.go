@@ -65,7 +65,7 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 	for _, p := range s.Items[:3] {
 		b := p.Bench
 		for _, sc := range strategies {
-			res, tr, err := p.deriveOptimize(pipelineConfig(b, sc.st))
+			res, tr, err := p.deriveOptimize(sc.name, pipelineConfig(b, sc.st))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name(), sc.name, err)
 			}

@@ -68,7 +68,7 @@ func TestPlacedVariantsMatchOptimize(t *testing.T) {
 			reg := obs.NewRegistry()
 			placedCfg := cfg
 			placedCfg.Obs = reg
-			placed, placedTr, err := p.deriveOptimize(placedCfg)
+			placed, placedTr, err := p.deriveOptimize(v.name, placedCfg)
 			if err != nil {
 				t.Fatalf("%s/%s: place: %v", p.Name(), v.name, err)
 			}

@@ -52,10 +52,13 @@ type Prepared struct {
 	evalW *profile.Weights
 
 	// mode and reg are the suite's Options.Check and Options.Obs: every
-	// analysis of p is verified under them (see verify), and every
-	// variant placed under them (see variantConfig).
+	// analysis of p is verified under them (see verify), every variant
+	// placed under them (see variantConfig), and every evaluation run
+	// recorded to reg (see evalRun). log receives the capped-run
+	// warnings.
 	mode check.Mode
 	reg  *obs.Registry
+	log  *slog.Logger
 }
 
 // verify runs the analyzers of u's stage under the suite's check mode:
@@ -72,17 +75,51 @@ func (p *Prepared) verify(u *check.Unit) error {
 	return nil
 }
 
+// evalRun runs p's evaluation input once under lay, the layout named
+// name, on lane: into sink when it is non-nil, returning no trace, and
+// otherwise into the returned trace, counting the run into the
+// returned profile when weigh is set (see EvalWeights). The run is
+// timed under an evaltrace span and recorded to the suite's registry;
+// a run the instruction cap stopped is counted in interp.eval_capped
+// and logged.
+func (p *Prepared) evalRun(lay *layout.Layout, name string, lane obs.Lane, sink memtrace.Sink, weigh bool) (tr *memtrace.Trace, w *profile.Weights, err error) {
+	seed, cfg := p.Bench.EvalSeed, p.Bench.EvalConfig()
+	sp := p.reg.SpanOn(lane, "evaltrace")
+	sp.SetAttr("benchmark", p.Name())
+	sp.SetAttr("layout", name)
+	var run interp.Result
+	switch {
+	case sink != nil:
+		run, err = layout.Stream(lay, seed, cfg, sink)
+	case weigh:
+		tr, w, run, err = layout.TraceWeights(lay, seed, cfg)
+	default:
+		tr, run, err = layout.Trace(lay, seed, cfg)
+	}
+	elapsed := sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	interp.Record(p.reg, run, elapsed)
+	if !run.Completed {
+		p.reg.Counter("interp.eval_capped").Inc()
+		p.log.Warn("evaluation run hit the instruction cap",
+			"benchmark", p.Name(), "layout", name, "cap", cfg.MaxSteps, "executed", run.Instrs)
+	}
+	return tr, w, nil
+}
+
 // deriveOptimize places the prepared profile under a tweaked config,
-// then traces the evaluation run. No profiling input is interpreted
-// again; a config that asks for another profile (other seeds, interp
-// or inline configuration) is an error from core.Place, never a
-// silent reuse.
-func (p *Prepared) deriveOptimize(cfg core.Config) (*core.Result, *memtrace.Trace, error) {
+// then traces the evaluation run as the variant name. No profiling
+// input is interpreted again; a config that asks for another profile
+// (other seeds, interp or inline configuration) is an error from
+// core.Place, never a silent reuse.
+func (p *Prepared) deriveOptimize(name string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
 	res, err := core.Place(p.Profile, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, _, err := layout.Trace(res.Layout, p.Bench.EvalSeed, p.Bench.EvalConfig())
+	tr, _, err := p.evalRun(res.Layout, name, cfg.Lane, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -280,45 +317,14 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 			"benchmark", b.Name(),
 			"errors", res.Checks.Errors(), "warnings", res.Checks.Warnings())
 	}
-	sp := opts.Obs.SpanOn(lane, "evaltrace")
-	//lint:walltime trace-timing metric only; results are clock-free
-	tStart := time.Now()
-	optTr, optW, optRun, err := layout.TraceWeights(res.Layout, b.EvalSeed, b.EvalConfig())
-	if err != nil {
-		sp.End()
+	p := &Prepared{Bench: b, Profile: prof, Opt: res, mode: opts.Check, reg: opts.Obs, log: opts.logger()}
+	if p.OptTrace, p.evalW, err = p.evalRun(res.Layout, "optimized", lane, nil, true); err != nil {
 		return nil, err
 	}
-	interp.Record(opts.Obs, optRun, time.Since(tStart))
-	//lint:walltime trace-timing metric only; results are clock-free
-	tStart = time.Now()
-	natTr, natRun, err := layout.Trace(layout.Natural(b.Prog), b.EvalSeed, b.EvalConfig())
-	sp.End()
-	if err != nil {
+	if p.NatTrace, _, err = p.evalRun(layout.Natural(b.Prog), "natural", lane, nil, false); err != nil {
 		return nil, err
 	}
-	interp.Record(opts.Obs, natRun, time.Since(tStart))
-	for _, e := range []struct {
-		layout string
-		run    interp.Result
-	}{{"optimized", optRun}, {"natural", natRun}} {
-		layoutName, run := e.layout, e.run
-		if !run.Completed {
-			opts.Obs.Counter("interp.eval_capped").Inc()
-			opts.logger().Warn("evaluation run hit the instruction cap",
-				"benchmark", b.Name(), "layout", layoutName,
-				"cap", b.EvalConfig().MaxSteps, "executed", run.Instrs)
-		}
-	}
-	return &Prepared{
-		Bench:    b,
-		Profile:  prof,
-		Opt:      res,
-		OptTrace: optTr,
-		NatTrace: natTr,
-		evalW:    optW,
-		mode:     opts.Check,
-		reg:      opts.Obs,
-	}, nil
+	return p, nil
 }
 
 // byName returns the prepared benchmark with the given name, or nil.

@@ -5,7 +5,6 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/core"
-	"impact/internal/layout"
 	"impact/internal/memtrace"
 	"impact/internal/obs"
 	"impact/internal/texttable"
@@ -64,7 +63,7 @@ func scaledTrace(p *Prepared, factor float64, lane obs.Lane) (*memtrace.Trace, e
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := layout.Trace(res.Layout, p.Bench.EvalSeed, p.Bench.EvalConfig())
+	tr, _, err := p.evalRun(res.Layout, fmt.Sprintf("code scale %g", factor), lane, nil, false)
 	return tr, err
 }
 

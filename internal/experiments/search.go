@@ -58,9 +58,10 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 			return nil, err
 		}
 
-		// price streams lay's evaluation run once into the cache
-		// simulator and, when paged, into a paging simulator beside it.
-		price := func(lay *layout.Layout, paged bool) (misses, faults uint64, err error) {
+		// price streams the evaluation run of lay, the layout named
+		// name, once into the cache simulator and, when paged, into a
+		// paging simulator beside it.
+		price := func(lay *layout.Layout, name string, paged bool) (misses, faults uint64, err error) {
 			sim, err := cache.NewSinkSimulator(geom)
 			if err != nil {
 				return 0, 0, err
@@ -73,7 +74,7 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 				}
 				sink = memtrace.Tee(sim, pager)
 			}
-			if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sink); err != nil {
+			if _, _, err := p.evalRun(lay, name, cfg.Lane, sink, false); err != nil {
 				return 0, 0, err
 			}
 			if pager != nil {
@@ -86,7 +87,7 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 		scfg.Cache = geom
 		if scfg.Checkpoint == nil {
 			scfg.Checkpoint = func(lay *layout.Layout) (uint64, error) {
-				m, _, err := price(lay, false)
+				m, _, err := price(lay, "search checkpoint", false)
 				return m, err
 			}
 		}
@@ -136,7 +137,7 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 			row.SearchFaults = gp.Faults
 		}
 		if res.Improved {
-			m, f, err := price(res.Layout, paged)
+			m, f, err := price(res.Layout, "searched", paged)
 			if err != nil {
 				return nil, fmt.Errorf("%s: simulating searched layout: %w", p.Name(), err)
 			}
@@ -166,7 +167,7 @@ func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow,
 				if err := rep.Err(); err != nil {
 					return nil, fmt.Errorf("%s: page-refined layout failed verification: %w", p.Name(), err)
 				}
-				m, f, err := price(ref.Layout, true)
+				m, f, err := price(ref.Layout, "page-refined", true)
 				if err != nil {
 					return nil, fmt.Errorf("%s: simulating page-refined layout: %w", p.Name(), err)
 				}
